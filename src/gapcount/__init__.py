@@ -70,10 +70,12 @@ from .potential import (
 )
 from .spectra import (
     CountResult,
+    InertiaResult,
     SpectrumResult,
     count_above,
     count_negative_below,
     hermitian_eigenvalues,
+    inertia,
     iterative_count_above,
     power_iteration_norm,
     sigma_p_seminorm,

@@ -5,6 +5,12 @@ free - t*V is nonincreasing in t, so the number of crossings through the
 gap point as t runs over [0, alpha] equals the difference of below-lambda
 counts at the two endpoints.  No t-sweep enters the count; the sweep
 exists only for trace plots.
+
+Neither endpoint count computes an eigenvalue.  At t = 0 the operator is
+the Fourier multiplier of the symbol, so its spectrum is the symbol's
+eigenvalues on the momentum lattice.  At t = alpha the count below a
+point x is the negative Sylvester inertia of free - alpha*V - x, read from
+an LDL^H factorization of the assembled matrix (spectra.inertia).
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ import numpy as np
 from .lattice import GridSpec
 from .operators import DENSE_CAP, assemble_dense, perturbed_operator
 from .potential import PotentialSpec
-from .spectra import hermitian_eigenvalues
-from .symbol import ModelParams
+from .spectra import hermitian_eigenvalues, inertia
+from .symbol import ModelParams, symbol_eigenvalues
 
 DEGENERACY_TOL = 1e-10
 
@@ -41,6 +47,7 @@ class CrossingResult:
     count: int
     degenerate: bool
     bracket: tuple[int, int]
+    residual: float  # largest LDL^H probe residual behind the count
 
 
 @dataclass(frozen=True)
@@ -63,26 +70,40 @@ def _endpoint_spectrum(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
     return hermitian_eigenvalues(dense).values
 
 
+def _free_spectrum(grid: GridSpec, params: ModelParams) -> np.ndarray:
+    xi1, xi2 = grid.momentum_mesh()
+    return symbol_eigenvalues(np.stack([xi1, xi2], axis=-1), params).ravel()
+
+
 def crossing_count_detailed(grid: GridSpec, params: ModelParams,
                             spec: PotentialSpec, alpha: float,
                             cap: int = DENSE_CAP) -> CrossingResult:
-    """Crossings of the gap point on [0, alpha], with degeneracy brackets."""
+    """Crossings of the gap point on [0, alpha], with degeneracy brackets.
+
+    The t = 0 counts come from the symbol eigenvalues on the momentum
+    lattice.  The t = alpha operator is assembled once and factored at
+    lambda -/+ 1e-10; when those two counts differ an eigenvalue lies in
+    the tolerance window, and a third factorization at lambda itself gives
+    the strict count.
+    """
     if alpha < 0:
         raise ValueError(f"coupling must be nonnegative, got {alpha}")
     lam = params.gap_point
-    ev_end = _endpoint_spectrum(grid, params, spec, alpha, cap)
-    ev_start = _endpoint_spectrum(grid, params, spec, 0.0, cap)
+    ev_start = _free_spectrum(grid, params)
+    dense = assemble_dense(perturbed_operator(grid, params, spec, alpha), cap=cap)
+    below = inertia(dense, lam - DEGENERACY_TOL)
+    above = inertia(dense, lam + DEGENERACY_TOL)
+    factorizations = [below, above]
+    # an eigenvalue in [lam - tol, lam + tol] separates the two counts
+    end_degenerate = above.negative + above.zero != below.negative
+    if end_degenerate:
+        factorizations.append(inertia(dense, lam))
     degenerate = bool(
-        np.any(np.abs(ev_end - lam) <= DEGENERACY_TOL)
-        or np.any(np.abs(ev_start - lam) <= DEGENERACY_TOL)
+        end_degenerate or np.any(np.abs(ev_start - lam) <= DEGENERACY_TOL)
     )
-    count = _count_below(ev_end, lam) - _count_below(ev_start, lam)
-    lo = _count_below(ev_end, lam - DEGENERACY_TOL) - _count_below(
-        ev_start, lam + DEGENERACY_TOL
-    )
-    hi = _count_below(ev_end, lam + DEGENERACY_TOL) - _count_below(
-        ev_start, lam - DEGENERACY_TOL
-    )
+    count = factorizations[-1].negative - _count_below(ev_start, lam)
+    lo = below.negative - _count_below(ev_start, lam + DEGENERACY_TOL)
+    hi = above.negative - _count_below(ev_start, lam - DEGENERACY_TOL)
     if degenerate:
         warnings.warn(
             f"eigenvalue within {DEGENERACY_TOL:.0e} of the gap point at an "
@@ -90,7 +111,9 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
             DegenerateThresholdWarning,
             stacklevel=2,
         )
-    return CrossingResult(count=count, degenerate=degenerate, bracket=(lo, hi))
+    residual = float(np.fmax.reduce([f.residual for f in factorizations]))
+    return CrossingResult(count=count, degenerate=degenerate, bracket=(lo, hi),
+                          residual=residual)
 
 
 def crossing_count(grid: GridSpec, params: ModelParams, spec: PotentialSpec,

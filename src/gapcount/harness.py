@@ -30,7 +30,7 @@ from .operators import (
     zone_masks,
 )
 from .potential import PowerDecay
-from .spectra import count_above, hermitian_eigenvalues, singular_values
+from .spectra import TIE_GUARD, count_above, hermitian_eigenvalues, inertia, singular_values
 from .symbol import ModelParams
 
 
@@ -68,21 +68,22 @@ def report_csv_text(report: CountingReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+INT_COLUMNS = frozenset({"n_bs", "n_flow", "count", "i", "j", "index"})
+
+
 def parse_report_csv(text: str) -> tuple[tuple[str, ...], list[tuple]]:
-    """Inverse of report_csv_text; numbers parse back exactly."""
+    """Inverse of report_csv_text; numbers parse back exactly.
+
+    Columns in INT_COLUMNS parse as int and every other column as float,
+    so a float written without a fraction ("5" for 5.0) stays a float.
+    """
     lines = text.strip("\n").split("\n")
     header = tuple(lines[0].split(","))
+    kinds = [int if name in INT_COLUMNS else float for name in header]
     rows = []
     for line in lines[1:]:
-        cells = []
-        for tok in line.split(","):
-            if tok == "":
-                cells.append(None)
-            elif any(c in tok for c in ".eE") or tok in ("inf", "-inf", "nan"):
-                cells.append(float(tok))
-            else:
-                cells.append(int(tok))
-        rows.append(tuple(cells))
+        rows.append(tuple(None if tok == "" else kind(tok)
+                          for kind, tok in zip(kinds, line.split(","))))
     return header, rows
 
 
@@ -102,12 +103,17 @@ def _bs_spectrum(config: ExperimentConfig) -> np.ndarray:
     return hermitian_eigenvalues(dense).values
 
 
-def _flow_job(args) -> tuple[int, bool]:
+def _flow_job(args) -> tuple[int, bool, float]:
     grid, model, potential, alpha, cap = args
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = crossing_count_detailed(grid, model, potential, alpha, cap)
-    return res.count, res.degenerate
+    return res.count, res.degenerate, res.residual
+
+
+def _max_residual(residuals) -> float:
+    """Largest probe residual; nan ones (exactly singular pivots) are skipped."""
+    return float(np.fmax.reduce([float("nan"), *residuals]))
 
 
 def _map_jobs(fn, jobs, workers: int):
@@ -124,12 +130,18 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha, study: str,
     alphas = [float(a) for a in config.alphas]
     degenerate = False
     n_flow: dict[float, int | None] = {a: None for a in alphas}
+    flow_meta = {}
     if config.with_flow:
         jobs = [(config.grid, config.model, config.potential, a, config.dense_cap)
                 for a in alphas]
-        for a, (cnt, dg) in zip(alphas, _map_jobs(_flow_job, jobs, workers)):
+        results = _map_jobs(_flow_job, jobs, workers)
+        for a, (cnt, dg, _) in zip(alphas, results):
             n_flow[a] = cnt
             degenerate = degenerate or dg
+        flow_meta = {
+            "flow_count_method": "ldl-inertia",
+            "inertia_residual_max": _max_residual(r for _, _, r in results),
+        }
     rows = []
     ratios = []
     for a in alphas:
@@ -158,6 +170,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha, study: str,
             "grid": f"{config.grid.n_points}x{config.grid.n_points}, L={config.grid.box_side:g}",
             "runtime_seconds": time.time() - t0,
             "seed": config.seed,
+            **flow_meta,
         },
         degenerate=degenerate,
     )
@@ -242,14 +255,20 @@ def run_crossterm_study(config: ExperimentConfig, workers: int = 1) -> CountingR
     )
 
 
-def _box_job(args) -> int:
+def _box_job(args) -> tuple[int, float]:
+    """Eigenvalues of the box block above tau, and the inertia probe residual.
+
+    The count is the positive inertia of block - tau*(1 + 1e-12): strict and
+    tie-guarded exactly like count_above, but with no eigenvalue computed.
+    """
     grid, model, box, tau = args
     mask = box_mask(grid, box)
     if not mask.any():
-        return 0
+        return 0, 0.0
     block = restricted_block(resolvent(grid, model), mask, mask)
     block = 0.5 * (block + block.conj().T)
-    return count_above(hermitian_eigenvalues(block).values, tau)
+    res = inertia(block, tau * (1.0 + TIE_GUARD))
+    return res.positive, res.residual
 
 
 def run_box_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
@@ -258,6 +277,8 @@ def run_box_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
     Counts use the compression of the resolvent to the nodes inside the
     dilated box: the complementary modes contribute eigenvalue 0 < tau,
     so the block count equals the count of the full localized operator.
+    Each block count is the Sylvester inertia of block - tau (see _box_job);
+    run_meta.txt records the method and the largest probe residual.
     """
     _require(config, "box")
     t0 = time.time()
@@ -277,10 +298,10 @@ def run_box_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
                 f"(span [{lo:g}, {hi:g}] vs box [-{half:g}, {half:g}))"
             )
     jobs = [(config.grid, config.model, box, tau) for box in boxes]
-    counts = _map_jobs(_box_job, jobs, workers)
+    results = _map_jobs(_box_job, jobs, workers)
     rows = []
     ratios = []
-    for box, count in zip(boxes, counts):
+    for box, (count, _) in zip(boxes, results):
         pred = box.scale ** 2 * coeff
         ratio = count / pred if pred > 0 else None
         if ratio is not None:
@@ -302,6 +323,8 @@ def run_box_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
             "coefficient_per_beta2": coeff,
             "runtime_seconds": time.time() - t0,
             "seed": config.seed,
+            "box_count_method": "ldl-inertia",
+            "inertia_residual_max": _max_residual(r for _, r in results),
         },
     )
 

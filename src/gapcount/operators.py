@@ -18,7 +18,8 @@ from .potential import PotentialSpec, eval_potential, sqrt_potential
 from .symbol import ModelParams, dirac_symbol, resolvent_symbol
 
 DENSE_CAP = 10_000  # largest dimension assemble_dense will materialize
-HERMITIAN_DEFECT_TOL = 1e-9
+HERMITICITY_TOL = 1e-9
+_CHECK_STRIP_BYTES = 1 << 20
 
 
 class DenseCapExceededError(RuntimeError):
@@ -228,8 +229,30 @@ def box_localized_resolvent(grid: GridSpec, params: ModelParams,
 # dense assembly
 # ---------------------------------------------------------------------------
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix - matrix.conj().T).max())
+def check_hermitian(matrix: np.ndarray) -> float:
+    """Largest entry of |A - A^H|; raises ValueError above 1e-9 relative.
+
+    The defect is taken relative to max(max|A_ij|, 1).  Rows are compared
+    with the matching columns in strips of about 1 MiB, so the check needs
+    no dense temporary.  Small strips also stay below the allocator's mmap
+    threshold, so freeing them leaves no large block cached on the heap.
+    """
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    strip = max(1, _CHECK_STRIP_BYTES // (16 * max(a.shape[0], 1)))
+    defect = 0.0
+    scale = 1.0
+    for r0 in range(0, a.shape[0], strip):
+        rows = a[r0:r0 + strip]
+        scale = max(scale, float(np.abs(rows).max()))
+        defect = max(defect, float(np.abs(rows - a[:, r0:r0 + strip].conj().T).max()))
+    if defect > HERMITICITY_TOL * scale:
+        raise ValueError(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+            f"{HERMITICITY_TOL:.0e} relative"
+        )
+    return defect
 
 
 def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP,
@@ -255,13 +278,7 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP,
         cols = op.apply_array(basis.reshape(k1 - k0, n, n, 2))
         out[:, k0:k1] = cols.reshape(k1 - k0, dim).T
     if op.hermitian:
-        defect = hermiticity_defect(out)
-        scale = max(float(np.abs(out).max()), 1.0)
-        if defect > HERMITIAN_DEFECT_TOL * scale:
-            raise ValueError(
-                f"hermitian handle assembled with defect {defect:.3e} "
-                f"(tolerance {HERMITIAN_DEFECT_TOL:.0e} relative)"
-            )
+        check_hermitian(out)
         out = 0.5 * (out + out.conj().T)
     return out
 

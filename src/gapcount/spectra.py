@@ -4,7 +4,8 @@ Counts use strict inequality with a fixed relative tie guard: a value
 counts as above the threshold s only when it exceeds s * (1 + 1e-12), so
 machine-precision ties resolve deterministically.  The dense path is the
 ground truth; the Krylov path must present a straddle certificate and
-falls back to dense when it cannot.
+falls back to dense when it cannot.  A count that needs no eigenvalues
+comes from the Sylvester inertia of an LDL^H factorization (inertia).
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import DENSE_CAP, LinearOperatorHandle, assemble_dense
+from .operators import DENSE_CAP, LinearOperatorHandle, assemble_dense, check_hermitian
 
 TIE_GUARD = 1e-12
-HERMITICITY_TOL = 1e-9
+INERTIA_RESIDUAL_TOL = 1e-8
+_INERTIA_PROBES = 5
 _RESIDUAL_CHECK_LIMIT = 3000  # above this, eigenvector residual spot-checks cost
                               # another O(n^3) pass and are skipped
 
@@ -39,6 +41,23 @@ class SpectrumResult:
 
 
 @dataclass(frozen=True)
+class InertiaResult:
+    """Sylvester inertia of A - shift*I, certified by a probe solve.
+
+    negative, zero and positive count the eigenvalues of A below, at and
+    above the shift.  residual is the largest relative backward residual
+    of the factored solve on the probe vectors; it is nan when the
+    factorization met an exactly singular pivot (zero > 0), where no solve
+    exists.
+    """
+
+    negative: int
+    zero: int
+    positive: int
+    residual: float
+
+
+@dataclass(frozen=True)
 class CountResult:
     """Result of an iterative threshold count with its certificate."""
 
@@ -46,17 +65,6 @@ class CountResult:
     certificate: float
     method: str  # "krylov" | "dense"
     conclusive: bool
-
-
-def _check_hermitian(matrix: np.ndarray) -> float:
-    scale = max(float(np.abs(matrix).max()), 1.0)
-    defect = float(np.abs(matrix - matrix.conj().T).max())
-    if defect > HERMITICITY_TOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"{HERMITICITY_TOL:.0e} relative"
-        )
-    return defect
 
 
 def hermitian_eigenvalues(matrix: np.ndarray,
@@ -70,7 +78,7 @@ def hermitian_eigenvalues(matrix: np.ndarray,
     instead.
     """
     a = np.asarray(matrix)
-    _check_hermitian(a)
+    check_hermitian(a)
     a = 0.5 * (a + a.conj().T)
     dim = a.shape[0]
     if residual_check is None:
@@ -90,6 +98,81 @@ def hermitian_eigenvalues(matrix: np.ndarray,
     w = np.linalg.eigvalsh(a)
     bound = float(np.finfo(float).eps * dim * norm_est)
     return SpectrumResult(w[::-1].copy(), "eigenvalues", "dense-novec", bound)
+
+
+def _pivot_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, int, int]:
+    """Inertia of the block diagonal D of a lower Bunch-Kaufman factorization.
+
+    ipiv[k] > 0 marks a 1x1 block at k; ipiv[k] == ipiv[k+1] < 0 marks a 2x2
+    block on rows k, k+1, whose inertia follows from its determinant and
+    trace.
+    """
+    signs = []
+    k = 0
+    while k < len(ipiv):
+        if ipiv[k] > 0:
+            signs.append(np.sign(ldu[k, k].real))
+            k += 1
+            continue
+        a, c = ldu[k, k].real, ldu[k + 1, k + 1].real
+        det = a * c - abs(ldu[k + 1, k]) ** 2
+        if det < 0:
+            signs += [-1.0, 1.0]
+        elif det > 0:
+            signs += [np.sign(a + c)] * 2
+        else:
+            signs += [0.0, np.sign(a + c)]
+        k += 2
+    signs = np.asarray(signs)
+    return (int(np.count_nonzero(signs < 0)), int(np.count_nonzero(signs == 0)),
+            int(np.count_nonzero(signs > 0)))
+
+
+def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
+    """Eigenvalue counts of a Hermitian matrix below, at and above shift.
+
+    By Sylvester's law of inertia these are the signs of the pivot blocks
+    of the Bunch-Kaufman factorization A - shift*I = P L D L^H P^T (LAPACK
+    zhetrf), so no eigenvalue is computed.  The factorization is checked
+    by solving with it on five fixed probe vectors: a relative backward
+    residual above 1e-8 raises RuntimeError.  An exactly singular D means
+    shift is an eigenvalue to working precision and is reported in zero.
+    """
+    a = np.asarray(matrix)
+    check_hermitian(a)
+    dim = a.shape[0]
+    if dim == 0:
+        return InertiaResult(0, 0, 0, 0.0)
+    # The transpose of a C-ordered copy is Fortran-ordered, so LAPACK
+    # factors it in place.  It holds conj(A) - shift*I, whose inertia
+    # equals that of A - shift*I because A is Hermitian.
+    shifted = np.array(a, dtype=complex, order="C")
+    shifted.flat[::dim + 1] -= shift
+    lapack = scipy.linalg.lapack
+    lwork, _ = lapack.zhetrf_lwork(dim, lower=1)
+    ldu, ipiv, info = lapack.zhetrf(shifted.T, lower=1,
+                                    lwork=int(lwork.real), overwrite_a=1)
+    if info < 0:
+        raise RuntimeError(f"zhetrf rejected argument {-info}")
+    negative, zero, positive = _pivot_inertia(ldu, ipiv)
+    if info > 0:
+        return InertiaResult(negative, zero, positive, float("nan"))
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((dim, _INERTIA_PROBES)) \
+        + 1j * rng.standard_normal((dim, _INERTIA_PROBES))
+    x, _ = lapack.zhetrs(ldu, ipiv, b, lower=1)
+    r = a.T @ x - shift * x - b
+    norm_est = float(np.linalg.norm(a)) + abs(shift) * np.sqrt(dim)
+    resid = np.linalg.norm(r, axis=0) / (
+        norm_est * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
+    )
+    residual = float(resid.max())
+    if not residual <= INERTIA_RESIDUAL_TOL:
+        raise RuntimeError(
+            f"LDL^H probe residual {residual:.3e} exceeds "
+            f"{INERTIA_RESIDUAL_TOL:.0e} relative"
+        )
+    return InertiaResult(negative, zero, positive, residual)
 
 
 def singular_values(matrix: np.ndarray) -> SpectrumResult:

@@ -3,8 +3,10 @@ import pytest
 
 from gapcount import (
     DegenerateThresholdWarning,
+    DiskBump,
     Gaussian,
     ModelParams,
+    PowerDecay,
     birman_schwinger,
     branch_trace,
     build_grid,
@@ -13,7 +15,8 @@ from gapcount import (
     crossing_count_detailed,
     hermitian_eigenvalues,
 )
-from gapcount.operators import assemble_dense, perturbed_operator
+from gapcount.flow import DEGENERACY_TOL, _free_spectrum
+from gapcount.operators import assemble_dense, free_operator, perturbed_operator
 
 GRID = build_grid(12, 12.0)
 GAUSS = Gaussian(4.0, 1.0)
@@ -42,6 +45,47 @@ def test_birman_schwinger_equivalence(lam):
             assert detail.bracket[0] <= n_bs <= detail.bracket[1]
         else:
             assert detail.count == n_bs
+
+
+def _dense_count_below(grid, params, spec, t, threshold):
+    dense = assemble_dense(perturbed_operator(grid, params, spec, t))
+    return int(np.count_nonzero(np.linalg.eigvalsh(dense) < threshold))
+
+
+FLOW_POTENTIALS = {
+    "gaussian": Gaussian(4.0, 1.0),
+    "gaussian-off-center": Gaussian(4.0, 1.0, (1.5, 0.5)),
+    "disk": DiskBump(3.0, 1.5, 0.5),
+    "powerdecay": PowerDecay(1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("name", sorted(FLOW_POTENTIALS))
+def test_crossing_count_matches_dense_endpoint_spectra(name, lam, n):
+    # reference: below-lambda counts of the full spectra at both endpoints
+    grid = build_grid(n, 12.0)
+    params = ModelParams(1.0, lam)
+    spec = FLOW_POTENTIALS[name]
+    start = _dense_count_below(grid, params, spec, 0.0, lam)
+    for alpha in (1.0, 3.0, 8.0):
+        detail = crossing_count_detailed(grid, params, spec, alpha)
+        expected = _dense_count_below(grid, params, spec, alpha, lam) - start
+        assert not detail.degenerate
+        assert detail.count == expected
+        assert detail.bracket == (expected, expected)
+        assert 0.0 <= detail.residual <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, -0.6])
+def test_free_counts_from_symbol_match_dense(lam):
+    params = ModelParams(1.0, lam)
+    dense_ev = hermitian_eigenvalues(assemble_dense(free_operator(GRID, params))).values
+    symbol_ev = _free_spectrum(GRID, params)
+    for x in (lam - DEGENERACY_TOL, lam, lam + DEGENERACY_TOL):
+        expected = int(np.count_nonzero(dense_ev < x))
+        assert int(np.count_nonzero(symbol_ev < x)) == expected == GRID.n_points ** 2
 
 
 def test_negative_coupling_rejected():

@@ -269,6 +269,28 @@ def test_csv_round_trip_exact():
                 assert a == b  # exact: 17 significant digits round-trip
 
 
+def test_csv_round_trip_keeps_integral_floats():
+    from gapcount.harness import CountingReport
+
+    weyl = CountingReport("weyl", ("alpha", "n_bs", "n_flow", "prediction", "ratio"),
+                          [(5.0, 3, None, 2.0, 1.5), (40.0, 12, 12, 16.0, 0.75)])
+    box = CountingReport("box", ("beta", "count", "prediction", "ratio"),
+                         [(2.0, 0, 0.5, 0.0), (4.0, 1, 2.25, 1.0)])
+    trace = CountingReport("flow-trace", ("t", "index", "eigenvalue"),
+                           [(0.0, 0, -1.0), (2.0, 1, 0.5)])
+    cross = CountingReport("crossterm", ("alpha", "i", "j", "count", "normalized"),
+                           [(2.0, 1, 2, 4, 2.0)])
+    assert report_csv_text(weyl).splitlines()[1] == "5,3,,2,1.5"
+    for report in (weyl, box, trace, cross):
+        text = report_csv_text(report)
+        header, rows = parse_report_csv(text)
+        assert header == report.header
+        assert rows == report.rows
+        for parsed, original in zip(rows, report.rows):
+            assert [type(v) for v in parsed] == [type(v) for v in original]
+        assert report_csv_text(CountingReport(report.study, header, rows)) == text
+
+
 def test_empty_report_is_header_only():
     from gapcount.harness import CountingReport
 
@@ -291,6 +313,38 @@ def test_emit_outputs_and_determinism(tmp_path):
     assert paths1["echo"].read_text() == WEYL_TEXT
     svg = paths1["svg"].read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+# report bytes of the dense-eigenvalue flow and box counts that inertia
+# counting replaced; the SVG is pinned by its SHA-256
+WEYL_FLOW_CSV = ("alpha,n_bs,n_flow,prediction,ratio\n"
+                 "2,1,1,2,0.5\n4,3,3,4,0.75\n8,5,5,8,0.625\n")
+WEYL_FLOW_SVG_SHA256 = "f340d62a7c04f22640ddcefe12f66e517ab5388932510d85381a9fa9cf932c44"
+BOX_CSV = ("beta,count,prediction,ratio\n2,0,0.55132889542179209,0\n"
+           "4,1,2.2053155816871683,0.45344984105855446\n")
+BOX_SVG_SHA256 = "307b2bb24c2b80b51bdd11dfb1ccbfaa7ba25cff05604dbc7609973cbfdbb82f"
+
+
+@pytest.mark.parametrize("text,runner,method_key,csv,svg_sha", [
+    (WEYL_TEXT + "study.with_flow = true\n", run_weyl_study, "flow_count_method",
+     WEYL_FLOW_CSV, WEYL_FLOW_SVG_SHA256),
+    (BOX_TEXT, run_box_study, "box_count_method", BOX_CSV, BOX_SVG_SHA256),
+], ids=["weyl-flow", "box"])
+def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key, csv,
+                                         svg_sha):
+    import hashlib
+
+    config = ExperimentConfig.from_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = runner(config)
+    paths = emit_outputs(report, tmp_path, config)
+    meta = dict(line.split(" = ", 1)
+                for line in paths["meta"].read_text().splitlines())
+    assert meta[method_key] == "ldl-inertia"
+    assert 0.0 <= float(meta["inertia_residual_max"]) <= 1e-8
+    assert paths["csv"].read_text() == csv
+    assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
 
 
 # ---------------------------------------------------------------------------

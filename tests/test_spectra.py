@@ -9,6 +9,7 @@ from gapcount import (
     count_above,
     count_negative_below,
     hermitian_eigenvalues,
+    inertia,
     iterative_count_above,
     power_iteration_norm,
     sigma_p_seminorm,
@@ -50,6 +51,49 @@ def test_hermitian_eigenvalues_free_operator_multiset():
 def test_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Sylvester inertia
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("zero_diagonal", [False, True])
+def test_inertia_matches_eigenvalue_count(zero_diagonal):
+    # a zero diagonal forces Bunch-Kaufman to take 2x2 pivots
+    rng = np.random.default_rng(10)
+    for dim in (2, 3, 8, 31, 120):
+        a = _random_hermitian(rng, dim)
+        if zero_diagonal:
+            np.fill_diagonal(a, 0.0)
+        ev = np.linalg.eigvalsh(a)
+        for shift in (-1.3, -0.2, 0.0, 0.45, 2.0):
+            result = inertia(a, shift)
+            assert (result.negative, result.zero, result.positive) == (
+                int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift))
+            )
+            assert 0.0 <= result.residual <= 1e-8
+
+
+def test_inertia_agrees_with_count_above_on_operator():
+    grid = build_grid(12, 12.0)
+    dense = assemble_dense(birman_schwinger(grid, ModelParams(1.0, 0.2), Gaussian(4.0, 1.0)))
+    spectrum = hermitian_eigenvalues(dense)
+    for s in (0.02, 0.1, 0.3, 0.9):
+        assert inertia(dense, s * (1.0 + 1e-12)).positive == count_above(spectrum, s)
+
+
+def test_inertia_shift_on_an_eigenvalue_reports_zero():
+    # exact arithmetic makes the shifted matrix exactly singular
+    result = inertia(np.diag([3.0, 1.0, 2.0]), 2.0)
+    assert (result.negative, result.zero, result.positive) == (1, 1, 1)
+    result = inertia(np.array([[2.0, 1.0], [1.0, 2.0]]), 1.0)
+    assert (result.negative, result.zero, result.positive) == (0, 1, 1)
+    assert inertia(np.zeros((4, 4)), 0.0).zero == 4
+
+
+def test_inertia_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
 
 
 def test_singular_values_of_hermitian_are_absolute_eigenvalues():
