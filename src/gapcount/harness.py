@@ -209,27 +209,25 @@ def run_theorem2_study(config: ExperimentConfig, workers: int = 1) -> CountingRe
 def run_crossterm_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
     """Normalized counts of the off-diagonal localized pieces.
 
-    The dense sandwich is assembled once; the piece between zones i and j
-    is its (zone-i rows) x (zone-j columns) block, whose singular values
-    are exactly those of the full localized piece.  Runs serially over
-    coupling values (the dense matrix is not shipped to workers).
+    The piece between zones i and j is the (zone-i rows) x (zone-j columns)
+    block of the sandwich, whose singular values are exactly those of the
+    full localized piece; restricted_block gathers each block without
+    building the full matrix.  Runs serially over coupling values.
     """
     _require(config, "crossterm")
     t0 = time.time()
     assert isinstance(config.potential, PowerDecay)
     p = config.potential.exponent
     op = birman_schwinger(config.grid, config.model, config.potential)
-    dense = assemble_dense(op, cap=config.dense_cap)
     rows = []
     previous: dict[tuple[int, int], float] = {}
     monotone = True
     for a in (float(a) for a in config.alphas):
         loc = LocalizationSpec(config.eps1, config.eps2, a, p)
         masks = zone_masks(config.grid, loc)
-        flat = [np.where(np.repeat(m.ravel(), 2))[0] for m in masks]
         threshold = config.epsilon / a
         for i, j in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
-            block = dense[np.ix_(flat[i - 1], flat[j - 1])]
+            block = restricted_block(op, masks[i - 1], masks[j - 1])
             count = count_above(singular_values(block), threshold)
             normalized = count / a ** (2.0 / p)
             if (i, j) in previous and normalized >= previous[(i, j)]:
@@ -266,7 +264,6 @@ def _box_job(args) -> tuple[int, float]:
     if not mask.any():
         return 0, 0.0
     block = restricted_block(resolvent(grid, model), mask, mask)
-    block = 0.5 * (block + block.conj().T)
     res = inertia(block, tau * (1.0 + TIE_GUARD))
     return res.positive, res.residual
 

@@ -1,15 +1,21 @@
-"""Matrix-free discretized operators and their dense assembly.
+"""Matrix-free discretized operators and their dense blocks.
 
-Every operator here is a composition of Fourier multipliers (exact on the
-momentum lattice) and pointwise position-space multipliers, the standard
+Every operator here has the form left * F^*[mult]F * right + diagonal: a
+Fourier multiplier (exact on the momentum lattice) between pointwise
+position-space weights, plus a pointwise diagonal, the standard
 pseudospectral discretization.  Handles apply to raw arrays of shape
-(..., n, n, 2) so dense assembly and probing batch over leading axes.
+(..., n, n, 2) by FFT, so Krylov methods and probes batch over leading axes.
+
+Dense blocks need no FFT per column.  On the torus the multiplier is a
+circulant convolution, so entry [(x, a), (y, b)] of F^*[mult]F is
+k_ab(x - y), where k is one inverse FFT of mult (Davis, Circulant
+Matrices, 1979).  A dense block between two node sets is a gather from k,
+scaled by left[x] * right[y], plus the diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -19,25 +25,46 @@ from .symbol import ModelParams, dirac_symbol, resolvent_symbol
 
 DENSE_CAP = 10_000  # largest dimension assemble_dense will materialize
 HERMITICITY_TOL = 1e-9
-_CHECK_STRIP_BYTES = 1 << 20
+_STRIP_BYTES = 1 << 20  # temporaries of the dense-block gather and the check
 
 
 class DenseCapExceededError(RuntimeError):
     """Requested dense assembly beyond the configured dimension cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearOperatorHandle:
-    """Deterministic linear map on spinor fields with a hermiticity promise."""
+    """The operator left * F^*[mult]F * right + diagonal on spinor fields.
+
+    mult is the per-mode 2x2 multiplier, shape (n, n, 2, 2) in FFT order.
+    left, right and diagonal are optional real node fields of shape (n, n)
+    acting on both spinor components; None stands for the identity (for
+    left and right) and for zero (for diagonal).  hermitian is a promise
+    that dense assembly checks.
+    """
 
     grid: GridSpec
-    apply_array: Callable[[np.ndarray], np.ndarray]
+    mult: np.ndarray
     hermitian: bool
     label: str = ""
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
+    diagonal: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
         return self.grid.dimension
+
+    def apply_array(self, values: np.ndarray) -> np.ndarray:
+        """The operator on an array of shape (..., n, n, 2), by FFT."""
+        g = values if self.right is None else values * self.right[..., None]
+        ghat = np.einsum("xyab,...xyb->...xya", self.mult, forward_array(g))
+        out = inverse_array(ghat)
+        if self.left is not None:
+            out = out * self.left[..., None]
+        if self.diagonal is not None:
+            out = out + values * self.diagonal[..., None]
+        return out
 
     def apply(self, f: SpinorField) -> SpinorField:
         if f.grid != self.grid:
@@ -101,13 +128,7 @@ def _multiplier_on_grid(grid: GridSpec, symbol_fn, params: ModelParams) -> np.nd
 def fourier_multiplier(grid: GridSpec, mult: np.ndarray, hermitian: bool,
                        label: str = "") -> LinearOperatorHandle:
     """Operator F^* [mult] F for a per-mode 2x2 matrix field mult."""
-
-    def apply_array(values: np.ndarray) -> np.ndarray:
-        vhat = forward_array(values)
-        ghat = np.einsum("xyab,...xyb->...xya", mult, vhat)
-        return inverse_array(ghat)
-
-    return LinearOperatorHandle(grid, apply_array, hermitian, label)
+    return LinearOperatorHandle(grid, mult, hermitian, label)
 
 
 def free_operator(grid: GridSpec, params: ModelParams) -> LinearOperatorHandle:
@@ -134,14 +155,9 @@ def sqrt_potential_on_grid(grid: GridSpec, spec: PotentialSpec) -> np.ndarray:
 
 def _sandwich(grid: GridSpec, left: np.ndarray, middle: LinearOperatorHandle,
               right: np.ndarray, hermitian: bool, label: str) -> LinearOperatorHandle:
-    inner = middle.apply_array
-
-    def apply_array(values: np.ndarray) -> np.ndarray:
-        g = values * right[..., None]
-        g = inner(g)
-        return g * left[..., None]
-
-    return LinearOperatorHandle(grid, apply_array, hermitian, label)
+    """left * middle * right; middle must be a plain Fourier multiplier."""
+    return LinearOperatorHandle(grid, middle.mult, hermitian, label,
+                                left=left, right=right)
 
 
 def birman_schwinger(grid: GridSpec, params: ModelParams,
@@ -157,12 +173,9 @@ def perturbed_operator(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
     if t < 0:
         raise ValueError(f"coupling must be nonnegative, got {t}")
     v = potential_on_grid(grid, spec)
-    free = free_operator(grid, params).apply_array
-
-    def apply_array(values: np.ndarray) -> np.ndarray:
-        return free(values) - t * values * v[..., None]
-
-    return LinearOperatorHandle(grid, apply_array, True, f"perturbed(t={t})")
+    mult = _multiplier_on_grid(grid, dirac_symbol, params)
+    return LinearOperatorHandle(grid, mult, True, f"perturbed(t={t})",
+                                diagonal=-t * v)
 
 
 def zone_masks(grid: GridSpec, loc: LocalizationSpec) -> tuple[np.ndarray, ...]:
@@ -240,7 +253,7 @@ def check_hermitian(matrix: np.ndarray) -> float:
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    strip = max(1, _CHECK_STRIP_BYTES // (16 * max(a.shape[0], 1)))
+    strip = max(1, _STRIP_BYTES // (16 * max(a.shape[0], 1)))
     defect = 0.0
     scale = 1.0
     for r0 in range(0, a.shape[0], strip):
@@ -255,31 +268,84 @@ def check_hermitian(matrix: np.ndarray) -> float:
     return defect
 
 
-def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP,
-                   chunk: int = 256) -> np.ndarray:
+def _kernel(op: LinearOperatorHandle) -> np.ndarray:
+    """Convolution kernel k[d, a, b] of F^*[mult]F, d the flat node offset.
+
+    Entry [(x, a), (y, b)] of the multiplier is k_ab(x - y) (offsets taken
+    mod n per axis), computed by one batched inverse FFT over b.  For a
+    hermitian handle k is made Hermitian on the kernel itself,
+    k_ab(d) <- (k_ab(d) + conj(k_ba(-d))) / 2, so every block gathered from
+    it between equal node sets is exactly Hermitian.
+    """
+    n = op.grid.n_points
+    k = np.moveaxis(inverse_array(np.moveaxis(op.mult, -1, 0)), 0, -1) / n
+    if op.hermitian:
+        neg = -np.arange(n) % n
+        k = 0.5 * (k + k[neg][:, neg].conj().swapaxes(-1, -2))
+    return k.reshape(n * n, 2, 2)
+
+
+def _dense_block(op: LinearOperatorHandle, rows: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+    """Dense block of the handle between two increasing lists of flat nodes.
+
+    Row 2*r + a and column 2*c + b hold entry [(rows[r], a), (cols[c], b)],
+    the C-order flattening of (n, n, 2) restricted to the nodes.  The block
+    is gathered from the kernel straight into the output, in row strips of
+    about 1 MiB so the index temporaries stay small, and scaled by
+    left[x] * right[y]; the diagonal is added where a row node is a column
+    node.
+    """
+    n = op.grid.n_points
+    kernel = _kernel(op)
+    ri, rj = np.divmod(rows, n)
+    ci, cj = np.divmod(cols, n)
+    weighted = op.left is not None or op.right is not None
+    if weighted:
+        ones = np.ones(n * n)
+        wl = (ones if op.left is None else op.left.ravel())[rows]
+        wr = (ones if op.right is None else op.right.ravel())[cols]
+    out = np.empty((2 * len(rows), 2 * len(cols)), dtype=complex)
+    out4 = out.reshape(len(rows), 2, len(cols), 2)
+    strip = max(1, _STRIP_BYTES // (64 * max(len(cols), 1)))
+    for r0 in range(0, len(rows), strip):
+        r1 = min(r0 + strip, len(rows))
+        offset = (ri[r0:r1, None] - ci) % n * n + (rj[r0:r1, None] - cj) % n
+        part = out4[r0:r1]
+        # mode="wrap" lets take fill the strided view without a buffer;
+        # the offsets are in range anyway
+        np.take(kernel, offset, axis=0, out=part.swapaxes(1, 2), mode="wrap")
+        if weighted:
+            # the product is symmetric in (x, y), which keeps Hermiticity exact
+            part *= (wl[r0:r1, None] * wr)[:, None, :, None]
+    if op.diagonal is not None:
+        nodes, r, c = np.intersect1d(rows, cols, assume_unique=True,
+                                     return_indices=True)
+        d = op.diagonal.ravel()[nodes]
+        out4[r, 0, c, 0] += d
+        out4[r, 1, c, 1] += d
+    return out
+
+
+def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray:
     """Dense matrix of the handle in the node/component basis.
 
-    Column k is the operator applied to the k-th basis field (C-order
-    flattening of the (n, n, 2) array).  For hermitian handles the
-    symmetrization defect must stay below 1e-9; the returned matrix is the
-    exact Hermitian symmetrization.
+    Entry [(x, a), (y, b)] sits at row 2*(n*x1 + x2) + a and column
+    2*(n*y1 + y2) + b (C-order flattening of the (n, n, 2) array).  It is
+    gathered from the convolution kernel (_dense_block), so a hermitian
+    handle gives an exactly Hermitian matrix; check_hermitian still
+    verifies it.  The dimension cap is checked before anything is
+    allocated.
     """
     dim = op.dimension
     if dim > cap:
         raise DenseCapExceededError(
             f"dimension {dim} exceeds the dense-assembly cap {cap}"
         )
-    n = op.grid.n_points
-    out = np.empty((dim, dim), dtype=complex)
-    for k0 in range(0, dim, chunk):
-        k1 = min(k0 + chunk, dim)
-        basis = np.zeros((k1 - k0, dim), dtype=complex)
-        basis[np.arange(k1 - k0), np.arange(k0, k1)] = 1.0
-        cols = op.apply_array(basis.reshape(k1 - k0, n, n, 2))
-        out[:, k0:k1] = cols.reshape(k1 - k0, dim).T
+    nodes = np.arange(op.grid.n_points ** 2)
+    out = _dense_block(op, nodes, nodes)
     if op.hermitian:
         check_hermitian(out)
-        out = 0.5 * (out + out.conj().T)
     return out
 
 
@@ -287,24 +353,14 @@ def restricted_block(op: LinearOperatorHandle, row_mask: np.ndarray,
                      col_mask: np.ndarray) -> np.ndarray:
     """Dense block of the operator between two node sets.
 
-    For operators of the form P_row A P_col (sharp indicator projections on
-    both sides) the nonzero singular values -- and for row_mask == col_mask
-    the nonzero eigenvalues -- of the full operator coincide with those of
-    this block, so spectra of localized pieces can be computed without
-    materializing the 2n^2-dimensional matrix.
+    The block is the np.ix_ sub-matrix of assemble_dense(op) on the masked
+    nodes (both components of each), gathered from the convolution kernel
+    without building the full matrix.  For operators of the form
+    P_row A P_col (sharp indicator projections on both sides) the nonzero
+    singular values -- and for row_mask == col_mask the nonzero
+    eigenvalues -- of the full operator coincide with those of this block.
     """
-    n = op.grid.n_points
-    rows = np.argwhere(row_mask)
-    cols = np.argwhere(col_mask)
-    block = np.empty((2 * len(rows), 2 * len(cols)), dtype=complex)
-    chunk = 128
-    for c0 in range(0, len(cols), chunk):
-        c1 = min(c0 + chunk, len(cols))
-        basis = np.zeros(((c1 - c0) * 2, n, n, 2), dtype=complex)
-        for k, (i, j) in enumerate(cols[c0:c1]):
-            basis[2 * k, i, j, 0] = 1.0
-            basis[2 * k + 1, i, j, 1] = 1.0
-        out = op.apply_array(basis)
-        picked = out[:, rows[:, 0], rows[:, 1], :]  # (batch, nrows, 2)
-        block[:, 2 * c0:2 * c1] = picked.reshape((c1 - c0) * 2, -1).T
-    return block
+    shape = (op.grid.n_points,) * 2
+    if np.shape(row_mask) != shape or np.shape(col_mask) != shape:
+        raise ValueError(f"node masks must have shape {shape}")
+    return _dense_block(op, np.flatnonzero(row_mask), np.flatnonzero(col_mask))

@@ -75,11 +75,13 @@ def hermitian_eigenvalues(matrix: np.ndarray,
     are computed as well and five spread-out eigenpairs are verified to
     satisfy ||A v - w v|| <= 1e-8 ||A||; larger problems use the
     eigenvalue-only LAPACK driver and report the backward-stability bound
-    instead.
+    instead.  A matrix with a nonzero (tolerated) Hermiticity defect is
+    replaced by its symmetrization (A + A^H)/2; an exactly Hermitian one,
+    such as every dense block built by operators, is used as it is.
     """
     a = np.asarray(matrix)
-    check_hermitian(a)
-    a = 0.5 * (a + a.conj().T)
+    if check_hermitian(a) != 0.0:
+        a = 0.5 * (a + a.conj().T)
     dim = a.shape[0]
     if residual_check is None:
         residual_check = dim <= _RESIDUAL_CHECK_LIMIT

@@ -30,3 +30,22 @@ def radial_profile_integral(params, psi_const, p):
         xs = np.linspace(a, b, 41)
         total += integrate.simpson(f(xs), x=xs)
     return 0.5 * total
+
+
+def dense_by_columns(op, chunk=256):
+    """Reference dense matrix of a handle: apply_array on every identity column.
+
+    Column k is the operator applied to the k-th basis field (C-order
+    flattening of the (n, n, 2) array), computed by FFT in batches of
+    chunk columns.  No symmetrization: the raw columns are the reference.
+    """
+    dim = op.dimension
+    n = op.grid.n_points
+    out = np.empty((dim, dim), dtype=complex)
+    for k0 in range(0, dim, chunk):
+        k1 = min(k0 + chunk, dim)
+        basis = np.zeros((k1 - k0, dim), dtype=complex)
+        basis[np.arange(k1 - k0), np.arange(k0, k1)] = 1.0
+        cols = op.apply_array(basis.reshape(k1 - k0, n, n, 2))
+        out[:, k0:k1] = cols.reshape(k1 - k0, dim).T
+    return out

@@ -347,6 +347,73 @@ def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key, csv
     assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
 
 
+THEOREM2_TEXT = """
+study = theorem2
+grid.n_points = 12
+grid.box_side = 16.0
+model.mass = 1.0
+model.gap_point = 0.0
+potential.kind = powerdecay
+potential.exponent = 1.0
+potential.psi_constant = 2.0
+alpha.values = 2, 4
+localization.eps2 = 1.0
+"""
+# report bytes of the studies whose dense blocks were FFT-assembled column by
+# column before the kernel gather replaced it; the SVG is pinned by its SHA-256
+THEOREM2_CSV = ("alpha,n_bs,n_flow,prediction,ratio\n"
+                "2,5,,6.2831853071795827,0.7957747154594772\n"
+                "4,22,,25.132741228718331,0.87535218700542483\n")
+THEOREM2_SVG_SHA256 = "a05b22a606e4a96278c4849663528ba2e33395194105bedc32fa8340f643fce6"
+CROSS_CSV = ("alpha,i,j,count,normalized\n"
+             "2,1,2,2,0.5\n2,2,1,2,0.5\n2,1,3,0,0\n2,3,1,0,0\n2,2,3,6,1.5\n2,3,2,6,1.5\n"
+             "4,1,2,8,0.5\n4,2,1,8,0.5\n4,1,3,0,0\n4,3,1,0,0\n4,2,3,12,0.75\n"
+             "4,3,2,12,0.75\n")
+CROSS_SVG_SHA256 = "845cd0950f6f1deca2c1d91d30ed3d6db2e6aa9414dd4da7adfb8cbfd2d7b840"
+
+
+@pytest.mark.parametrize("text,runner,csv,svg_sha", [
+    (THEOREM2_TEXT, run_theorem2_study, THEOREM2_CSV, THEOREM2_SVG_SHA256),
+    (CROSS_TEXT, run_crossterm_study, CROSS_CSV, CROSS_SVG_SHA256),
+], ids=["theorem2", "crossterm"])
+def test_report_bytes_pinned(tmp_path, text, runner, csv, svg_sha):
+    import hashlib
+
+    config = ExperimentConfig.from_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = runner(config)
+    paths = emit_outputs(report, tmp_path, config)
+    assert paths["csv"].read_text() == csv
+    assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
+
+
+def test_flow_trace_eigenvalues_match_column_oracle():
+    from oracles import dense_by_columns
+
+    from gapcount.operators import perturbed_operator
+
+    text = WEYL_TEXT.replace("study = weyl", "study = flow-trace").replace(
+        "alpha.values = 2, 4, 8", "flow.t_values = 0, 1, 2")
+    config = ExperimentConfig.from_text(text)
+    report = run_flow_trace_study(config)
+    m = config.model.mass
+    tol = 1e-12
+    for t in config.t_values:
+        op = perturbed_operator(config.grid, config.model, config.potential, t)
+        ev = np.linalg.eigvalsh(dense_by_columns(op))
+        got = np.asarray([row[2] for row in report.rows if row[0] == t])
+        assert [row[1] for row in report.rows if row[0] == t] == list(range(len(got)))
+        assert np.all(np.diff(got) >= 0)
+        # every reported value is an oracle eigenvalue; at t = 0 the band
+        # edges +-m are eigenvalues, so which side of m they land on is
+        # rounding, and the count is compared away from the edges
+        assert np.abs(got[:, None] - ev).min(axis=1).max(initial=0.0) <= tol
+        inner = ev[np.abs(ev) < m - tol]
+        assert np.count_nonzero(np.abs(got) < m - tol) == len(inner)
+        assert np.abs(got[np.abs(got) < m - tol] - inner).max(initial=0.0) <= tol
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

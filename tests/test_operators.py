@@ -21,9 +21,10 @@ from gapcount import (
     zone_masks,
 )
 from gapcount.lattice import SpinorField
-from gapcount.operators import box_mask
+from gapcount.operators import box_mask, check_hermitian
 from gapcount.spectra import power_iteration_norm
 from gapcount.symbol import dirac_symbol, symbol_eigenvalues
+from oracles import dense_by_columns
 
 GRID = build_grid(12, 9.0)
 PARAMS = ModelParams(1.0, 0.3)
@@ -329,3 +330,65 @@ def test_quadratic_form_invariant_under_symbol_sign_flip():
         g = SpinorField(conj, GRID)
         b = g.inner(x_flip.apply(g))
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+
+# ---------------------------------------------------------------------------
+# dense blocks gathered from the kernel against the identity-column oracle
+# ---------------------------------------------------------------------------
+
+_HANDLES = {
+    "free": lambda grid, spec: free_operator(grid, PARAMS),
+    "resolvent": lambda grid, spec: resolvent(grid, PARAMS),
+    "birman_schwinger": lambda grid, spec: birman_schwinger(grid, PARAMS, spec),
+    "perturbed": lambda grid, spec: perturbed_operator(grid, PARAMS, spec, 2.5),
+    "box": lambda grid, spec: box_localized_resolvent(
+        grid, PARAMS, BoxSpec(corner=(-0.5, 0.0), side=1.0, scale=2.0)),
+    "piece(1,2)": lambda grid, spec: localized_piece(grid, PARAMS, spec, _loc(), 1, 2),
+}
+_POTENTIALS = {
+    "gaussian": GAUSS,
+    "gaussian-off-center": Gaussian(4.0, 1.0, center=(1.3, -0.6)),
+    "powerdecay": PowerDecay(1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("potential", sorted(_POTENTIALS))
+@pytest.mark.parametrize("handle", sorted(_HANDLES))
+def test_dense_block_matches_column_oracle(handle, potential, n):
+    grid = build_grid(n, 9.0)
+    op = _HANDLES[handle](grid, _POTENTIALS[potential])
+    dense = assemble_dense(op)
+    oracle = dense_by_columns(op)
+    assert np.abs(dense - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    if op.hermitian:
+        assert check_hermitian(dense) == 0.0
+    rng = np.random.default_rng(n)
+    row_mask = rng.random((n, n)) < 0.4
+    col_mask = rng.random((n, n)) < 0.6
+    assert np.any(row_mask != col_mask)
+    rows = np.flatnonzero(np.repeat(row_mask.ravel(), 2))
+    cols = np.flatnonzero(np.repeat(col_mask.ravel(), 2))
+    block = restricted_block(op, row_mask, col_mask)
+    assert np.array_equal(block, dense[np.ix_(rows, cols)])
+
+
+def test_restricted_block_rejects_mask_of_wrong_shape():
+    op = resolvent(GRID, PARAMS)
+    mask = np.ones((12, 12), dtype=bool)
+    with pytest.raises(ValueError, match="shape"):
+        restricted_block(op, mask, np.ones((10, 10), dtype=bool))
+
+
+def test_assemble_dense_peak_memory_within_one_and_a_half_matrices():
+    import tracemalloc
+
+    grid = build_grid(32, 24.0)  # dimension 2048, a 64 MiB matrix
+    op = birman_schwinger(grid, PARAMS, GAUSS)
+    tracemalloc.start()
+    try:
+        dense = assemble_dense(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.shape == (2048, 2048)
+    assert peak <= 1.5 * 16 * op.dimension ** 2
