@@ -91,8 +91,7 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
     lam = params.gap_point
     ev_start = _free_spectrum(grid, params)
     dense = assemble_dense(perturbed_operator(grid, params, spec, alpha), cap=cap)
-    below = inertia(dense, lam - DEGENERACY_TOL)
-    above = inertia(dense, lam + DEGENERACY_TOL)
+    below, above = inertia(dense, (lam - DEGENERACY_TOL, lam + DEGENERACY_TOL))
     factorizations = [below, above]
     # an eigenvalue in [lam - tol, lam + tol] separates the two counts
     end_degenerate = above.negative + above.zero != below.negative
@@ -136,7 +135,10 @@ def branch_trace(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
     gap_lists = []
     for t in t_values:
         ev = _endpoint_spectrum(grid, params, spec, float(t), cap)
-        inside = ev[(ev > -m) & (ev < m)]
+        # eigenvalues within the tolerance of a band edge are the edge itself
+        # (at t = 0 the edges +-m are exact eigenvalues), whichever side of
+        # it rounding puts them
+        inside = ev[np.abs(ev) < m - DEGENERACY_TOL]
         gap_lists.append(np.sort(inside))
     count = crossing_count_detailed(grid, params, spec, float(t_values[-1]), cap).count
     return FlowTrace(t_values=t_values, gap_eigenvalues=gap_lists,

@@ -22,7 +22,6 @@ from .lattice import GridSpec
 from .operators import (
     BoxSpec,
     LocalizationSpec,
-    assemble_dense,
     birman_schwinger,
     box_mask,
     resolvent,
@@ -30,7 +29,14 @@ from .operators import (
     zone_masks,
 )
 from .potential import PowerDecay
-from .spectra import TIE_GUARD, count_above, hermitian_eigenvalues, inertia, singular_values
+from .spectra import (
+    TIE_GUARD,
+    CountResult,
+    count_above,
+    inertia,
+    iterative_count_above,
+    singular_values,
+)
 from .symbol import ModelParams
 
 
@@ -97,10 +103,15 @@ def _require(config: ExperimentConfig, study: str) -> None:
     config.validate()
 
 
-def _bs_spectrum(config: ExperimentConfig) -> np.ndarray:
+def _bs_counts(config: ExperimentConfig, alphas: list[float]) -> CountResult:
+    """n_+(1/alpha, W R W) for every alpha from one Krylov run (dense fallback)."""
     op = birman_schwinger(config.grid, config.model, config.potential)
-    dense = assemble_dense(op, cap=config.dense_cap)
-    return hermitian_eigenvalues(dense).values
+    result = iterative_count_above(op, [1.0 / a for a in alphas], seed=config.seed,
+                                   dense_cap=config.dense_cap)
+    if not result.conclusive:
+        raise RuntimeError("Birman-Schwinger counts are not certified and the "
+                           "dense fallback is above the cap")
+    return result
 
 
 def _flow_job(args) -> tuple[int, bool, float]:
@@ -126,9 +137,11 @@ def _map_jobs(fn, jobs, workers: int):
 def _counting_study(config: ExperimentConfig, prediction_of_alpha, study: str,
                     workers: int) -> CountingReport:
     t0 = time.time()
-    eigenvalues = _bs_spectrum(config)
     alphas = [float(a) for a in config.alphas]
-    degenerate = False
+    bs = _bs_counts(config, alphas)
+    # a dense certificate is the distance to the nearest eigenvalue; a Krylov
+    # one is at least its 1e-8 floor, so it never marks a threshold degenerate
+    degenerate = any(c <= DEGENERACY_TOL for c in bs.certificates)
     n_flow: dict[float, int | None] = {a: None for a in alphas}
     flow_meta = {}
     if config.with_flow:
@@ -144,11 +157,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha, study: str,
         }
     rows = []
     ratios = []
-    for a in alphas:
-        threshold = 1.0 / a
-        if np.any(np.abs(eigenvalues - threshold) <= DEGENERACY_TOL):
-            degenerate = True
-        n_bs = count_above(eigenvalues, threshold)
+    for a, n_bs in zip(alphas, bs.counts):
         pred = prediction_of_alpha(a)
         ratio = n_bs / pred if pred > 0 else None
         if ratio is not None:
@@ -170,6 +179,9 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha, study: str,
             "grid": f"{config.grid.n_points}x{config.grid.n_points}, L={config.grid.box_side:g}",
             "runtime_seconds": time.time() - t0,
             "seed": config.seed,
+            "bs_count_method": bs.method,
+            "bs_certificate_min": bs.certificate,
+            "krylov_columns": bs.columns,
             **flow_meta,
         },
         degenerate=degenerate,

@@ -40,7 +40,7 @@ class LinearOperatorHandle:
     left, right and diagonal are optional real node fields of shape (n, n)
     acting on both spinor components; None stands for the identity (for
     left and right) and for zero (for diagonal).  hermitian is a promise
-    that dense assembly checks.
+    that dense assembly checks on the convolution kernel (_kernel).
     """
 
     grid: GridSpec
@@ -272,17 +272,35 @@ def _kernel(op: LinearOperatorHandle) -> np.ndarray:
     """Convolution kernel k[d, a, b] of F^*[mult]F, d the flat node offset.
 
     Entry [(x, a), (y, b)] of the multiplier is k_ab(x - y) (offsets taken
-    mod n per axis), computed by one batched inverse FFT over b.  For a
-    hermitian handle k is made Hermitian on the kernel itself,
-    k_ab(d) <- (k_ab(d) + conj(k_ba(-d))) / 2, so every block gathered from
-    it between equal node sets is exactly Hermitian.
+    mod n per axis), computed by one batched inverse FFT over b.  A
+    hermitian handle keeps its promise on the kernel, which holds every
+    distinct entry of the circulant part: k_ab(d) must equal
+    conj(k_ba(-d)) to 1e-9 relative (ValueError otherwise) and the node
+    weights left and right must be equal.  k is then replaced by
+    (k_ab(d) + conj(k_ba(-d))) / 2, so every block gathered from it between
+    equal node sets is exactly Hermitian and needs no O(dim^2) check.
     """
     n = op.grid.n_points
     k = np.moveaxis(inverse_array(np.moveaxis(op.mult, -1, 0)), 0, -1) / n
     if op.hermitian:
         neg = -np.arange(n) % n
-        k = 0.5 * (k + k[neg][:, neg].conj().swapaxes(-1, -2))
+        mirror = k[neg][:, neg].conj().swapaxes(-1, -2)
+        defect = float(np.abs(k - mirror).max())
+        if defect > HERMITICITY_TOL * max(float(np.abs(k).max()), 1.0):
+            raise ValueError(
+                f"hermitian handle {op.label!r} has a non-Hermitian multiplier: "
+                f"kernel defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e} relative"
+            )
+        if not _same_weights(op.left, op.right):
+            raise ValueError(f"hermitian handle {op.label!r} has unequal node weights")
+        k = 0.5 * (k + mirror)
     return k.reshape(n * n, 2, 2)
+
+
+def _same_weights(left: np.ndarray | None, right: np.ndarray | None) -> bool:
+    if left is None or right is None:
+        return left is None and right is None
+    return left is right or np.array_equal(left, right)
 
 
 def _dense_block(op: LinearOperatorHandle, rows: np.ndarray,
@@ -333,9 +351,8 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray
     Entry [(x, a), (y, b)] sits at row 2*(n*x1 + x2) + a and column
     2*(n*y1 + y2) + b (C-order flattening of the (n, n, 2) array).  It is
     gathered from the convolution kernel (_dense_block), so a hermitian
-    handle gives an exactly Hermitian matrix; check_hermitian still
-    verifies it.  The dimension cap is checked before anything is
-    allocated.
+    handle, whose promise _kernel checks, gives an exactly Hermitian
+    matrix.  The dimension cap is checked before anything is allocated.
     """
     dim = op.dimension
     if dim > cap:
@@ -343,10 +360,7 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray
             f"dimension {dim} exceeds the dense-assembly cap {cap}"
         )
     nodes = np.arange(op.grid.n_points ** 2)
-    out = _dense_block(op, nodes, nodes)
-    if op.hermitian:
-        check_hermitian(out)
-    return out
+    return _dense_block(op, nodes, nodes)
 
 
 def restricted_block(op: LinearOperatorHandle, row_mask: np.ndarray,

@@ -59,12 +59,34 @@ class InertiaResult:
 
 @dataclass(frozen=True)
 class CountResult:
-    """Result of an iterative threshold count with its certificate."""
+    """Eigenvalue counts above one or more thresholds, with certificates.
 
-    count: int | None
-    certificate: float
+    counts[i] is the number of eigenvalues above thresholds[i] (strict and
+    tie-guarded like count_above); certificates[i] is the distance from
+    thresholds[i] to the nearest eigenvalue the method resolved: a
+    converged Ritz value ("krylov") or an eigenvalue of the dense spectrum
+    ("dense").  An inconclusive result has counts None.  columns is the
+    number of Krylov basis vectors built, also before a dense fallback.
+    """
+
+    thresholds: tuple[float, ...]
+    counts: tuple[int, ...] | None
+    certificates: tuple[float, ...]
     method: str  # "krylov" | "dense"
     conclusive: bool
+    columns: int
+
+    @property
+    def count(self) -> int | None:
+        """The count of a single-threshold result."""
+        if len(self.thresholds) != 1:
+            raise ValueError("a result for several thresholds has counts, not count")
+        return None if self.counts is None else self.counts[0]
+
+    @property
+    def certificate(self) -> float:
+        """The smallest certificate over all thresholds."""
+        return min(self.certificates)
 
 
 def hermitian_eigenvalues(matrix: np.ndarray,
@@ -130,7 +152,7 @@ def _pivot_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, int, int]:
             int(np.count_nonzero(signs > 0)))
 
 
-def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
+def inertia(matrix: np.ndarray, shift):
     """Eigenvalue counts of a Hermitian matrix below, at and above shift.
 
     By Sylvester's law of inertia these are the signs of the pivot blocks
@@ -139,9 +161,21 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
     by solving with it on five fixed probe vectors: a relative backward
     residual above 1e-8 raises RuntimeError.  An exactly singular D means
     shift is an eigenvalue to working precision and is reported in zero.
+
+    shift is one value, giving one InertiaResult, or a sequence, giving a
+    tuple of them in the same order; the matrix is checked for
+    Hermiticity once per call, whatever the number of shifts.
     """
     a = np.asarray(matrix)
     check_hermitian(a)
+    norm = float(np.linalg.norm(a))
+    if np.ndim(shift) == 0:
+        return _shifted_inertia(a, float(shift), norm)
+    return tuple(_shifted_inertia(a, float(x), norm) for x in shift)
+
+
+def _shifted_inertia(a: np.ndarray, shift: float, norm: float) -> InertiaResult:
+    """inertia() at one shift, for a checked Hermitian a with Frobenius norm."""
     dim = a.shape[0]
     if dim == 0:
         return InertiaResult(0, 0, 0, 0.0)
@@ -164,7 +198,7 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
         + 1j * rng.standard_normal((dim, _INERTIA_PROBES))
     x, _ = lapack.zhetrs(ldu, ipiv, b, lower=1)
     r = a.T @ x - shift * x - b
-    norm_est = float(np.linalg.norm(a)) + abs(shift) * np.sqrt(dim)
+    norm_est = norm + abs(shift) * np.sqrt(dim)
     resid = np.linalg.norm(r, axis=0) / (
         norm_est * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
     )
@@ -243,114 +277,172 @@ def power_iteration_norm(op: LinearOperatorHandle, iters: int = 200,
 # Krylov counting with a straddle certificate
 # ---------------------------------------------------------------------------
 
-def _ritz_from_blocks(diag_blocks, offdiag_blocks):
-    b = diag_blocks[0].shape[0]
-    k = len(diag_blocks)
-    t = np.zeros((k * b, k * b), dtype=complex)
-    for j, d in enumerate(diag_blocks):
-        t[j * b:(j + 1) * b, j * b:(j + 1) * b] = d
-    for j, o in enumerate(offdiag_blocks):
-        t[(j + 1) * b:(j + 2) * b, j * b:(j + 1) * b] = o
-        t[j * b:(j + 1) * b, (j + 1) * b:(j + 2) * b] = o.conj().T
+def _column_cap(dim: int, block: int) -> int:
+    """Largest Krylov basis before the dense fallback takes over.
+
+    Reorthogonalization costs about 16 dim k^2 flops for k columns and the
+    spaced Ritz checks at most about 50 dim k^2, against roughly 5 dim^3
+    for the dense eigensolve, so a quarter of the dimension keeps an
+    inconclusive run below the dense path (measured at about half of it at
+    dimensions 2048 and 3200).  Every problem gets at least 48 blocks:
+    below dimension 1536 that floor lets an inconclusive run cost up to a
+    few tenths of a second, several times a dense path that is itself that
+    cheap, in exchange for matrix-free counts on small grids.
+    """
+    return int(min(dim, max(dim // 4, 48 * block)))
+
+
+def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale,
+                   thresholds, gates):
+    """Count and certificate per threshold from one Rayleigh-Ritz step.
+
+    proj[:k, :k] is the projection Q^H A Q on the k processed columns, lo:k
+    the last processed block and coupling its projection onto the next
+    block.  A Ritz pair's residual is
+    ||coupling y_last|| plus the norm of every residual direction that
+    deflation dropped.  For each threshold the verdict is None (not settled
+    yet), or the count with the distance from the threshold to the nearest
+    converged Ritz value.
+    """
+    t = proj[:k, :k]
     theta, y = np.linalg.eigh(0.5 * (t + t.conj().T))
-    return theta, y
+    resid = np.full(k, np.sqrt(dropped))
+    if not exhausted:
+        resid += np.linalg.norm(coupling @ y[lo:k], axis=0)
+    converged = resid <= max(1e-10, 1e-12 * scale)
+    verdicts = []
+    for s, gate in zip(thresholds, gates):
+        above = theta > gate
+        loose = ~converged
+        settled = (np.all(converged[above])
+                   and (exhausted or bool(np.any(converged & ~above)))
+                   and bool(np.all(theta[loose] + resid[loose] < gate)))
+        if not settled:
+            verdicts.append(None)
+            continue
+        upper = theta[converged & above]
+        lower = theta[converged & ~above]
+        cert = min(float(upper.min() - s) if len(upper) else np.inf,
+                   float(s - lower.max()) if len(lower) else np.inf)
+        # np.inf: the whole spectrum lies on one side of the threshold
+        verdicts.append((int(np.count_nonzero(above)), s if cert == np.inf else cert))
+    return verdicts
 
 
-def iterative_count_above(op: LinearOperatorHandle, s: float,
-                          budget: int | None = None, block_size: int = 8,
+def _block_lanczos(op, thresholds, gates, columns, block, seed,
+                   certificate_floor, check_every):
+    """Certified counts for every threshold, or None; and the columns built.
+
+    The basis lives in one preallocated array (a row per vector), so each
+    orthogonalization pass against it is a single GEMM.  The projection
+    Q^H A Q is kept in full, which lets the block size shrink: residual
+    directions with singular value at most 1e-13 * ||A|| are dropped
+    (deflation), and a residual with none left means the basis spans an
+    invariant subspace (exhaustion), whose Ritz values are eigenvalues.
+    """
+    dim = op.dimension
+    n = op.grid.n_points
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
+    basis = np.empty((columns + block, dim), dtype=complex)
+    proj = np.zeros((columns + block, columns + block), dtype=complex)
+    basis[:block] = np.linalg.qr(start)[0].T
+    lo, hi = 0, block  # rows of the current block; hi is the basis size
+    scale = 0.0  # largest ||A q|| seen, a lower bound on ||A||
+    dropped = 0.0  # squared norm of the dropped residual directions
+    last = None  # counts of the previous check, None where not settled
+    next_check = check_every * block
+    while True:
+        w = op.apply_array(basis[lo:hi].reshape(-1, n, n, 2)).reshape(hi - lo, dim)
+        scale = max(scale, float(np.linalg.norm(w, axis=1).max()))
+        q = basis[:hi]
+        for _ in range(2):  # full reorthogonalization, two passes
+            c = (q @ w.conj().T).conj()  # Q^H A x for the block's vectors x
+            w -= c.T @ q
+            proj[:hi, lo:hi] += c
+        qw, r = np.linalg.qr(w.T)
+        u, sv, vh = np.linalg.svd(r)
+        keep = sv > 1e-13 * scale
+        dropped += float(np.sum(sv[~keep] ** 2))
+        new = qw @ u[:, keep]
+        coupling = sv[keep, None] * vh[keep]
+        if keep.any() and sv[keep][-1] < 1e-4 * sv[0]:
+            # dividing by a small singular value magnifies what rounding left
+            # of the basis in w, so those directions are orthogonalized again
+            new -= q.T @ (q @ new.conj()).conj()
+            new, r2 = np.linalg.qr(new)
+            coupling = r2 @ coupling
+        exhausted = not keep.any()
+        at_cap = hi >= columns
+        if not (exhausted or at_cap):
+            proj[hi:hi + new.shape[1], lo:hi] = coupling
+            basis[hi:hi + new.shape[1]] = new.T
+        if exhausted or at_cap or hi >= next_check:
+            # a check costs about 23 k^3 flops against 32 dim k per new
+            # column, so once k^2/(4 dim) columns exceed check_every blocks
+            # the spacing grows to that: the checks up to k columns then cost
+            # at most about 50 dim k^2 flops
+            next_check = hi + max(check_every * block, hi * hi // (4 * dim))
+            verdicts = _ritz_verdicts(proj, hi, lo, coupling, dropped, exhausted,
+                                      scale, thresholds, gates)
+            if any(v is not None and v[1] < certificate_floor for v in verdicts):
+                break  # an eigenvalue sits within the floor of a threshold
+            counts = [None if v is None else v[0] for v in verdicts]
+            if None not in counts and (exhausted or counts == last):
+                return (tuple(counts), tuple(v[1] for v in verdicts)), hi
+            last = counts
+        if exhausted or at_cap:
+            break
+        lo, hi = hi, hi + new.shape[1]
+    return None, hi
+
+
+def iterative_count_above(op: LinearOperatorHandle, s,
+                          max_columns: int | None = None, block_size: int = 8,
                           seed: int = 0, certificate_floor: float = 1e-8,
-                          dense_cap: int = DENSE_CAP) -> CountResult:
-    """Count eigenvalues of a Hermitian handle above s without dense assembly.
+                          dense_cap: int = DENSE_CAP,
+                          check_every: int = 4) -> CountResult:
+    """Count eigenvalues of a Hermitian handle above each threshold in s.
 
-    Block Lanczos with full reorthogonalization; the count is conclusive
-    only when every Ritz value above the threshold has converged, some
-    converged Ritz value (or exhaustion) lies below it, and no unconverged
-    Ritz value could still cross.  The certificate is the distance from s
-    to the nearest converged Ritz value.  A weak certificate (or exhausted
-    budget) falls back to dense assembly below the cap; otherwise the
-    result says inconclusive rather than guessing.
+    s is one threshold or a sequence of them; one block Lanczos run with
+    full reorthogonalization (Golub & Underwood, 1977) serves them all, and
+    every count and certificate comes from the same Ritz values.  A count
+    is settled when every Ritz value above its threshold has converged,
+    some converged Ritz value (or exhaustion) lies below it, and no
+    unconverged Ritz value could still cross; it is certified when it is
+    settled at two consecutive checks (every check_every blocks) with the
+    same value, or at exhaustion, and the certificate -- the distance from
+    the threshold to the nearest converged Ritz value -- is at least
+    certificate_floor.  When some threshold cannot be certified within
+    max_columns basis vectors (default _column_cap), or a converged Ritz
+    value lies within the floor of it, every count falls back to the dense
+    spectrum below the cap, with certificate min |eigenvalue - s|;
+    otherwise the result says inconclusive rather than guessing.
 
     Eigenvalue multiplicities above block_size are invisible to the Krylov
     subspace; use the dense path when exact multiplicity counts matter.
     """
-    if not s > 0:
-        raise ValueError(f"threshold must be positive, got {s}")
+    values = np.atleast_1d(np.asarray(s, dtype=float))
+    if values.ndim != 1 or len(values) == 0 or not np.all(values > 0):
+        raise ValueError(f"thresholds must be positive, got {s}")
+    thresholds = tuple(float(x) for x in values)
     if not op.hermitian:
         raise ValueError("iterative_count_above expects a hermitian handle")
     dim = op.dimension
-    n = op.grid.n_points
-    b = int(min(block_size, dim))
-    max_blocks = budget if budget is not None else min(dim // b, 160)
-    max_blocks = max(max_blocks, 2)
-    rng = np.random.default_rng(seed)
-
-    q = rng.standard_normal((dim, b)) + 1j * rng.standard_normal((dim, b))
-    q, _ = np.linalg.qr(q)
-    basis = [q]
-    diag_blocks: list[np.ndarray] = []
-    offdiag_blocks: list[np.ndarray] = []
-    scale = 0.0
-    exhausted = False
-    last_count = None
-
-    for step in range(max_blocks):
-        qj = basis[-1]
-        w = op.apply_array(qj.T.reshape(b, n, n, 2)).reshape(b, dim).T
-        d = qj.conj().T @ w
-        d = 0.5 * (d + d.conj().T)
-        diag_blocks.append(d)
-        w -= qj @ d
-        if len(basis) > 1:
-            w -= basis[-2] @ offdiag_blocks[-1].conj().T
-        for _ in range(2):  # full reorthogonalization, two passes
-            for qk in basis:
-                w -= qk @ (qk.conj().T @ w)
-        scale = max(scale, float(np.abs(np.diag(d)).max(initial=0.0)))
-        qnext, r = np.linalg.qr(w)
-        beta_norm = float(np.abs(np.diag(r)).max(initial=0.0))
-        if beta_norm <= 1e-13 * max(scale, 1.0):
-            exhausted = True
-        else:
-            offdiag_blocks.append(r)
-            basis.append(qnext)
-
-        if exhausted or step >= 2:
-            theta, y = _ritz_from_blocks(diag_blocks, offdiag_blocks[:len(diag_blocks) - 1])
-            if exhausted:
-                resid = np.zeros_like(theta)
-            else:
-                bottom = y[-b:, :]
-                resid = np.linalg.norm(offdiag_blocks[-1] @ bottom, axis=0)
-            gate = s * (1.0 + TIE_GUARD)
-            res_tol = max(1e-10, 1e-12 * max(scale, 1.0))
-            converged = resid <= res_tol
-            above = theta > gate
-            count = int(np.count_nonzero(above & converged))
-            all_above_converged = bool(np.all(converged[above]))
-            below_anchor = exhausted or bool(np.any(converged & ~above))
-            no_crossers = bool(np.all(theta[~converged] + resid[~converged] < gate)) \
-                if np.any(~converged) else True
-            if all_above_converged and below_anchor and no_crossers:
-                conv_theta = theta[converged]
-                upper = conv_theta[conv_theta > gate]
-                lower = conv_theta[conv_theta <= gate]
-                cert = min(
-                    float(upper.min() - s) if len(upper) else np.inf,
-                    float(s - lower.max()) if len(lower) else np.inf,
-                )
-                if cert == np.inf:
-                    cert = s  # spectrum entirely on one side of the threshold
-                if cert >= certificate_floor and (count == last_count or exhausted):
-                    return CountResult(count, cert, "krylov", True)
-                last_count = count
-        if exhausted:
-            break
-
-    if dim <= dense_cap:
-        dense = assemble_dense(op, cap=dense_cap)
-        spectrum = hermitian_eigenvalues(dense, residual_check=False)
-        count = count_above(spectrum, s)
-        gaps = np.abs(spectrum.values - s)
-        cert = float(gaps.min()) if len(gaps) else s
-        return CountResult(count, cert, "dense", True)
-    return CountResult(None, 0.0, "krylov", False)
+    block = int(min(block_size, dim))
+    columns = _column_cap(dim, block) if max_columns is None else int(max_columns)
+    columns = min(dim, max(columns, block))
+    gates = tuple(x * (1.0 + TIE_GUARD) for x in thresholds)
+    found, built = _block_lanczos(op, thresholds, gates, columns, block, seed,
+                                  certificate_floor, max(int(check_every), 1))
+    if found is not None:
+        return CountResult(thresholds, *found, "krylov", True, built)
+    if dim > dense_cap:
+        return CountResult(thresholds, None, (0.0,) * len(thresholds), "krylov",
+                           False, built)
+    spectrum = hermitian_eigenvalues(assemble_dense(op, cap=dense_cap),
+                                     residual_check=False)
+    counts = tuple(count_above(spectrum, x) for x in thresholds)
+    certificates = tuple(float(np.abs(spectrum.values - x).min())
+                         for x in thresholds)
+    return CountResult(thresholds, counts, certificates, "dense", True, built)

@@ -162,3 +162,32 @@ def test_branch_trace_grid_validation():
         branch_trace(GRID, params, GAUSS, [0.5, 1.0])
     with pytest.raises(ValueError):
         branch_trace(GRID, params, GAUSS, [0.0, 1.0, 1.0])
+
+@pytest.mark.parametrize("n,side,mass", [(8, 9.0, 1.0), (12, 12.0, 0.5)])
+@pytest.mark.parametrize("assembly", ["kernel", "columns"])
+def test_branch_trace_has_no_gap_rows_at_zero_coupling(monkeypatch, assembly, n,
+                                                       side, mass):
+    # at t = 0 the band edges +-m are exact eigenvalues (xi = 0); on these
+    # grids both assemblies put one of them a few ulps inside the gap
+    import gapcount.flow as flow
+    from oracles import dense_by_columns
+
+    if assembly == "columns":
+        monkeypatch.setattr(flow, "assemble_dense", lambda op, cap: dense_by_columns(op))
+    trace = branch_trace(build_grid(n, side), ModelParams(mass, 0.0), GAUSS,
+                         [0.0, 1.0, 2.0])
+    assert len(trace.gap_eigenvalues[0]) == 0
+    for g in trace.gap_eigenvalues:
+        assert np.all(np.abs(g) < mass - DEGENERACY_TOL)
+    assert len(trace.gap_eigenvalues[-1]) > 0
+
+
+def test_crossing_count_checks_hermiticity_once_per_matrix(monkeypatch):
+    import gapcount.spectra as spectra
+
+    calls = []
+    check = spectra.check_hermitian
+    monkeypatch.setattr(spectra, "check_hermitian", lambda m: calls.append(1) or check(m))
+    detail = crossing_count_detailed(GRID, ModelParams(1.0, 0.0), GAUSS, 3.0)
+    assert not detail.degenerate
+    assert len(calls) == 1

@@ -481,3 +481,75 @@ def test_cli_degenerate_threshold_exit_code(tmp_path):
     code = cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 4
     assert (tmp_path / "o" / "report.csv").exists()
+
+@pytest.mark.parametrize("text,runner,csv", [
+    (WEYL_TEXT + "study.with_flow = true\n", run_weyl_study, WEYL_FLOW_CSV),
+    (THEOREM2_TEXT, run_theorem2_study, THEOREM2_CSV),
+], ids=["weyl-flow", "theorem2"])
+def test_run_meta_records_bs_count_method(tmp_path, text, runner, csv):
+    config = ExperimentConfig.from_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = runner(config)
+    paths = emit_outputs(report, tmp_path, config)
+    meta = dict(line.split(" = ", 1)
+                for line in paths["meta"].read_text().splitlines())
+    assert meta["bs_count_method"] == "krylov"
+    assert float(meta["bs_certificate_min"]) >= 1e-8
+    assert 0 < int(meta["krylov_columns"]) <= config.grid.dimension
+    assert paths["csv"].read_text() == csv
+
+
+THEOREM2_N16_TEXT = """
+study = theorem2
+grid.n_points = 16
+grid.box_side = 16.0
+model.mass = 1.0
+model.gap_point = 0.0
+potential.kind = powerdecay
+potential.exponent = 1.0
+potential.psi_constant = 2.0
+alpha.values = 2, 4
+localization.eps2 = 1.0
+"""
+
+
+@pytest.mark.parametrize("text,runner", [
+    (WEYL_TEXT.replace("grid.n_points = 12", "grid.n_points = 16"), run_weyl_study),
+    (THEOREM2_N16_TEXT, run_theorem2_study),
+], ids=["weyl", "theorem2"])
+def test_bs_studies_need_no_dense_matrix(monkeypatch, text, runner):
+    import gapcount.spectra as spectra
+
+    config = ExperimentConfig.from_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = runner(config)
+
+    def refuse(op, cap=None):
+        raise AssertionError("dense assembly on the Birman-Schwinger path")
+
+    monkeypatch.setattr(spectra, "assemble_dense", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = runner(config)
+    assert report.metadata["bs_count_method"] == "krylov"
+    assert report.rows == expected.rows
+    assert not report.degenerate
+
+
+def test_degenerate_coupling_counts_densely_and_is_flagged():
+    from gapcount import birman_schwinger, hermitian_eigenvalues
+    from gapcount.operators import assemble_dense
+
+    config = ExperimentConfig.from_text(WEYL_TEXT)
+    dense = assemble_dense(birman_schwinger(config.grid, config.model, config.potential))
+    eig = hermitian_eigenvalues(dense).values[2]
+    config = ExperimentConfig.from_text(
+        WEYL_TEXT.replace("alpha.values = 2, 4, 8", f"alpha.values = 2, {1.0 / eig:.17g}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_weyl_study(config)
+    assert report.degenerate
+    assert report.metadata["bs_count_method"] == "dense"
+    assert report.metadata["bs_certificate_min"] <= 1e-10

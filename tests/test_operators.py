@@ -392,3 +392,22 @@ def test_assemble_dense_peak_memory_within_one_and_a_half_matrices():
         tracemalloc.stop()
     assert dense.shape == (2048, 2048)
     assert peak <= 1.5 * 16 * op.dimension ** 2
+
+
+def test_hermitian_promise_is_checked_on_the_kernel():
+    from gapcount.operators import LinearOperatorHandle
+
+    mult = resolvent(GRID, PARAMS).mult.copy()
+    mult[..., 0, 1] += 0.1  # breaks mult == mult^H mode by mode
+    with pytest.raises(ValueError, match="non-Hermitian multiplier"):
+        assemble_dense(LinearOperatorHandle(GRID, mult, True, "broken"))
+    # the same multiplier is fine when no promise is made
+    assemble_dense(LinearOperatorHandle(GRID, mult, False, "general"))
+    w = np.linspace(0.5, 1.5, GRID.n_points ** 2).reshape(GRID.n_points, -1)
+    good = resolvent(GRID, PARAMS).mult
+    with pytest.raises(ValueError, match="unequal node weights"):
+        assemble_dense(LinearOperatorHandle(GRID, good, True, "lopsided",
+                                            left=w, right=w[::-1]))
+    with pytest.raises(ValueError, match="unequal node weights"):
+        restricted_block(LinearOperatorHandle(GRID, good, True, "one-sided", left=w),
+                         np.ones(w.shape, bool), np.ones(w.shape, bool))

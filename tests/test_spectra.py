@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gapcount import (
+    DiskBump,
     Gaussian,
     ModelParams,
+    PowerDecay,
     build_grid,
     birman_schwinger,
     count_above,
@@ -15,8 +17,9 @@ from gapcount import (
     sigma_p_seminorm,
     singular_values,
 )
-from gapcount.operators import assemble_dense, free_operator
-from gapcount.spectra import SpectrumResult
+from gapcount.flow import DEGENERACY_TOL
+from gapcount.operators import assemble_dense, free_operator, potential_on_grid
+from gapcount.spectra import SpectrumResult, _column_cap
 from gapcount.symbol import symbol_eigenvalues
 
 
@@ -277,3 +280,98 @@ def test_iterative_count_above_norm_is_zero():
 def test_spectrum_result_validation():
     with pytest.raises(ValueError):
         SpectrumResult(np.array([1.0, 2.0]), "eigenvalues", "dense", 0.0)
+
+
+# ---------------------------------------------------------------------------
+# one Krylov run for several thresholds against the dense spectrum
+# ---------------------------------------------------------------------------
+
+_GATE_POTENTIALS = {
+    "gaussian": (Gaussian(4.0, 1.0), (2.0, 5.0, 10.0, 20.0)),
+    "gaussian-off-center": (Gaussian(4.0, 1.0, (1.5, 0.5)), (2.0, 5.0, 10.0, 20.0)),
+    "disk": (DiskBump(3.0, 1.5), (2.0, 5.0, 10.0, 20.0)),
+    "disk-margin": (DiskBump(3.0, 1.5, 0.5), (2.0, 5.0, 10.0, 20.0)),
+    "powerdecay": (PowerDecay(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)),
+    "powerdecay-cos4": (PowerDecay(1.0, 2.0, (0.0, 0.0, 0.0, 0.8)), (1.0, 2.0, 3.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("n", [12, 16, 24])
+@pytest.mark.parametrize("name", sorted(_GATE_POTENTIALS))
+def test_krylov_counts_match_dense_for_every_coupling(name, n):
+    spec, alphas = _GATE_POTENTIALS[name]
+    grid = build_grid(n, 12.0)
+    op = birman_schwinger(grid, ModelParams(1.0, 0.0), spec)
+    ev = np.linalg.eigvalsh(assemble_dense(op))
+    thresholds = [1.0 / a for a in alphas]
+    # no column cap: the Krylov run itself is under test, not the fallback
+    result = iterative_count_above(op, thresholds, max_columns=op.dimension)
+    assert result.conclusive and result.method == "krylov"
+    assert result.thresholds == tuple(thresholds)
+    assert list(result.counts) == [count_above(ev, s) for s in thresholds]
+    assert min(result.certificates) >= 1e-8
+    for s, cert in zip(thresholds, result.certificates):
+        # the certificate is the distance to an eigenvalue resolved by a Ritz value
+        assert cert >= np.abs(ev - s).min() - 1e-10
+
+
+@pytest.mark.parametrize("spec", [DiskBump(3.0, 1.5), DiskBump(4.0, 2.0, 0.5)],
+                         ids=["disk", "disk-margin"])
+def test_rank_deficient_operator_certifies_by_exhaustion(spec):
+    # W vanishes off the disk, so W R W has rank 2 * (support nodes); block
+    # Lanczos must deflate and stop once the basis spans that range plus the
+    # start block, instead of running into the column cap
+    grid = build_grid(24, 12.0)
+    op = birman_schwinger(grid, ModelParams(1.0, 0.0), spec)
+    rank = 2 * int(np.count_nonzero(potential_on_grid(grid, spec) > 0))
+    result = iterative_count_above(op, [0.5, 0.1, 0.05])
+    assert result.method == "krylov" and result.conclusive
+    assert result.columns == rank + 8
+    ev = np.linalg.eigvalsh(assemble_dense(op))
+    assert list(result.counts) == [count_above(ev, s) for s in (0.5, 0.1, 0.05)]
+
+
+def test_threshold_on_an_eigenvalue_falls_back_to_dense():
+    grid = build_grid(12, 12.0)
+    op = birman_schwinger(grid, ModelParams(1.0, 0.0), Gaussian(4.0, 1.0))
+    ev = hermitian_eigenvalues(assemble_dense(op)).values
+    thresholds = [0.5, float(ev[2]), 0.1]
+    result = iterative_count_above(op, thresholds)
+    assert result.method == "dense" and result.conclusive
+    assert result.certificates[1] <= DEGENERACY_TOL
+    assert min(result.certificates[0], result.certificates[2]) > DEGENERACY_TOL
+    assert list(result.counts) == [count_above(ev, s) for s in thresholds]
+    # a converged Ritz value within the floor of a threshold ends the run early
+    assert result.columns < _column_cap(op.dimension, 8)
+
+
+def test_count_result_single_and_several_thresholds():
+    grid = build_grid(8, 4.0)
+    op = birman_schwinger(grid, ModelParams(1.0, 0.0), Gaussian(4.0, 1.0))
+    several = iterative_count_above(op, [0.5, 0.2])
+    assert several.certificate == min(several.certificates)
+    with pytest.raises(ValueError, match="several thresholds"):
+        several.count
+    single = iterative_count_above(op, 0.2)
+    assert single.count == several.counts[1]
+    for bad in ([], [0.5, 0.0], [[0.5]]):
+        with pytest.raises(ValueError, match="thresholds"):
+            iterative_count_above(op, bad)
+
+
+def test_inertia_at_several_shifts_checks_hermiticity_once(monkeypatch):
+    import gapcount.spectra as spectra
+
+    rng = np.random.default_rng(11)
+    a = _random_hermitian(rng, 40)
+    calls = []
+    check = spectra.check_hermitian
+    monkeypatch.setattr(spectra, "check_hermitian", lambda m: calls.append(1) or check(m))
+    shifts = (-0.5, 0.0, 0.7)
+    results = inertia(a, shifts)
+    assert len(calls) == 1
+    assert isinstance(results, tuple) and len(results) == 3
+    for shift, result in zip(shifts, results):
+        assert result == inertia(a, shift)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia(np.array([[0.0, 1.0], [0.0, 0.0]]), (0.1, 0.2))
