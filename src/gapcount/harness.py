@@ -1,9 +1,13 @@
 """Study drivers: counting experiments, CSV reports, and SVG trend plots.
 
-Every study validates its configuration, runs the dense counting pipeline,
-and produces a CountingReport whose CSV serialization is byte-deterministic
-for a fixed config and seed (floats use 17 significant digits, LF newlines,
-missing values empty).
+Every study validates its configuration, counts with a certificate, and
+produces a CountingReport whose CSV serialization is byte-deterministic for
+a fixed config and seed (floats use 17 significant digits, LF newlines,
+missing values empty).  The weyl and theorem2 Birman-Schwinger counts come
+from one block Lanczos run for all couplings, with the dense spectrum as
+the fallback; the flow cross-check and the box counts from LDL^H inertia;
+the crossterm counts from singular values of dense zone blocks.
+run_meta.txt records which method produced each count and its margin.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .lattice import GridSpec
 from .operators import (
     BoxSpec,
     LocalizationSpec,
+    assemble_dense,  # noqa: F401 -- unused; bench/selftest.py checks its traced binding
     birman_schwinger,
     box_mask,
     resolvent,

@@ -2,10 +2,14 @@
 
 Counts use strict inequality with a fixed relative tie guard: a value
 counts as above the threshold s only when it exceeds s * (1 + 1e-12), so
-machine-precision ties resolve deterministically.  The dense path is the
-ground truth; the Krylov path must present a straddle certificate and
-falls back to dense when it cannot.  A count that needs no eigenvalues
-comes from the Sylvester inertia of an LDL^H factorization (inertia).
+machine-precision ties resolve deterministically.  Every count carries a
+certificate.  A Birman-Schwinger count comes from one matrix-free block
+Lanczos run for all thresholds (iterative_count_above), certified by the
+straddle of converged Ritz values; when that cannot be certified, the
+dense spectrum gives the counts and the distance to the nearest
+eigenvalue.  A count that needs no eigenvalues comes from the Sylvester
+inertia of an LDL^H factorization (inertia).  The dense spectrum is the
+reference the other two are tested against on small grids.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ INERTIA_RESIDUAL_TOL = 1e-8
 _INERTIA_PROBES = 5
 _RESIDUAL_CHECK_LIMIT = 3000  # above this, eigenvector residual spot-checks cost
                               # another O(n^3) pass and are skipped
+_CHECK_EVERY = 4  # Krylov blocks between Ritz checks while the basis is small
 
 
 @dataclass(frozen=True)
@@ -329,8 +334,7 @@ def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale,
     return verdicts
 
 
-def _block_lanczos(op, thresholds, gates, columns, block, seed,
-                   certificate_floor, check_every):
+def _block_lanczos(op, thresholds, gates, columns, block, seed, certificate_floor):
     """Certified counts for every threshold, or None; and the columns built.
 
     The basis lives in one preallocated array (a row per vector), so each
@@ -351,7 +355,7 @@ def _block_lanczos(op, thresholds, gates, columns, block, seed,
     scale = 0.0  # largest ||A q|| seen, a lower bound on ||A||
     dropped = 0.0  # squared norm of the dropped residual directions
     last = None  # counts of the previous check, None where not settled
-    next_check = check_every * block
+    next_check = _CHECK_EVERY * block
     while True:
         w = op.apply_array(basis[lo:hi].reshape(-1, n, n, 2)).reshape(hi - lo, dim)
         scale = max(scale, float(np.linalg.norm(w, axis=1).max()))
@@ -379,10 +383,10 @@ def _block_lanczos(op, thresholds, gates, columns, block, seed,
             basis[hi:hi + new.shape[1]] = new.T
         if exhausted or at_cap or hi >= next_check:
             # a check costs about 23 k^3 flops against 32 dim k per new
-            # column, so once k^2/(4 dim) columns exceed check_every blocks
+            # column, so once k^2/(4 dim) columns exceed _CHECK_EVERY blocks
             # the spacing grows to that: the checks up to k columns then cost
             # at most about 50 dim k^2 flops
-            next_check = hi + max(check_every * block, hi * hi // (4 * dim))
+            next_check = hi + max(_CHECK_EVERY * block, hi * hi // (4 * dim))
             verdicts = _ritz_verdicts(proj, hi, lo, coupling, dropped, exhausted,
                                       scale, thresholds, gates)
             if any(v is not None and v[1] < certificate_floor for v in verdicts):
@@ -400,8 +404,7 @@ def _block_lanczos(op, thresholds, gates, columns, block, seed,
 def iterative_count_above(op: LinearOperatorHandle, s,
                           max_columns: int | None = None, block_size: int = 8,
                           seed: int = 0, certificate_floor: float = 1e-8,
-                          dense_cap: int = DENSE_CAP,
-                          check_every: int = 4) -> CountResult:
+                          dense_cap: int = DENSE_CAP) -> CountResult:
     """Count eigenvalues of a Hermitian handle above each threshold in s.
 
     s is one threshold or a sequence of them; one block Lanczos run with
@@ -409,15 +412,17 @@ def iterative_count_above(op: LinearOperatorHandle, s,
     every count and certificate comes from the same Ritz values.  A count
     is settled when every Ritz value above its threshold has converged,
     some converged Ritz value (or exhaustion) lies below it, and no
-    unconverged Ritz value could still cross; it is certified when it is
-    settled at two consecutive checks (every check_every blocks) with the
-    same value, or at exhaustion, and the certificate -- the distance from
-    the threshold to the nearest converged Ritz value -- is at least
-    certificate_floor.  When some threshold cannot be certified within
-    max_columns basis vectors (default _column_cap), or a converged Ritz
-    value lies within the floor of it, every count falls back to the dense
-    spectrum below the cap, with certificate min |eigenvalue - s|;
-    otherwise the result says inconclusive rather than guessing.
+    unconverged Ritz value could still cross.  It is certified when it is
+    settled with the same value at two consecutive checks (every 4 blocks,
+    spaced wider once the checks would dominate the cost), or once at
+    exhaustion, and its certificate -- the distance from the threshold to
+    the nearest converged Ritz value -- is at least certificate_floor.
+
+    When some threshold cannot be certified within max_columns basis
+    vectors (default _column_cap), or a converged Ritz value lies within
+    the floor of it, every count comes from the dense spectrum instead,
+    with certificate min |eigenvalue - s|, provided the dimension is within
+    dense_cap; otherwise the result says inconclusive rather than guessing.
 
     Eigenvalue multiplicities above block_size are invisible to the Krylov
     subspace; use the dense path when exact multiplicity counts matter.
@@ -434,7 +439,7 @@ def iterative_count_above(op: LinearOperatorHandle, s,
     columns = min(dim, max(columns, block))
     gates = tuple(x * (1.0 + TIE_GUARD) for x in thresholds)
     found, built = _block_lanczos(op, thresholds, gates, columns, block, seed,
-                                  certificate_floor, max(int(check_every), 1))
+                                  certificate_floor)
     if found is not None:
         return CountResult(thresholds, *found, "krylov", True, built)
     if dim > dense_cap:
