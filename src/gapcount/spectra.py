@@ -297,17 +297,15 @@ def _column_cap(dim: int, block: int) -> int:
     return int(min(dim, max(dim // 4, 48 * block)))
 
 
-def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale,
-                   thresholds, gates):
+def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale, thresholds):
     """Count and certificate per threshold from one Rayleigh-Ritz step.
 
     proj[:k, :k] is the projection Q^H A Q on the k processed columns, lo:k
     the last processed block and coupling its projection onto the next
-    block.  A Ritz pair's residual is
-    ||coupling y_last|| plus the norm of every residual direction that
-    deflation dropped.  For each threshold the verdict is None (not settled
-    yet), or the count with the distance from the threshold to the nearest
-    converged Ritz value.
+    block.  A Ritz pair's residual is ||coupling y_last|| plus the norm of
+    every residual direction that deflation dropped.  For each threshold
+    the verdict is None (not settled yet), or the count with the distance
+    from the threshold to the nearest converged Ritz value.
     """
     t = proj[:k, :k]
     theta, y = np.linalg.eigh(0.5 * (t + t.conj().T))
@@ -316,7 +314,8 @@ def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale,
         resid += np.linalg.norm(coupling @ y[lo:k], axis=0)
     converged = resid <= max(1e-10, 1e-12 * scale)
     verdicts = []
-    for s, gate in zip(thresholds, gates):
+    for s in thresholds:
+        gate = s * (1.0 + TIE_GUARD)
         above = theta > gate
         loose = ~converged
         settled = (np.all(converged[above])
@@ -334,7 +333,7 @@ def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale,
     return verdicts
 
 
-def _block_lanczos(op, thresholds, gates, columns, block, seed, certificate_floor):
+def _block_lanczos(op, thresholds, columns, block, seed, certificate_floor):
     """Certified counts for every threshold, or None; and the columns built.
 
     The basis lives in one preallocated array (a row per vector), so each
@@ -388,7 +387,7 @@ def _block_lanczos(op, thresholds, gates, columns, block, seed, certificate_floo
             # at most about 50 dim k^2 flops
             next_check = hi + max(_CHECK_EVERY * block, hi * hi // (4 * dim))
             verdicts = _ritz_verdicts(proj, hi, lo, coupling, dropped, exhausted,
-                                      scale, thresholds, gates)
+                                      scale, thresholds)
             if any(v is not None and v[1] < certificate_floor for v in verdicts):
                 break  # an eigenvalue sits within the floor of a threshold
             counts = [None if v is None else v[0] for v in verdicts]
@@ -437,8 +436,7 @@ def iterative_count_above(op: LinearOperatorHandle, s,
     block = int(min(block_size, dim))
     columns = _column_cap(dim, block) if max_columns is None else int(max_columns)
     columns = min(dim, max(columns, block))
-    gates = tuple(x * (1.0 + TIE_GUARD) for x in thresholds)
-    found, built = _block_lanczos(op, thresholds, gates, columns, block, seed,
+    found, built = _block_lanczos(op, thresholds, columns, block, seed,
                                   certificate_floor)
     if found is not None:
         return CountResult(thresholds, *found, "krylov", True, built)
