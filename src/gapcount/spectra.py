@@ -173,14 +173,13 @@ def inertia(matrix: np.ndarray, shift):
     """
     a = np.asarray(matrix)
     check_hermitian(a)
-    norm = float(np.linalg.norm(a))
     if np.ndim(shift) == 0:
-        return _shifted_inertia(a, float(shift), norm)
-    return tuple(_shifted_inertia(a, float(x), norm) for x in shift)
+        return _shifted_inertia(a, float(shift))
+    return tuple(_shifted_inertia(a, float(x)) for x in shift)
 
 
-def _shifted_inertia(a: np.ndarray, shift: float, norm: float) -> InertiaResult:
-    """inertia() at one shift, for a checked Hermitian a with Frobenius norm."""
+def _shifted_inertia(a: np.ndarray, shift: float) -> InertiaResult:
+    """inertia() at one shift, for a matrix already checked to be Hermitian."""
     dim = a.shape[0]
     if dim == 0:
         return InertiaResult(0, 0, 0, 0.0)
@@ -203,7 +202,7 @@ def _shifted_inertia(a: np.ndarray, shift: float, norm: float) -> InertiaResult:
         + 1j * rng.standard_normal((dim, _INERTIA_PROBES))
     x, _ = lapack.zhetrs(ldu, ipiv, b, lower=1)
     r = a.T @ x - shift * x - b
-    norm_est = norm + abs(shift) * np.sqrt(dim)
+    norm_est = float(np.linalg.norm(a)) + abs(shift) * np.sqrt(dim)
     resid = np.linalg.norm(r, axis=0) / (
         norm_est * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
     )
