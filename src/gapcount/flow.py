@@ -1,16 +1,25 @@
 """Direct count of eigenvalues crossing the gap point under coupling flow.
 
 Because V >= 0, every eigenvalue branch of the Hermitian family
-free - t*V is nonincreasing in t, so the number of crossings through the
-gap point as t runs over [0, alpha] equals the difference of below-lambda
-counts at the two endpoints.  No t-sweep enters the count; the sweep
-exists only for trace plots.
+D(t) = free - t*V is nonincreasing in t, so the number of crossings through
+the gap point as t runs over [0, alpha] equals the difference of
+below-lambda counts at the two endpoints.  No t-sweep enters the count; the
+sweep exists only for trace plots.
 
 Neither endpoint count computes an eigenvalue.  At t = 0 the operator is
 the Fourier multiplier of the symbol, so its spectrum is the symbol's
-eigenvalues on the momentum lattice.  At t = alpha the count below a
-point x is the negative Sylvester inertia of free - alpha*V - x, read from
-an LDL^H factorization of the assembled matrix (spectra.inertia).
+eigenvalues on the momentum lattice.  At t = alpha the count below a point
+s comes from Haynsworth's inertia additivity (Linear Algebra Appl. 1,
+1968): In(A) = In(Q) + In(A/Q) for a nonsingular diagonal block Q.  In
+component-block order D(alpha) - s = [[P, B], [B^H, Q]] with
+P = diag(m - s - alpha*V) and Q = diag(-m - s - alpha*V) diagonal on the
+nodes and B the Fourier multiplier of the symbol's off-diagonal entry.
+Since V >= 0 and s > -m, Q is negative definite and holds n^2 negative
+eigenvalues; the rest of the inertia is that of the n^2 x n^2 Schur
+complement S = P - B Q^-1 B^H (operators.schur_complement), read from its
+LDL^H factorization (spectra.inertia).  The certificate is no weaker than
+factoring D(alpha) - s itself: S^-1 is the (1,1) block of (D(alpha) - s)^-1,
+so min |eig S| >= dist(s, spec D(alpha)).
 """
 
 from __future__ import annotations
@@ -21,9 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import GridSpec
-from .operators import DENSE_CAP, assemble_dense, perturbed_operator
+from .operators import (DENSE_CAP, LinearOperatorHandle, assemble_dense,
+                        perturbed_operator, schur_complement)
 from .potential import PotentialSpec
-from .spectra import hermitian_eigenvalues, inertia
+from .spectra import InertiaResult, hermitian_eigenvalues, inertia
 from .symbol import ModelParams, symbol_eigenvalues
 
 DEGENERACY_TOL = 1e-10
@@ -75,28 +85,47 @@ def _free_spectrum(grid: GridSpec, params: ModelParams) -> np.ndarray:
     return symbol_eigenvalues(np.stack([xi1, xi2], axis=-1), params).ravel()
 
 
+def _inertia_at(op: LinearOperatorHandle, shift: float, cap: int) -> InertiaResult:
+    """Inertia of op - shift from its Schur complement onto the first component.
+
+    The negative definite second-component block adds n^2 negatives
+    (Haynsworth); zeros and positives are those of the complement.
+    """
+    s = inertia(schur_complement(op, shift, cap), 0.0)
+    return InertiaResult(op.grid.n_points ** 2 + s.negative, s.zero, s.positive,
+                         s.residual)
+
+
 def crossing_count_detailed(grid: GridSpec, params: ModelParams,
                             spec: PotentialSpec, alpha: float,
                             cap: int = DENSE_CAP) -> CrossingResult:
     """Crossings of the gap point on [0, alpha], with degeneracy brackets.
 
     The t = 0 counts come from the symbol eigenvalues on the momentum
-    lattice.  The t = alpha operator is assembled once and factored at
-    lambda -/+ 1e-10; when those two counts differ an eigenvalue lies in
-    the tolerance window, and a third factorization at lambda itself gives
-    the strict count.
+    lattice.  The t = alpha counts below lambda -/+ 1e-10 are the inertia
+    of D(alpha) - s by Haynsworth's additivity: n^2 negatives from the
+    second-component block Q = diag(-m - s - alpha*V), negative definite
+    because V >= 0 and s > -m, plus the inertia of the n^2 x n^2 Schur
+    complement S(s), which is factored once per shift.  A factorization
+    of S certifies as much as one of D(alpha) - s would:
+    min |eig S| >= dist(s, spec D(alpha)), since S^-1 is a block of
+    (D(alpha) - s)^-1.  When the two counts differ an eigenvalue lies in
+    the tolerance window, and S(lambda) gives the strict count.  The dense
+    cap applies to grid.dimension and is checked before anything dense is
+    allocated.
     """
     if alpha < 0:
         raise ValueError(f"coupling must be nonnegative, got {alpha}")
     lam = params.gap_point
-    ev_start = _free_spectrum(grid, params)
-    dense = assemble_dense(perturbed_operator(grid, params, spec, alpha), cap=cap)
-    below, above = inertia(dense, (lam - DEGENERACY_TOL, lam + DEGENERACY_TOL))
+    op = perturbed_operator(grid, params, spec, alpha)
+    below = _inertia_at(op, lam - DEGENERACY_TOL, cap)
+    above = _inertia_at(op, lam + DEGENERACY_TOL, cap)
     factorizations = [below, above]
     # an eigenvalue in [lam - tol, lam + tol] separates the two counts
     end_degenerate = above.negative + above.zero != below.negative
     if end_degenerate:
-        factorizations.append(inertia(dense, lam))
+        factorizations.append(_inertia_at(op, lam, cap))
+    ev_start = _free_spectrum(grid, params)
     degenerate = bool(
         end_degenerate or np.any(np.abs(ev_start - lam) <= DEGENERACY_TOL)
     )

@@ -5,7 +5,8 @@ produces a CountingReport whose CSV serialization is byte-deterministic for
 a fixed config and seed (floats use 17 significant digits, LF newlines,
 missing values empty).  The weyl and theorem2 Birman-Schwinger counts come
 from one block Lanczos run for all couplings, with the dense spectrum as
-the fallback; the flow cross-check and the box counts from LDL^H inertia;
+the fallback; the flow cross-check (through the Schur complement onto one
+spinor component) and the box counts from LDL^H inertia;
 the crossterm counts from singular values of dense zone blocks.
 run_meta.txt records which method produced each count and its margin.
 """
@@ -158,6 +159,8 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha, study: str,
             degenerate = degenerate or dg
         flow_meta = {
             "flow_count_method": "ldl-inertia",
+            # each count factors the Schur complement onto one spinor component
+            "flow_factor_dim": config.grid.n_points ** 2,
             "inertia_residual_max": _max_residual(r for _, _, r in results),
         }
     rows = []

@@ -10,7 +10,10 @@ Dense blocks need no FFT per column.  On the torus the multiplier is a
 circulant convolution, so entry [(x, a), (y, b)] of F^*[mult]F is
 k_ab(x - y), where k is one inverse FFT of mult (Davis, Circulant
 Matrices, 1979).  A dense block between two node sets is a gather from k,
-scaled by left[x] * right[y], plus the diagonal.
+scaled by left[x] * right[y], plus the diagonal.  The same gather builds
+the Schur complement of the perturbed operator onto one spinor component
+(schur_complement): in the Fourier basis its node diagonals are circulant,
+with kernels from one FFT of the node fields.
 """
 
 from __future__ import annotations
@@ -283,8 +286,7 @@ def _kernel(op: LinearOperatorHandle) -> np.ndarray:
     n = op.grid.n_points
     k = np.moveaxis(inverse_array(np.moveaxis(op.mult, -1, 0)), 0, -1) / n
     if op.hermitian:
-        neg = -np.arange(n) % n
-        mirror = k[neg][:, neg].conj().swapaxes(-1, -2)
+        mirror = _mirror(k)
         defect = float(np.abs(k - mirror).max())
         if defect > HERMITICITY_TOL * max(float(np.abs(k).max()), 1.0):
             raise ValueError(
@@ -297,52 +299,92 @@ def _kernel(op: LinearOperatorHandle) -> np.ndarray:
     return k.reshape(n * n, 2, 2)
 
 
+def _mirror(k: np.ndarray) -> np.ndarray:
+    """conj(k_ba(-d)) of a kernel of shape (n, n, c, c); -d is taken mod n."""
+    neg = -np.arange(k.shape[0]) % k.shape[0]
+    return k[neg][:, neg].conj().swapaxes(-1, -2)
+
+
 def _same_weights(left: np.ndarray | None, right: np.ndarray | None) -> bool:
     if left is None or right is None:
         return left is None and right is None
     return left is right or np.array_equal(left, right)
 
 
-def _dense_block(op: LinearOperatorHandle, rows: np.ndarray,
-                 cols: np.ndarray) -> np.ndarray:
-    """Dense block of the handle between two increasing lists of flat nodes.
+def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms,
+                 diagonal: np.ndarray | None = None) -> np.ndarray:
+    """Dense block sum_t left_t[x] k_t(x - y) right_t[y] (+ diagonal).
 
-    Row 2*r + a and column 2*c + b hold entry [(rows[r], a), (cols[c], b)],
-    the C-order flattening of (n, n, 2) restricted to the nodes.  The block
-    is gathered from the kernel straight into the output, in row strips of
-    about 1 MiB so the index temporaries stay small, and scaled by
-    left[x] * right[y]; the diagonal is added where a row node is a column
-    node.
+    x runs over rows and y over cols, two increasing lists of flat indices
+    into an n x n torus lattice (nodes, or modes in FFT order); x - y is
+    taken mod n per axis.  Each term is (kernel, left, right): kernel has
+    shape (n*n, c, c), indexed by the flat offset, and left and right are
+    weights over the lattice, or None for ones.  Row c*r + a and column
+    c*s + b hold component [a, b] of the entry [rows[r], cols[s]].  The
+    block is gathered from the kernels straight into the output, in row
+    strips of about 1 MiB so the index temporaries stay small; diagonal is
+    added to every component where a row index is a column index.
     """
-    n = op.grid.n_points
-    kernel = _kernel(op)
+    c = terms[0][0].shape[-1]
     ri, rj = np.divmod(rows, n)
     ci, cj = np.divmod(cols, n)
-    weighted = op.left is not None or op.right is not None
-    if weighted:
+    weights = []
+    for _, left, right in terms:
+        if left is None and right is None:
+            weights.append(None)
+            continue
         ones = np.ones(n * n)
-        wl = (ones if op.left is None else op.left.ravel())[rows]
-        wr = (ones if op.right is None else op.right.ravel())[cols]
-    out = np.empty((2 * len(rows), 2 * len(cols)), dtype=complex)
-    out4 = out.reshape(len(rows), 2, len(cols), 2)
-    strip = max(1, _STRIP_BYTES // (64 * max(len(cols), 1)))
+        weights.append(((ones if left is None else np.ravel(left))[rows],
+                        (ones if right is None else np.ravel(right))[cols]))
+    out = np.empty((c * len(rows), c * len(cols)), dtype=complex)
+    out4 = out.reshape(len(rows), c, len(cols), c)
+    strip = max(1, _STRIP_BYTES // (16 * c * c * max(len(cols), 1)))
     for r0 in range(0, len(rows), strip):
         r1 = min(r0 + strip, len(rows))
         offset = (ri[r0:r1, None] - ci) % n * n + (rj[r0:r1, None] - cj) % n
-        part = out4[r0:r1]
-        # mode="wrap" lets take fill the strided view without a buffer;
-        # the offsets are in range anyway
-        np.take(kernel, offset, axis=0, out=part.swapaxes(1, 2), mode="wrap")
-        if weighted:
-            # the product is symmetric in (x, y), which keeps Hermiticity exact
-            part *= (wl[r0:r1, None] * wr)[:, None, :, None]
-    if op.diagonal is not None:
-        nodes, r, c = np.intersect1d(rows, cols, assume_unique=True,
+        part = out4[r0:r1].swapaxes(1, 2)
+        for t, ((kernel, _, _), w) in enumerate(zip(terms, weights)):
+            # mode="wrap" lets take fill the strided view without a buffer;
+            # the offsets are in range anyway
+            gathered = np.take(kernel, offset, axis=0, out=part if t == 0 else None,
+                               mode="wrap")
+            if w is not None:
+                gathered *= _outer(w[0][r0:r1], w[1])[:, :, None, None]
+            if t > 0:
+                part += gathered
+    if diagonal is not None:
+        nodes, r, s = np.intersect1d(rows, cols, assume_unique=True,
                                      return_indices=True)
-        d = op.diagonal.ravel()[nodes]
-        out4[r, 0, c, 0] += d
-        out4[r, 1, c, 1] += d
+        d = np.ravel(diagonal)[nodes]
+        for a in range(c):
+            out4[r, a, s, a] += d
     return out
+
+
+def _outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left[x] * right[y], exactly conjugated by swapping x and y if right = conj(left).
+
+    Real weights (or left == right real) give a symmetric product anyway.
+    A complex product is formed from its real and imaginary parts by
+    separate real operations: a fused multiply-add would round
+    left[x] * right[y] and left[y] * right[x] differently, and the
+    gathered block would miss exact Hermiticity by an ulp.
+    """
+    if not (np.iscomplexobj(left) or np.iscomplexobj(right)):
+        return np.multiply.outer(left, right)
+    out = np.empty((len(left), len(right)), dtype=complex)
+    np.subtract(np.multiply.outer(left.real, right.real),
+                np.multiply.outer(left.imag, right.imag), out=out.real)
+    np.add(np.multiply.outer(left.real, right.imag),
+           np.multiply.outer(left.imag, right.real), out=out.imag)
+    return out
+
+
+def _check_cap(dim: int, cap: int) -> None:
+    if dim > cap:
+        raise DenseCapExceededError(
+            f"dimension {dim} exceeds the dense-assembly cap {cap}"
+        )
 
 
 def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray:
@@ -354,13 +396,59 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray
     handle, whose promise _kernel checks, gives an exactly Hermitian
     matrix.  The dimension cap is checked before anything is allocated.
     """
-    dim = op.dimension
-    if dim > cap:
-        raise DenseCapExceededError(
-            f"dimension {dim} exceeds the dense-assembly cap {cap}"
-        )
+    _check_cap(op.dimension, cap)
     nodes = np.arange(op.grid.n_points ** 2)
-    return _dense_block(op, nodes, nodes)
+    return _dense_block(op.grid.n_points, nodes, nodes,
+                        [(_kernel(op), op.left, op.right)], op.diagonal)
+
+
+def schur_complement(op: LinearOperatorHandle, shift: float,
+                     cap: int = DENSE_CAP) -> np.ndarray:
+    """Schur complement of op - shift onto its first spinor component.
+
+    op must be a hermitian handle F^*[[p, b], [conj b, q]]F + diagonal with
+    constant p and q and no node weights, as perturbed_operator is
+    (p = m, q = -m, diagonal = -t*V).  In component-block order op - shift
+    is [[P, B], [B^H, Q]], with P = diag(p + diagonal - shift) and
+    Q = diag(q + diagonal - shift) diagonal on the nodes and B = F^* b F.
+    Q must be negative definite (ValueError otherwise); then
+    S = P - B Q^-1 B^H is an n^2 x n^2 matrix, and by Haynsworth's inertia
+    additivity op - shift has n^2 + negative(S) negative, zero(S) zero and
+    positive(S) positive eigenvalues.
+
+    S is returned in the unitary Fourier basis, rows and columns indexed by
+    the flat FFT-order mode k = n*k1 + k2:
+    S[k, k'] = d^(k - k') + b(k) w^(k - k') conj(b(k')), where d^ and w^ are
+    fft2 / n^2 of the node fields d = p + diagonal - shift and
+    w = -1 / (q + diagonal - shift), from one batched FFT.  Both kernels are
+    made Hermitian on the kernel (_kernel does the same), so S is exactly
+    Hermitian.  The cap applies to op.dimension, as in assemble_dense, and
+    is checked before anything is allocated.
+    """
+    _check_cap(op.dimension, cap)
+    mult = op.mult
+    p, q, b = mult[..., 0, 0], mult[..., 1, 1], mult[..., 0, 1]
+    if not (op.hermitian and op.left is None and op.right is None
+            and np.all(p == p.flat[0]) and np.all(q == q.flat[0])
+            and np.array_equal(mult[..., 1, 0], b.conj())):
+        raise ValueError(f"handle {op.label!r} is not a hermitian multiplier with "
+                         "constant diagonal symbol plus a node diagonal")
+    n = op.grid.n_points
+    v = np.zeros((n, n)) if op.diagonal is None else op.diagonal
+    d = p.flat[0].real + v - shift
+    q_nodes = q.flat[0].real + v - shift
+    if not q_nodes.max() < 0:
+        raise ValueError(
+            f"second-component block of {op.label!r} minus {shift:g} is not "
+            f"negative definite (largest entry {q_nodes.max():.3e})"
+        )
+    hats = forward_array(np.stack([d, -1.0 / q_nodes], axis=-1)) / n
+    terms = []
+    for i, left, right in ((0, None, None), (1, b, b.conj())):
+        k = hats[..., i, None, None]
+        terms.append(((0.5 * (k + _mirror(k))).reshape(n * n, 1, 1), left, right))
+    modes = np.arange(n * n)
+    return _dense_block(n, modes, modes, terms)
 
 
 def restricted_block(op: LinearOperatorHandle, row_mask: np.ndarray,
@@ -377,4 +465,6 @@ def restricted_block(op: LinearOperatorHandle, row_mask: np.ndarray,
     shape = (op.grid.n_points,) * 2
     if np.shape(row_mask) != shape or np.shape(col_mask) != shape:
         raise ValueError(f"node masks must have shape {shape}")
-    return _dense_block(op, np.flatnonzero(row_mask), np.flatnonzero(col_mask))
+    return _dense_block(op.grid.n_points, np.flatnonzero(row_mask),
+                        np.flatnonzero(col_mask), [(_kernel(op), op.left, op.right)],
+                        op.diagonal)

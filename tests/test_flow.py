@@ -16,7 +16,15 @@ from gapcount import (
     hermitian_eigenvalues,
 )
 from gapcount.flow import DEGENERACY_TOL, _free_spectrum
-from gapcount.operators import assemble_dense, free_operator, perturbed_operator
+from gapcount.operators import (
+    DenseCapExceededError,
+    assemble_dense,
+    check_hermitian,
+    free_operator,
+    perturbed_operator,
+    schur_complement,
+)
+from gapcount.spectra import inertia
 
 GRID = build_grid(12, 12.0)
 GAUSS = Gaussian(4.0, 1.0)
@@ -190,4 +198,81 @@ def test_crossing_count_checks_hermiticity_once_per_matrix(monkeypatch):
     monkeypatch.setattr(spectra, "check_hermitian", lambda m: calls.append(1) or check(m))
     detail = crossing_count_detailed(GRID, ModelParams(1.0, 0.0), GAUSS, 3.0)
     assert not detail.degenerate
-    assert len(calls) == 1
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Schur complement onto the first spinor component
+# ---------------------------------------------------------------------------
+
+def _dense_schur_in_fourier_basis(op, shift):
+    """P - B Q^-1 B^H from the assembled matrix, moved to the Fourier basis."""
+    n = op.grid.n_points
+    dense = assemble_dense(op)
+    eye = np.eye(n * n)
+    p = dense[0::2, 0::2] - shift * eye
+    b = dense[0::2, 1::2]
+    q = dense[1::2, 1::2] - shift * eye
+    s_nodes = p - b @ np.linalg.solve(q, b.conj().T)
+    f1 = np.fft.fft(np.eye(n), norm="ortho")
+    f = np.kron(f1, f1)  # unitary DFT on C-order flat nodes
+    return f @ s_nodes @ f.conj().T
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("lam", [-0.9, 0.3])
+@pytest.mark.parametrize("name", sorted(FLOW_POTENTIALS))
+def test_schur_complement_matches_dense_schur_complement(name, lam, n):
+    op = perturbed_operator(build_grid(n, 12.0), ModelParams(1.0, lam),
+                            FLOW_POTENTIALS[name], 3.0)
+    shift = lam + DEGENERACY_TOL
+    schur = schur_complement(op, shift)
+    reference = _dense_schur_in_fourier_basis(op, shift)
+    assert schur.shape == (n * n, n * n)
+    assert np.abs(schur - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert check_hermitian(schur) == 0.0
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("lam", [-0.9, 0.0, 0.3, 0.9])
+@pytest.mark.parametrize("name", sorted(FLOW_POTENTIALS))
+def test_schur_inertia_matches_full_inertia_and_spectrum(name, lam, n):
+    # at lam = -0.9 the weight 1/(m + s + alpha V) reaches 10 and |S| is largest
+    grid = build_grid(n, 12.0)
+    half = n * n
+    for alpha in (1.0, 3.0, 8.0):
+        op = perturbed_operator(grid, ModelParams(1.0, lam), FLOW_POTENTIALS[name],
+                                alpha)
+        dense = assemble_dense(op)
+        ev = np.linalg.eigvalsh(dense)
+        for shift in (lam - DEGENERACY_TOL, lam + DEGENERACY_TOL):
+            assert np.abs(ev - shift).min() > 1e-6
+            part = inertia(schur_complement(op, shift), 0.0)
+            full = inertia(dense, shift)
+            counts = (half + part.negative, part.zero, part.positive)
+            assert counts == (full.negative, full.zero, full.positive)
+            assert counts == (int(np.count_nonzero(ev < shift)), 0,
+                              int(np.count_nonzero(ev > shift)))
+            assert 0.0 <= part.residual <= 1e-8
+
+
+def test_schur_complement_rejects_what_it_cannot_reduce():
+    params = ModelParams(1.0, 0.0)
+    op = perturbed_operator(GRID, params, GAUSS, 2.0)
+    # at s <= -m the second-component block is no longer negative definite
+    with pytest.raises(ValueError, match="not negative definite"):
+        schur_complement(op, -1.0)
+    with pytest.raises(ValueError, match="constant diagonal symbol"):
+        schur_complement(birman_schwinger(GRID, params, GAUSS), 0.0)
+
+
+def test_crossing_count_checks_the_cap_before_any_dense_work(monkeypatch):
+    import gapcount.operators as operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense block gathered above the cap")
+
+    monkeypatch.setattr(operators, "_dense_block", refuse)
+    grid = build_grid(12, 12.0)
+    with pytest.raises(DenseCapExceededError, match="exceeds the dense-assembly cap 100"):
+        crossing_count_detailed(grid, ModelParams(1.0, 0.0), GAUSS, 3.0, cap=100)

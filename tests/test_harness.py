@@ -347,6 +347,25 @@ def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key, csv
     assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
 
 
+def test_run_meta_records_flow_factor_dim(tmp_path):
+    # each flow count factors the n^2 x n^2 Schur complement, not the 2n^2 operator
+    config = ExperimentConfig.from_text(WEYL_TEXT + "study.with_flow = true\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_weyl_study(config)
+    paths = emit_outputs(report, tmp_path, config)
+    meta = dict(line.split(" = ", 1)
+                for line in paths["meta"].read_text().splitlines())
+    assert meta["flow_count_method"] == "ldl-inertia"
+    assert int(meta["flow_factor_dim"]) == config.grid.n_points ** 2 == 144
+    assert paths["csv"].read_text() == WEYL_FLOW_CSV
+    # studies without flow record no flow keys
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plain = run_weyl_study(ExperimentConfig.from_text(WEYL_TEXT))
+    assert "flow_factor_dim" not in plain.metadata
+
+
 THEOREM2_TEXT = """
 study = theorem2
 grid.n_points = 12
