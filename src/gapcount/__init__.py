@@ -19,7 +19,6 @@ from .flow import (
     DegenerateThresholdWarning,
     FlowTrace,
     branch_trace,
-    crossing_count,
     crossing_count_detailed,
 )
 from .harness import (
@@ -34,14 +33,7 @@ from .harness import (
     run_theorem2_study,
     run_weyl_study,
 )
-from .lattice import (
-    GridSpec,
-    SpinorField,
-    build_grid,
-    forward_transform,
-    inverse_transform,
-    random_field,
-)
+from .lattice import GridSpec, build_grid
 from .operators import (
     BoxSpec,
     DenseCapExceededError,
@@ -73,7 +65,6 @@ from .spectra import (
     InertiaResult,
     SpectrumResult,
     count_above,
-    count_negative_below,
     hermitian_eigenvalues,
     inertia,
     iterative_count_above,

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    gapcount <study> --config <file> --out <dir> [--workers k] [--seed n]
+    gapcount <study> --config <file> --out <dir> [--seed n]
 
 Studies: weyl, theorem2, crossterm, box, flow-trace, oracle.  Exit codes:
 0 success, 2 configuration error, 3 cap/resource error, 4 the run finished
@@ -31,7 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("study", choices=STUDIES)
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", help="output directory (required except for oracle)")
-    parser.add_argument("--workers", type=int, default=1)
+    # every study runs serially; bench/child.py still passes --workers 1
+    parser.add_argument("--workers", type=int, default=1, choices=(1,),
+                        help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -82,7 +84,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = runner(config, workers=max(args.workers, 1))
+            report = runner(config)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
     except ConfigError as exc:

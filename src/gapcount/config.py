@@ -16,12 +16,12 @@ ignored.  Lists are comma-separated.  Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import GridSpec, build_grid
-from .operators import DenseCapExceededError
+from .operators import BoxSpec, DenseCapExceededError, check_box_fits
 from .potential import DiskBump, Gaussian, PotentialSpec, PowerDecay
 from .symbol import ModelParams
 
@@ -266,6 +266,11 @@ class ExperimentConfig:
                 b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])
             ):
                 raise ConfigError("box.betas must be positive and increasing")
+            try:
+                for beta in self.betas:
+                    check_box_fits(self.grid, BoxSpec(self.box_corner, self.box_side, beta))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if study == "flow-trace":
             if self.t_values is None:
                 raise ConfigError("flow-trace study requires flow.t_values")

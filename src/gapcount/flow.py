@@ -25,7 +25,7 @@ so min |eig S| >= dist(s, spec D(alpha)).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,20 +134,15 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
     hi = above.negative - _count_below(ev_start, lam - DEGENERACY_TOL)
     if degenerate:
         warnings.warn(
-            f"eigenvalue within {DEGENERACY_TOL:.0e} of the gap point at an "
-            f"endpoint; crossing count brackets to [{lo}, {hi}]",
+            f"flow count at alpha = {alpha:.17g}: eigenvalue within "
+            f"{DEGENERACY_TOL:.0e} of the gap point at an endpoint; crossing "
+            f"count brackets to [{lo}, {hi}]",
             DegenerateThresholdWarning,
             stacklevel=2,
         )
     residual = float(np.fmax.reduce([f.residual for f in factorizations]))
     return CrossingResult(count=count, degenerate=degenerate, bracket=(lo, hi),
                           residual=residual)
-
-
-def crossing_count(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
-                   alpha: float, cap: int = DENSE_CAP) -> int:
-    """Number of eigenvalues passing the gap point as t grows from 0 to alpha."""
-    return crossing_count_detailed(grid, params, spec, alpha, cap).count
 
 
 def branch_trace(grid: GridSpec, params: ModelParams, spec: PotentialSpec,

@@ -6,8 +6,10 @@ a fixed config and seed (floats use 17 significant digits, LF newlines,
 missing values empty).  The weyl and theorem2 Birman-Schwinger counts come
 from one block Lanczos run for all couplings, with the dense spectrum as
 the fallback; the flow cross-check (through the Schur complement onto one
-spinor component) and the box counts from LDL^H inertia;
-the crossterm counts from singular values of dense zone blocks.
+spinor component) and the box counts from LDL^H inertia; the crossterm
+counts from singular values of dense zone blocks, one SVD per zone pair.
+Every study runs serially.  A count within 1e-10 of its threshold raises
+DegenerateThresholdWarning, naming the coupling, and flags the report.
 run_meta.txt records which method produced each count and its margin.
 """
 
@@ -15,15 +17,13 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .asymptotic import box_coefficient, j_integral, phase_space_volume, weyl_coefficient
 from .config import ConfigError, ExperimentConfig
-from .flow import DEGENERACY_TOL, crossing_count_detailed
-from .lattice import GridSpec
+from .flow import DEGENERACY_TOL, DegenerateThresholdWarning, crossing_count_detailed
 from .operators import (
     BoxSpec,
     LocalizationSpec,
@@ -43,7 +43,6 @@ from .spectra import (
     iterative_count_above,
     singular_values,
 )
-from .symbol import ModelParams
 
 
 class NonMonotoneRatioWarning(UserWarning):
@@ -120,48 +119,43 @@ def _bs_counts(config: ExperimentConfig, alphas: list[float]) -> CountResult:
     return result
 
 
-def _flow_job(args) -> tuple[int, bool, float]:
-    grid, model, potential, alpha, cap = args
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = crossing_count_detailed(grid, model, potential, alpha, cap)
-    return res.count, res.degenerate, res.residual
-
-
 def _max_residual(residuals) -> float:
     """Largest probe residual; nan ones (exactly singular pivots) are skipped."""
     return float(np.fmax.reduce([float("nan"), *residuals]))
 
 
-def _map_jobs(fn, jobs, workers: int):
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(j) for j in jobs]
-
-
-def _counting_study(config: ExperimentConfig, prediction_of_alpha, study: str,
-                    workers: int) -> CountingReport:
+def _counting_study(config: ExperimentConfig, prediction_of_alpha,
+                    study: str) -> CountingReport:
     t0 = time.time()
     alphas = [float(a) for a in config.alphas]
     bs = _bs_counts(config, alphas)
     # a dense certificate is the distance to the nearest eigenvalue; a Krylov
     # one is at least its 1e-8 floor, so it never marks a threshold degenerate
-    degenerate = any(c <= DEGENERACY_TOL for c in bs.certificates)
+    degenerate = False
+    for a, cert in zip(alphas, bs.certificates):
+        if cert <= DEGENERACY_TOL:
+            degenerate = True
+            warnings.warn(
+                f"Birman-Schwinger count at alpha = {a:.17g} is degenerate: "
+                f"1/alpha lies within {cert:.1e} of an eigenvalue",
+                DegenerateThresholdWarning,
+                stacklevel=3,
+            )
     n_flow: dict[float, int | None] = {a: None for a in alphas}
     flow_meta = {}
     if config.with_flow:
-        jobs = [(config.grid, config.model, config.potential, a, config.dense_cap)
-                for a in alphas]
-        results = _map_jobs(_flow_job, jobs, workers)
-        for a, (cnt, dg, _) in zip(alphas, results):
-            n_flow[a] = cnt
-            degenerate = degenerate or dg
+        residuals = []
+        for a in alphas:
+            res = crossing_count_detailed(config.grid, config.model, config.potential,
+                                          a, config.dense_cap)
+            n_flow[a] = res.count
+            degenerate = degenerate or res.degenerate
+            residuals.append(res.residual)
         flow_meta = {
             "flow_count_method": "ldl-inertia",
             # each count factors the Schur complement onto one spinor component
             "flow_factor_dim": config.grid.n_points ** 2,
-            "inertia_residual_max": _max_residual(r for _, _, r in results),
+            "inertia_residual_max": _max_residual(residuals),
         }
     rows = []
     ratios = []
@@ -196,7 +190,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha, study: str,
     )
 
 
-def run_weyl_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
+def run_weyl_study(config: ExperimentConfig) -> CountingReport:
     """First counting law: N(lambda, alpha) against alpha/(4pi) * int V."""
     _require(config, "weyl")
     coeff = weyl_coefficient(config.potential)
@@ -207,32 +201,32 @@ def run_weyl_study(config: ExperimentConfig, workers: int = 1) -> CountingReport
             f"weyl coefficient {coeff.value!r} and phase-space volume "
             f"{volume.value!r} disagree beyond tolerance"
         )
-    report = _counting_study(config, lambda a: a * coeff.value, "weyl", workers)
+    report = _counting_study(config, lambda a: a * coeff.value, "weyl")
     report.metadata["weyl_coefficient"] = coeff.value
     report.metadata["phase_space_volume"] = volume.value
     return report
 
 
-def run_theorem2_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
+def run_theorem2_study(config: ExperimentConfig) -> CountingReport:
     """Second counting law: N against alpha^(2/p) * J(lambda, m)."""
     _require(config, "theorem2")
     assert isinstance(config.potential, PowerDecay)
     j = j_integral(config.model, config.potential)
     p = config.potential.exponent
-    report = _counting_study(
-        config, lambda a: a ** (2.0 / p) * j.value, "theorem2", workers
-    )
+    report = _counting_study(config, lambda a: a ** (2.0 / p) * j.value, "theorem2")
     report.metadata["j_integral"] = j.value
     return report
 
 
-def run_crossterm_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
+def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
     """Normalized counts of the off-diagonal localized pieces.
 
     The piece between zones i and j is the (zone-i rows) x (zone-j columns)
     block of the sandwich, whose singular values are exactly those of the
     full localized piece; restricted_block gathers each block without
-    building the full matrix.  Runs serially over coupling values.
+    building the full matrix.  The (j, i) block is exactly the conjugate
+    transpose of the (i, j) block, because the kernel is made Hermitian and
+    the weights are real, so one SVD gives the count of both rows.
     """
     _require(config, "crossterm")
     t0 = time.time()
@@ -246,14 +240,14 @@ def run_crossterm_study(config: ExperimentConfig, workers: int = 1) -> CountingR
         loc = LocalizationSpec(config.eps1, config.eps2, a, p)
         masks = zone_masks(config.grid, loc)
         threshold = config.epsilon / a
-        for i, j in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
+        for i, j in ((1, 2), (1, 3), (2, 3)):
             block = restricted_block(op, masks[i - 1], masks[j - 1])
             count = count_above(singular_values(block), threshold)
             normalized = count / a ** (2.0 / p)
             if (i, j) in previous and normalized >= previous[(i, j)]:
                 monotone = False
             previous[(i, j)] = normalized
-            rows.append((a, i, j, count, normalized))
+            rows += [(a, i, j, count, normalized), (a, j, i, count, normalized)]
     if not monotone:
         warnings.warn(
             "normalized cross-term counts are not strictly decreasing",
@@ -273,13 +267,12 @@ def run_crossterm_study(config: ExperimentConfig, workers: int = 1) -> CountingR
     )
 
 
-def _box_job(args) -> tuple[int, float]:
+def _box_count(grid, model, box, tau) -> tuple[int, float]:
     """Eigenvalues of the box block above tau, and the inertia probe residual.
 
     The count is the positive inertia of block - tau*(1 + 1e-12): strict and
     tie-guarded exactly like count_above, but with no eigenvalue computed.
     """
-    grid, model, box, tau = args
     mask = box_mask(grid, box)
     if not mask.any():
         return 0, 0.0
@@ -288,14 +281,15 @@ def _box_job(args) -> tuple[int, float]:
     return res.positive, res.residual
 
 
-def run_box_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
+def run_box_study(config: ExperimentConfig) -> CountingReport:
     """Box-localized resolvent counts against the (4pi)^-1 coefficient law.
 
     Counts use the compression of the resolvent to the nodes inside the
     dilated box: the complementary modes contribute eigenvalue 0 < tau,
     so the block count equals the count of the full localized operator.
-    Each block count is the Sylvester inertia of block - tau (see _box_job);
-    run_meta.txt records the method and the largest probe residual.
+    Each block count is the Sylvester inertia of block - tau (see _box_count);
+    run_meta.txt records the method and the largest probe residual.  That
+    every dilated box fits the grid is checked by config.validate.
     """
     _require(config, "box")
     t0 = time.time()
@@ -304,18 +298,7 @@ def run_box_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
     coeff = box_coefficient(tau, config.model, area)
     boxes = [BoxSpec(config.box_corner, config.box_side, float(b))
              for b in config.betas]
-    half = 0.5 * config.grid.box_side
-    margin = 2.0 * config.grid.spacing
-    for box in boxes:
-        lo = box.scale * min(box.corner)
-        hi = box.scale * (max(box.corner) + box.side)
-        if lo < -half + margin or hi > half - margin:
-            raise ConfigError(
-                f"dilated box at beta={box.scale:g} leaves the grid "
-                f"(span [{lo:g}, {hi:g}] vs box [-{half:g}, {half:g}))"
-            )
-    jobs = [(config.grid, config.model, box, tau) for box in boxes]
-    results = _map_jobs(_box_job, jobs, workers)
+    results = [_box_count(config.grid, config.model, box, tau) for box in boxes]
     rows = []
     ratios = []
     for box, (count, _) in zip(boxes, results):
@@ -346,7 +329,7 @@ def run_box_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
     )
 
 
-def run_flow_trace_study(config: ExperimentConfig, workers: int = 1) -> CountingReport:
+def run_flow_trace_study(config: ExperimentConfig) -> CountingReport:
     """Gap eigenvalues along the coupling grid, one row per (t, branch)."""
     _require(config, "flow-trace")
     t0 = time.time()

@@ -73,50 +73,9 @@ class GridSpec:
         return np.hypot(x1, x2)
 
 
-@dataclass(frozen=True)
-class SpinorField:
-    """C^2-valued function sampled on a GridSpec.
-
-    values has shape (n_points, n_points, 2); the trailing axis holds the
-    two spinor components.
-    """
-
-    values: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        n = self.grid.n_points
-        if self.values.shape != (n, n, 2):
-            raise ValueError(
-                f"values must have shape ({n}, {n}, 2), got {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("spinor field contains non-finite entries")
-
-    def norm(self) -> float:
-        """L2 norm with the spacing^2 quadrature weight."""
-        return self.grid.spacing * float(np.linalg.norm(self.values))
-
-    def inner(self, other: "SpinorField") -> complex:
-        """Weighted inner product <self, other>, antilinear in self."""
-        return self.grid.spacing ** 2 * complex(
-            np.vdot(self.values, other.values)
-        )
-
-
 def build_grid(n_points: int, box_side: float) -> GridSpec:
     """Construct the periodized grid; rejects odd/small n_points and L <= 0."""
     return GridSpec(n_points=int(n_points), box_side=float(box_side))
-
-
-def forward_transform(f: SpinorField) -> SpinorField:
-    """Componentwise unitary DFT to the momentum representation."""
-    return SpinorField(forward_array(f.values), f.grid)
-
-
-def inverse_transform(g: SpinorField) -> SpinorField:
-    """Adjoint (= inverse) of forward_transform."""
-    return SpinorField(inverse_array(g.values), g.grid)
 
 
 def forward_array(values: np.ndarray) -> np.ndarray:
@@ -125,11 +84,6 @@ def forward_array(values: np.ndarray) -> np.ndarray:
 
 
 def inverse_array(values: np.ndarray) -> np.ndarray:
+    """Adjoint (= inverse) of forward_array."""
     return np.fft.ifft2(values, axes=(-3, -2), norm="ortho")
 
-
-def random_field(grid: GridSpec, rng: np.random.Generator) -> SpinorField:
-    """Gaussian random spinor field, used as a probe vector in tests."""
-    shape = (grid.n_points, grid.n_points, 2)
-    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return SpinorField(values, grid)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GridSpec, SpinorField, forward_array, inverse_array
+from .lattice import GridSpec, forward_array, inverse_array
 from .potential import PotentialSpec, eval_potential, sqrt_potential
 from .symbol import ModelParams, dirac_symbol, resolvent_symbol
 
@@ -68,11 +68,6 @@ class LinearOperatorHandle:
         if self.diagonal is not None:
             out = out + values * self.diagonal[..., None]
         return out
-
-    def apply(self, f: SpinorField) -> SpinorField:
-        if f.grid != self.grid:
-            raise ValueError("field grid does not match operator grid")
-        return SpinorField(self.apply_array(f.values), self.grid)
 
 
 @dataclass(frozen=True)
@@ -128,22 +123,16 @@ def _multiplier_on_grid(grid: GridSpec, symbol_fn, params: ModelParams) -> np.nd
     return symbol_fn(xi, params)
 
 
-def fourier_multiplier(grid: GridSpec, mult: np.ndarray, hermitian: bool,
-                       label: str = "") -> LinearOperatorHandle:
-    """Operator F^* [mult] F for a per-mode 2x2 matrix field mult."""
-    return LinearOperatorHandle(grid, mult, hermitian, label)
-
-
 def free_operator(grid: GridSpec, params: ModelParams) -> LinearOperatorHandle:
     """The unperturbed operator, diagonal on the momentum lattice."""
     mult = _multiplier_on_grid(grid, dirac_symbol, params)
-    return fourier_multiplier(grid, mult, hermitian=True, label="free")
+    return LinearOperatorHandle(grid, mult, True, "free")
 
 
 def resolvent(grid: GridSpec, params: ModelParams) -> LinearOperatorHandle:
     """(free - lambda)^{-1}; requires |lambda| < m (enforced by ModelParams)."""
     mult = _multiplier_on_grid(grid, resolvent_symbol, params)
-    return fourier_multiplier(grid, mult, hermitian=True, label="resolvent")
+    return LinearOperatorHandle(grid, mult, True, "resolvent")
 
 
 def potential_on_grid(grid: GridSpec, spec: PotentialSpec) -> np.ndarray:
@@ -156,18 +145,12 @@ def sqrt_potential_on_grid(grid: GridSpec, spec: PotentialSpec) -> np.ndarray:
     return sqrt_potential(spec, np.stack([x1, x2], axis=-1))
 
 
-def _sandwich(grid: GridSpec, left: np.ndarray, middle: LinearOperatorHandle,
-              right: np.ndarray, hermitian: bool, label: str) -> LinearOperatorHandle:
-    """left * middle * right; middle must be a plain Fourier multiplier."""
-    return LinearOperatorHandle(grid, middle.mult, hermitian, label,
-                                left=left, right=right)
-
-
 def birman_schwinger(grid: GridSpec, params: ModelParams,
                      spec: PotentialSpec) -> LinearOperatorHandle:
     """W (free - lambda)^{-1} W with W = sqrt(V), pointwise W on the grid."""
     w = sqrt_potential_on_grid(grid, spec)
-    return _sandwich(grid, w, resolvent(grid, params), w, True, "birman_schwinger")
+    return LinearOperatorHandle(grid, resolvent(grid, params).mult, True,
+                                "birman_schwinger", left=w, right=w)
 
 
 def perturbed_operator(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
@@ -208,8 +191,8 @@ def localized_piece(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
     w = sqrt_potential_on_grid(grid, spec)
     wi = np.where(masks[i - 1], w, 0.0)
     wj = np.where(masks[j - 1], w, 0.0)
-    return _sandwich(grid, wi, resolvent(grid, params), wj,
-                     hermitian=(i == j), label=f"piece({i},{j})")
+    return LinearOperatorHandle(grid, resolvent(grid, params).mult, i == j,
+                                f"piece({i},{j})", left=wi, right=wj)
 
 
 def box_mask(grid: GridSpec, box: BoxSpec) -> np.ndarray:
@@ -224,21 +207,29 @@ def box_mask(grid: GridSpec, box: BoxSpec) -> np.ndarray:
     return in1[:, None] & in2[None, :]
 
 
-def box_localized_resolvent(grid: GridSpec, params: ModelParams,
-                            box: BoxSpec) -> LinearOperatorHandle:
-    """phi (free - lambda)^{-1} phi with phi the indicator of beta*Q."""
+def check_box_fits(grid: GridSpec, box: BoxSpec) -> None:
+    """Raise ValueError unless beta*Q stays 2 spacings inside the grid box.
+
+    The margin keeps the dilated box away from its periodic images.
+    """
     margin = 2.0 * grid.spacing
     half = 0.5 * grid.box_side
     lo = box.scale * min(box.corner)
     hi = box.scale * (max(box.corner) + box.side)
     if lo < -half + margin or hi > half - margin:
         raise ValueError(
-            f"dilated box [{lo:.3g}, {hi:.3g}] leaves the grid box "
-            f"[-{half:.3g}, {half:.3g}) (margin 2 spacings required)"
+            f"dilated box at beta={box.scale:g} spans [{lo:g}, {hi:g}] and "
+            f"leaves the grid box [-{half:g}, {half:g}) (margin 2 spacings required)"
         )
+
+
+def box_localized_resolvent(grid: GridSpec, params: ModelParams,
+                            box: BoxSpec) -> LinearOperatorHandle:
+    """phi (free - lambda)^{-1} phi with phi the indicator of beta*Q."""
+    check_box_fits(grid, box)
     phi = box_mask(grid, box).astype(float)
-    return _sandwich(grid, phi, resolvent(grid, params), phi, True,
-                     f"box(beta={box.scale})")
+    return LinearOperatorHandle(grid, resolvent(grid, params).mult, True,
+                                f"box(beta={box.scale})", left=phi, right=phi)
 
 
 # ---------------------------------------------------------------------------

@@ -157,29 +157,20 @@ def _pivot_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, int, int]:
             int(np.count_nonzero(signs > 0)))
 
 
-def inertia(matrix: np.ndarray, shift):
+def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
     """Eigenvalue counts of a Hermitian matrix below, at and above shift.
 
     By Sylvester's law of inertia these are the signs of the pivot blocks
     of the Bunch-Kaufman factorization A - shift*I = P L D L^H P^T (LAPACK
-    zhetrf), so no eigenvalue is computed.  The factorization is checked
-    by solving with it on five fixed probe vectors: a relative backward
-    residual above 1e-8 raises RuntimeError.  An exactly singular D means
-    shift is an eigenvalue to working precision and is reported in zero.
-
-    shift is one value, giving one InertiaResult, or a sequence, giving a
-    tuple of them in the same order; the matrix is checked for
-    Hermiticity once per call, whatever the number of shifts.
+    zhetrf), so no eigenvalue is computed.  The matrix is checked for
+    Hermiticity first, and the factorization is checked by solving with it
+    on five fixed probe vectors: a relative backward residual above 1e-8
+    raises RuntimeError.  An exactly singular D means shift is an
+    eigenvalue to working precision and is reported in zero.
     """
     a = np.asarray(matrix)
     check_hermitian(a)
-    if np.ndim(shift) == 0:
-        return _shifted_inertia(a, float(shift))
-    return tuple(_shifted_inertia(a, float(x)) for x in shift)
-
-
-def _shifted_inertia(a: np.ndarray, shift: float) -> InertiaResult:
-    """inertia() at one shift, for a matrix already checked to be Hermitian."""
+    shift = float(shift)
     dim = a.shape[0]
     if dim == 0:
         return InertiaResult(0, 0, 0, 0.0)
@@ -231,12 +222,6 @@ def count_above(values, s: float) -> int:
         raise ValueError(f"threshold must be positive, got {s}")
     v = values.values if isinstance(values, SpectrumResult) else np.asarray(values)
     return int(np.count_nonzero(v > s * (1.0 + TIE_GUARD)))
-
-
-def count_negative_below(values, s: float) -> int:
-    """n_-(s, T) = #{k : -lambda_k > s}; the count of eigenvalues below -s."""
-    v = values.values if isinstance(values, SpectrumResult) else np.asarray(values)
-    return count_above(-np.asarray(v), s)
 
 
 def sigma_p_seminorm(singular_vals, p: float) -> float:

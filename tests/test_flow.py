@@ -11,7 +11,6 @@ from gapcount import (
     branch_trace,
     build_grid,
     count_above,
-    crossing_count,
     crossing_count_detailed,
     hermitian_eigenvalues,
 )
@@ -31,12 +30,13 @@ GAUSS = Gaussian(4.0, 1.0)
 
 
 def test_zero_coupling_has_no_crossings():
-    assert crossing_count(GRID, ModelParams(1.0, 0.0), GAUSS, 0.0) == 0
+    assert crossing_count_detailed(GRID, ModelParams(1.0, 0.0), GAUSS, 0.0).count == 0
 
 
 def test_crossing_count_monotone_in_coupling():
     params = ModelParams(1.0, 0.0)
-    counts = [crossing_count(GRID, params, GAUSS, a) for a in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    counts = [crossing_count_detailed(GRID, params, GAUSS, a).count
+              for a in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert counts[-1] > 0
 
@@ -98,7 +98,7 @@ def test_free_counts_from_symbol_match_dense(lam):
 
 def test_negative_coupling_rejected():
     with pytest.raises(ValueError):
-        crossing_count(GRID, ModelParams(1.0, 0.0), GAUSS, -1.0)
+        crossing_count_detailed(GRID, ModelParams(1.0, 0.0), GAUSS, -1.0)
 
 
 def test_degenerate_threshold_flagged_and_bracketed():
@@ -110,7 +110,7 @@ def test_degenerate_threshold_flagged_and_bracketed():
     assert len(gap_eigs) > 0
     lam = float(gap_eigs[0]) + 3e-11  # within the 1e-10 collision tolerance
     tuned = ModelParams(1.0, lam)
-    with pytest.warns(DegenerateThresholdWarning):
+    with pytest.warns(DegenerateThresholdWarning, match="alpha = 6:"):
         detail = crossing_count_detailed(GRID, tuned, GAUSS, alpha)
     assert detail.degenerate
     assert detail.bracket[0] <= detail.count <= detail.bracket[1]

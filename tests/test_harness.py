@@ -15,7 +15,7 @@ from gapcount import (
     run_theorem2_study,
     run_weyl_study,
 )
-from gapcount.cli import main as cli_main
+from gapcount.cli import build_parser, main as cli_main
 from gapcount.harness import emit_outputs, oracle_lines
 
 WEYL_TEXT = """
@@ -207,20 +207,10 @@ def test_box_study_rows_and_prediction():
         assert row[2] == pytest.approx(beta ** 2 * coeff, rel=1e-12)
 
 
-def test_box_study_workers_match_serial():
-    config = ExperimentConfig.from_text(BOX_TEXT)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        serial = run_box_study(config, workers=1)
-        parallel = run_box_study(config, workers=2)
-    assert serial.rows == parallel.rows
-
-
 def test_box_study_rejects_escaping_box():
     text = BOX_TEXT.replace("box.betas = 2, 4", "box.betas = 2, 9")
-    config = ExperimentConfig.from_text(text)
     with pytest.raises(ConfigError, match="leaves the grid"):
-        run_box_study(config)
+        ExperimentConfig.from_text(text)
 
 
 def test_flow_trace_study():
@@ -450,6 +440,16 @@ def test_cli_weyl_study(tmp_path, capsys):
     assert (tmp_path / "out" / "report.csv").exists()
     assert (tmp_path / "out" / "config.echo").read_text() == WEYL_TEXT
     assert (tmp_path / "out" / "plot.svg").exists()
+    # --workers is hidden and accepts only 1, the value the benchmark passes
+    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "w1"),
+                     "--workers", "1"]) == 0
+    assert (tmp_path / "w1" / "report.csv").read_bytes() == \
+        (tmp_path / "out" / "report.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "w2"),
+                  "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" not in build_parser().format_help()
 
 
 def test_cli_oracle_prints(tmp_path, capsys):
@@ -478,7 +478,7 @@ def test_cli_cap_exceeded_exit_code(tmp_path):
     assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_cli_degenerate_threshold_exit_code(tmp_path):
+def test_cli_degenerate_threshold_exit_code(tmp_path, capsys):
     # pick a coupling whose inverse hits an eigenvalue of the sandwich exactly
     from gapcount import (
         Gaussian,
@@ -496,10 +496,15 @@ def test_cli_degenerate_threshold_exit_code(tmp_path):
     alpha = 1.0 / eig
     text = WEYL_TEXT.replace("alpha.values = 2, 4, 8",
                              f"alpha.values = {alpha:.17g}")
-    cfg = _write(tmp_path, "deg.cfg", text)
-    code = cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == 4
-    assert (tmp_path / "o" / "report.csv").exists()
+    for flow in ("", "study.with_flow = true\n"):
+        cfg = _write(tmp_path, "deg.cfg", text + flow)
+        capsys.readouterr()
+        code = cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert (tmp_path / "o" / "report.csv").exists()
+        named = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("warning:") and f"alpha = {alpha:.17g}" in line]
+        assert len(named) == (2 if flow else 1)  # Birman-Schwinger, then flow
 
 @pytest.mark.parametrize("text,runner,csv", [
     (WEYL_TEXT + "study.with_flow = true\n", run_weyl_study, WEYL_FLOW_CSV),

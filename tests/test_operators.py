@@ -15,12 +15,10 @@ from gapcount import (
     free_operator,
     localized_piece,
     perturbed_operator,
-    random_field,
     resolvent,
     restricted_block,
     zone_masks,
 )
-from gapcount.lattice import SpinorField
 from gapcount.operators import box_mask, check_hermitian
 from gapcount.spectra import power_iteration_norm
 from gapcount.symbol import dirac_symbol, symbol_eigenvalues
@@ -32,7 +30,10 @@ GAUSS = Gaussian(4.0, 1.0)
 
 
 def _rand(grid, seed):
-    return random_field(grid, np.random.default_rng(seed))
+    """Gaussian random spinor field of shape (n, n, 2), a probe vector."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.n_points, grid.n_points, 2)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_free_operator_zero_mode():
@@ -40,7 +41,7 @@ def test_free_operator_zero_mode():
     values = np.zeros((12, 12, 2), dtype=complex)
     values[..., 0] = 1.0
     values[..., 1] = 0.5
-    out = op.apply(SpinorField(values, GRID)).values
+    out = op.apply_array(values)
     # xi = 0 symbol is diag(m, -m)
     assert np.abs(out[..., 0] - 1.0).max() < 1e-12
     assert np.abs(out[..., 1] + 0.5).max() < 1e-12
@@ -58,9 +59,9 @@ def test_free_operator_plane_wave_eigenfields():
         evals, evecs = np.linalg.eigh(dirac_symbol(xi, PARAMS))
         for which in (0, 1):
             spinor = evecs[:, which]
-            field = SpinorField(wave[..., None] * spinor, GRID)
-            out = op.apply(field).values
-            expected = evals[which] * field.values
+            field = wave[..., None] * spinor
+            out = op.apply_array(field)
+            expected = evals[which] * field
             assert np.abs(out - expected).max() < 1e-10 * max(abs(evals[which]), 1.0)
 
 
@@ -69,8 +70,8 @@ def test_free_operator_hermiticity_probes():
     for seed in range(20):
         f = _rand(GRID, seed)
         g = _rand(GRID, 100 + seed)
-        lhs = f.inner(op.apply(g))
-        rhs = np.conj(g.inner(op.apply(f)))
+        lhs = np.vdot(f, op.apply_array(g))
+        rhs = np.conj(np.vdot(g, op.apply_array(f)))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
 
@@ -79,9 +80,9 @@ def test_resolvent_inverts_shifted_operator():
     res = resolvent(GRID, PARAMS)
     for seed in range(50):
         f = _rand(GRID, seed)
-        shifted = op.apply_array(f.values) - PARAMS.gap_point * f.values
+        shifted = op.apply_array(f) - PARAMS.gap_point * f
         back = res.apply_array(shifted)
-        assert np.abs(back - f.values).max() < 1e-10 * np.abs(f.values).max()
+        assert np.abs(back - f).max() < 1e-10 * np.abs(f).max()
 
 
 def test_resolvent_zero_mode_components():
@@ -89,7 +90,7 @@ def test_resolvent_zero_mode_components():
     values = np.zeros((12, 12, 2), dtype=complex)
     values[..., 0] = 2.0
     values[..., 1] = 3.0
-    out = res.apply(SpinorField(values, GRID)).values
+    out = res.apply_array(values)
     assert np.abs(out[..., 0] - 2.0).max() < 1e-12
     assert np.abs(out[..., 1] + 3.0).max() < 1e-12
 
@@ -105,7 +106,7 @@ def test_resolvent_norm_via_power_iteration():
 def test_birman_schwinger_zero_potential():
     op = birman_schwinger(GRID, PARAMS, Gaussian(0.0, 1.0))
     f = _rand(GRID, 0)
-    assert np.abs(op.apply_array(f.values)).max() == 0.0
+    assert np.abs(op.apply_array(f)).max() == 0.0
 
 
 def test_birman_schwinger_hermiticity_and_dense_oracle():
@@ -113,8 +114,8 @@ def test_birman_schwinger_hermiticity_and_dense_oracle():
     for seed in range(10):
         f = _rand(GRID, seed)
         g = _rand(GRID, 50 + seed)
-        lhs = f.inner(op.apply(g))
-        rhs = np.conj(g.inner(op.apply(f)))
+        lhs = np.vdot(f, op.apply_array(g))
+        rhs = np.conj(np.vdot(g, op.apply_array(f)))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
     dense = assemble_dense(op)
     evals, evecs = np.linalg.eigh(dense)
@@ -130,7 +131,7 @@ def test_perturbed_operator_matches_free_at_zero_coupling():
     op0 = perturbed_operator(GRID, PARAMS, GAUSS, 0.0)
     free = free_operator(GRID, PARAMS)
     f = _rand(GRID, 3)
-    assert np.abs(op0.apply_array(f.values) - free.apply_array(f.values)).max() < 1e-14
+    assert np.abs(op0.apply_array(f) - free.apply_array(f)).max() < 1e-14
 
 
 def test_perturbed_quadratic_form_decreasing_in_coupling():
@@ -138,7 +139,7 @@ def test_perturbed_quadratic_form_decreasing_in_coupling():
     values = []
     for t in (0.0, 0.5, 1.0, 2.0):
         op = perturbed_operator(GRID, PARAMS, GAUSS, t)
-        values.append(f.inner(op.apply(f)).real)
+        values.append(np.vdot(f, op.apply_array(f)).real)
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -176,8 +177,8 @@ def test_localized_pieces_sum_to_full_sandwich():
               for i in (1, 2, 3) for j in (1, 2, 3)]
     for seed in range(5):
         f = _rand(GRID, seed)
-        total = sum(p.apply_array(f.values) for p in pieces)
-        expected = full.apply_array(f.values)
+        total = sum(p.apply_array(f) for p in pieces)
+        expected = full.apply_array(f)
         assert np.abs(total - expected).max() < 1e-10 * np.abs(expected).max()
 
 
@@ -202,9 +203,20 @@ def test_cross_piece_is_adjoint_of_its_transpose():
     for seed in range(5):
         f = _rand(GRID, seed)
         g = _rand(GRID, 60 + seed)
-        lhs = f.inner(p12.apply(g))
-        rhs = np.conj(g.inner(p21.apply(f)))
+        lhs = np.vdot(f, p12.apply_array(g))
+        rhs = np.conj(np.vdot(g, p21.apply_array(f)))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+
+def test_zone_blocks_of_birman_schwinger_are_exact_adjoints():
+    # the crossterm study counts the (i, j) block once for rows (i, j) and (j, i)
+    op = birman_schwinger(GRID, PARAMS, PowerDecay(1.0, 2.0))
+    masks = zone_masks(GRID, _loc())
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        block = restricted_block(op, masks[i - 1], masks[j - 1])
+        assert block.size > 0
+        assert np.array_equal(restricted_block(op, masks[j - 1], masks[i - 1]),
+                              block.conj().T)
 
 
 def test_localized_piece_rejects_bad_zone_or_big_radius():
@@ -228,7 +240,7 @@ def test_box_covering_no_node_gives_zero_operator():
     box = BoxSpec(corner=(0.3, 0.3), side=0.4, scale=1.0)
     op = box_localized_resolvent(grid, ModelParams(1.0, 0.0), box)
     f = _rand(grid, 1)
-    assert np.abs(op.apply_array(f.values)).max() == 0.0
+    assert np.abs(op.apply_array(f)).max() == 0.0
 
 
 def test_box_hermiticity_probe():
@@ -238,14 +250,14 @@ def test_box_hermiticity_probe():
     for seed in range(5):
         f = _rand(grid, seed)
         g = _rand(grid, 30 + seed)
-        lhs = f.inner(op.apply(g))
-        rhs = np.conj(g.inner(op.apply(f)))
+        lhs = np.vdot(f, op.apply_array(g))
+        rhs = np.conj(np.vdot(g, op.apply_array(f)))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
 
 def test_box_leaving_grid_rejected():
     grid = build_grid(12, 12.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leaves the grid"):
         box_localized_resolvent(grid, PARAMS, BoxSpec((0.0, 0.0), 1.0, 7.0))
 
 
@@ -310,8 +322,7 @@ def test_spectral_gap_empty_at_zero_coupling():
 def test_quadratic_form_invariant_under_symbol_sign_flip():
     # conjugation by diag(1, -1) commutes with pointwise multipliers, so
     # <f, X f> is unchanged when both off-diagonal symbol signs flip
-    from gapcount.lattice import forward_array, inverse_array
-    from gapcount.operators import _multiplier_on_grid, fourier_multiplier, _sandwich
+    from gapcount.operators import LinearOperatorHandle, _multiplier_on_grid
     from gapcount.operators import sqrt_potential_on_grid
     from gapcount.symbol import resolvent_symbol
 
@@ -320,15 +331,14 @@ def test_quadratic_form_invariant_under_symbol_sign_flip():
     flipped[..., 0, 1] *= -1.0
     flipped[..., 1, 0] *= -1.0
     w = sqrt_potential_on_grid(GRID, GAUSS)
-    x_std = _sandwich(GRID, w, fourier_multiplier(GRID, mult, True), w, True, "")
-    x_flip = _sandwich(GRID, w, fourier_multiplier(GRID, flipped, True), w, True, "")
+    x_std = LinearOperatorHandle(GRID, mult, True, left=w, right=w)
+    x_flip = LinearOperatorHandle(GRID, flipped, True, left=w, right=w)
     for seed in range(5):
         f = _rand(GRID, seed)
-        conj = f.values.copy()
+        conj = f.copy()
         conj[..., 1] *= -1.0
-        a = f.inner(x_std.apply(f))
-        g = SpinorField(conj, GRID)
-        b = g.inner(x_flip.apply(g))
+        a = np.vdot(f, x_std.apply_array(f))
+        b = np.vdot(conj, x_flip.apply_array(conj))
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
 # ---------------------------------------------------------------------------

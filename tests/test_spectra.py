@@ -9,7 +9,6 @@ from gapcount import (
     build_grid,
     birman_schwinger,
     count_above,
-    count_negative_below,
     hermitian_eigenvalues,
     inertia,
     iterative_count_above,
@@ -149,7 +148,7 @@ def test_count_partition_of_dimension():
         ev = np.sort(np.linalg.eigvalsh(_random_hermitian(rng, dim)))[::-1]
         s = float(rng.uniform(0.1, 2.0))
         n_plus = count_above(ev, s)
-        n_minus = count_negative_below(ev, s)
+        n_minus = count_above(-ev, s)
         middle = int(np.count_nonzero(np.abs(ev) <= s * (1 + 1e-12)))
         assert n_plus + n_minus + middle == dim
 
@@ -193,8 +192,8 @@ def test_ky_fan_subadditivity():
         for s1 in grid:
             for s2 in grid:
                 assert count_above(es, s1 + s2) <= count_above(e1, s1) + count_above(e2, s2)
-                assert count_negative_below(es, s1 + s2) <= (
-                    count_negative_below(e1, s1) + count_negative_below(e2, s2)
+                assert count_above(-es, s1 + s2) <= (
+                    count_above(-e1, s1) + count_above(-e2, s2)
                 )
 
 
@@ -358,20 +357,3 @@ def test_count_result_single_and_several_thresholds():
         with pytest.raises(ValueError, match="thresholds"):
             iterative_count_above(op, bad)
 
-
-def test_inertia_at_several_shifts_checks_hermiticity_once(monkeypatch):
-    import gapcount.spectra as spectra
-
-    rng = np.random.default_rng(11)
-    a = _random_hermitian(rng, 40)
-    calls = []
-    check = spectra.check_hermitian
-    monkeypatch.setattr(spectra, "check_hermitian", lambda m: calls.append(1) or check(m))
-    shifts = (-0.5, 0.0, 0.7)
-    results = inertia(a, shifts)
-    assert len(calls) == 1
-    assert isinstance(results, tuple) and len(results) == 3
-    for shift, result in zip(shifts, results):
-        assert result == inertia(a, shift)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        inertia(np.array([[0.0, 1.0], [0.0, 0.0]]), (0.1, 0.2))
