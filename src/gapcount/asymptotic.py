@@ -142,15 +142,21 @@ def j_integral(params: ModelParams, spec: PowerDecay) -> AsymptoticPrediction:
 
     Trapezoid over theta panels (spectrally accurate for the trigonometric
     profile), adaptive Gauss-Kronrod in r on [0, R(theta)] so the
-    positive-part kink sits on the panel boundary.
+    positive-part kink sits on the panel boundary.  A ray depends on theta
+    only through Psi(theta), so each distinct value of Psi is integrated
+    once: a constant profile needs one radial quadrature, not 512.
     """
     if not isinstance(spec, PowerDecay):
         raise TypeError("j_integral requires a PowerDecay spec")
     thetas = np.linspace(0.0, 2.0 * np.pi, _THETA_PANELS, endpoint=False)
     vals = np.empty(_THETA_PANELS)
     errs = np.empty(_THETA_PANELS)
+    rays = {}  # Psi(theta) -> (value, error) of its radial integral
     for k, th in enumerate(thetas):
-        vals[k], errs[k] = _radial_integral(params, spec, th)
+        psi = float(psi_profile(spec, th))
+        if psi not in rays:
+            rays[psi] = _radial_integral(params, spec, th)
+        vals[k], errs[k] = rays[psi]
     dtheta = 2.0 * np.pi / _THETA_PANELS
     full = float(vals.sum()) * dtheta
     half = float(vals[::2].sum()) * 2.0 * dtheta  # nested coarse trapezoid

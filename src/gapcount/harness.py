@@ -10,7 +10,9 @@ spinor component) and the box counts from LDL^H inertia; the crossterm
 counts from singular values of dense zone blocks, one SVD per zone pair.
 Every study runs serially.  A count within 1e-10 of its threshold raises
 DegenerateThresholdWarning, naming the coupling, and flags the report.
-run_meta.txt records which method produced each count and its margin.
+run_meta.txt records which method produced each count and its margin, and
+for the weyl and theorem2 studies the seconds spent in the oracle, the
+Birman-Schwinger count and the flow cross-check.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .config import ConfigError, ExperimentConfig
 from .flow import DEGENERACY_TOL, DegenerateThresholdWarning, crossing_count_detailed
 from .operators import (
     BoxSpec,
+    DenseCapExceededError,
     LocalizationSpec,
     assemble_dense,  # noqa: F401 -- unused; bench/selftest.py checks its traced binding
     birman_schwinger,
@@ -114,8 +117,10 @@ def _bs_counts(config: ExperimentConfig, alphas: list[float]) -> CountResult:
     result = iterative_count_above(op, [1.0 / a for a in alphas], seed=config.seed,
                                    dense_cap=config.dense_cap)
     if not result.conclusive:
-        raise RuntimeError("Birman-Schwinger counts are not certified and the "
-                           "dense fallback is above the cap")
+        raise DenseCapExceededError(
+            f"Birman-Schwinger counts are not certified after {result.columns} "
+            f"Krylov columns, and the dense fallback at dimension {op.dimension} "
+            f"exceeds dense_cap = {config.dense_cap}")
     return result
 
 
@@ -128,7 +133,9 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha,
                     study: str) -> CountingReport:
     t0 = time.time()
     alphas = [float(a) for a in config.alphas]
+    t_bs = time.perf_counter()
     bs = _bs_counts(config, alphas)
+    bs_seconds = time.perf_counter() - t_bs
     # a dense certificate is the distance to the nearest eigenvalue; a Krylov
     # one is at least its 1e-8 floor, so it never marks a threshold degenerate
     degenerate = False
@@ -144,6 +151,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha,
     n_flow: dict[float, int | None] = {a: None for a in alphas}
     flow_meta = {}
     if config.with_flow:
+        t_flow = time.perf_counter()
         residuals = []
         for a in alphas:
             res = crossing_count_detailed(config.grid, config.model, config.potential,
@@ -156,6 +164,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha,
             # each count factors the Schur complement onto one spinor component
             "flow_factor_dim": config.grid.n_points ** 2,
             "inertia_residual_max": _max_residual(residuals),
+            "flow_seconds": time.perf_counter() - t_flow,
         }
     rows = []
     ratios = []
@@ -183,6 +192,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha,
             "seed": config.seed,
             "bs_count_method": bs.method,
             "bs_certificate_min": bs.certificate,
+            "bs_count_seconds": bs_seconds,
             "krylov_columns": bs.columns,
             **flow_meta,
         },
@@ -193,6 +203,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha,
 def run_weyl_study(config: ExperimentConfig) -> CountingReport:
     """First counting law: N(lambda, alpha) against alpha/(4pi) * int V."""
     _require(config, "weyl")
+    t_oracle = time.perf_counter()
     coeff = weyl_coefficient(config.potential)
     # internal identity: the independent phase-space route must agree
     volume = phase_space_volume(config.potential)
@@ -201,7 +212,9 @@ def run_weyl_study(config: ExperimentConfig) -> CountingReport:
             f"weyl coefficient {coeff.value!r} and phase-space volume "
             f"{volume.value!r} disagree beyond tolerance"
         )
+    oracle_seconds = time.perf_counter() - t_oracle
     report = _counting_study(config, lambda a: a * coeff.value, "weyl")
+    report.metadata["oracle_seconds"] = oracle_seconds
     report.metadata["weyl_coefficient"] = coeff.value
     report.metadata["phase_space_volume"] = volume.value
     return report
@@ -211,9 +224,12 @@ def run_theorem2_study(config: ExperimentConfig) -> CountingReport:
     """Second counting law: N against alpha^(2/p) * J(lambda, m)."""
     _require(config, "theorem2")
     assert isinstance(config.potential, PowerDecay)
+    t_oracle = time.perf_counter()
     j = j_integral(config.model, config.potential)
+    oracle_seconds = time.perf_counter() - t_oracle
     p = config.potential.exponent
     report = _counting_study(config, lambda a: a ** (2.0 / p) * j.value, "theorem2")
+    report.metadata["oracle_seconds"] = oracle_seconds
     report.metadata["j_integral"] = j.value
     return report
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,10 @@ def build_grid(n_points: int, box_side: float) -> GridSpec:
 
 def forward_array(values: np.ndarray) -> np.ndarray:
     """Batched unitary DFT on raw arrays of shape (..., n, n, 2)."""
-    return np.fft.fft2(values, axes=(-3, -2), norm="ortho")
+    return scipy.fft.fft2(values, axes=(-3, -2), norm="ortho")
 
 
 def inverse_array(values: np.ndarray) -> np.ndarray:
     """Adjoint (= inverse) of forward_array."""
-    return np.fft.ifft2(values, axes=(-3, -2), norm="ortho")
+    return scipy.fft.ifft2(values, axes=(-3, -2), norm="ortho")
 

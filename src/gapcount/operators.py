@@ -61,8 +61,12 @@ class LinearOperatorHandle:
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         """The operator on an array of shape (..., n, n, 2), by FFT."""
         g = values if self.right is None else values * self.right[..., None]
-        ghat = np.einsum("xyab,...xyb->...xya", self.mult, forward_array(g))
-        out = inverse_array(ghat)
+        ghat = forward_array(g)
+        m = self.mult
+        prod = np.empty_like(ghat)
+        prod[..., 0] = m[..., 0, 0] * ghat[..., 0] + m[..., 0, 1] * ghat[..., 1]
+        prod[..., 1] = m[..., 1, 0] * ghat[..., 0] + m[..., 1, 1] * ghat[..., 1]
+        out = inverse_array(prod)
         if self.left is not None:
             out = out * self.left[..., None]
         if self.diagonal is not None:

@@ -5,11 +5,13 @@ counts as above the threshold s only when it exceeds s * (1 + 1e-12), so
 machine-precision ties resolve deterministically.  Every count carries a
 certificate.  A Birman-Schwinger count comes from one matrix-free block
 Lanczos run for all thresholds (iterative_count_above), certified by the
-straddle of converged Ritz values; when that cannot be certified, the
-dense spectrum gives the counts and the distance to the nearest
-eigenvalue.  A count that needs no eigenvalues comes from the Sylvester
-inertia of an LDL^H factorization (inertia).  The dense spectrum is the
-reference the other two are tested against on small grids.
+straddle of converged Ritz values.  Its basis stays orthogonal through one
+Gram-Schmidt pass per block against the whole basis, repeated only when
+the DGKS criterion finds that pass cancelled too much.  When a count
+cannot be certified, the dense spectrum gives the counts and the distance
+to the nearest eigenvalue.  A count that needs no eigenvalues comes from
+the Sylvester inertia of an LDL^H factorization (inertia).  The dense
+spectrum is the reference the other two are tested against on small grids.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ _INERTIA_PROBES = 5
 _RESIDUAL_CHECK_LIMIT = 3000  # above this, eigenvector residual spot-checks cost
                               # another O(n^3) pass and are skipped
 _CHECK_EVERY = 4  # Krylov blocks between Ritz checks while the basis is small
+_DGKS = 1.0 / np.sqrt(2.0)  # a vector keeping less of its norm through a
+                            # Gram-Schmidt pass is orthogonalized again
 
 
 @dataclass(frozen=True)
@@ -269,14 +273,18 @@ def power_iteration_norm(op: LinearOperatorHandle, iters: int = 200,
 def _column_cap(dim: int, block: int) -> int:
     """Largest Krylov basis before the dense fallback takes over.
 
-    Reorthogonalization costs about 16 dim k^2 flops for k columns and the
-    spaced Ritz checks at most about 50 dim k^2, against roughly 5 dim^3
-    for the dense eigensolve, so a quarter of the dimension keeps an
-    inconclusive run below the dense path (measured at about half of it at
-    dimensions 2048 and 3200).  Every problem gets at least 48 blocks:
-    below dimension 1536 that floor lets an inconclusive run cost up to a
-    few tenths of a second, several times a dense path that is itself that
-    cheap, in exchange for matrix-free counts on small grids.
+    Reorthogonalization costs about 8 dim k^2 flops for k columns (one
+    global Gram-Schmidt pass per block; 16 dim k^2 if every block needed
+    the second) and the spaced Ritz checks at most about 50 dim k^2,
+    against roughly 5 dim^3 for the dense eigensolve, so a quarter of the
+    dimension keeps an inconclusive run below the dense path (measured at
+    about half of it at dimensions 2048 and 3200, with two passes per
+    block).  The cap stays a quarter although one pass made the columns
+    cheaper, because it sets where a run gives up, and so the column counts
+    and certificates that reports record.  Every problem gets at least 48
+    blocks: below dimension 1536 that floor lets an inconclusive run cost
+    up to a few tenths of a second, several times a dense path that is
+    itself that cheap, in exchange for matrix-free counts on small grids.
     """
     return int(min(dim, max(dim // 4, 48 * block)))
 
@@ -317,15 +325,31 @@ def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale, thresholds)
     return verdicts
 
 
+def _orthogonalize(w, q, coefficients):
+    """One classical Gram-Schmidt pass of the rows of w against the rows of q.
+
+    Subtracts from each vector x of w its components Q^H x, in place, and
+    adds them to coefficients (shape rows of q by rows of w).
+    """
+    c = (q @ w.conj().T).conj()  # Q^H x for the block's vectors x
+    w -= c.T @ q
+    coefficients += c
+
+
 def _block_lanczos(op, thresholds, columns, block, seed, certificate_floor):
     """Certified counts for every threshold, or None; and the columns built.
 
     The basis lives in one preallocated array (a row per vector), so each
-    orthogonalization pass against it is a single GEMM.  The projection
-    Q^H A Q is kept in full, which lets the block size shrink: residual
-    directions with singular value at most 1e-13 * ||A|| are dropped
-    (deflation), and a residual with none left means the basis spans an
-    invariant subspace (exhaustion), whose Ritz values are eigenvalues.
+    orthogonalization pass against it is a single GEMM.  A new block A x is
+    first orthogonalized against the previous and the current block (the
+    Lanczos recurrence), then once against the whole basis, and once more
+    only if that pass left some vector less than 1/sqrt(2) of its norm:
+    "twice is enough" (Daniel, Gragg, Kaufman & Stewart, 1976).  Every
+    coefficient goes into the projection Q^H A Q, which is kept in full and
+    lets the block size shrink: residual directions with singular value at
+    most 1e-13 * ||A|| are dropped (deflation), and a residual with none
+    left means the basis spans an invariant subspace (exhaustion), whose
+    Ritz values are eigenvalues.
     """
     dim = op.dimension
     n = op.grid.n_points
@@ -334,7 +358,9 @@ def _block_lanczos(op, thresholds, columns, block, seed, certificate_floor):
     basis = np.empty((columns + block, dim), dtype=complex)
     proj = np.zeros((columns + block, columns + block), dtype=complex)
     basis[:block] = np.linalg.qr(start)[0].T
-    lo, hi = 0, block  # rows of the current block; hi is the basis size
+    # rows prev:lo hold the previous block and lo:hi the current one; hi is
+    # the basis size
+    prev, lo, hi = 0, 0, block
     scale = 0.0  # largest ||A q|| seen, a lower bound on ||A||
     dropped = 0.0  # squared norm of the dropped residual directions
     last = None  # counts of the previous check, None where not settled
@@ -342,11 +368,12 @@ def _block_lanczos(op, thresholds, columns, block, seed, certificate_floor):
     while True:
         w = op.apply_array(basis[lo:hi].reshape(-1, n, n, 2)).reshape(hi - lo, dim)
         scale = max(scale, float(np.linalg.norm(w, axis=1).max()))
+        _orthogonalize(w, basis[prev:hi], proj[prev:hi, lo:hi])  # the recurrence
+        before = np.linalg.norm(w, axis=1)
         q = basis[:hi]
-        for _ in range(2):  # full reorthogonalization, two passes
-            c = (q @ w.conj().T).conj()  # Q^H A x for the block's vectors x
-            w -= c.T @ q
-            proj[:hi, lo:hi] += c
+        _orthogonalize(w, q, proj[:hi, lo:hi])
+        if np.any(np.linalg.norm(w, axis=1) < _DGKS * before):
+            _orthogonalize(w, q, proj[:hi, lo:hi])
         qw, r = np.linalg.qr(w.T)
         u, sv, vh = np.linalg.svd(r)
         keep = sv > 1e-13 * scale
@@ -365,10 +392,12 @@ def _block_lanczos(op, thresholds, columns, block, seed, certificate_floor):
             proj[hi:hi + new.shape[1], lo:hi] = coupling
             basis[hi:hi + new.shape[1]] = new.T
         if exhausted or at_cap or hi >= next_check:
-            # a check costs about 23 k^3 flops against 32 dim k per new
-            # column, so once k^2/(4 dim) columns exceed _CHECK_EVERY blocks
-            # the spacing grows to that: the checks up to k columns then cost
-            # at most about 50 dim k^2 flops
+            # a check costs about 23 k^3 flops, and once k^2/(4 dim) columns
+            # exceed _CHECK_EVERY blocks the spacing grows to that: the
+            # checks up to k columns then cost at most about 50 dim k^2
+            # flops.  The spacing was set against two reorthogonalization
+            # passes (32 dim k per new column; one pass costs 16 dim k) and
+            # is kept, so that each count settles at the same check
             next_check = hi + max(_CHECK_EVERY * block, hi * hi // (4 * dim))
             verdicts = _ritz_verdicts(proj, hi, lo, coupling, dropped, exhausted,
                                       scale, thresholds)
@@ -380,7 +409,7 @@ def _block_lanczos(op, thresholds, columns, block, seed, certificate_floor):
             last = counts
         if exhausted or at_cap:
             break
-        lo, hi = hi, hi + new.shape[1]
+        prev, lo, hi = lo, hi, hi + new.shape[1]
     return None, hi
 
 
@@ -392,14 +421,17 @@ def iterative_count_above(op: LinearOperatorHandle, s,
 
     s is one threshold or a sequence of them; one block Lanczos run with
     full reorthogonalization (Golub & Underwood, 1977) serves them all, and
-    every count and certificate comes from the same Ritz values.  A count
-    is settled when every Ritz value above its threshold has converged,
-    some converged Ritz value (or exhaustion) lies below it, and no
-    unconverged Ritz value could still cross.  It is certified when it is
-    settled with the same value at two consecutive checks (every 4 blocks,
-    spaced wider once the checks would dominate the cost), or once at
-    exhaustion, and its certificate -- the distance from the threshold to
-    the nearest converged Ritz value -- is at least certificate_floor.
+    every count and certificate comes from the same Ritz values.  Each new
+    block takes one Gram-Schmidt pass against the whole basis after the
+    local recurrence, and a second only when the first cancelled more than
+    the DGKS criterion allows (_block_lanczos).  A count is settled when
+    every Ritz value above its threshold has converged, some converged Ritz
+    value (or exhaustion) lies below it, and no unconverged Ritz value
+    could still cross.  It is certified when it is settled with the same
+    value at two consecutive checks (every 4 blocks, spaced wider once the
+    checks would dominate the cost), or once at exhaustion, and its
+    certificate -- the distance from the threshold to the nearest converged
+    Ritz value -- is at least certificate_floor.
 
     When some threshold cannot be certified within max_columns basis
     vectors (default _column_cap), or a converged Ritz value lies within

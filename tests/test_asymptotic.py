@@ -121,6 +121,36 @@ def test_j_integral_scaling_in_constant_profile():
     assert scaled == pytest.approx(c ** 2 * base, rel=1e-8)
 
 
+def test_j_integral_integrates_each_distinct_ray_once(monkeypatch):
+    import gapcount.asymptotic as asymptotic
+
+    params = ModelParams(1.0, 0.1)
+    radial = asymptotic._radial_integral
+    calls = []
+
+    def counting(params, spec, theta):
+        calls.append(theta)
+        return radial(params, spec, theta)
+
+    monkeypatch.setattr(asymptotic, "_radial_integral", counting)
+    j_integral(params, PowerDecay(1.0, 2.0))
+    assert len(calls) == 1
+    # a cos 4theta profile against the loop over every ray, bit for bit
+    monkeypatch.setattr(asymptotic, "_radial_integral", radial)
+    spec = PowerDecay(1.0, 2.0, (0.0, 0.0, 0.0, 0.8))
+    panels = asymptotic._THETA_PANELS
+    thetas = np.linspace(0.0, 2.0 * np.pi, panels, endpoint=False)
+    rays = np.array([radial(params, spec, th) for th in thetas])
+    vals, errs = rays[:, 0], rays[:, 1]
+    dtheta = 2.0 * np.pi / panels
+    full = float(vals.sum()) * dtheta
+    half = float(vals[::2].sum()) * 2.0 * dtheta
+    radial_err = float(errs.sum()) * dtheta
+    pred = j_integral(params, spec)
+    assert pred.value == full / (4.0 * np.pi)
+    assert pred.error == (abs(full - half) + radial_err) / (4.0 * np.pi)
+
+
 def test_j_integral_requires_power_decay():
     with pytest.raises(TypeError):
         j_integral(ModelParams(1.0, 0.0), Gaussian(1.0, 1.0))

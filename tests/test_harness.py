@@ -184,15 +184,31 @@ localization.eps2 = 1.0
 
 
 def test_crossterm_study_adjoint_equality():
+    # the runner copies each (i, j) count into the (j, i) row; the (j, i)
+    # block is counted here on its own
+    from gapcount import (
+        LocalizationSpec,
+        birman_schwinger,
+        count_above,
+        restricted_block,
+        singular_values,
+        zone_masks,
+    )
+
     config = ExperimentConfig.from_text(CROSS_TEXT)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = run_crossterm_study(config)
     assert report.header == ("alpha", "i", "j", "count", "normalized")
     table = {(row[0], row[1], row[2]): row[3] for row in report.rows}
+    op = birman_schwinger(config.grid, config.model, config.potential)
     for a in (2.0, 4.0):
+        loc = LocalizationSpec(config.eps1, config.eps2, a, config.potential.exponent)
+        masks = zone_masks(config.grid, loc)
         for i, j in ((1, 2), (1, 3), (2, 3)):
-            assert table[(a, i, j)] == table[(a, j, i)]
+            block = restricted_block(op, masks[j - 1], masks[i - 1])
+            assert table[(a, j, i)] == count_above(singular_values(block),
+                                                   config.epsilon / a)
 
 
 def test_box_study_rows_and_prediction():
@@ -478,6 +494,24 @@ def test_cli_cap_exceeded_exit_code(tmp_path):
     assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_cli_uncertified_bs_count_is_a_resource_error(tmp_path, capsys, monkeypatch):
+    # a validated config keeps the dense fallback within the cap, so the
+    # inconclusive Krylov run is simulated
+    import gapcount.harness as harness
+    from gapcount.spectra import CountResult
+
+    def inconclusive(op, s, seed=0, dense_cap=None):
+        return CountResult(tuple(s), None, (0.0,) * len(s), "krylov", False, 96)
+
+    monkeypatch.setattr(harness, "iterative_count_above", inconclusive)
+    cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
+    capsys.readouterr()
+    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("resource error:")
+    assert "96 Krylov columns" in err[0] and "dense_cap" in err[0]
+
+
 def test_cli_degenerate_threshold_exit_code(tmp_path, capsys):
     # pick a coupling whose inverse hits an eigenvalue of the sandwich exactly
     from gapcount import (
@@ -521,6 +555,10 @@ def test_run_meta_records_bs_count_method(tmp_path, text, runner, csv):
     assert meta["bs_count_method"] == "krylov"
     assert float(meta["bs_certificate_min"]) >= 1e-8
     assert 0 < int(meta["krylov_columns"]) <= config.grid.dimension
+    timed = {"bs_count_seconds", "oracle_seconds"} | (
+        {"flow_seconds"} if config.with_flow else set())
+    assert {key for key in meta if key.endswith("_seconds")} == timed | {"runtime_seconds"}
+    assert all(float(meta[key]) >= 0.0 for key in timed)
     assert paths["csv"].read_text() == csv
 
 

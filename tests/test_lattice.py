@@ -102,3 +102,14 @@ def test_roundtrip_parseval_and_linearity_on_random_fields():
         direct = a * fwd + b * forward_array(g)
         assert np.abs(lin - direct).max() < 1e-12 * np.abs(direct).max()
 
+
+
+def test_transform_pair_matches_numpy_reference():
+    rng = np.random.default_rng(3)
+    for n in (8, 12, 40):
+        f = rng.standard_normal((3, n, n, 2)) + 1j * rng.standard_normal((3, n, n, 2))
+        scale = np.abs(f).max()
+        fwd = np.fft.fft2(f, axes=(-3, -2), norm="ortho")
+        inv = np.fft.ifft2(f, axes=(-3, -2), norm="ortho")
+        assert np.abs(forward_array(f) - fwd).max() <= 1e-14 * scale
+        assert np.abs(inverse_array(f) - inv).max() <= 1e-14 * scale

@@ -17,7 +17,12 @@ from gapcount import (
     singular_values,
 )
 from gapcount.flow import DEGENERACY_TOL
-from gapcount.operators import assemble_dense, free_operator, potential_on_grid
+from gapcount.operators import (
+    LinearOperatorHandle,
+    assemble_dense,
+    free_operator,
+    potential_on_grid,
+)
 from gapcount.spectra import SpectrumResult, _column_cap
 from gapcount.symbol import symbol_eigenvalues
 
@@ -297,21 +302,66 @@ _GATE_POTENTIALS = {
 
 @pytest.mark.parametrize("n", [12, 16, 24])
 @pytest.mark.parametrize("name", sorted(_GATE_POTENTIALS))
-def test_krylov_counts_match_dense_for_every_coupling(name, n):
+def test_krylov_counts_match_dense_for_every_coupling(monkeypatch, name, n):
     spec, alphas = _GATE_POTENTIALS[name]
     grid = build_grid(n, 12.0)
     op = birman_schwinger(grid, ModelParams(1.0, 0.0), spec)
     ev = np.linalg.eigvalsh(assemble_dense(op))
     thresholds = [1.0 / a for a in alphas]
+    # the Lanczos basis is every block the run applies the operator to
+    applied = []
+    apply_array = LinearOperatorHandle.apply_array
+
+    def recording(self, values):
+        applied.append(values.reshape(len(values), -1).copy())
+        return apply_array(self, values)
+
+    monkeypatch.setattr(LinearOperatorHandle, "apply_array", recording)
     # no column cap: the Krylov run itself is under test, not the fallback
     result = iterative_count_above(op, thresholds, max_columns=op.dimension)
     assert result.conclusive and result.method == "krylov"
+    q = np.concatenate(applied)
+    assert len(q) == result.columns
+    assert np.abs(q.conj() @ q.T - np.eye(len(q))).max() <= 1e-12
     assert result.thresholds == tuple(thresholds)
     assert list(result.counts) == [count_above(ev, s) for s in thresholds]
     assert min(result.certificates) >= 1e-8
     for s, cert in zip(thresholds, result.certificates):
         # the certificate is the distance to an eigenvalue resolved by a Ritz value
         assert cert >= np.abs(ev - s).min() - 1e-10
+
+
+def test_second_gram_schmidt_pass_when_the_first_cancels(monkeypatch):
+    # without the recurrence step, the global pass cancels most of each
+    # block A x, so the DGKS criterion must ask for the second pass
+    import gapcount.spectra as spectra
+
+    spec, alphas = _GATE_POTENTIALS["powerdecay"]
+    op = birman_schwinger(build_grid(12, 12.0), ModelParams(1.0, 0.0), spec)
+    ev = np.linalg.eigvalsh(assemble_dense(op))
+    thresholds = [1.0 / a for a in alphas]
+    passes, applied = [], []  # Gram-Schmidt calls and the vectors, per block
+    apply_array = LinearOperatorHandle.apply_array
+    orthogonalize = spectra._orthogonalize
+
+    def recording(self, values):
+        passes.append(0)
+        applied.append(values.reshape(len(values), -1).copy())
+        return apply_array(self, values)
+
+    def without_recurrence(w, q, coefficients):
+        passes[-1] += 1
+        if passes[-1] > 1:  # the first call of each block is the recurrence
+            orthogonalize(w, q, coefficients)
+
+    monkeypatch.setattr(LinearOperatorHandle, "apply_array", recording)
+    monkeypatch.setattr(spectra, "_orthogonalize", without_recurrence)
+    result = iterative_count_above(op, thresholds, max_columns=op.dimension)
+    assert result.method == "krylov"
+    assert list(result.counts) == [count_above(ev, s) for s in thresholds]
+    assert passes[1:] == [3] * (len(passes) - 1)
+    q = np.concatenate(applied)
+    assert np.abs(q.conj() @ q.T - np.eye(len(q))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("spec", [DiskBump(3.0, 1.5), DiskBump(4.0, 2.0, 0.5)],
