@@ -63,7 +63,6 @@ from .potential import (
 from .spectra import (
     CountResult,
     InertiaResult,
-    SpectrumResult,
     count_above,
     hermitian_eigenvalues,
     inertia,

@@ -61,16 +61,16 @@ def main(argv=None) -> int:
 
     if args.study == "oracle":
         try:
-            for line in oracle_lines(config):
+            lines = oracle_lines(config)
+            for line in lines:
                 print(line)
             if args.out:
                 import pathlib
 
                 out = pathlib.Path(args.out)
                 out.mkdir(parents=True, exist_ok=True)
-                (out / "oracle.txt").write_text(
-                    "\n".join(oracle_lines(config)) + "\n", encoding="utf-8"
-                )
+                (out / "oracle.txt").write_text("\n".join(lines) + "\n",
+                                                encoding="utf-8")
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

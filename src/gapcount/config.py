@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import GridSpec, build_grid
-from .operators import BoxSpec, DenseCapExceededError, check_box_fits
+from .operators import (DENSE_CAP, BoxSpec, DenseCapExceededError, LocalizationSpec,
+                        check_box_fits, check_zones_fit)
 from .potential import DiskBump, Gaussian, PotentialSpec, PowerDecay
 from .symbol import ModelParams
 
@@ -205,7 +206,7 @@ class ExperimentConfig:
             tau=(_get_float(mapping, "box.tau") if "box.tau" in mapping else None),
             t_values=_get_float_list(mapping, "flow.t_values"),
             with_flow=_get_bool(mapping, "study.with_flow", False),
-            dense_cap=_get_int(mapping, "dense_cap", 10_000),
+            dense_cap=_get_int(mapping, "dense_cap", DENSE_CAP),
             seed=seed,
             raw_text=text,
         )
@@ -246,17 +247,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     "crossterm study requires localization.eps1 and .eps2"
                 )
-            if not 0 < self.eps1 < self.eps2:
-                raise ConfigError("need 0 < eps1 < eps2")
             if not self.epsilon > 0:
                 raise ConfigError("localization.epsilon must be positive")
-            p = self.potential.exponent
-            r2 = self.eps2 * float(self.alphas[-1]) ** (1.0 / p)
-            if r2 >= 0.5 * self.grid.box_side:
-                raise ConfigError(
-                    f"outer zone radius {r2:g} at the largest coupling does not "
-                    f"fit the box (needs < {0.5 * self.grid.box_side:g})"
-                )
+            try:
+                # the zones are largest at the largest coupling
+                check_zones_fit(self.grid, LocalizationSpec(
+                    self.eps1, self.eps2, float(self.alphas[-1]),
+                    self.potential.exponent))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if study == "box":
             if self.betas is None or self.tau is None:
                 raise ConfigError("box study requires box.betas and box.tau")

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import GridSpec
-from .operators import (DENSE_CAP, LinearOperatorHandle, assemble_dense,
-                        perturbed_operator, schur_complement)
+from .operators import (DENSE_CAP, assemble_dense, perturbed_operator,
+                        potential_on_grid, schur_complement)
 from .potential import PotentialSpec
 from .spectra import InertiaResult, hermitian_eigenvalues, inertia
 from .symbol import ModelParams, symbol_eigenvalues
@@ -67,6 +67,7 @@ class FlowTrace:
     t_values: np.ndarray
     gap_eigenvalues: list[np.ndarray]
     crossing_count: int
+    degenerate: bool  # the crossing count met a degenerate threshold
 
 
 def _count_below(values: np.ndarray, threshold: float) -> int:
@@ -77,7 +78,7 @@ def _endpoint_spectrum(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
                        t: float, cap: int) -> np.ndarray:
     op = perturbed_operator(grid, params, spec, t)
     dense = assemble_dense(op, cap=cap)
-    return hermitian_eigenvalues(dense).values
+    return hermitian_eigenvalues(dense)
 
 
 def _free_spectrum(grid: GridSpec, params: ModelParams) -> np.ndarray:
@@ -85,14 +86,16 @@ def _free_spectrum(grid: GridSpec, params: ModelParams) -> np.ndarray:
     return symbol_eigenvalues(np.stack([xi1, xi2], axis=-1), params).ravel()
 
 
-def _inertia_at(op: LinearOperatorHandle, shift: float, cap: int) -> InertiaResult:
-    """Inertia of op - shift from its Schur complement onto the first component.
+def _inertia_at(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
+                shift: float, cap: int) -> InertiaResult:
+    """Inertia of free + diag(diagonal) - shift from its Schur complement.
 
     The negative definite second-component block adds n^2 negatives
-    (Haynsworth); zeros and positives are those of the complement.
+    (Haynsworth); zeros and positives are those of the complement onto the
+    first component.
     """
-    s = inertia(schur_complement(op, shift, cap), 0.0)
-    return InertiaResult(op.grid.n_points ** 2 + s.negative, s.zero, s.positive,
+    s = inertia(schur_complement(grid, params, diagonal, shift, cap), 0.0)
+    return InertiaResult(grid.n_points ** 2 + s.negative, s.zero, s.positive,
                          s.residual)
 
 
@@ -117,14 +120,14 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
     if alpha < 0:
         raise ValueError(f"coupling must be nonnegative, got {alpha}")
     lam = params.gap_point
-    op = perturbed_operator(grid, params, spec, alpha)
-    below = _inertia_at(op, lam - DEGENERACY_TOL, cap)
-    above = _inertia_at(op, lam + DEGENERACY_TOL, cap)
+    diagonal = -alpha * potential_on_grid(grid, spec)  # D(alpha) = free - alpha*V
+    below = _inertia_at(grid, params, diagonal, lam - DEGENERACY_TOL, cap)
+    above = _inertia_at(grid, params, diagonal, lam + DEGENERACY_TOL, cap)
     factorizations = [below, above]
     # an eigenvalue in [lam - tol, lam + tol] separates the two counts
     end_degenerate = above.negative + above.zero != below.negative
     if end_degenerate:
-        factorizations.append(_inertia_at(op, lam, cap))
+        factorizations.append(_inertia_at(grid, params, diagonal, lam, cap))
     ev_start = _free_spectrum(grid, params)
     degenerate = bool(
         end_degenerate or np.any(np.abs(ev_start - lam) <= DEGENERACY_TOL)
@@ -164,6 +167,6 @@ def branch_trace(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
         # it rounding puts them
         inside = ev[np.abs(ev) < m - DEGENERACY_TOL]
         gap_lists.append(np.sort(inside))
-    count = crossing_count_detailed(grid, params, spec, float(t_values[-1]), cap).count
+    crossing = crossing_count_detailed(grid, params, spec, float(t_values[-1]), cap)
     return FlowTrace(t_values=t_values, gap_eigenvalues=gap_lists,
-                     crossing_count=count)
+                     crossing_count=crossing.count, degenerate=crossing.degenerate)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .asymptotic import box_coefficient, j_integral, phase_space_volume, weyl_coefficient
 from .config import ConfigError, ExperimentConfig
-from .flow import DEGENERACY_TOL, DegenerateThresholdWarning, crossing_count_detailed
+from .flow import (DEGENERACY_TOL, DegenerateThresholdWarning, branch_trace,
+                   crossing_count_detailed)
 from .operators import (
     BoxSpec,
     DenseCapExceededError,
@@ -129,6 +130,17 @@ def _max_residual(residuals) -> float:
     return float(np.fmax.reduce([float("nan"), *residuals]))
 
 
+def _warn_unless_monotone(study: str, ratios: list) -> None:
+    """NonMonotoneRatioWarning if |ratio - 1| grows anywhere along the sequence."""
+    if len(ratios) >= 2 and np.any(np.diff(np.abs(np.asarray(ratios) - 1.0)) > 0):
+        warnings.warn(
+            f"{study} ratio sequence is not monotone toward 1: "
+            f"{[float(r) for r in ratios]}",
+            NonMonotoneRatioWarning,
+            stacklevel=3,
+        )
+
+
 def _counting_study(config: ExperimentConfig, prediction_of_alpha,
                     study: str) -> CountingReport:
     t0 = time.time()
@@ -174,14 +186,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha,
         if ratio is not None:
             ratios.append(ratio)
         rows.append((a, n_bs, n_flow[a], pred, ratio))
-    if len(ratios) >= 2:
-        gaps = np.abs(np.asarray(ratios) - 1.0)
-        if np.any(np.diff(gaps) > 0):
-            warnings.warn(
-                f"{study} ratio sequence is not monotone toward 1: {ratios}",
-                NonMonotoneRatioWarning,
-                stacklevel=3,
-            )
+    _warn_unless_monotone(study, ratios)
     return CountingReport(
         study=study,
         header=("alpha", "n_bs", "n_flow", "prediction", "ratio"),
@@ -323,12 +328,7 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
         if ratio is not None:
             ratios.append(ratio)
         rows.append((box.scale, count, pred, ratio))
-    if len(ratios) >= 2 and np.any(np.diff(np.abs(np.asarray(ratios) - 1.0)) > 0):
-        warnings.warn(
-            f"box ratio sequence is not monotone toward 1: {ratios}",
-            NonMonotoneRatioWarning,
-            stacklevel=2,
-        )
+    _warn_unless_monotone("box", ratios)
     return CountingReport(
         study="box",
         header=("beta", "count", "prediction", "ratio"),
@@ -349,8 +349,6 @@ def run_flow_trace_study(config: ExperimentConfig) -> CountingReport:
     """Gap eigenvalues along the coupling grid, one row per (t, branch)."""
     _require(config, "flow-trace")
     t0 = time.time()
-    from .flow import branch_trace  # local import avoids a cycle at module load
-
     trace = branch_trace(config.grid, config.model, config.potential,
                          np.asarray(config.t_values), cap=config.dense_cap)
     rows = []
@@ -366,6 +364,7 @@ def run_flow_trace_study(config: ExperimentConfig) -> CountingReport:
             "runtime_seconds": time.time() - t0,
             "seed": config.seed,
         },
+        degenerate=trace.degenerate,
     )
 
 

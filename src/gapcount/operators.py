@@ -177,6 +177,15 @@ def zone_masks(grid: GridSpec, loc: LocalizationSpec) -> tuple[np.ndarray, ...]:
     return inner, middle, outer
 
 
+def check_zones_fit(grid: GridSpec, loc: LocalizationSpec) -> None:
+    """Raise ValueError unless the outer zone radius r2 stays below L/2."""
+    if loc.r2 >= 0.5 * grid.box_side:
+        raise ValueError(
+            f"outer zone radius {loc.r2:.3g} at coupling {loc.coupling:g} does not "
+            f"fit inside the box (needs r2 < {0.5 * grid.box_side:.3g})"
+        )
+
+
 def localized_piece(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
                     loc: LocalizationSpec, i: int, j: int) -> LinearOperatorHandle:
     """W_i (free - lambda)^{-1} W_j with W_i = (zone-i indicator) * sqrt(V).
@@ -186,11 +195,7 @@ def localized_piece(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
     """
     if i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError(f"zone indices must lie in {{1,2,3}}, got ({i}, {j})")
-    if loc.r2 >= 0.5 * grid.box_side:
-        raise ValueError(
-            f"outer zone radius {loc.r2:.3g} does not fit inside the box "
-            f"(needs r2 < {0.5 * grid.box_side:.3g})"
-        )
+    check_zones_fit(grid, loc)
     masks = zone_masks(grid, loc)
     w = sqrt_potential_on_grid(grid, spec)
     wi = np.where(masks[i - 1], w, 0.0)
@@ -245,7 +250,8 @@ def check_hermitian(matrix: np.ndarray) -> float:
 
     The defect is taken relative to max(max|A_ij|, 1).  Rows are compared
     with the matching columns in strips of about 1 MiB, so the check needs
-    no dense temporary.  Small strips also stay below the allocator's mmap
+    no dense temporary; a strip whose largest entry is nan or infinite
+    raises ValueError, as a non-finite entry would compare as no defect.  Small strips also stay below the allocator's mmap
     threshold, so freeing them leaves no large block cached on the heap.
     """
     a = np.asarray(matrix)
@@ -256,7 +262,10 @@ def check_hermitian(matrix: np.ndarray) -> float:
     scale = 1.0
     for r0 in range(0, a.shape[0], strip):
         rows = a[r0:r0 + strip]
-        scale = max(scale, float(np.abs(rows).max()))
+        top = float(np.abs(rows).max())
+        if not np.isfinite(top):
+            raise ValueError("matrix contains non-finite entries")
+        scale = max(scale, top)
         defect = max(defect, float(np.abs(rows - a[:, r0:r0 + strip].conj().T).max()))
     if defect > HERMITICITY_TOL * scale:
         raise ValueError(
@@ -397,46 +406,41 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray
                         [(_kernel(op), op.left, op.right)], op.diagonal)
 
 
-def schur_complement(op: LinearOperatorHandle, shift: float,
-                     cap: int = DENSE_CAP) -> np.ndarray:
-    """Schur complement of op - shift onto its first spinor component.
+def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
+                     shift: float, cap: int = DENSE_CAP) -> np.ndarray:
+    """Schur complement of free + diag(diagonal) - shift onto the first component.
 
-    op must be a hermitian handle F^*[[p, b], [conj b, q]]F + diagonal with
-    constant p and q and no node weights, as perturbed_operator is
-    (p = m, q = -m, diagonal = -t*V).  In component-block order op - shift
-    is [[P, B], [B^H, Q]], with P = diag(p + diagonal - shift) and
-    Q = diag(q + diagonal - shift) diagonal on the nodes and B = F^* b F.
+    free is the unperturbed operator F^*[[m, b], [conj b, -m]]F of params
+    and diagonal a real node field acting on both spinor components (the
+    flow passes -alpha*V, so that the operator is perturbed_operator at
+    t = alpha).  In component-block order the operator minus shift is
+    [[P, B], [B^H, Q]], with P = diag(m + diagonal - shift) and
+    Q = diag(-m + diagonal - shift) diagonal on the nodes and B = F^* b F.
     Q must be negative definite (ValueError otherwise); then
     S = P - B Q^-1 B^H is an n^2 x n^2 matrix, and by Haynsworth's inertia
-    additivity op - shift has n^2 + negative(S) negative, zero(S) zero and
-    positive(S) positive eigenvalues.
+    additivity the operator minus shift has n^2 + negative(S) negative,
+    zero(S) zero and positive(S) positive eigenvalues.
 
     S is returned in the unitary Fourier basis, rows and columns indexed by
     the flat FFT-order mode k = n*k1 + k2:
     S[k, k'] = d^(k - k') + b(k) w^(k - k') conj(b(k')), where d^ and w^ are
-    fft2 / n^2 of the node fields d = p + diagonal - shift and
-    w = -1 / (q + diagonal - shift), from one batched FFT.  Both kernels are
-    made Hermitian on the kernel (_kernel does the same), so S is exactly
-    Hermitian.  The cap applies to op.dimension, as in assemble_dense, and
-    is checked before anything is allocated.
+    fft2 / n^2 of the node fields d = m + diagonal - shift and
+    w = -1 / (-m + diagonal - shift), from one batched FFT.  Both kernels
+    are made Hermitian on the kernel (_kernel does the same), so S is
+    exactly Hermitian.  The cap applies to grid.dimension, as in
+    assemble_dense, and is checked before anything is allocated.
     """
-    _check_cap(op.dimension, cap)
-    mult = op.mult
-    p, q, b = mult[..., 0, 0], mult[..., 1, 1], mult[..., 0, 1]
-    if not (op.hermitian and op.left is None and op.right is None
-            and np.all(p == p.flat[0]) and np.all(q == q.flat[0])
-            and np.array_equal(mult[..., 1, 0], b.conj())):
-        raise ValueError(f"handle {op.label!r} is not a hermitian multiplier with "
-                         "constant diagonal symbol plus a node diagonal")
-    n = op.grid.n_points
-    v = np.zeros((n, n)) if op.diagonal is None else op.diagonal
-    d = p.flat[0].real + v - shift
-    q_nodes = q.flat[0].real + v - shift
+    _check_cap(grid.dimension, cap)
+    m = params.mass
+    q_nodes = -m + diagonal - shift
     if not q_nodes.max() < 0:
         raise ValueError(
-            f"second-component block of {op.label!r} minus {shift:g} is not "
-            f"negative definite (largest entry {q_nodes.max():.3e})"
+            f"second-component block minus {shift:g} is not negative definite "
+            f"(largest entry {q_nodes.max():.3e})"
         )
+    d = m + diagonal - shift
+    b = _multiplier_on_grid(grid, dirac_symbol, params)[..., 0, 1]
+    n = grid.n_points
     hats = forward_array(np.stack([d, -1.0 / q_nodes], axis=-1)) / n
     terms = []
     for i, left, right in ((0, None, None), (1, b, b.conj())):

@@ -1,17 +1,18 @@
 """Eigenvalue/singular-value computation and the counting functionals.
 
-Counts use strict inequality with a fixed relative tie guard: a value
-counts as above the threshold s only when it exceeds s * (1 + 1e-12), so
-machine-precision ties resolve deterministically.  Every count carries a
-certificate.  A Birman-Schwinger count comes from one matrix-free block
-Lanczos run for all thresholds (iterative_count_above), certified by the
-straddle of converged Ritz values.  Its basis stays orthogonal through one
-Gram-Schmidt pass per block against the whole basis, repeated only when
-the DGKS criterion finds that pass cancelled too much.  When a count
-cannot be certified, the dense spectrum gives the counts and the distance
-to the nearest eigenvalue.  A count that needs no eigenvalues comes from
-the Sylvester inertia of an LDL^H factorization (inertia).  The dense
-spectrum is the reference the other two are tested against on small grids.
+Spectra are plain descending ndarrays.  Counts use strict inequality with
+a fixed relative tie guard: a value counts as above the threshold s only
+when it exceeds s * (1 + 1e-12), so machine-precision ties resolve
+deterministically.  Every count carries a certificate.  A Birman-Schwinger
+count comes from one matrix-free block Lanczos run for all thresholds
+(iterative_count_above), certified by the straddle of converged Ritz
+values.  Its basis stays orthogonal through one Gram-Schmidt pass per
+block against the whole basis, repeated only when the DGKS criterion finds
+that pass cancelled too much.  When a count cannot be certified, the dense
+spectrum gives the counts and the distance to the nearest eigenvalue.  A
+count that needs no eigenvalues comes from the Sylvester inertia of an
+LDL^H factorization (inertia).  The dense spectrum is the reference the
+other two are tested against on small grids.
 """
 
 from __future__ import annotations
@@ -28,25 +29,12 @@ INERTIA_RESIDUAL_TOL = 1e-8
 _INERTIA_PROBES = 5
 _RESIDUAL_CHECK_LIMIT = 3000  # above this, eigenvector residual spot-checks cost
                               # another O(n^3) pass and are skipped
+_BLOCK = 8  # Krylov block size
+_CERTIFICATE_FLOOR = 1e-8  # a converged Ritz value this close to a threshold
+                           # sends every count to the dense path
 _CHECK_EVERY = 4  # Krylov blocks between Ritz checks while the basis is small
 _DGKS = 1.0 / np.sqrt(2.0)  # a vector keeping less of its norm through a
                             # Gram-Schmidt pass is orthogonalized again
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Descending spectrum with provenance and a residual bound."""
-
-    values: np.ndarray
-    kind: str  # "eigenvalues" | "singular"
-    method: str  # "dense" | "dense-novec" | "iterative"
-    residual_bound: float
-
-    def __post_init__(self):
-        if np.any(np.diff(self.values) > 0):
-            raise ValueError("spectrum values must be sorted descending")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("spectrum contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -82,15 +70,11 @@ class CountResult:
     counts: tuple[int, ...] | None
     certificates: tuple[float, ...]
     method: str  # "krylov" | "dense"
-    conclusive: bool
     columns: int
 
     @property
-    def count(self) -> int | None:
-        """The count of a single-threshold result."""
-        if len(self.thresholds) != 1:
-            raise ValueError("a result for several thresholds has counts, not count")
-        return None if self.counts is None else self.counts[0]
+    def conclusive(self) -> bool:
+        return self.counts is not None
 
     @property
     def certificate(self) -> float:
@@ -98,39 +82,33 @@ class CountResult:
         return min(self.certificates)
 
 
-def hermitian_eigenvalues(matrix: np.ndarray,
-                          residual_check: bool | None = None) -> SpectrumResult:
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Full descending spectrum of a Hermitian matrix.
 
-    For dimensions up to 3000 (or when residual_check=True) eigenvectors
-    are computed as well and five spread-out eigenpairs are verified to
-    satisfy ||A v - w v|| <= 1e-8 ||A||; larger problems use the
-    eigenvalue-only LAPACK driver and report the backward-stability bound
-    instead.  A matrix with a nonzero (tolerated) Hermiticity defect is
-    replaced by its symmetrization (A + A^H)/2; an exactly Hermitian one,
-    such as every dense block built by operators, is used as it is.
+    For dimensions up to 3000 eigenvectors are computed as well and five
+    spread-out eigenpairs are verified to satisfy ||A v - w v|| <= 1e-8 ||A||
+    (RuntimeError otherwise); larger problems use the eigenvalue-only LAPACK
+    driver, whose backward stability bounds the error.  A matrix with a
+    nonzero (tolerated) Hermiticity defect is replaced by its
+    symmetrization (A + A^H)/2; an exactly Hermitian one, such as every
+    dense block built by operators, is used as it is.
     """
     a = np.asarray(matrix)
     if check_hermitian(a) != 0.0:
         a = 0.5 * (a + a.conj().T)
     dim = a.shape[0]
-    if residual_check is None:
-        residual_check = dim <= _RESIDUAL_CHECK_LIMIT
+    if dim > _RESIDUAL_CHECK_LIMIT:
+        return np.linalg.eigvalsh(a)[::-1].copy()
+    w, v = np.linalg.eigh(a)
+    idx = np.unique(np.linspace(0, dim - 1, 5).astype(int))
+    resid = float(np.linalg.norm(a @ v[:, idx] - v[:, idx] * w[idx], axis=0).max())
     norm_est = float(np.linalg.norm(a, ord="fro")) or 1.0
-    if residual_check:
-        w, v = np.linalg.eigh(a)
-        idx = np.unique(np.linspace(0, dim - 1, 5).astype(int))
-        resid = np.linalg.norm(a @ v[:, idx] - v[:, idx] * w[idx], axis=0)
-        bound = float(resid.max())
-        if bound > 1e-8 * norm_est:
-            raise RuntimeError(
-                f"eigenpair residual {bound:.3e} exceeds 1e-8 * ||A|| = "
-                f"{1e-8 * norm_est:.3e}"
-            )
-        return SpectrumResult(w[::-1].copy(), "eigenvalues", "dense", bound)
-    w = np.linalg.eigvalsh(a)
-    bound = float(np.finfo(float).eps * dim * norm_est)
-    return SpectrumResult(w[::-1].copy(), "eigenvalues", "dense-novec", bound)
+    if resid > 1e-8 * norm_est:
+        raise RuntimeError(
+            f"eigenpair residual {resid:.3e} exceeds 1e-8 * ||A|| = "
+            f"{1e-8 * norm_est:.3e}"
+        )
+    return w[::-1].copy()
 
 
 def _pivot_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, int, int]:
@@ -210,22 +188,19 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
     return InertiaResult(negative, zero, positive, residual)
 
 
-def singular_values(matrix: np.ndarray) -> SpectrumResult:
+def singular_values(matrix: np.ndarray) -> np.ndarray:
     """Descending singular values; their squares are eigenvalues of A*A."""
     a = np.asarray(matrix)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    s = np.linalg.svd(a, compute_uv=False)
-    bound = float(np.finfo(float).eps * max(a.shape) * (s[0] if len(s) else 0.0))
-    return SpectrumResult(np.sort(s)[::-1], "singular", "dense", bound)
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def count_above(values, s: float) -> int:
     """#{k : values_k > s}, strict, with the 1e-12 relative tie guard."""
     if not s > 0:
         raise ValueError(f"threshold must be positive, got {s}")
-    v = values.values if isinstance(values, SpectrumResult) else np.asarray(values)
-    return int(np.count_nonzero(v > s * (1.0 + TIE_GUARD)))
+    return int(np.count_nonzero(np.asarray(values) > s * (1.0 + TIE_GUARD)))
 
 
 def sigma_p_seminorm(singular_vals, p: float) -> float:
@@ -236,8 +211,7 @@ def sigma_p_seminorm(singular_vals, p: float) -> float:
     """
     if not p > 0:
         raise ValueError(f"exponent must be positive, got {p}")
-    v = singular_vals.values if isinstance(singular_vals, SpectrumResult) \
-        else np.asarray(singular_vals, dtype=float)
+    v = np.asarray(singular_vals, dtype=float)
     if len(v) == 0 or v[0] == 0.0:
         return 0.0
     k = np.arange(1, len(v) + 1)
@@ -336,7 +310,7 @@ def _orthogonalize(w, q, coefficients):
     coefficients += c
 
 
-def _block_lanczos(op, thresholds, columns, block, seed, certificate_floor):
+def _block_lanczos(op, thresholds, columns, block, seed):
     """Certified counts for every threshold, or None; and the columns built.
 
     The basis lives in one preallocated array (a row per vector), so each
@@ -401,7 +375,7 @@ def _block_lanczos(op, thresholds, columns, block, seed, certificate_floor):
             next_check = hi + max(_CHECK_EVERY * block, hi * hi // (4 * dim))
             verdicts = _ritz_verdicts(proj, hi, lo, coupling, dropped, exhausted,
                                       scale, thresholds)
-            if any(v is not None and v[1] < certificate_floor for v in verdicts):
+            if any(v is not None and v[1] < _CERTIFICATE_FLOOR for v in verdicts):
                 break  # an eigenvalue sits within the floor of a threshold
             counts = [None if v is None else v[0] for v in verdicts]
             if None not in counts and (exhausted or counts == last):
@@ -413,55 +387,51 @@ def _block_lanczos(op, thresholds, columns, block, seed, certificate_floor):
     return None, hi
 
 
-def iterative_count_above(op: LinearOperatorHandle, s,
-                          max_columns: int | None = None, block_size: int = 8,
-                          seed: int = 0, certificate_floor: float = 1e-8,
+def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
                           dense_cap: int = DENSE_CAP) -> CountResult:
-    """Count eigenvalues of a Hermitian handle above each threshold in s.
+    """Count eigenvalues of a Hermitian handle above each of the thresholds.
 
-    s is one threshold or a sequence of them; one block Lanczos run with
-    full reorthogonalization (Golub & Underwood, 1977) serves them all, and
-    every count and certificate comes from the same Ritz values.  Each new
-    block takes one Gram-Schmidt pass against the whole basis after the
-    local recurrence, and a second only when the first cancelled more than
-    the DGKS criterion allows (_block_lanczos).  A count is settled when
-    every Ritz value above its threshold has converged, some converged Ritz
-    value (or exhaustion) lies below it, and no unconverged Ritz value
-    could still cross.  It is certified when it is settled with the same
-    value at two consecutive checks (every 4 blocks, spaced wider once the
-    checks would dominate the cost), or once at exhaustion, and its
-    certificate -- the distance from the threshold to the nearest converged
-    Ritz value -- is at least certificate_floor.
+    thresholds is a sequence of positive numbers; one block Lanczos run
+    with full reorthogonalization (Golub & Underwood, 1977) and blocks of
+    _BLOCK vectors serves them all, and every count and certificate comes
+    from the same Ritz values.  Each new block takes one Gram-Schmidt pass
+    against the whole basis after the local recurrence, and a second only
+    when the first cancelled more than the DGKS criterion allows
+    (_block_lanczos).  A count is settled when every Ritz value above its
+    threshold has converged, some converged Ritz value (or exhaustion) lies
+    below it, and no unconverged Ritz value could still cross.  It is
+    certified when it is settled with the same value at two consecutive
+    checks (every 4 blocks, spaced wider once the checks would dominate the
+    cost), or once at exhaustion, and its certificate -- the distance from
+    the threshold to the nearest converged Ritz value -- is at least
+    _CERTIFICATE_FLOOR.
 
-    When some threshold cannot be certified within max_columns basis
-    vectors (default _column_cap), or a converged Ritz value lies within
-    the floor of it, every count comes from the dense spectrum instead,
-    with certificate min |eigenvalue - s|, provided the dimension is within
-    dense_cap; otherwise the result says inconclusive rather than guessing.
+    When some threshold cannot be certified within _column_cap basis
+    vectors, or a converged Ritz value lies within the floor of it, every
+    count comes from the dense spectrum instead, with certificate
+    min |eigenvalue - s|, provided the dimension is within dense_cap;
+    otherwise the result says inconclusive rather than guessing.
 
-    Eigenvalue multiplicities above block_size are invisible to the Krylov
+    Eigenvalue multiplicities above _BLOCK are invisible to the Krylov
     subspace; use the dense path when exact multiplicity counts matter.
     """
-    values = np.atleast_1d(np.asarray(s, dtype=float))
+    values = np.asarray(thresholds, dtype=float)
     if values.ndim != 1 or len(values) == 0 or not np.all(values > 0):
-        raise ValueError(f"thresholds must be positive, got {s}")
+        raise ValueError(f"thresholds must be a sequence of positive numbers, "
+                         f"got {thresholds}")
     thresholds = tuple(float(x) for x in values)
     if not op.hermitian:
         raise ValueError("iterative_count_above expects a hermitian handle")
     dim = op.dimension
-    block = int(min(block_size, dim))
-    columns = _column_cap(dim, block) if max_columns is None else int(max_columns)
-    columns = min(dim, max(columns, block))
-    found, built = _block_lanczos(op, thresholds, columns, block, seed,
-                                  certificate_floor)
+    block = min(_BLOCK, dim)
+    found, built = _block_lanczos(op, thresholds, _column_cap(dim, block), block,
+                                  seed)
     if found is not None:
-        return CountResult(thresholds, *found, "krylov", True, built)
+        return CountResult(thresholds, *found, "krylov", built)
     if dim > dense_cap:
         return CountResult(thresholds, None, (0.0,) * len(thresholds), "krylov",
-                           False, built)
-    spectrum = hermitian_eigenvalues(assemble_dense(op, cap=dense_cap),
-                                     residual_check=False)
+                           built)
+    spectrum = hermitian_eigenvalues(assemble_dense(op, cap=dense_cap))
     counts = tuple(count_above(spectrum, x) for x in thresholds)
-    certificates = tuple(float(np.abs(spectrum.values - x).min())
-                         for x in thresholds)
-    return CountResult(thresholds, counts, certificates, "dense", True, built)
+    certificates = tuple(float(np.abs(spectrum - x).min()) for x in thresholds)
+    return CountResult(thresholds, counts, certificates, "dense", built)

@@ -89,7 +89,7 @@ def test_crossing_count_matches_dense_endpoint_spectra(name, lam, n):
 @pytest.mark.parametrize("lam", [0.0, 0.3, -0.6])
 def test_free_counts_from_symbol_match_dense(lam):
     params = ModelParams(1.0, lam)
-    dense_ev = hermitian_eigenvalues(assemble_dense(free_operator(GRID, params))).values
+    dense_ev = hermitian_eigenvalues(assemble_dense(free_operator(GRID, params)))
     symbol_ev = _free_spectrum(GRID, params)
     for x in (lam - DEGENERACY_TOL, lam, lam + DEGENERACY_TOL):
         expected = int(np.count_nonzero(dense_ev < x))
@@ -105,7 +105,7 @@ def test_degenerate_threshold_flagged_and_bracketed():
     params = ModelParams(1.0, 0.0)
     alpha = 6.0
     dense = assemble_dense(perturbed_operator(GRID, params, GAUSS, alpha))
-    eigs = hermitian_eigenvalues(dense).values
+    eigs = hermitian_eigenvalues(dense)
     gap_eigs = eigs[(np.abs(eigs) < 1.0)]
     assert len(gap_eigs) > 0
     lam = float(gap_eigs[0]) + 3e-11  # within the 1e-10 collision tolerance
@@ -144,7 +144,7 @@ def test_full_spectrum_weyl_monotonicity():
     spectra = []
     for t in (0.0, 1.0, 2.0, 4.0):
         dense = assemble_dense(perturbed_operator(GRID, params, GAUSS, t))
-        spectra.append(np.sort(hermitian_eigenvalues(dense).values))
+        spectra.append(np.sort(hermitian_eigenvalues(dense)))
     for a, b in zip(spectra, spectra[1:]):
         assert np.all(b <= a + 1e-10)
 
@@ -223,10 +223,11 @@ def _dense_schur_in_fourier_basis(op, shift):
 @pytest.mark.parametrize("lam", [-0.9, 0.3])
 @pytest.mark.parametrize("name", sorted(FLOW_POTENTIALS))
 def test_schur_complement_matches_dense_schur_complement(name, lam, n):
-    op = perturbed_operator(build_grid(n, 12.0), ModelParams(1.0, lam),
-                            FLOW_POTENTIALS[name], 3.0)
+    grid = build_grid(n, 12.0)
+    params = ModelParams(1.0, lam)
+    op = perturbed_operator(grid, params, FLOW_POTENTIALS[name], 3.0)
     shift = lam + DEGENERACY_TOL
-    schur = schur_complement(op, shift)
+    schur = schur_complement(grid, params, op.diagonal, shift)
     reference = _dense_schur_in_fourier_basis(op, shift)
     assert schur.shape == (n * n, n * n)
     assert np.abs(schur - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -239,15 +240,15 @@ def test_schur_complement_matches_dense_schur_complement(name, lam, n):
 def test_schur_inertia_matches_full_inertia_and_spectrum(name, lam, n):
     # at lam = -0.9 the weight 1/(m + s + alpha V) reaches 10 and |S| is largest
     grid = build_grid(n, 12.0)
+    params = ModelParams(1.0, lam)
     half = n * n
     for alpha in (1.0, 3.0, 8.0):
-        op = perturbed_operator(grid, ModelParams(1.0, lam), FLOW_POTENTIALS[name],
-                                alpha)
+        op = perturbed_operator(grid, params, FLOW_POTENTIALS[name], alpha)
         dense = assemble_dense(op)
         ev = np.linalg.eigvalsh(dense)
         for shift in (lam - DEGENERACY_TOL, lam + DEGENERACY_TOL):
             assert np.abs(ev - shift).min() > 1e-6
-            part = inertia(schur_complement(op, shift), 0.0)
+            part = inertia(schur_complement(grid, params, op.diagonal, shift), 0.0)
             full = inertia(dense, shift)
             counts = (half + part.negative, part.zero, part.positive)
             assert counts == (full.negative, full.zero, full.positive)
@@ -261,9 +262,7 @@ def test_schur_complement_rejects_what_it_cannot_reduce():
     op = perturbed_operator(GRID, params, GAUSS, 2.0)
     # at s <= -m the second-component block is no longer negative definite
     with pytest.raises(ValueError, match="not negative definite"):
-        schur_complement(op, -1.0)
-    with pytest.raises(ValueError, match="constant diagonal symbol"):
-        schur_complement(birman_schwinger(GRID, params, GAUSS), 0.0)
+        schur_complement(GRID, params, op.diagonal, -1.0)
 
 
 def test_crossing_count_checks_the_cap_before_any_dense_work(monkeypatch):

@@ -476,6 +476,19 @@ def test_cli_oracle_prints(tmp_path, capsys):
     assert "weyl_coefficient" in out
 
 
+def test_cli_oracle_computes_its_lines_once(tmp_path, capsys, monkeypatch):
+    import gapcount.cli as cli
+
+    calls = []
+    lines = cli.oracle_lines
+    monkeypatch.setattr(cli, "oracle_lines", lambda config: calls.append(1) or lines(config))
+    cfg = _write(tmp_path, "o.cfg", WEYL_TEXT.replace("study = weyl", "study = oracle"))
+    capsys.readouterr()
+    assert cli_main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "o" / "oracle.txt").read_text() == capsys.readouterr().out
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "study = weyl\n")
     assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -501,7 +514,7 @@ def test_cli_uncertified_bs_count_is_a_resource_error(tmp_path, capsys, monkeypa
     from gapcount.spectra import CountResult
 
     def inconclusive(op, s, seed=0, dense_cap=None):
-        return CountResult(tuple(s), None, (0.0,) * len(s), "krylov", False, 96)
+        return CountResult(tuple(s), None, (0.0,) * len(s), "krylov", 96)
 
     monkeypatch.setattr(harness, "iterative_count_above", inconclusive)
     cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
@@ -526,7 +539,7 @@ def test_cli_degenerate_threshold_exit_code(tmp_path, capsys):
     grid = build_grid(12, 12.0)
     params = ModelParams(1.0, 0.0)
     dense = assemble_dense(birman_schwinger(grid, params, Gaussian(4.0, 1.0)))
-    eig = hermitian_eigenvalues(dense).values[2]
+    eig = hermitian_eigenvalues(dense)[2]
     alpha = 1.0 / eig
     text = WEYL_TEXT.replace("alpha.values = 2, 4, 8",
                              f"alpha.values = {alpha:.17g}")
@@ -539,6 +552,35 @@ def test_cli_degenerate_threshold_exit_code(tmp_path, capsys):
         named = [line for line in capsys.readouterr().err.splitlines()
                  if line.startswith("warning:") and f"alpha = {alpha:.17g}" in line]
         assert len(named) == (2 if flow else 1)  # Birman-Schwinger, then flow
+
+
+def test_cli_degenerate_flow_trace_exit_code(tmp_path, capsys):
+    # the last coupling puts the third Birman-Schwinger eigenvalue on the gap point
+    from gapcount import Gaussian, ModelParams, birman_schwinger, build_grid, \
+        hermitian_eigenvalues
+    from gapcount.operators import assemble_dense
+
+    grid = build_grid(12, 12.0)
+    dense = assemble_dense(birman_schwinger(grid, ModelParams(1.0, 0.0),
+                                            Gaussian(4.0, 1.0)))
+    alpha = 1.0 / hermitian_eigenvalues(dense)[2]
+    text = WEYL_TEXT.replace("study = weyl", "study = flow-trace").replace(
+        "alpha.values = 2, 4, 8", f"flow.t_values = 0, 1, {alpha:.17g}")
+    cfg = _write(tmp_path, "deg.cfg", text)
+    capsys.readouterr()
+    assert cli_main(["flow-trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert (tmp_path / "o" / "report.csv").exists()
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning:")]
+    assert len(warned) == 1 and f"alpha = {alpha:.17g}" in warned[0]
+
+
+def test_ratio_warning_prints_plain_numbers():
+    config = ExperimentConfig.from_text(WEYL_TEXT)
+    with pytest.warns(UserWarning, match="not monotone") as caught:
+        run_weyl_study(config)
+    text = str(caught[0].message)
+    assert "np.float64" not in text and text.endswith("[0.5, 0.75, 0.625]")
 
 @pytest.mark.parametrize("text,runner,csv", [
     (WEYL_TEXT + "study.with_flow = true\n", run_weyl_study, WEYL_FLOW_CSV),
@@ -606,7 +648,7 @@ def test_degenerate_coupling_counts_densely_and_is_flagged():
 
     config = ExperimentConfig.from_text(WEYL_TEXT)
     dense = assemble_dense(birman_schwinger(config.grid, config.model, config.potential))
-    eig = hermitian_eigenvalues(dense).values[2]
+    eig = hermitian_eigenvalues(dense)[2]
     config = ExperimentConfig.from_text(
         WEYL_TEXT.replace("alpha.values = 2, 4, 8", f"alpha.values = 2, {1.0 / eig:.17g}"))
     with warnings.catch_warnings():

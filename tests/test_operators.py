@@ -226,7 +226,7 @@ def test_localized_piece_rejects_bad_zone_or_big_radius():
     with pytest.raises(ValueError):
         localized_piece(GRID, PARAMS, spec, _loc(), 1, 4)
     big = LocalizationSpec(0.3, 0.8, 40.0, 1.0)  # r2 = 32 > L/2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fit"):
         localized_piece(GRID, PARAMS, spec, big, 1, 2)
 
 

@@ -20,10 +20,11 @@ from gapcount.flow import DEGENERACY_TOL
 from gapcount.operators import (
     LinearOperatorHandle,
     assemble_dense,
+    check_hermitian,
     free_operator,
     potential_on_grid,
 )
-from gapcount.spectra import SpectrumResult, _column_cap
+from gapcount.spectra import _column_cap
 from gapcount.symbol import symbol_eigenvalues
 
 
@@ -37,10 +38,10 @@ def _random_matrix(rng, dim):
 
 
 def test_hermitian_eigenvalues_small_examples():
-    assert hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])).values == pytest.approx(
+    assert hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])) == pytest.approx(
         [3.0, 2.0, 1.0]
     )
-    assert hermitian_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])).values == (
+    assert hermitian_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])) == (
         pytest.approx([1.0, -1.0])
     )
 
@@ -52,12 +53,26 @@ def test_hermitian_eigenvalues_free_operator_multiset():
     result = hermitian_eigenvalues(dense)
     xi1, xi2 = grid.momentum_mesh()
     law = np.sort(symbol_eigenvalues(np.stack([xi1, xi2], axis=-1), params).ravel())
-    assert np.abs(np.sort(result.values) - law).max() < 1e-10
+    assert np.all(np.diff(result) <= 0)
+    assert np.abs(np.sort(result) - law).max() < 1e-10
 
 
 def test_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("check", [check_hermitian, hermitian_eigenvalues,
+                                   lambda a: inertia(a, 0.5)],
+                         ids=["check_hermitian", "hermitian_eigenvalues", "inertia"])
+def test_non_finite_entries_are_rejected(check, bad):
+    # unchecked, a nan entry compares as no Hermiticity defect, and inertia
+    # then counts three eigenvalues of a 4 x 4 matrix
+    a = np.eye(4)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        check(a)
 
 
 # ---------------------------------------------------------------------------
@@ -106,19 +121,19 @@ def test_inertia_rejects_non_hermitian():
 def test_singular_values_of_hermitian_are_absolute_eigenvalues():
     rng = np.random.default_rng(0)
     a = _random_hermitian(rng, 15)
-    sv = singular_values(a).values
+    sv = singular_values(a)
     ev = np.abs(np.linalg.eigvalsh(a))
     assert np.abs(sv - np.sort(ev)[::-1]).max() < 1e-10
 
 
 def test_singular_values_zero_matrix():
-    assert np.all(singular_values(np.zeros((4, 7))).values == 0.0)
+    assert np.all(singular_values(np.zeros((4, 7))) == 0.0)
 
 
 def test_singular_values_square_equals_gram_eigenvalues():
     rng = np.random.default_rng(1)
     a = _random_matrix(rng, 12)
-    sv = singular_values(a).values
+    sv = singular_values(a)
     gram = np.sort(np.linalg.eigvalsh(a.conj().T @ a))[::-1]
     assert np.abs(sv ** 2 - gram).max() < 1e-8 * max(gram.max(), 1.0)
 
@@ -126,7 +141,7 @@ def test_singular_values_square_equals_gram_eigenvalues():
 def test_top_singular_value_matches_power_iteration():
     rng = np.random.default_rng(2)
     a = _random_matrix(rng, 20)
-    s1 = singular_values(a).values[0]
+    s1 = singular_values(a)[0]
     # power iteration on A*A
     v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     v /= np.linalg.norm(v)
@@ -208,9 +223,9 @@ def test_product_rule_for_singular_counts():
         dim = int(rng.integers(4, 40))
         t1 = _random_matrix(rng, dim)
         t2 = _random_matrix(rng, dim)
-        s1v = singular_values(t1).values
-        s2v = singular_values(t2).values
-        s12 = singular_values(t1 @ t2).values
+        s1v = singular_values(t1)
+        s2v = singular_values(t2)
+        s12 = singular_values(t1 @ t2)
         for s1 in (0.5, 1.0, 3.0):
             for s2 in (0.5, 2.0):
                 assert count_above(s12, s1 * s2) <= (
@@ -226,11 +241,11 @@ def test_sigma_class_holder_inequality(p, q):
         dim = int(rng.integers(4, 40))
         t1 = _random_matrix(rng, dim)
         t2 = _random_matrix(rng, dim)
-        lhs = sigma_p_seminorm(singular_values(t1 @ t2).values, r)
+        lhs = sigma_p_seminorm(singular_values(t1 @ t2), r)
         rhs = (
             2.0 ** (1.0 / r)
-            * sigma_p_seminorm(singular_values(t1).values, p)
-            * sigma_p_seminorm(singular_values(t2).values, q)
+            * sigma_p_seminorm(singular_values(t1), p)
+            * sigma_p_seminorm(singular_values(t2), q)
         )
         assert lhs <= rhs * (1.0 + 1e-12)
 
@@ -257,18 +272,18 @@ def test_iterative_count_matches_dense_on_real_operator():
     for alpha in (2.0, 5.0, 11.0):
         s = 1.0 / alpha
         expected = count_above(spectrum, s)
-        result = iterative_count_above(op, s, seed=1)
+        result = iterative_count_above(op, [s], seed=1)
         assert result.conclusive
-        assert result.count == expected
+        assert result.counts == (expected,)
         assert result.certificate > 0
 
 
 def test_iterative_count_zero_operator():
     grid = build_grid(8, 4.0)
     op = birman_schwinger(grid, ModelParams(1.0, 0.0), Gaussian(0.0, 1.0))
-    result = iterative_count_above(op, 0.5)
+    result = iterative_count_above(op, [0.5])
     assert result.conclusive
-    assert result.count == 0
+    assert result.counts == (0,)
 
 
 def test_iterative_count_above_norm_is_zero():
@@ -276,14 +291,9 @@ def test_iterative_count_above_norm_is_zero():
     params = ModelParams(1.0, 0.0)
     op = birman_schwinger(grid, params, Gaussian(4.0, 1.0))
     bound = power_iteration_norm(op, iters=300)
-    result = iterative_count_above(op, bound * 1.5)
+    result = iterative_count_above(op, [bound * 1.5])
     assert result.conclusive
-    assert result.count == 0
-
-
-def test_spectrum_result_validation():
-    with pytest.raises(ValueError):
-        SpectrumResult(np.array([1.0, 2.0]), "eigenvalues", "dense", 0.0)
+    assert result.counts == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +313,8 @@ _GATE_POTENTIALS = {
 @pytest.mark.parametrize("n", [12, 16, 24])
 @pytest.mark.parametrize("name", sorted(_GATE_POTENTIALS))
 def test_krylov_counts_match_dense_for_every_coupling(monkeypatch, name, n):
+    import gapcount.spectra as spectra
+
     spec, alphas = _GATE_POTENTIALS[name]
     grid = build_grid(n, 12.0)
     op = birman_schwinger(grid, ModelParams(1.0, 0.0), spec)
@@ -318,7 +330,8 @@ def test_krylov_counts_match_dense_for_every_coupling(monkeypatch, name, n):
 
     monkeypatch.setattr(LinearOperatorHandle, "apply_array", recording)
     # no column cap: the Krylov run itself is under test, not the fallback
-    result = iterative_count_above(op, thresholds, max_columns=op.dimension)
+    monkeypatch.setattr(spectra, "_column_cap", lambda dim, block: dim)
+    result = iterative_count_above(op, thresholds)
     assert result.conclusive and result.method == "krylov"
     q = np.concatenate(applied)
     assert len(q) == result.columns
@@ -356,7 +369,8 @@ def test_second_gram_schmidt_pass_when_the_first_cancels(monkeypatch):
 
     monkeypatch.setattr(LinearOperatorHandle, "apply_array", recording)
     monkeypatch.setattr(spectra, "_orthogonalize", without_recurrence)
-    result = iterative_count_above(op, thresholds, max_columns=op.dimension)
+    monkeypatch.setattr(spectra, "_column_cap", lambda dim, block: dim)
+    result = iterative_count_above(op, thresholds)
     assert result.method == "krylov"
     assert list(result.counts) == [count_above(ev, s) for s in thresholds]
     assert passes[1:] == [3] * (len(passes) - 1)
@@ -383,7 +397,7 @@ def test_rank_deficient_operator_certifies_by_exhaustion(spec):
 def test_threshold_on_an_eigenvalue_falls_back_to_dense():
     grid = build_grid(12, 12.0)
     op = birman_schwinger(grid, ModelParams(1.0, 0.0), Gaussian(4.0, 1.0))
-    ev = hermitian_eigenvalues(assemble_dense(op)).values
+    ev = hermitian_eigenvalues(assemble_dense(op))
     thresholds = [0.5, float(ev[2]), 0.1]
     result = iterative_count_above(op, thresholds)
     assert result.method == "dense" and result.conclusive
@@ -399,11 +413,9 @@ def test_count_result_single_and_several_thresholds():
     op = birman_schwinger(grid, ModelParams(1.0, 0.0), Gaussian(4.0, 1.0))
     several = iterative_count_above(op, [0.5, 0.2])
     assert several.certificate == min(several.certificates)
-    with pytest.raises(ValueError, match="several thresholds"):
-        several.count
-    single = iterative_count_above(op, 0.2)
-    assert single.count == several.counts[1]
-    for bad in ([], [0.5, 0.0], [[0.5]]):
+    single = iterative_count_above(op, [0.2])
+    assert single.counts == several.counts[1:]
+    for bad in (0.2, [], [0.5, 0.0], [[0.5]]):
         with pytest.raises(ValueError, match="thresholds"):
             iterative_count_above(op, bad)
 
