@@ -5,11 +5,7 @@ from .asymptotic import (
     AsymptoticPrediction,
     NonIntegrableError,
     box_coefficient,
-    box_symbol_region_area,
-    chi_momentum_integral,
-    g_matrix,
     j_integral,
-    phase_space_count,
     phase_space_volume,
     weyl_coefficient,
 )
@@ -25,7 +21,6 @@ from .harness import (
     CountingReport,
     emit_outputs,
     oracle_lines,
-    parse_report_csv,
     report_csv_text,
     run_box_study,
     run_crossterm_study,
@@ -41,8 +36,6 @@ from .operators import (
     LocalizationSpec,
     assemble_dense,
     birman_schwinger,
-    box_localized_resolvent,
-    free_operator,
     localized_piece,
     perturbed_operator,
     resolvent,
@@ -50,12 +43,9 @@ from .operators import (
     zone_masks,
 )
 from .potential import (
-    BracketDivergenceError,
-    BracketNorm,
     DiskBump,
     Gaussian,
     PowerDecay,
-    bracket_norm,
     eval_potential,
     psi_profile,
     sqrt_potential,
@@ -67,16 +57,11 @@ from .spectra import (
     hermitian_eigenvalues,
     inertia,
     iterative_count_above,
-    power_iteration_norm,
-    sigma_p_seminorm,
     singular_values,
 )
 from .symbol import (
     ModelParams,
-    bounded_factor,
-    bounded_factor_sup,
     dirac_symbol,
-    resolvent_norm_bound,
     resolvent_symbol,
     symbol_eigenvalues,
 )

@@ -167,57 +167,6 @@ def j_integral(params: ModelParams, spec: PowerDecay) -> AsymptoticPrediction:
 
 
 # ---------------------------------------------------------------------------
-# pointwise phase-space objects
-# ---------------------------------------------------------------------------
-
-def g_matrix(x, xi, spec: PotentialSpec) -> np.ndarray:
-    """The traceless limit matrix with eigenvalues +-V(x)|xi|^{-2}."""
-    xi = np.asarray(xi, dtype=float)
-    x1, x2 = xi[..., 0], xi[..., 1]
-    norm2 = x1 ** 2 + x2 ** 2
-    if np.any(norm2 == 0.0):
-        raise ValueError("g_matrix is undefined at xi = 0")
-    v = eval_potential(spec, x)
-    off = -((x1 - 1j * x2) ** 2)
-    out = np.zeros(np.broadcast(np.asarray(v), x1).shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = v * off / norm2 ** 2
-    out[..., 1, 0] = np.conj(out[..., 0, 1])
-    return out
-
-
-def phase_space_count(x, xi, spec: PotentialSpec):
-    """n_+(1, G(x, xi)) = 1 exactly when V(x) > |xi|^2 (strict)."""
-    xi = np.asarray(xi, dtype=float)
-    norm2 = xi[..., 0] ** 2 + xi[..., 1] ** 2
-    if np.any(norm2 == 0.0):
-        raise ValueError("phase_space_count is undefined at xi = 0")
-    v = eval_potential(spec, x)
-    out = (v > norm2).astype(int)
-    return out if out.ndim else int(out)
-
-
-def chi_momentum_integral(spec: PotentialSpec, x, n_radial: int = 200_000,
-                          n_theta: int = 16) -> float:
-    """Numerical momentum-space integral of the phase-space indicator at x.
-
-    Midpoint polar quadrature of chi_{V(x) > |xi|^2}; the exact value is
-    pi * V(x), which this must reproduce to the midpoint-rule resolution.
-    """
-    v = float(eval_potential(spec, np.asarray(x, dtype=float)))
-    if v <= 0.0:
-        return 0.0
-    rmax = 1.5 * np.sqrt(v)
-    radii = (np.arange(n_radial) + 0.5) * (rmax / n_radial)
-    thetas = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    total = 0.0
-    for th in thetas:
-        xi = np.stack([radii * np.cos(th), radii * np.sin(th)], axis=-1)
-        chi = phase_space_count(x, xi, spec)
-        total += float(np.sum(chi * radii)) * (rmax / n_radial)
-    return total * (2.0 * np.pi / n_theta)
-
-
-# ---------------------------------------------------------------------------
 # box-law coefficient
 # ---------------------------------------------------------------------------
 
@@ -231,28 +180,3 @@ def box_coefficient(tau: float, params: ModelParams, area: float) -> float:
     root = np.sqrt(max(shifted ** 2 - params.mass ** 2, 0.0))
     return float(root * area / (4.0 * np.pi))
 
-
-def box_symbol_region_area(tau: float, params: ModelParams,
-                           n_radial: int = 200_000, n_theta: int = 16) -> float:
-    """Momentum area of {xi : (sqrt(|xi|^4 + m^2) - lambda)^{-1} > tau}.
-
-    Computed by midpoint polar quadrature of the indicator; the closed form
-    is pi * (((1/tau + lambda)+)^2 - m^2)+^{1/2}.
-    """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    m, lam = params.mass, params.gap_point
-    shifted = max(1.0 / tau + lam, 0.0)
-    disc = shifted ** 2 - m ** 2
-    if disc <= 0.0:
-        return 0.0
-    rmax = 1.5 * disc ** 0.25
-    radii = (np.arange(n_radial) + 0.5) * (rmax / n_radial)
-    thetas = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    total = 0.0
-    for th in thetas:
-        xi1 = radii * np.cos(th)
-        xi2 = radii * np.sin(th)
-        inside = 1.0 / (np.sqrt((xi1 ** 2 + xi2 ** 2) ** 2 + m ** 2) - lam) > tau
-        total += float(np.sum(np.where(inside, radii, 0.0))) * (rmax / n_radial)
-    return total * (2.0 * np.pi / n_theta)

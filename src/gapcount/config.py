@@ -216,6 +216,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Study-specific invariants; cheap, runs before any heavy work."""
         study = self.study
+        if self.potential is None and study != "box":
+            raise ConfigError(f"study {study!r} requires potential.kind")
+        if self.tau is not None and not (self.tau > 0 and self.box_side > 0):
+            raise ConfigError("box.tau and box.side must be positive")
         if study in ("weyl", "theorem2", "crossterm"):
             if self.alphas is None:
                 raise ConfigError(f"study {study!r} requires alpha values")
@@ -259,8 +263,6 @@ class ExperimentConfig:
         if study == "box":
             if self.betas is None or self.tau is None:
                 raise ConfigError("box study requires box.betas and box.tau")
-            if not self.tau > 0:
-                raise ConfigError("box.tau must be positive")
             if any(b <= 0 for b in self.betas) or any(
                 b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])
             ):

@@ -83,25 +83,6 @@ def report_csv_text(report: CountingReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-INT_COLUMNS = frozenset({"n_bs", "n_flow", "count", "i", "j", "index"})
-
-
-def parse_report_csv(text: str) -> tuple[tuple[str, ...], list[tuple]]:
-    """Inverse of report_csv_text; numbers parse back exactly.
-
-    Columns in INT_COLUMNS parse as int and every other column as float,
-    so a float written without a fraction ("5" for 5.0) stays a float.
-    """
-    lines = text.strip("\n").split("\n")
-    header = tuple(lines[0].split(","))
-    kinds = [int if name in INT_COLUMNS else float for name in header]
-    rows = []
-    for line in lines[1:]:
-        rows.append(tuple(None if tok == "" else kind(tok)
-                          for kind, tok in zip(kinds, line.split(","))))
-    return header, rows
-
-
 # ---------------------------------------------------------------------------
 # studies
 # ---------------------------------------------------------------------------

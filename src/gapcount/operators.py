@@ -39,17 +39,16 @@ class DenseCapExceededError(RuntimeError):
 class LinearOperatorHandle:
     """The operator left * F^*[mult]F * right + diagonal on spinor fields.
 
-    mult is the per-mode 2x2 multiplier, shape (n, n, 2, 2) in FFT order.
-    left, right and diagonal are optional real node fields of shape (n, n)
-    acting on both spinor components; None stands for the identity (for
-    left and right) and for zero (for diagonal).  hermitian is a promise
-    that dense assembly checks on the convolution kernel (_kernel).
+    mult is the per-mode 2x2 multiplier, shape (n, n, 2, 2) in FFT order;
+    it must be Hermitian mode by mode, which dense assembly checks on the
+    convolution kernel (_kernel).  left, right and diagonal are optional
+    real node fields of shape (n, n) acting on both spinor components; None
+    stands for the identity (for left and right) and for zero (for
+    diagonal).
     """
 
     grid: GridSpec
     mult: np.ndarray
-    hermitian: bool
-    label: str = ""
     left: np.ndarray | None = None
     right: np.ndarray | None = None
     diagonal: np.ndarray | None = None
@@ -57,6 +56,11 @@ class LinearOperatorHandle:
     @property
     def dimension(self) -> int:
         return self.grid.dimension
+
+    @property
+    def hermitian(self) -> bool:
+        """The operator is Hermitian exactly when its node weights are equal."""
+        return _same_weights(self.left, self.right)
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         """The operator on an array of shape (..., n, n, 2), by FFT."""
@@ -127,16 +131,10 @@ def _multiplier_on_grid(grid: GridSpec, symbol_fn, params: ModelParams) -> np.nd
     return symbol_fn(xi, params)
 
 
-def free_operator(grid: GridSpec, params: ModelParams) -> LinearOperatorHandle:
-    """The unperturbed operator, diagonal on the momentum lattice."""
-    mult = _multiplier_on_grid(grid, dirac_symbol, params)
-    return LinearOperatorHandle(grid, mult, True, "free")
-
-
 def resolvent(grid: GridSpec, params: ModelParams) -> LinearOperatorHandle:
     """(free - lambda)^{-1}; requires |lambda| < m (enforced by ModelParams)."""
     mult = _multiplier_on_grid(grid, resolvent_symbol, params)
-    return LinearOperatorHandle(grid, mult, True, "resolvent")
+    return LinearOperatorHandle(grid, mult)
 
 
 def potential_on_grid(grid: GridSpec, spec: PotentialSpec) -> np.ndarray:
@@ -153,8 +151,7 @@ def birman_schwinger(grid: GridSpec, params: ModelParams,
                      spec: PotentialSpec) -> LinearOperatorHandle:
     """W (free - lambda)^{-1} W with W = sqrt(V), pointwise W on the grid."""
     w = sqrt_potential_on_grid(grid, spec)
-    return LinearOperatorHandle(grid, resolvent(grid, params).mult, True,
-                                "birman_schwinger", left=w, right=w)
+    return LinearOperatorHandle(grid, resolvent(grid, params).mult, left=w, right=w)
 
 
 def perturbed_operator(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
@@ -164,8 +161,7 @@ def perturbed_operator(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
         raise ValueError(f"coupling must be nonnegative, got {t}")
     v = potential_on_grid(grid, spec)
     mult = _multiplier_on_grid(grid, dirac_symbol, params)
-    return LinearOperatorHandle(grid, mult, True, f"perturbed(t={t})",
-                                diagonal=-t * v)
+    return LinearOperatorHandle(grid, mult, diagonal=-t * v)
 
 
 def zone_masks(grid: GridSpec, loc: LocalizationSpec) -> tuple[np.ndarray, ...]:
@@ -200,8 +196,7 @@ def localized_piece(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
     w = sqrt_potential_on_grid(grid, spec)
     wi = np.where(masks[i - 1], w, 0.0)
     wj = np.where(masks[j - 1], w, 0.0)
-    return LinearOperatorHandle(grid, resolvent(grid, params).mult, i == j,
-                                f"piece({i},{j})", left=wi, right=wj)
+    return LinearOperatorHandle(grid, resolvent(grid, params).mult, left=wi, right=wj)
 
 
 def box_mask(grid: GridSpec, box: BoxSpec) -> np.ndarray:
@@ -230,15 +225,6 @@ def check_box_fits(grid: GridSpec, box: BoxSpec) -> None:
             f"dilated box at beta={box.scale:g} spans [{lo:g}, {hi:g}] and "
             f"leaves the grid box [-{half:g}, {half:g}) (margin 2 spacings required)"
         )
-
-
-def box_localized_resolvent(grid: GridSpec, params: ModelParams,
-                            box: BoxSpec) -> LinearOperatorHandle:
-    """phi (free - lambda)^{-1} phi with phi the indicator of beta*Q."""
-    check_box_fits(grid, box)
-    phi = box_mask(grid, box).astype(float)
-    return LinearOperatorHandle(grid, resolvent(grid, params).mult, True,
-                                f"box(beta={box.scale})", left=phi, right=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -279,28 +265,24 @@ def _kernel(op: LinearOperatorHandle) -> np.ndarray:
     """Convolution kernel k[d, a, b] of F^*[mult]F, d the flat node offset.
 
     Entry [(x, a), (y, b)] of the multiplier is k_ab(x - y) (offsets taken
-    mod n per axis), computed by one batched inverse FFT over b.  A
-    hermitian handle keeps its promise on the kernel, which holds every
-    distinct entry of the circulant part: k_ab(d) must equal
-    conj(k_ba(-d)) to 1e-9 relative (ValueError otherwise) and the node
-    weights left and right must be equal.  k is then replaced by
-    (k_ab(d) + conj(k_ba(-d))) / 2, so every block gathered from it between
-    equal node sets is exactly Hermitian and needs no O(dim^2) check.
+    mod n per axis), computed by one batched inverse FFT over b.  The
+    multiplier must be Hermitian, which is checked on the kernel, as it
+    holds every distinct entry of the circulant part: k_ab(d) must equal
+    conj(k_ba(-d)) to 1e-9 relative (ValueError otherwise).  k is then
+    replaced by (k_ab(d) + conj(k_ba(-d))) / 2, so every block gathered from
+    it between equal node sets with equal weights is exactly Hermitian and
+    needs no O(dim^2) check.
     """
     n = op.grid.n_points
     k = np.moveaxis(inverse_array(np.moveaxis(op.mult, -1, 0)), 0, -1) / n
-    if op.hermitian:
-        mirror = _mirror(k)
-        defect = float(np.abs(k - mirror).max())
-        if defect > HERMITICITY_TOL * max(float(np.abs(k).max()), 1.0):
-            raise ValueError(
-                f"hermitian handle {op.label!r} has a non-Hermitian multiplier: "
-                f"kernel defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e} relative"
-            )
-        if not _same_weights(op.left, op.right):
-            raise ValueError(f"hermitian handle {op.label!r} has unequal node weights")
-        k = 0.5 * (k + mirror)
-    return k.reshape(n * n, 2, 2)
+    mirror = _mirror(k)
+    defect = float(np.abs(k - mirror).max())
+    if defect > HERMITICITY_TOL * max(float(np.abs(k).max()), 1.0):
+        raise ValueError(
+            f"non-Hermitian multiplier: kernel defect {defect:.3e} exceeds "
+            f"{HERMITICITY_TOL:.0e} relative"
+        )
+    return (0.5 * (k + mirror)).reshape(n * n, 2, 2)
 
 
 def _mirror(k: np.ndarray) -> np.ndarray:
@@ -396,9 +378,9 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray
 
     Entry [(x, a), (y, b)] sits at row 2*(n*x1 + x2) + a and column
     2*(n*y1 + y2) + b (C-order flattening of the (n, n, 2) array).  It is
-    gathered from the convolution kernel (_dense_block), so a hermitian
-    handle, whose promise _kernel checks, gives an exactly Hermitian
-    matrix.  The dimension cap is checked before anything is allocated.
+    gathered from the Hermitian convolution kernel (_kernel, _dense_block),
+    so a handle with equal node weights gives an exactly Hermitian matrix.
+    The dimension cap is checked before anything is allocated.
     """
     _check_cap(op.dimension, cap)
     nodes = np.arange(op.grid.n_points ** 2)

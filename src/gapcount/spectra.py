@@ -58,15 +58,14 @@ class InertiaResult:
 class CountResult:
     """Eigenvalue counts above one or more thresholds, with certificates.
 
-    counts[i] is the number of eigenvalues above thresholds[i] (strict and
-    tie-guarded like count_above); certificates[i] is the distance from
-    thresholds[i] to the nearest eigenvalue the method resolved: a
+    counts[i] is the number of eigenvalues above the i-th threshold (strict
+    and tie-guarded like count_above); certificates[i] is the distance from
+    that threshold to the nearest eigenvalue the method resolved: a
     converged Ritz value ("krylov") or an eigenvalue of the dense spectrum
     ("dense").  An inconclusive result has counts None.  columns is the
     number of Krylov basis vectors built, also before a dense fallback.
     """
 
-    thresholds: tuple[float, ...]
     counts: tuple[int, ...] | None
     certificates: tuple[float, ...]
     method: str  # "krylov" | "dense"
@@ -201,43 +200,6 @@ def count_above(values, s: float) -> int:
     if not s > 0:
         raise ValueError(f"threshold must be positive, got {s}")
     return int(np.count_nonzero(np.asarray(values) > s * (1.0 + TIE_GUARD)))
-
-
-def sigma_p_seminorm(singular_vals, p: float) -> float:
-    """Weak Schatten quasi-norm (sup_s s^p n(s, T))^(1/p).
-
-    For a finite descending list the sup is attained as s increases to a
-    singular value, so it equals (max_k k * s_k^p)^(1/p).
-    """
-    if not p > 0:
-        raise ValueError(f"exponent must be positive, got {p}")
-    v = np.asarray(singular_vals, dtype=float)
-    if len(v) == 0 or v[0] == 0.0:
-        return 0.0
-    k = np.arange(1, len(v) + 1)
-    return float(np.max(k * v ** p) ** (1.0 / p))
-
-
-def power_iteration_norm(op: LinearOperatorHandle, iters: int = 200,
-                         tol: float = 1e-10, seed: int = 0) -> float:
-    """Operator norm of a Hermitian handle by power iteration."""
-    if not op.hermitian:
-        raise ValueError("power_iteration_norm expects a hermitian handle")
-    n = op.grid.n_points
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, n, 2)) + 1j * rng.standard_normal((n, n, 2))
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(iters):
-        w = op.apply_array(v)
-        new = float(np.linalg.norm(w))
-        if new == 0.0:
-            return 0.0
-        v = w / new
-        if abs(new - estimate) <= tol * max(new, 1.0):
-            return new
-        estimate = new
-    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +383,17 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
                          f"got {thresholds}")
     thresholds = tuple(float(x) for x in values)
     if not op.hermitian:
-        raise ValueError("iterative_count_above expects a hermitian handle")
+        raise ValueError("iterative_count_above expects a Hermitian handle "
+                         "(equal node weights)")
     dim = op.dimension
     block = min(_BLOCK, dim)
     found, built = _block_lanczos(op, thresholds, _column_cap(dim, block), block,
                                   seed)
     if found is not None:
-        return CountResult(thresholds, *found, "krylov", built)
+        return CountResult(*found, "krylov", built)
     if dim > dense_cap:
-        return CountResult(thresholds, None, (0.0,) * len(thresholds), "krylov",
-                           built)
+        return CountResult(None, (0.0,) * len(thresholds), "krylov", built)
     spectrum = hermitian_eigenvalues(assemble_dense(op, cap=dense_cap))
     counts = tuple(count_above(spectrum, x) for x in thresholds)
     certificates = tuple(float(np.abs(spectrum - x).min()) for x in thresholds)
-    return CountResult(thresholds, counts, certificates, "dense", built)
+    return CountResult(counts, certificates, "dense", built)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 
 @dataclass(frozen=True)
@@ -90,50 +89,3 @@ def symbol_eigenvalues(xi, params: ModelParams) -> np.ndarray:
     e = np.sqrt(params.mass ** 2 + (x1 ** 2 + x2 ** 2) ** 2)
     return np.stack([-e, e], axis=-1)
 
-
-def bounded_factor(xi, params: ModelParams, weight_exponent: float = 1.0) -> np.ndarray:
-    """(1 + |xi|^2)^w * resolvent symbol, bounded uniformly in xi.
-
-    weight_exponent 1 corresponds to the full weight split as
-    (1+|xi|^2)^{1/2} on each side of the resolvent; 1/2 to a single-sided
-    half weight.  Both give a multiplier with finite sup norm.
-    """
-    if weight_exponent not in (1.0, 0.5):
-        raise ValueError(f"weight_exponent must be 1 or 1/2, got {weight_exponent}")
-    x1, x2 = _split(xi)
-    w = (1.0 + x1 ** 2 + x2 ** 2) ** weight_exponent
-    return w[..., None, None] * resolvent_symbol(xi, params)
-
-
-def resolvent_norm_bound(params: ModelParams) -> float:
-    """Analytic sup over xi of the resolvent symbol norm, 1/(m - |lambda|)."""
-    return 1.0 / params.gap_distance
-
-
-def _resolvent_norm_radial(t: float, params: ModelParams) -> float:
-    # operator norm of the resolvent symbol at |xi|^2 = t
-    return 1.0 / (np.sqrt(params.mass ** 2 + t ** 2) - abs(params.gap_point))
-
-
-def bounded_factor_sup(params: ModelParams, weight_exponent: float = 1.0) -> float:
-    """Analytic sup over xi of the bounded-factor norm.
-
-    The norm depends on xi only through t = |xi|^2, so the sup reduces to a
-    1D maximization of (1+t)^w / (sqrt(m^2+t^2) - |lambda|) over t >= 0.
-    """
-    if weight_exponent not in (1.0, 0.5):
-        raise ValueError(f"weight_exponent must be 1 or 1/2, got {weight_exponent}")
-
-    def neg(t):
-        return -((1.0 + t) ** weight_exponent) * _resolvent_norm_radial(t, params)
-
-    # coarse bracket on a log grid, then local refinement
-    grid = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 1601)])
-    vals = -np.array([neg(t) for t in grid])
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    if hi <= lo:
-        hi = lo + 1.0
-    res = optimize.minimize_scalar(neg, bounds=(lo, hi), method="bounded")
-    return max(float(-res.fun), float(vals[k]), float(-neg(0.0)))

@@ -2,11 +2,21 @@
 
 These deliberately avoid the library's own quadrature paths: the radial
 reduction uses composite Simpson on graded meshes so the production
-Gauss-Kronrod/trapezoid pipeline is checked against a different method.
+Gauss-Kronrod/trapezoid pipeline is checked against a different method,
+and the phase-space and box-law areas are midpoint polar quadratures of
+indicators whose closed forms the production oracles use.  The operator
+handles here (the free operator, the box-localized resolvent) are the
+references that the symbol spectrum, the dense gather and the box-block
+compression are checked against; parse_report_csv inverts the report
+writer.
 """
 
 import numpy as np
 from scipy import integrate
+
+from gapcount.operators import LinearOperatorHandle, box_mask, check_box_fits, resolvent
+from gapcount.potential import eval_potential
+from gapcount.symbol import dirac_symbol
 
 
 def radial_profile_integral(params, psi_const, p):
@@ -49,3 +59,80 @@ def dense_by_columns(op, chunk=256):
         cols = op.apply_array(basis.reshape(k1 - k0, n, n, 2))
         out[:, k0:k1] = cols.reshape(k1 - k0, dim).T
     return out
+
+
+def phase_space_count(x, xi, spec):
+    """1 exactly when V(x) > |xi|^2 (strict), else 0; undefined at xi = 0."""
+    xi = np.asarray(xi, dtype=float)
+    norm2 = xi[..., 0] ** 2 + xi[..., 1] ** 2
+    if np.any(norm2 == 0.0):
+        raise ValueError("phase_space_count is undefined at xi = 0")
+    v = eval_potential(spec, x)
+    out = (v > norm2).astype(int)
+    return out if out.ndim else int(out)
+
+
+def _polar_midpoint_area(inside, rmax, n_radial, n_theta):
+    """Area of {xi : inside(xi1, xi2)} within radius rmax, midpoint polar rule."""
+    radii = (np.arange(n_radial) + 0.5) * (rmax / n_radial)
+    thetas = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
+    total = 0.0
+    for th in thetas:
+        mask = inside(radii * np.cos(th), radii * np.sin(th))
+        total += float(np.sum(np.where(mask, radii, 0.0))) * (rmax / n_radial)
+    return total * (2.0 * np.pi / n_theta)
+
+
+def chi_momentum_integral(spec, x, n_radial=200_000, n_theta=16):
+    """Momentum integral of the phase-space indicator at x; exactly pi * V(x)."""
+    v = float(eval_potential(spec, np.asarray(x, dtype=float)))
+    if v <= 0.0:
+        return 0.0
+    return _polar_midpoint_area(
+        lambda xi1, xi2: phase_space_count(x, np.stack([xi1, xi2], axis=-1), spec) == 1,
+        1.5 * np.sqrt(v), n_radial, n_theta)
+
+
+def box_symbol_region_area(tau, params, n_radial=200_000, n_theta=16):
+    """Momentum area of {xi : (sqrt(|xi|^4 + m^2) - lambda)^{-1} > tau}.
+
+    The closed form is pi * (((1/tau + lambda)+)^2 - m^2)+^{1/2}.
+    """
+    m, lam = params.mass, params.gap_point
+    disc = max(1.0 / tau + lam, 0.0) ** 2 - m ** 2
+    if disc <= 0.0:
+        return 0.0
+    return _polar_midpoint_area(
+        lambda xi1, xi2: 1.0 / (np.sqrt((xi1 ** 2 + xi2 ** 2) ** 2 + m ** 2) - lam) > tau,
+        1.5 * disc ** 0.25, n_radial, n_theta)
+
+
+def free_operator(grid, params):
+    """The unperturbed operator, the symbol as a multiplier on the momentum lattice."""
+    xi1, xi2 = grid.momentum_mesh()
+    return LinearOperatorHandle(grid, dirac_symbol(np.stack([xi1, xi2], axis=-1), params))
+
+
+def box_localized_resolvent(grid, params, box):
+    """phi (free - lambda)^{-1} phi with phi the indicator of beta*Q."""
+    check_box_fits(grid, box)
+    phi = box_mask(grid, box).astype(float)
+    return LinearOperatorHandle(grid, resolvent(grid, params).mult, left=phi, right=phi)
+
+
+INT_COLUMNS = frozenset({"n_bs", "n_flow", "count", "i", "j", "index"})
+
+
+def parse_report_csv(text):
+    """Inverse of harness.report_csv_text; numbers parse back exactly.
+
+    Columns in INT_COLUMNS parse as int and every other column as float,
+    so a float written without a fraction ("5" for 5.0) stays a float.
+    """
+    lines = text.strip("\n").split("\n")
+    header = tuple(lines[0].split(","))
+    kinds = [int if name in INT_COLUMNS else float for name in header]
+    rows = [tuple(None if tok == "" else kind(tok)
+                  for kind, tok in zip(kinds, line.split(",")))
+            for line in lines[1:]]
+    return header, rows

@@ -19,11 +19,11 @@ from gapcount.operators import (
     DenseCapExceededError,
     assemble_dense,
     check_hermitian,
-    free_operator,
     perturbed_operator,
     schur_complement,
 )
 from gapcount.spectra import inertia
+from oracles import free_operator
 
 GRID = build_grid(12, 12.0)
 GAUSS = Gaussian(4.0, 1.0)

@@ -7,7 +7,6 @@ from gapcount import (
     ConfigError,
     ExperimentConfig,
     parse_config_text,
-    parse_report_csv,
     report_csv_text,
     run_box_study,
     run_crossterm_study,
@@ -17,6 +16,7 @@ from gapcount import (
 )
 from gapcount.cli import build_parser, main as cli_main
 from gapcount.harness import emit_outputs, oracle_lines
+from oracles import parse_report_csv
 
 WEYL_TEXT = """
 # tiny smoke configuration
@@ -496,6 +496,28 @@ def test_cli_config_error_exit_code(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+_WITHOUT_POTENTIAL = "\n".join(line for line in WEYL_TEXT.splitlines()
+                               if not line.startswith("potential."))
+
+
+@pytest.mark.parametrize("study,text", [
+    ("weyl", _WITHOUT_POTENTIAL),
+    ("flow-trace", _WITHOUT_POTENTIAL.replace("study = weyl", "study = flow-trace")
+     + "\nflow.t_values = 0, 1\n"),
+    ("oracle", _WITHOUT_POTENTIAL.replace("study = weyl", "study = oracle")),
+    ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle") + "box.tau = -1\n"),
+    ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle")
+     + "box.tau = 0.5\nbox.side = -1\n"),
+], ids=["weyl-no-potential", "flow-trace-no-potential", "oracle-no-potential",
+        "oracle-negative-tau", "oracle-negative-side"])
+def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, study, text):
+    cfg = _write(tmp_path, "bad.cfg", text)
+    capsys.readouterr()
+    assert cli_main([study, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_cli_study_mismatch(tmp_path):
     cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
     assert cli_main(["box", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -514,7 +536,7 @@ def test_cli_uncertified_bs_count_is_a_resource_error(tmp_path, capsys, monkeypa
     from gapcount.spectra import CountResult
 
     def inconclusive(op, s, seed=0, dense_cap=None):
-        return CountResult(tuple(s), None, (0.0,) * len(s), "krylov", 96)
+        return CountResult(None, (0.0,) * len(s), "krylov", 96)
 
     monkeypatch.setattr(harness, "iterative_count_above", inconclusive)
     cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)

@@ -10,19 +10,16 @@ from gapcount import (
     PowerDecay,
     assemble_dense,
     birman_schwinger,
-    box_localized_resolvent,
     build_grid,
-    free_operator,
     localized_piece,
     perturbed_operator,
     resolvent,
     restricted_block,
     zone_masks,
 )
-from gapcount.operators import box_mask, check_hermitian
-from gapcount.spectra import power_iteration_norm
+from gapcount.operators import LinearOperatorHandle, box_mask, check_hermitian
 from gapcount.symbol import dirac_symbol, symbol_eigenvalues
-from oracles import dense_by_columns
+from oracles import box_localized_resolvent, dense_by_columns, free_operator
 
 GRID = build_grid(12, 9.0)
 PARAMS = ModelParams(1.0, 0.3)
@@ -95,12 +92,10 @@ def test_resolvent_zero_mode_components():
     assert np.abs(out[..., 1] + 3.0).max() < 1e-12
 
 
-def test_resolvent_norm_via_power_iteration():
-    bound = 1.0 / PARAMS.gap_distance
-    norm = power_iteration_norm(resolvent(GRID, PARAMS), iters=500)
-    assert norm <= bound + 1e-8
-    # xi = 0 is on the momentum grid, so the bound is attained
-    assert abs(norm - bound) < 1e-6
+def test_resolvent_norm_is_inverse_gap_distance():
+    norm = np.linalg.norm(assemble_dense(resolvent(GRID, PARAMS)), 2)
+    # xi = 0 is on the momentum grid, so the sup of the symbol norm is attained
+    assert norm == pytest.approx(1.0 / PARAMS.gap_distance, rel=1e-12)
 
 
 def test_birman_schwinger_zero_potential():
@@ -188,11 +183,10 @@ def test_outer_piece_norm_bound():
     piece = localized_piece(GRID, PARAMS, spec, loc, 3, 3)
     masks = zone_masks(GRID, loc)
     x1, x2 = GRID.position_mesh()
-    v = np.where(masks[2], np.stack([x1, x2], axis=-1)[..., 0] * 0
-                 + np.asarray(2.0 * (1.0 + x1 ** 2 + x2 ** 2) ** -0.5), 0.0)
+    v = np.where(masks[2], 2.0 * (1.0 + x1 ** 2 + x2 ** 2) ** -0.5, 0.0)
     bound = v.max() / PARAMS.gap_distance
-    norm = power_iteration_norm(piece, iters=300)
-    assert norm <= bound + 1e-8
+    norm = np.linalg.norm(assemble_dense(piece), 2)
+    assert 0.0 < norm <= bound * (1.0 + 1e-12)
 
 
 def test_cross_piece_is_adjoint_of_its_transpose():
@@ -322,8 +316,7 @@ def test_spectral_gap_empty_at_zero_coupling():
 def test_quadratic_form_invariant_under_symbol_sign_flip():
     # conjugation by diag(1, -1) commutes with pointwise multipliers, so
     # <f, X f> is unchanged when both off-diagonal symbol signs flip
-    from gapcount.operators import LinearOperatorHandle, _multiplier_on_grid
-    from gapcount.operators import sqrt_potential_on_grid
+    from gapcount.operators import _multiplier_on_grid, sqrt_potential_on_grid
     from gapcount.symbol import resolvent_symbol
 
     mult = _multiplier_on_grid(GRID, resolvent_symbol, PARAMS)
@@ -331,8 +324,8 @@ def test_quadratic_form_invariant_under_symbol_sign_flip():
     flipped[..., 0, 1] *= -1.0
     flipped[..., 1, 0] *= -1.0
     w = sqrt_potential_on_grid(GRID, GAUSS)
-    x_std = LinearOperatorHandle(GRID, mult, True, left=w, right=w)
-    x_flip = LinearOperatorHandle(GRID, flipped, True, left=w, right=w)
+    x_std = LinearOperatorHandle(GRID, mult, left=w, right=w)
+    x_flip = LinearOperatorHandle(GRID, flipped, left=w, right=w)
     for seed in range(5):
         f = _rand(GRID, seed)
         conj = f.copy()
@@ -420,19 +413,25 @@ def test_assemble_dense_peak_memory_within_one_and_a_half_matrices():
 
 
 def test_hermitian_promise_is_checked_on_the_kernel():
-    from gapcount.operators import LinearOperatorHandle
+    from gapcount import iterative_count_above
 
     mult = resolvent(GRID, PARAMS).mult.copy()
     mult[..., 0, 1] += 0.1  # breaks mult == mult^H mode by mode
-    with pytest.raises(ValueError, match="non-Hermitian multiplier"):
-        assemble_dense(LinearOperatorHandle(GRID, mult, True, "broken"))
-    # the same multiplier is fine when no promise is made
-    assemble_dense(LinearOperatorHandle(GRID, mult, False, "general"))
     w = np.linspace(0.5, 1.5, GRID.n_points ** 2).reshape(GRID.n_points, -1)
+    mask = np.ones(w.shape, bool)
+    # every kernel is checked, whatever the node weights
+    with pytest.raises(ValueError, match="non-Hermitian multiplier"):
+        assemble_dense(LinearOperatorHandle(GRID, mult))
+    with pytest.raises(ValueError, match="non-Hermitian multiplier"):
+        restricted_block(LinearOperatorHandle(GRID, mult, left=w, right=w[::-1]),
+                         mask, mask)
+    # a Hermitian multiplier between unequal weights is not a Hermitian
+    # operator, and the Krylov count refuses it
     good = resolvent(GRID, PARAMS).mult
-    with pytest.raises(ValueError, match="unequal node weights"):
-        assemble_dense(LinearOperatorHandle(GRID, good, True, "lopsided",
-                                            left=w, right=w[::-1]))
-    with pytest.raises(ValueError, match="unequal node weights"):
-        restricted_block(LinearOperatorHandle(GRID, good, True, "one-sided", left=w),
-                         np.ones(w.shape, bool), np.ones(w.shape, bool))
+    for op in (LinearOperatorHandle(GRID, good, left=w, right=w[::-1]),
+               LinearOperatorHandle(GRID, good, left=w)):
+        assert not op.hermitian
+        with pytest.raises(ValueError, match="Hermitian handle"):
+            iterative_count_above(op, [0.5])
+    assert LinearOperatorHandle(GRID, good, left=w, right=w.copy()).hermitian
+    assert LinearOperatorHandle(GRID, good).hermitian

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from gapcount import (
-    BracketDivergenceError,
     DiskBump,
     Gaussian,
     PowerDecay,
-    bracket_norm,
     eval_potential,
     psi_profile,
     sqrt_potential,
 )
-from gapcount.potential import bracket_norm_of_callable, _cube_corners
 
 
 def test_gaussian_peak_value():
@@ -99,104 +96,3 @@ def test_psi_profile_rejects_other_families():
     with pytest.raises(TypeError):
         psi_profile(Gaussian(1.0, 1.0), 0.0)
 
-
-# ---------------------------------------------------------------------------
-# bracket norms
-# ---------------------------------------------------------------------------
-
-def test_bracket_of_unit_cube_indicator_is_one():
-    # unit-height potential exactly covering [0,1)^2: single-cube sum = 1
-    def indicator(x):
-        inside = (x[..., 0] >= 0) & (x[..., 0] < 1) & (x[..., 1] >= 0) & (x[..., 1] < 1)
-        return inside.astype(float)
-
-    cubes = _cube_corners((0.5, 0.5), 6.0)
-    for q in (1.5, 2.0, 4.0):
-        assert bracket_norm_of_callable(indicator, 1.0, q, cubes) == pytest.approx(1.0)
-    assert bracket_norm_of_callable(indicator, 0.5, 2.0, cubes) == pytest.approx(1.0)
-    assert bracket_norm_of_callable(indicator, 2.0, 2.0, cubes) == pytest.approx(1.0)
-
-
-def test_bracket_of_zero_potential():
-    zero = Gaussian(0.0, 1.0)
-    for p in (0.5, 1.0, 2.0):
-        assert bracket_norm(zero, p, q=2.0, truncation_radius=5.0).value == 0.0
-
-
-def test_bracket_gaussian_self_convergence():
-    spec = Gaussian(4.0, 1.0)
-    result = bracket_norm(spec, 1.0, q=2.0, truncation_radius=10.0)
-    assert not result.truncated
-
-    # independent oracle: the same lattice sum with a 10x finer quadrature
-    u, w = np.polynomial.legendre.leggauss(160)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
-    uu1, uu2 = np.meshgrid(u, u, indexing="ij")
-    nodes = np.stack([uu1.ravel(), uu2.ravel()], axis=-1)
-    weights = np.outer(w, w).ravel()
-    cubes = _cube_corners((0.0, 0.0), 10.0)
-    pts = cubes[:, None, :] + nodes[None, :, :]
-    vals = eval_potential(spec, pts) ** 2.0
-    oracle = float(np.sum((vals @ weights) ** 0.5))
-    assert abs(result.value - oracle) / oracle < 0.01
-
-
-def test_bracket_scaling_in_amplitude():
-    base = bracket_norm(Gaussian(4.0, 1.0), 1.0, q=2.0, truncation_radius=8.0).value
-    for c in (2.0, 10.0):
-        scaled = bracket_norm(Gaussian(4.0 * c, 1.0), 1.0, q=2.0, truncation_radius=8.0).value
-        assert abs(scaled - c * base) < 1e-10 * scaled
-
-
-def test_bracket_monotone_in_amplitude():
-    for p in (0.5, 1.0, 2.0):
-        small = bracket_norm(Gaussian(4.0, 1.0), p, q=2.0, truncation_radius=8.0).value
-        large = bracket_norm(Gaussian(6.0, 1.0), p, q=2.0, truncation_radius=8.0).value
-        assert small <= large
-
-
-def test_bracket_disk_exact():
-    # disk of area pi inside the truncation radius: p>1 bracket = (V0^p * pi)^(1/p);
-    # the sharp edge caps the fixed-order cube quadrature at ~1% accuracy
-    spec = DiskBump(2.0, 1.0)
-    result = bracket_norm(spec, 2.0, q=2.0, truncation_radius=6.0)
-    assert result.value == pytest.approx((4.0 * np.pi) ** 0.5, rel=1e-2)
-    assert result.tail_bound == 0.0
-    assert not result.truncated
-
-
-def test_bracket_rejects_bad_exponents():
-    spec = Gaussian(1.0, 1.0)
-    with pytest.raises(ValueError):
-        bracket_norm(spec, 1.0, q=1.0)
-    with pytest.raises(ValueError):
-        bracket_norm(spec, 0.0)
-
-
-def test_power_decay_bracket_divergence_reported():
-    spec = PowerDecay(1.0, 2.0)
-    with pytest.raises(BracketDivergenceError):
-        bracket_norm(spec, 1.0, q=2.0)  # sum ~ |n|^{-1} over Z^2 diverges
-    with pytest.raises(BracketDivergenceError):
-        bracket_norm(spec, 0.5, q=2.0)
-    with pytest.raises(BracketDivergenceError):
-        bracket_norm(spec, 1.8, q=2.0)  # p * exponent = 1.8 <= 2 still diverges
-
-
-def test_power_decay_bracket_convergent_case():
-    # p * exponent = 3 > 2 converges, but the polynomial tail keeps the
-    # honest 1e-6 target out of reach at desk radii: the flag must say so
-    spec = PowerDecay(1.0, 2.0)
-    fine = bracket_norm(spec, 3.0, q=2.0, truncation_radius=60.0)
-    rough = bracket_norm(spec, 3.0, q=2.0, truncation_radius=15.0)
-    assert 0.0 < rough.value <= fine.value
-    assert fine.truncated and rough.truncated
-    assert fine.tail_bound < rough.tail_bound
-    # the reported tail bound really covers the gained mass
-    assert fine.value - rough.value <= rough.tail_bound
-
-
-def test_zero_psi_power_decay_bracket_is_zero():
-    spec = PowerDecay(1.0, 0.0)
-    assert bracket_norm(spec, 1.0, q=2.0).value == 0.0

@@ -3,10 +3,7 @@ import pytest
 
 from gapcount import (
     ModelParams,
-    bounded_factor,
-    bounded_factor_sup,
     dirac_symbol,
-    resolvent_norm_bound,
     resolvent_symbol,
     symbol_eigenvalues,
 )
@@ -102,35 +99,8 @@ def test_resolvent_norm_attained_at_origin():
                               indexing="ij"), axis=-1)
     r = resolvent_symbol(xi, p)
     norms = np.linalg.norm(r, ord=2, axis=(-2, -1))
-    assert norms.max() <= resolvent_norm_bound(p) + 1e-12
-    assert abs(norms.max() - resolvent_norm_bound(p)) < 1e-10
-
-
-def test_bounded_factor_origin_and_gap_edge():
-    p = ModelParams(1.0, 0.0)
-    assert np.allclose(bounded_factor((0.0, 0.0), p), np.diag([1.0, -1.0]))
-    p_edge = ModelParams(1.0, 0.9)
-    b0 = bounded_factor((0.0, 0.0), p_edge)
-    assert np.linalg.norm(b0, ord=2) == pytest.approx(10.0, rel=1e-12)
-
-
-def test_bounded_factor_sup_dominates_grid_sweep():
-    for lam in (0.0, 0.5, -0.85):
-        p = ModelParams(1.0, lam)
-        for w in (1.0, 0.5):
-            sup = bounded_factor_sup(p, w)
-            xi_axis = np.linspace(-12.0, 12.0, 65)
-            xi = np.stack(np.meshgrid(xi_axis, xi_axis, indexing="ij"), axis=-1)
-            b = bounded_factor(xi, p, w)
-            norms = np.linalg.norm(b, ord=2, axis=(-2, -1))
-            assert norms.max() <= sup * (1.0 + 1e-10)
-            assert np.isfinite(sup)
-
-
-def test_bounded_factor_rejects_bad_weight():
-    p = ModelParams(1.0, 0.0)
-    with pytest.raises(ValueError):
-        bounded_factor((1.0, 0.0), p, 0.25)
+    assert norms.max() <= 1.0 / p.gap_distance + 1e-12
+    assert abs(norms.max() - 1.0 / p.gap_distance) < 1e-10
 
 
 def test_vectorized_symbol_matches_scalar():
