@@ -10,13 +10,15 @@ spinor component) and the box counts from LDL^H inertia; the crossterm
 counts from singular values of dense zone blocks, one SVD per zone pair.
 Every study runs serially.  A count within 1e-10 of its threshold raises
 DegenerateThresholdWarning, naming the coupling, and flags the report.
-run_meta.txt records which method produced each count and its margin, and
-for the weyl and theorem2 studies the seconds spent in the oracle, the
-Birman-Schwinger count and the flow cross-check.
+run_meta.txt records which method produced each count and its margin, the
+seconds spent in each stage (oracle, Birman-Schwinger count and flow
+cross-check for weyl and theorem2; box counts; crossterm SVDs), the
+process's peak RSS and the thread count of each bundled OpenBLAS pool.
 """
 
 from __future__ import annotations
 
+import resource
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -42,6 +44,7 @@ from .potential import PowerDecay
 from .spectra import (
     TIE_GUARD,
     CountResult,
+    blas_threads,
     count_above,
     inertia,
     iterative_count_above,
@@ -238,13 +241,17 @@ def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
     rows = []
     previous: dict[tuple[int, int], float] = {}
     monotone = True
+    svd_seconds = 0.0
     for a in (float(a) for a in config.alphas):
         loc = LocalizationSpec(config.eps1, config.eps2, a, p)
         masks = zone_masks(config.grid, loc)
         threshold = config.epsilon / a
         for i, j in ((1, 2), (1, 3), (2, 3)):
             block = restricted_block(op, masks[i - 1], masks[j - 1])
-            count = count_above(singular_values(block), threshold)
+            t_svd = time.perf_counter()
+            values = singular_values(block)
+            svd_seconds += time.perf_counter() - t_svd
+            count = count_above(values, threshold)
             normalized = count / a ** (2.0 / p)
             if (i, j) in previous and normalized >= previous[(i, j)]:
                 monotone = False
@@ -265,6 +272,7 @@ def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
             "epsilon": config.epsilon,
             "runtime_seconds": time.time() - t0,
             "seed": config.seed,
+            "svd_seconds": svd_seconds,
         },
     )
 
@@ -290,8 +298,9 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
     dilated box: the complementary modes contribute eigenvalue 0 < tau,
     so the block count equals the count of the full localized operator.
     Each block count is the Sylvester inertia of block - tau (see _box_count);
-    run_meta.txt records the method and the largest probe residual.  That
-    every dilated box fits the grid is checked by config.validate.
+    run_meta.txt records the method, the largest probe residual and the
+    seconds spent gathering and counting the blocks.  That every dilated
+    box fits the grid is checked by config.validate.
     """
     _require(config, "box")
     t0 = time.time()
@@ -300,7 +309,9 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
     coeff = box_coefficient(tau, config.model, area)
     boxes = [BoxSpec(config.box_corner, config.box_side, float(b))
              for b in config.betas]
+    t_count = time.perf_counter()
     results = [_box_count(config.grid, config.model, box, tau) for box in boxes]
+    count_seconds = time.perf_counter() - t_count
     rows = []
     ratios = []
     for box, (count, _) in zip(boxes, results):
@@ -321,6 +332,7 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
             "runtime_seconds": time.time() - t0,
             "seed": config.seed,
             "box_count_method": "ldl-inertia",
+            "box_count_seconds": count_seconds,
             "inertia_residual_max": _max_residual(r for _, r in results),
         },
     )
@@ -491,7 +503,10 @@ def emit_outputs(report: CountingReport, directory, config: ExperimentConfig) ->
     """Write report.csv, config.echo, plot.svg (and run_meta.txt) to directory.
 
     CSV and SVG bytes depend only on the report contents; runtime metadata
-    goes to run_meta.txt, which is outside the determinism contract.
+    goes to run_meta.txt, which is outside the determinism contract.  Next to
+    the report's metadata it records the process's peak RSS so far and the
+    thread count of each bundled OpenBLAS pool ("unknown" when none is
+    found).
     """
     import pathlib
 
@@ -509,7 +524,10 @@ def emit_outputs(report: CountingReport, directory, config: ExperimentConfig) ->
     svg_path.write_bytes(_svg_plot(series, xlabel, ylabel, logx).encode("utf-8"))
     paths["svg"] = svg_path
     meta_path = out / "run_meta.txt"
-    meta_lines = [f"{k} = {v}" for k, v in sorted(report.metadata.items())]
+    threads = ", ".join(f"{package}={n}" for package, n in blas_threads().items())
+    meta = {**report.metadata, "blas_threads": threads or "unknown",
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    meta_lines = [f"{k} = {v}" for k, v in sorted(meta.items())]
     meta_path.write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
     paths["meta"] = meta_path
     return paths

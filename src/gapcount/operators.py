@@ -236,9 +236,10 @@ def check_hermitian(matrix: np.ndarray) -> float:
 
     The defect is taken relative to max(max|A_ij|, 1).  Rows are compared
     with the matching columns in strips of about 1 MiB, so the check needs
-    no dense temporary; a strip whose largest entry is nan or infinite
-    raises ValueError, as a non-finite entry would compare as no defect.  Small strips also stay below the allocator's mmap
-    threshold, so freeing them leaves no large block cached on the heap.
+    no dense temporary.  A strip whose largest entry is nan or infinite
+    raises ValueError, as a non-finite entry would compare as no defect.
+    Small strips also stay below the allocator's mmap threshold, so freeing
+    them leaves no large block cached on the heap.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

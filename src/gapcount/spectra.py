@@ -13,13 +13,28 @@ spectrum gives the counts and the distance to the nearest eigenvalue.  A
 count that needs no eigenvalues comes from the Sylvester inertia of an
 LDL^H factorization (inertia).  The dense spectrum is the reference the
 other two are tested against on small grids.
+
+An inertia count of dimension up to _SINGLE_THREAD_LIMIT runs on one
+BLAS thread.  numpy and scipy each bundle their own OpenBLAS, each with a
+thread pool as wide as the machine; on 2 vCPUs the two pools' threads
+contend, and a threaded LDL^H of a few hundred to a couple of thousand
+rows spends more time in that overhead than in arithmetic, the first call
+in a process sometimes close to a second.  Each pool's thread count is
+restored when the count returns or raises.  The dense eigensolve and SVD
+keep the default threads: on one thread the flow-trace study (eigh at
+dimension 1152) and the crossterm study (zone SVDs) ran slower.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
 
 from .operators import DENSE_CAP, LinearOperatorHandle, assemble_dense, check_hermitian
@@ -29,6 +44,8 @@ INERTIA_RESIDUAL_TOL = 1e-8
 _INERTIA_PROBES = 5
 _RESIDUAL_CHECK_LIMIT = 3000  # above this, eigenvector residual spot-checks cost
                               # another O(n^3) pass and are skipped
+_SINGLE_THREAD_LIMIT = 2048  # largest dimension factored on one BLAS thread
+                             # (see _single_blas_thread)
 _BLOCK = 8  # Krylov block size
 _CERTIFICATE_FLOOR = 1e-8  # a converged Ritz value this close to a threshold
                            # sends every count to the dense path
@@ -79,6 +96,61 @@ class CountResult:
     def certificate(self) -> float:
         """The smallest certificate over all thresholds."""
         return min(self.certificates)
+
+
+@functools.cache
+def _blas_pools() -> tuple:
+    """(package, get_num_threads, set_num_threads) of each bundled OpenBLAS.
+
+    The builds numpy and scipy bundle are looked up in numpy.libs/ and
+    scipy.libs/ on the first call, not at import; loading a library the
+    process already has returns the loaded copy.  Empty when neither
+    package bundles an OpenBLAS (a system BLAS, say).
+    """
+    found = []
+    for package in (np, scipy):
+        libdir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                                   ("openblas_", "")):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((package.__name__, get, put))
+                    break
+    return tuple(found)
+
+
+def blas_threads() -> dict[str, int]:
+    """Thread count of each bundled OpenBLAS pool, keyed by package."""
+    return {package: get() for package, get, _ in _blas_pools()}
+
+
+@contextmanager
+def _single_blas_thread(dim: int):
+    """Run the block on one thread in every OpenBLAS pool when dim is small.
+
+    Above _SINGLE_THREAD_LIMIT the pools keep their thread counts.  The
+    limit is the measured crossover of inertia on random Hermitian matrices,
+    three calls per fresh process on 2 vCPUs, one thread against numpy's and
+    scipy's default 2: dim 576 0.02 s against 0.02-0.03 s (one first call
+    0.79 s); 1152 0.11-0.14 s against 0.11-0.21 s; 2048 0.53-0.87 s against
+    0.48-1.12 s at half the CPU time; 2304 0.69-1.29 s against 0.61-1.25 s;
+    3072 1.48-1.70 s against 1.04-1.36 s.  The thread counts are
+    process-wide, so this is for serial callers; every study runs serially.
+    """
+    pools = _blas_pools() if dim <= _SINGLE_THREAD_LIMIT else ()
+    before = [get() for _, get, _ in pools]
+    try:
+        for _, _, put in pools:
+            put(1)
+        yield
+    finally:
+        for (_, _, put), threads in zip(pools, before):
+            put(threads)
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -148,6 +220,11 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
     on five fixed probe vectors: a relative backward residual above 1e-8
     raises RuntimeError.  An exactly singular D means shift is an
     eigenvalue to working precision and is reported in zero.
+
+    Up to dimension _SINGLE_THREAD_LIMIT the factorization, the probe solve
+    and the residual product run on one thread in each of the two bundled
+    OpenBLAS pools (numpy's and scipy's), which on 2 vCPUs otherwise
+    contend; the thread counts are restored afterwards, also on an error.
     """
     a = np.asarray(matrix)
     check_hermitian(a)
@@ -155,36 +232,37 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
     dim = a.shape[0]
     if dim == 0:
         return InertiaResult(0, 0, 0, 0.0)
-    # The transpose of a C-ordered copy is Fortran-ordered, so LAPACK
-    # factors it in place.  It holds conj(A) - shift*I, whose inertia
-    # equals that of A - shift*I because A is Hermitian.
-    shifted = np.array(a, dtype=complex, order="C")
-    shifted.flat[::dim + 1] -= shift
-    lapack = scipy.linalg.lapack
-    lwork, _ = lapack.zhetrf_lwork(dim, lower=1)
-    ldu, ipiv, info = lapack.zhetrf(shifted.T, lower=1,
-                                    lwork=int(lwork.real), overwrite_a=1)
-    if info < 0:
-        raise RuntimeError(f"zhetrf rejected argument {-info}")
-    negative, zero, positive = _pivot_inertia(ldu, ipiv)
-    if info > 0:
-        return InertiaResult(negative, zero, positive, float("nan"))
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal((dim, _INERTIA_PROBES)) \
-        + 1j * rng.standard_normal((dim, _INERTIA_PROBES))
-    x, _ = lapack.zhetrs(ldu, ipiv, b, lower=1)
-    r = a.T @ x - shift * x - b
-    norm_est = float(np.linalg.norm(a)) + abs(shift) * np.sqrt(dim)
-    resid = np.linalg.norm(r, axis=0) / (
-        norm_est * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
-    )
-    residual = float(resid.max())
-    if not residual <= INERTIA_RESIDUAL_TOL:
-        raise RuntimeError(
-            f"LDL^H probe residual {residual:.3e} exceeds "
-            f"{INERTIA_RESIDUAL_TOL:.0e} relative"
+    with _single_blas_thread(dim):
+        # The transpose of a C-ordered copy is Fortran-ordered, so LAPACK
+        # factors it in place.  It holds conj(A) - shift*I, whose inertia
+        # equals that of A - shift*I because A is Hermitian.
+        shifted = np.array(a, dtype=complex, order="C")
+        shifted.flat[::dim + 1] -= shift
+        lapack = scipy.linalg.lapack
+        lwork, _ = lapack.zhetrf_lwork(dim, lower=1)
+        ldu, ipiv, info = lapack.zhetrf(shifted.T, lower=1,
+                                        lwork=int(lwork.real), overwrite_a=1)
+        if info < 0:
+            raise RuntimeError(f"zhetrf rejected argument {-info}")
+        negative, zero, positive = _pivot_inertia(ldu, ipiv)
+        if info > 0:
+            return InertiaResult(negative, zero, positive, float("nan"))
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal((dim, _INERTIA_PROBES)) \
+            + 1j * rng.standard_normal((dim, _INERTIA_PROBES))
+        x, _ = lapack.zhetrs(ldu, ipiv, b, lower=1)
+        r = a.T @ x - shift * x - b
+        norm_est = float(np.linalg.norm(a)) + abs(shift) * np.sqrt(dim)
+        resid = np.linalg.norm(r, axis=0) / (
+            norm_est * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
         )
-    return InertiaResult(negative, zero, positive, residual)
+        residual = float(resid.max())
+        if not residual <= INERTIA_RESIDUAL_TOL:
+            raise RuntimeError(
+                f"LDL^H probe residual {residual:.3e} exceeds "
+                f"{INERTIA_RESIDUAL_TOL:.0e} relative"
+            )
+        return InertiaResult(negative, zero, positive, residual)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

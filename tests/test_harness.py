@@ -16,6 +16,7 @@ from gapcount import (
 )
 from gapcount.cli import build_parser, main as cli_main
 from gapcount.harness import emit_outputs, oracle_lines
+from gapcount.spectra import blas_threads
 from oracles import parse_report_csv
 
 WEYL_TEXT = """
@@ -331,16 +332,30 @@ BOX_CSV = ("beta,count,prediction,ratio\n2,0,0.55132889542179209,0\n"
 BOX_SVG_SHA256 = "307b2bb24c2b80b51bdd11dfb1ccbfaa7ba25cff05604dbc7609973cbfdbb82f"
 
 
-@pytest.mark.parametrize("text,runner,method_key,csv,svg_sha", [
+def _blas_threads_text() -> str:
+    """run_meta.txt's blas_threads value for the pools' current thread counts."""
+    counts = blas_threads()
+    return ", ".join(f"{package}={n}" for package, n in counts.items()) or "unknown"
+
+
+def _assert_process_keys(meta, threads):
+    # the pools are back at the thread counts they had before the study
+    assert meta["blas_threads"] == threads
+    assert float(meta["peak_rss_mb"]) > 0.0
+
+
+@pytest.mark.parametrize("text,runner,method_key,seconds_key,csv,svg_sha", [
     (WEYL_TEXT + "study.with_flow = true\n", run_weyl_study, "flow_count_method",
-     WEYL_FLOW_CSV, WEYL_FLOW_SVG_SHA256),
-    (BOX_TEXT, run_box_study, "box_count_method", BOX_CSV, BOX_SVG_SHA256),
+     "flow_seconds", WEYL_FLOW_CSV, WEYL_FLOW_SVG_SHA256),
+    (BOX_TEXT, run_box_study, "box_count_method", "box_count_seconds", BOX_CSV,
+     BOX_SVG_SHA256),
 ], ids=["weyl-flow", "box"])
-def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key, csv,
-                                         svg_sha):
+def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key,
+                                         seconds_key, csv, svg_sha):
     import hashlib
 
     config = ExperimentConfig.from_text(text)
+    threads = _blas_threads_text()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = runner(config)
@@ -349,6 +364,8 @@ def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key, csv
                 for line in paths["meta"].read_text().splitlines())
     assert meta[method_key] == "ldl-inertia"
     assert 0.0 <= float(meta["inertia_residual_max"]) <= 1e-8
+    assert float(meta[seconds_key]) >= 0.0
+    _assert_process_keys(meta, threads)
     assert paths["csv"].read_text() == csv
     assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
 
@@ -411,6 +428,20 @@ def test_report_bytes_pinned(tmp_path, text, runner, csv, svg_sha):
     paths = emit_outputs(report, tmp_path, config)
     assert paths["csv"].read_text() == csv
     assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
+
+
+def test_run_meta_records_crossterm_svd_seconds(tmp_path):
+    config = ExperimentConfig.from_text(CROSS_TEXT)
+    threads = _blas_threads_text()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_crossterm_study(config)
+    paths = emit_outputs(report, tmp_path, config)
+    meta = dict(line.split(" = ", 1)
+                for line in paths["meta"].read_text().splitlines())
+    assert float(meta["svd_seconds"]) >= 0.0
+    _assert_process_keys(meta, threads)
+    assert paths["csv"].read_text() == CROSS_CSV
 
 
 def test_flow_trace_eigenvalues_match_column_oracle():
@@ -610,6 +641,7 @@ def test_ratio_warning_prints_plain_numbers():
 ], ids=["weyl-flow", "theorem2"])
 def test_run_meta_records_bs_count_method(tmp_path, text, runner, csv):
     config = ExperimentConfig.from_text(text)
+    threads = _blas_threads_text()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = runner(config)
@@ -623,6 +655,7 @@ def test_run_meta_records_bs_count_method(tmp_path, text, runner, csv):
         {"flow_seconds"} if config.with_flow else set())
     assert {key for key in meta if key.endswith("_seconds")} == timed | {"runtime_seconds"}
     assert all(float(meta[key]) >= 0.0 for key in timed)
+    _assert_process_keys(meta, threads)
     assert paths["csv"].read_text() == csv
 
 

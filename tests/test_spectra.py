@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gapcount import (
     DiskBump,
@@ -14,6 +15,7 @@ from gapcount import (
     iterative_count_above,
     singular_values,
 )
+from gapcount import spectra
 from gapcount.flow import DEGENERACY_TOL
 from gapcount.operators import (
     LinearOperatorHandle,
@@ -114,6 +116,67 @@ def test_inertia_shift_on_an_eigenvalue_reports_zero():
 def test_inertia_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
+
+
+@pytest.fixture
+def blas_pools():
+    """Thread counts of the bundled OpenBLAS pools before the test."""
+    prior = spectra.blas_threads()
+    if not prior:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    return prior
+
+
+def _record_threads_in_zhetrf(monkeypatch):
+    """Thread counts read inside every zhetrf call inertia makes."""
+    seen = []
+    zhetrf = scipy.linalg.lapack.zhetrf
+
+    def recording(*args, **kwargs):
+        seen.append(spectra.blas_threads())
+        return zhetrf(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zhetrf", recording)
+    return seen
+
+
+def test_inertia_factors_on_one_thread_and_restores_the_pools(monkeypatch, blas_pools):
+    seen = _record_threads_in_zhetrf(monkeypatch)
+    a = _random_hermitian(np.random.default_rng(3), 40)
+    inertia(a, 0.1)
+    assert seen == [{package: 1 for package in blas_pools}]
+    assert spectra.blas_threads() == blas_pools
+
+
+def test_inertia_restores_the_pools_when_it_raises(monkeypatch, blas_pools):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
+    assert spectra.blas_threads() == blas_pools
+    monkeypatch.setattr(spectra, "INERTIA_RESIDUAL_TOL", -1.0)
+    seen = _record_threads_in_zhetrf(monkeypatch)
+    with pytest.raises(RuntimeError, match="probe residual"):
+        inertia(_random_hermitian(np.random.default_rng(4), 40), 0.1)
+    assert seen == [{package: 1 for package in blas_pools}]
+    assert spectra.blas_threads() == blas_pools
+
+
+def test_inertia_above_the_limit_keeps_the_pools(monkeypatch, blas_pools):
+    monkeypatch.setattr(spectra, "_SINGLE_THREAD_LIMIT", 39)
+    seen = _record_threads_in_zhetrf(monkeypatch)
+    inertia(_random_hermitian(np.random.default_rng(5), 40), 0.1)
+    assert seen == [blas_pools]
+    assert spectra.blas_threads() == blas_pools
+
+
+def test_inertia_without_a_bundled_openblas(monkeypatch):
+    monkeypatch.setattr(spectra, "_blas_pools", lambda: ())
+    assert spectra.blas_threads() == {}
+    a = _random_hermitian(np.random.default_rng(6), 60)
+    ev = np.linalg.eigvalsh(a)
+    for shift in (-0.5, 0.0, 0.7):
+        result = inertia(a, shift)
+        assert (result.negative, result.zero, result.positive) == (
+            int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift)))
 
 
 def test_singular_values_of_hermitian_are_absolute_eigenvalues():
