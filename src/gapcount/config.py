@@ -22,7 +22,7 @@ import numpy as np
 
 from .lattice import GridSpec, build_grid
 from .operators import (DENSE_CAP, BoxSpec, DenseCapExceededError, LocalizationSpec,
-                        check_box_fits, check_zones_fit)
+                        box_mask, check_box_fits, check_zones_fit)
 from .potential import DiskBump, Gaussian, PotentialSpec, PowerDecay
 from .symbol import ModelParams
 
@@ -267,11 +267,21 @@ class ExperimentConfig:
                 b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])
             ):
                 raise ConfigError("box.betas must be positive and increasing")
+            boxes = [BoxSpec(self.box_corner, self.box_side, beta) for beta in self.betas]
             try:
-                for beta in self.betas:
-                    check_box_fits(self.grid, BoxSpec(self.box_corner, self.box_side, beta))
+                for box in boxes:
+                    check_box_fits(self.grid, box)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            # each box count factors the dense block on both components of
+            # the box's nodes
+            block = max(2 * int(np.count_nonzero(box_mask(self.grid, box)))
+                        for box in boxes)
+            if block > self.dense_cap:
+                raise DenseCapExceededError(
+                    f"box block dimension {block} exceeds the dense cap "
+                    f"{self.dense_cap}"
+                )
         if study == "flow-trace":
             if self.t_values is None:
                 raise ConfigError("flow-trace study requires flow.t_values")

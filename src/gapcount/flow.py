@@ -17,9 +17,11 @@ nodes and B the Fourier multiplier of the symbol's off-diagonal entry.
 Since V >= 0 and s > -m, Q is negative definite and holds n^2 negative
 eigenvalues; the rest of the inertia is that of the n^2 x n^2 Schur
 complement S = P - B Q^-1 B^H (operators.schur_complement), read from its
-LDL^H factorization (spectra.inertia).  The certificate is no weaker than
-factoring D(alpha) - s itself: S^-1 is the (1,1) block of (D(alpha) - s)^-1,
-so min |eig S| >= dist(s, spec D(alpha)).
+LDL^H factorization (spectra.inertia).  Each S is built for one shift and
+factored in place, so a count holds one n^2 x n^2 complex matrix at a
+time.  The certificate is no weaker than factoring D(alpha) - s itself:
+S^-1 is the (1,1) block of (D(alpha) - s)^-1, so
+min |eig S| >= dist(s, spec D(alpha)).
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@
 Every study validates its configuration, counts with a certificate, and
 produces a CountingReport whose CSV serialization is byte-deterministic for
 a fixed config and seed (floats use 17 significant digits, LF newlines,
-missing values empty).  The weyl and theorem2 Birman-Schwinger counts come
-from one block Lanczos run for all couplings, with the dense spectrum as
-the fallback; the flow cross-check (through the Schur complement onto one
+missing values empty).  A CSV that prints eigenvalues (flow-trace) is
+byte-stable only for a fixed BLAS build and thread count, because threaded
+LAPACK rounds differently; run_meta.txt records that count as
+blas_threads.  The weyl and theorem2 Birman-Schwinger counts come from one
+block Lanczos run for all couplings, with the dense spectrum as the
+fallback; the flow cross-check (through the Schur complement onto one
 spinor component) and the box counts from LDL^H inertia; the crossterm
 counts from singular values of dense zone blocks, one SVD per zone pair.
 Every study runs serially.  A count within 1e-10 of its threshold raises
@@ -277,18 +280,19 @@ def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
     )
 
 
-def _box_count(grid, model, box, tau) -> tuple[int, float]:
-    """Eigenvalues of the box block above tau, and the inertia probe residual.
+def _box_count(grid, model, box, tau) -> tuple[int, float, int]:
+    """Eigenvalues of the box block above tau, probe residual, block dimension.
 
     The count is the positive inertia of block - tau*(1 + 1e-12): strict and
     tie-guarded exactly like count_above, but with no eigenvalue computed.
+    inertia factors the block in place, so each count holds one dense block.
     """
     mask = box_mask(grid, box)
     if not mask.any():
-        return 0, 0.0
+        return 0, 0.0, 0
     block = restricted_block(resolvent(grid, model), mask, mask)
     res = inertia(block, tau * (1.0 + TIE_GUARD))
-    return res.positive, res.residual
+    return res.positive, res.residual, block.shape[0]
 
 
 def run_box_study(config: ExperimentConfig) -> CountingReport:
@@ -298,9 +302,10 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
     dilated box: the complementary modes contribute eigenvalue 0 < tau,
     so the block count equals the count of the full localized operator.
     Each block count is the Sylvester inertia of block - tau (see _box_count);
-    run_meta.txt records the method, the largest probe residual and the
-    seconds spent gathering and counting the blocks.  That every dilated
-    box fits the grid is checked by config.validate.
+    run_meta.txt records the method, the largest probe residual, the
+    largest block dimension factored and the seconds spent gathering and
+    counting the blocks.  That every dilated box fits the grid, and that
+    its block is within dense_cap, is checked by config.validate.
     """
     _require(config, "box")
     t0 = time.time()
@@ -314,7 +319,7 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
     count_seconds = time.perf_counter() - t_count
     rows = []
     ratios = []
-    for box, (count, _) in zip(boxes, results):
+    for box, (count, _, _) in zip(boxes, results):
         pred = box.scale ** 2 * coeff
         ratio = count / pred if pred > 0 else None
         if ratio is not None:
@@ -333,7 +338,8 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
             "seed": config.seed,
             "box_count_method": "ldl-inertia",
             "box_count_seconds": count_seconds,
-            "inertia_residual_max": _max_residual(r for _, r in results),
+            "box_factor_dim": max(dim for _, _, dim in results),
+            "inertia_residual_max": _max_residual(r for _, r, _ in results),
         },
     )
 
@@ -503,7 +509,9 @@ def emit_outputs(report: CountingReport, directory, config: ExperimentConfig) ->
     """Write report.csv, config.echo, plot.svg (and run_meta.txt) to directory.
 
     CSV and SVG bytes depend only on the report contents; runtime metadata
-    goes to run_meta.txt, which is outside the determinism contract.  Next to
+    goes to run_meta.txt, which is outside the determinism contract.  Report
+    contents that are eigenvalues (the flow-trace CSV and plot) repeat byte
+    for byte only under the same BLAS build and thread count.  Next to
     the report's metadata it records the process's peak RSS so far and the
     thread count of each bundled OpenBLAS pool ("unknown" when none is
     found).

@@ -11,8 +11,11 @@ block against the whole basis, repeated only when the DGKS criterion finds
 that pass cancelled too much.  When a count cannot be certified, the dense
 spectrum gives the counts and the distance to the nearest eigenvalue.  A
 count that needs no eigenvalues comes from the Sylvester inertia of an
-LDL^H factorization (inertia).  The dense spectrum is the reference the
-other two are tested against on small grids.
+LDL^H factorization (inertia).  inertia factors a complex C-ordered matrix
+in place and consumes it, so a count holds one dense matrix, not the
+matrix and a shifted copy; its probe residual reads the original matrix
+from the triangle the factor leaves untouched.  The dense spectrum is the
+reference the other two are tested against on small grids.
 
 An inertia count of dimension up to _SINGLE_THREAD_LIMIT runs on one
 BLAS thread.  numpy and scipy each bundle their own OpenBLAS, each with a
@@ -221,27 +224,40 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
     raises RuntimeError.  An exactly singular D means shift is an
     eigenvalue to working precision and is reported in zero.
 
+    A complex C-contiguous matrix is factored in place and its contents
+    are destroyed, as with scipy's overwrite_a=True: afterwards its upper
+    triangle holds the factor, and passing it again fails the Hermiticity
+    check.  Pass a.copy() to keep a.  Any other input (real,
+    Fortran-ordered, a transposed view) is first copied into a private
+    complex C-ordered array and is left unchanged.  The factor leaves the
+    strict lower triangle holding A, so after the probe solve the saved
+    diagonal is put back and the residual applies A by a Hermitian product
+    (zhemm) that reads only those entries: a count allocates no second
+    dense matrix.
+
     Up to dimension _SINGLE_THREAD_LIMIT the factorization, the probe solve
     and the residual product run on one thread in each of the two bundled
     OpenBLAS pools (numpy's and scipy's), which on 2 vCPUs otherwise
     contend; the thread counts are restored afterwards, also on an error.
     """
-    a = np.asarray(matrix)
+    a = np.ascontiguousarray(matrix, dtype=complex)
     check_hermitian(a)
     shift = float(shift)
     dim = a.shape[0]
     if dim == 0:
         return InertiaResult(0, 0, 0, 0.0)
     with _single_blas_thread(dim):
-        # The transpose of a C-ordered copy is Fortran-ordered, so LAPACK
-        # factors it in place.  It holds conj(A) - shift*I, whose inertia
-        # equals that of A - shift*I because A is Hermitian.
-        shifted = np.array(a, dtype=complex, order="C")
-        shifted.flat[::dim + 1] -= shift
+        # a.T is Fortran-ordered and holds conj(A), whose inertia equals that
+        # of A because A is Hermitian.  LAPACK factors its lower triangle in
+        # place (a's upper triangle); its strict upper triangle keeps conj(A).
+        f = a.T
+        diagonal = a.diagonal().copy()
+        norm_est = float(np.linalg.norm(a)) + abs(shift) * np.sqrt(dim)
+        a.flat[::dim + 1] -= shift
         lapack = scipy.linalg.lapack
         lwork, _ = lapack.zhetrf_lwork(dim, lower=1)
-        ldu, ipiv, info = lapack.zhetrf(shifted.T, lower=1,
-                                        lwork=int(lwork.real), overwrite_a=1)
+        ldu, ipiv, info = lapack.zhetrf(f, lower=1, lwork=int(lwork.real),
+                                        overwrite_a=1)
         if info < 0:
             raise RuntimeError(f"zhetrf rejected argument {-info}")
         negative, zero, positive = _pivot_inertia(ldu, ipiv)
@@ -251,8 +267,8 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
         b = rng.standard_normal((dim, _INERTIA_PROBES)) \
             + 1j * rng.standard_normal((dim, _INERTIA_PROBES))
         x, _ = lapack.zhetrs(ldu, ipiv, b, lower=1)
-        r = a.T @ x - shift * x - b
-        norm_est = float(np.linalg.norm(a)) + abs(shift) * np.sqrt(dim)
+        a.flat[::dim + 1] = diagonal
+        r = scipy.linalg.blas.zhemm(1.0, f, x, lower=0) - shift * x - b
         resid = np.linalg.norm(r, axis=0) / (
             norm_est * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
         )

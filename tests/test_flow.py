@@ -249,7 +249,7 @@ def test_schur_inertia_matches_full_inertia_and_spectrum(name, lam, n):
         for shift in (lam - DEGENERACY_TOL, lam + DEGENERACY_TOL):
             assert np.abs(ev - shift).min() > 1e-6
             part = inertia(schur_complement(grid, params, op.diagonal, shift), 0.0)
-            full = inertia(dense, shift)
+            full = inertia(dense.copy(), shift)
             counts = (half + part.negative, part.zero, part.positive)
             assert counts == (full.negative, full.zero, full.positive)
             assert counts == (int(np.count_nonzero(ev < shift)), 0,

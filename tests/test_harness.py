@@ -16,6 +16,7 @@ from gapcount import (
 )
 from gapcount.cli import build_parser, main as cli_main
 from gapcount.harness import emit_outputs, oracle_lines
+from gapcount.operators import DenseCapExceededError
 from gapcount.spectra import blas_threads
 from oracles import parse_report_csv
 
@@ -344,14 +345,16 @@ def _assert_process_keys(meta, threads):
     assert float(meta["peak_rss_mb"]) > 0.0
 
 
-@pytest.mark.parametrize("text,runner,method_key,seconds_key,csv,svg_sha", [
+# the largest dimension factored: the 12^2 flow Schur complement, and the
+# beta = 4 box block, 16 nodes on two spinor components
+@pytest.mark.parametrize("text,runner,method_key,seconds_key,dim_key,dim,csv,svg_sha", [
     (WEYL_TEXT + "study.with_flow = true\n", run_weyl_study, "flow_count_method",
-     "flow_seconds", WEYL_FLOW_CSV, WEYL_FLOW_SVG_SHA256),
-    (BOX_TEXT, run_box_study, "box_count_method", "box_count_seconds", BOX_CSV,
-     BOX_SVG_SHA256),
+     "flow_seconds", "flow_factor_dim", 144, WEYL_FLOW_CSV, WEYL_FLOW_SVG_SHA256),
+    (BOX_TEXT, run_box_study, "box_count_method", "box_count_seconds",
+     "box_factor_dim", 32, BOX_CSV, BOX_SVG_SHA256),
 ], ids=["weyl-flow", "box"])
 def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key,
-                                         seconds_key, csv, svg_sha):
+                                         seconds_key, dim_key, dim, csv, svg_sha):
     import hashlib
 
     config = ExperimentConfig.from_text(text)
@@ -365,6 +368,7 @@ def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key,
     assert meta[method_key] == "ldl-inertia"
     assert 0.0 <= float(meta["inertia_residual_max"]) <= 1e-8
     assert float(meta[seconds_key]) >= 0.0
+    assert int(meta[dim_key]) == dim
     _assert_process_keys(meta, threads)
     assert paths["csv"].read_text() == csv
     assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
@@ -558,6 +562,31 @@ def test_cli_cap_exceeded_exit_code(tmp_path):
     text = WEYL_TEXT.replace("grid.n_points = 12", "grid.n_points = 32") + "dense_cap = 500\n"
     cfg = _write(tmp_path, "big.cfg", text)
     assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_box_block_over_the_cap_is_a_resource_error(tmp_path, capsys):
+    # the beta = 4 block has dimension 32 (2 x 16 nodes); the cap is checked
+    # when the config loads, before any block is gathered
+    cfg = _write(tmp_path, "box.cfg", BOX_TEXT + "dense_cap = 31\n")
+    capsys.readouterr()
+    assert cli_main(["box", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("resource error:")
+    assert "32" in err[0]
+    assert not (tmp_path / "o").exists()
+    ExperimentConfig.from_text(BOX_TEXT + "dense_cap = 32\n")
+
+
+def test_box_cap_applies_to_the_largest_block():
+    # the largest block of the n = 64 box study: beta = 14, (2 * 14)^2 nodes
+    text = BOX_TEXT.replace("grid.n_points = 16", "grid.n_points = 64").replace(
+        "grid.box_side = 16.0", "grid.box_side = 32.0").replace(
+        "box.corner_x = 0.0\nbox.corner_y = 0.0",
+        "box.corner_x = -0.01\nbox.corner_y = -0.01").replace(
+        "box.betas = 2, 4", "box.betas = 2, 4, 6, 8, 10, 12, 14")
+    ExperimentConfig.from_text(text + "dense_cap = 1568\n")
+    with pytest.raises(DenseCapExceededError, match="box block dimension 1568"):
+        ExperimentConfig.from_text(text + "dense_cap = 1567\n")
 
 
 def test_cli_uncertified_bs_count_is_a_resource_error(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -89,7 +91,7 @@ def test_inertia_matches_eigenvalue_count(zero_diagonal):
             np.fill_diagonal(a, 0.0)
         ev = np.linalg.eigvalsh(a)
         for shift in (-1.3, -0.2, 0.0, 0.45, 2.0):
-            result = inertia(a, shift)
+            result = inertia(a.copy(), shift)
             assert (result.negative, result.zero, result.positive) == (
                 int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift))
             )
@@ -101,7 +103,7 @@ def test_inertia_agrees_with_count_above_on_operator():
     dense = assemble_dense(birman_schwinger(grid, ModelParams(1.0, 0.2), Gaussian(4.0, 1.0)))
     spectrum = hermitian_eigenvalues(dense)
     for s in (0.02, 0.1, 0.3, 0.9):
-        assert inertia(dense, s * (1.0 + 1e-12)).positive == count_above(spectrum, s)
+        assert inertia(dense.copy(), s * (1.0 + 1e-12)).positive == count_above(spectrum, s)
 
 
 def test_inertia_shift_on_an_eigenvalue_reports_zero():
@@ -116,6 +118,55 @@ def test_inertia_shift_on_an_eigenvalue_reports_zero():
 def test_inertia_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
+
+
+def test_inertia_factors_a_complex_matrix_in_place():
+    # a copy of the matrix would double the peak; what remains is the
+    # Hermiticity check's strips (about 2 MiB whatever the dimension, so
+    # 0.13 of this 16 MiB matrix) and the LAPACK workspace (1 MiB)
+    a = _random_hermitian(np.random.default_rng(11), 1024)
+    ev = np.linalg.eigvalsh(a)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = inertia(a, 0.3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * a.nbytes
+    assert (result.negative, result.zero, result.positive) == (
+        int(np.count_nonzero(ev < 0.3)), 0, int(np.count_nonzero(ev > 0.3)))
+    assert 0.0 <= result.residual <= 1e-8
+
+
+@pytest.mark.parametrize("form", ["real", "fortran", "transposed"])
+def test_inertia_copies_any_other_input(form):
+    rng = np.random.default_rng(12)
+    if form == "real":
+        a = rng.standard_normal((50, 50))
+        a = a + a.T
+    elif form == "fortran":
+        a = np.asfortranarray(_random_hermitian(rng, 50))
+    else:
+        a = _random_hermitian(rng, 50).T
+    before = a.copy()
+    ev = np.linalg.eigvalsh(a)
+    for shift in (-0.4, 0.0, 0.6):
+        result = inertia(a, shift)
+        assert (result.negative, result.zero, result.positive) == (
+            int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift)))
+    assert np.array_equal(a, before)
+
+
+def test_a_consumed_matrix_is_rejected_not_miscounted():
+    a = _random_hermitian(np.random.default_rng(13), 40)
+    before = a.copy()
+    inertia(a, 0.1)
+    # the factor took the upper triangle; the diagonal is put back
+    assert np.array_equal(np.tril(a), np.tril(before))
+    assert not np.array_equal(a, before)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia(a, 0.1)
 
 
 @pytest.fixture
@@ -174,7 +225,7 @@ def test_inertia_without_a_bundled_openblas(monkeypatch):
     a = _random_hermitian(np.random.default_rng(6), 60)
     ev = np.linalg.eigvalsh(a)
     for shift in (-0.5, 0.0, 0.7):
-        result = inertia(a, shift)
+        result = inertia(a.copy(), shift)
         assert (result.negative, result.zero, result.positive) == (
             int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift)))
 
