@@ -36,8 +36,7 @@ from .operators import (
     LocalizationSpec,
     assemble_dense,
     birman_schwinger,
-    localized_piece,
-    perturbed_operator,
+    free_operator,
     resolvent,
     restricted_block,
     zone_masks,

@@ -25,7 +25,6 @@ class NonIntegrableError(ValueError):
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    kind: str  # "weyl1" | "theorem2" | "box" | "phase_space"
     value: float
     error: float
 
@@ -69,7 +68,7 @@ def weyl_coefficient(spec: PotentialSpec) -> AsymptoticPrediction:
     val, err = integrate.quad(lambda r: fn(r) * r, 0.0, rmax,
                               points=points, limit=200, epsabs=1e-12, epsrel=1e-12)
     total = 2.0 * np.pi * val + tail
-    return AsymptoticPrediction("weyl1", total / (4.0 * np.pi),
+    return AsymptoticPrediction(total / (4.0 * np.pi),
                                 (2.0 * np.pi * err + tail) / (4.0 * np.pi))
 
 
@@ -100,8 +99,7 @@ def phase_space_volume(spec: PotentialSpec) -> AsymptoticPrediction:
     total = 2.0 * np.pi * fine + tail
     err = 2.0 * np.pi * abs(fine - coarse) + tail
     value = np.pi * total / (2.0 * np.pi) ** 2
-    return AsymptoticPrediction("phase_space", value,
-                                np.pi * err / (2.0 * np.pi) ** 2)
+    return AsymptoticPrediction(value, np.pi * err / (2.0 * np.pi) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,7 @@ def j_integral(params: ModelParams, spec: PowerDecay) -> AsymptoticPrediction:
     radial_err = float(errs.sum()) * dtheta
     value = full / (4.0 * np.pi)
     error = (abs(full - half) + radial_err) / (4.0 * np.pi)
-    return AsymptoticPrediction("theorem2", value, error)
+    return AsymptoticPrediction(value, error)
 
 
 # ---------------------------------------------------------------------------

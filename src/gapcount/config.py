@@ -52,15 +52,23 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def _finite(key, token: str) -> float:
+    """token as a float; ConfigError unless it is a finite number."""
+    try:
+        value = float(token)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: not a number: {token!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {token!r}")
+    return value
+
+
 def _get_float(mapping, key, default=None):
     if key not in mapping:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
-    try:
-        return float(mapping[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {mapping[key]!r}") from exc
+    return _finite(key, mapping[key])
 
 
 def _get_int(mapping, key, default=None):
@@ -88,10 +96,7 @@ def _get_bool(mapping, key, default=False):
 def _get_float_list(mapping, key):
     if key not in mapping or not mapping[key]:
         return None
-    try:
-        return [float(tok) for tok in mapping[key].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: bad list: {mapping[key]!r}") from exc
+    return [_finite(key, tok.strip()) for tok in mapping[key].split(",") if tok.strip()]
 
 
 def _build_potential(mapping) -> PotentialSpec:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import GridSpec
-from .operators import (DENSE_CAP, assemble_dense, perturbed_operator,
-                        potential_on_grid, schur_complement)
+from .operators import (DENSE_CAP, assemble_dense, free_operator, potential_on_grid,
+                        schur_complement)
 from .potential import PotentialSpec
 from .spectra import InertiaResult, hermitian_eigenvalues, inertia
 from .symbol import ModelParams, symbol_eigenvalues
@@ -78,8 +78,9 @@ def _count_below(values: np.ndarray, threshold: float) -> int:
 
 def _endpoint_spectrum(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
                        t: float, cap: int) -> np.ndarray:
-    op = perturbed_operator(grid, params, spec, t)
-    dense = assemble_dense(op, cap=cap)
+    """Spectrum of the dense D(t) = free - t*V, V a scalar on both components."""
+    dense = assemble_dense(free_operator(grid, params), cap=cap)
+    dense.flat[::dense.shape[0] + 1] -= t * np.repeat(potential_on_grid(grid, spec), 2)
     return hermitian_eigenvalues(dense)
 
 

@@ -11,8 +11,11 @@ block Lanczos run for all couplings, with the dense spectrum as the
 fallback; the flow cross-check (through the Schur complement onto one
 spinor component) and the box counts from LDL^H inertia; the crossterm
 counts from singular values of dense zone blocks, one SVD per zone pair.
-Every study runs serially.  A count within 1e-10 of its threshold raises
-DegenerateThresholdWarning, naming the coupling, and flags the report.
+Every study runs serially.  A Birman-Schwinger, flow or crossterm count
+whose threshold lies within 1e-10 of an eigenvalue or singular value raises
+DegenerateThresholdWarning, naming the coupling, and flags the report.  Box
+counts are strict inertia at tau*(1 + 1e-12) and are not flagged, which
+would take further factorizations.
 run_meta.txt records which method produced each count and its margin, the
 seconds spent in each stage (oracle, Birman-Schwinger count and flow
 cross-check for weyl and theorem2; box counts; crossterm SVDs), the
@@ -234,7 +237,9 @@ def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
     full localized piece; restricted_block gathers each block without
     building the full matrix.  The (j, i) block is exactly the conjugate
     transpose of the (i, j) block, because the kernel is made Hermitian and
-    the weights are real, so one SVD gives the count of both rows.
+    the weights are real, so one SVD gives the count of both rows.  A
+    threshold within 1e-10 of a singular value is flagged, naming alpha and
+    the zone pair; svd_certificate_min in run_meta.txt is the least distance.
     """
     _require(config, "crossterm")
     t0 = time.time()
@@ -244,6 +249,8 @@ def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
     rows = []
     previous: dict[tuple[int, int], float] = {}
     monotone = True
+    degenerate = False
+    certificate = np.inf
     svd_seconds = 0.0
     for a in (float(a) for a in config.alphas):
         loc = LocalizationSpec(config.eps1, config.eps2, a, p)
@@ -255,6 +262,14 @@ def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
             values = singular_values(block)
             svd_seconds += time.perf_counter() - t_svd
             count = count_above(values, threshold)
+            # an empty block has no singular value to meet the threshold
+            gap = float(np.abs(values - threshold).min(initial=np.inf))
+            certificate = min(certificate, gap)
+            if gap <= DEGENERACY_TOL:
+                degenerate = True
+                warnings.warn(f"crossterm count at alpha = {a:.17g}, zones ({i}, {j}) is "
+                              f"degenerate: epsilon/alpha lies within {gap:.1e} of a "
+                              f"singular value", DegenerateThresholdWarning, stacklevel=2)
             normalized = count / a ** (2.0 / p)
             if (i, j) in previous and normalized >= previous[(i, j)]:
                 monotone = False
@@ -275,8 +290,10 @@ def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
             "epsilon": config.epsilon,
             "runtime_seconds": time.time() - t0,
             "seed": config.seed,
+            "svd_certificate_min": certificate,
             "svd_seconds": svd_seconds,
         },
+        degenerate=degenerate,
     )
 
 

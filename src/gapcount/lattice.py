@@ -44,13 +44,6 @@ class GridSpec:
         """Total complex dimension of the spinor space, 2 * n_points**2."""
         return 2 * self.n_points * self.n_points
 
-    def momentum(self, k: int) -> float:
-        """Momentum-lattice value 2*pi*k/L for integer k in [-n/2, n/2)."""
-        half = self.n_points // 2
-        if not -half <= k < half:
-            raise ValueError(f"mode index {k} outside [-{half}, {half})")
-        return 2.0 * np.pi * k / self.box_side
-
     @property
     def positions(self) -> np.ndarray:
         """Axis samples j*spacing - L/2 (origin is the node j = n/2)."""

@@ -1,17 +1,18 @@
 """Matrix-free discretized operators and their dense blocks.
 
-Every operator here has the form left * F^*[mult]F * right + diagonal: a
-Fourier multiplier (exact on the momentum lattice) between pointwise
-position-space weights, plus a pointwise diagonal, the standard
-pseudospectral discretization.  Handles apply to raw arrays of shape
-(..., n, n, 2) by FFT, so Krylov methods and probes batch over leading axes.
+Every operator here is a Hermitian sandwich W F^*[mult]F W: a Fourier
+multiplier (exact on the momentum lattice) between two copies of one real
+pointwise position-space weight (sqrt(V) for Birman-Schwinger), the
+standard pseudospectral discretization.  Handles apply to raw arrays of
+shape (..., n, n, 2) by FFT, so Krylov methods and probes batch over
+leading axes.
 
 Dense blocks need no FFT per column.  On the torus the multiplier is a
 circulant convolution, so entry [(x, a), (y, b)] of F^*[mult]F is
 k_ab(x - y), where k is one inverse FFT of mult (Davis, Circulant
 Matrices, 1979).  A dense block between two node sets is a gather from k,
-scaled by left[x] * right[y], plus the diagonal.  The same gather builds
-the Schur complement of the perturbed operator onto one spinor component
+scaled by W[x] * W[y].  The same gather builds the Schur complement of the
+perturbed operator free - alpha*V onto one spinor component
 (schur_complement): in the Fourier basis its node diagonals are circulant,
 with kernels from one FFT of the node fields.
 """
@@ -37,45 +38,34 @@ class DenseCapExceededError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LinearOperatorHandle:
-    """The operator left * F^*[mult]F * right + diagonal on spinor fields.
+    """The Hermitian sandwich W F^*[mult]F W on spinor fields.
 
     mult is the per-mode 2x2 multiplier, shape (n, n, 2, 2) in FFT order;
     it must be Hermitian mode by mode, which dense assembly checks on the
-    convolution kernel (_kernel).  left, right and diagonal are optional
-    real node fields of shape (n, n) acting on both spinor components; None
-    stands for the identity (for left and right) and for zero (for
-    diagonal).
+    convolution kernel (_kernel).  weight is the real node field W of shape
+    (n, n), acting on both spinor components on both sides, or None for
+    the identity.  The same real weight on both sides makes the operator
+    Hermitian whenever mult is.
     """
 
     grid: GridSpec
     mult: np.ndarray
-    left: np.ndarray | None = None
-    right: np.ndarray | None = None
-    diagonal: np.ndarray | None = None
+    weight: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
         return self.grid.dimension
 
-    @property
-    def hermitian(self) -> bool:
-        """The operator is Hermitian exactly when its node weights are equal."""
-        return _same_weights(self.left, self.right)
-
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         """The operator on an array of shape (..., n, n, 2), by FFT."""
-        g = values if self.right is None else values * self.right[..., None]
-        ghat = forward_array(g)
+        w = None if self.weight is None else self.weight[..., None]
+        ghat = forward_array(values if w is None else values * w)
         m = self.mult
         prod = np.empty_like(ghat)
         prod[..., 0] = m[..., 0, 0] * ghat[..., 0] + m[..., 0, 1] * ghat[..., 1]
         prod[..., 1] = m[..., 1, 0] * ghat[..., 0] + m[..., 1, 1] * ghat[..., 1]
         out = inverse_array(prod)
-        if self.left is not None:
-            out = out * self.left[..., None]
-        if self.diagonal is not None:
-            out = out + values * self.diagonal[..., None]
-        return out
+        return out if w is None else out * w
 
 
 @dataclass(frozen=True)
@@ -120,15 +110,16 @@ class BoxSpec:
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    @property
-    def area(self) -> float:
-        return self.side * self.side
-
 
 def _multiplier_on_grid(grid: GridSpec, symbol_fn, params: ModelParams) -> np.ndarray:
     xi1, xi2 = grid.momentum_mesh()
     xi = np.stack([xi1, xi2], axis=-1)
     return symbol_fn(xi, params)
+
+
+def free_operator(grid: GridSpec, params: ModelParams) -> LinearOperatorHandle:
+    """The unperturbed operator, the symbol as a multiplier on the momentum lattice."""
+    return LinearOperatorHandle(grid, _multiplier_on_grid(grid, dirac_symbol, params))
 
 
 def resolvent(grid: GridSpec, params: ModelParams) -> LinearOperatorHandle:
@@ -151,17 +142,7 @@ def birman_schwinger(grid: GridSpec, params: ModelParams,
                      spec: PotentialSpec) -> LinearOperatorHandle:
     """W (free - lambda)^{-1} W with W = sqrt(V), pointwise W on the grid."""
     w = sqrt_potential_on_grid(grid, spec)
-    return LinearOperatorHandle(grid, resolvent(grid, params).mult, left=w, right=w)
-
-
-def perturbed_operator(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
-                       t: float) -> LinearOperatorHandle:
-    """free - t*V with V acting as a scalar on both spinor components."""
-    if t < 0:
-        raise ValueError(f"coupling must be nonnegative, got {t}")
-    v = potential_on_grid(grid, spec)
-    mult = _multiplier_on_grid(grid, dirac_symbol, params)
-    return LinearOperatorHandle(grid, mult, diagonal=-t * v)
+    return LinearOperatorHandle(grid, resolvent(grid, params).mult, weight=w)
 
 
 def zone_masks(grid: GridSpec, loc: LocalizationSpec) -> tuple[np.ndarray, ...]:
@@ -180,23 +161,6 @@ def check_zones_fit(grid: GridSpec, loc: LocalizationSpec) -> None:
             f"outer zone radius {loc.r2:.3g} at coupling {loc.coupling:g} does not "
             f"fit inside the box (needs r2 < {0.5 * grid.box_side:.3g})"
         )
-
-
-def localized_piece(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
-                    loc: LocalizationSpec, i: int, j: int) -> LinearOperatorHandle:
-    """W_i (free - lambda)^{-1} W_j with W_i = (zone-i indicator) * sqrt(V).
-
-    The nine pieces sum to the full sandwich because the sharp indicators
-    partition the grid exactly.
-    """
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError(f"zone indices must lie in {{1,2,3}}, got ({i}, {j})")
-    check_zones_fit(grid, loc)
-    masks = zone_masks(grid, loc)
-    w = sqrt_potential_on_grid(grid, spec)
-    wi = np.where(masks[i - 1], w, 0.0)
-    wj = np.where(masks[j - 1], w, 0.0)
-    return LinearOperatorHandle(grid, resolvent(grid, params).mult, left=wi, right=wj)
 
 
 def box_mask(grid: GridSpec, box: BoxSpec) -> np.ndarray:
@@ -270,9 +234,9 @@ def _kernel(op: LinearOperatorHandle) -> np.ndarray:
     multiplier must be Hermitian, which is checked on the kernel, as it
     holds every distinct entry of the circulant part: k_ab(d) must equal
     conj(k_ba(-d)) to 1e-9 relative (ValueError otherwise).  k is then
-    replaced by (k_ab(d) + conj(k_ba(-d))) / 2, so every block gathered from
-    it between equal node sets with equal weights is exactly Hermitian and
-    needs no O(dim^2) check.
+    replaced by (k_ab(d) + conj(k_ba(-d))) / 2, so every block of the
+    sandwich W k W gathered between equal node sets is exactly Hermitian
+    and needs no O(dim^2) check.
     """
     n = op.grid.n_points
     k = np.moveaxis(inverse_array(np.moveaxis(op.mult, -1, 0)), 0, -1) / n
@@ -292,37 +256,25 @@ def _mirror(k: np.ndarray) -> np.ndarray:
     return k[neg][:, neg].conj().swapaxes(-1, -2)
 
 
-def _same_weights(left: np.ndarray | None, right: np.ndarray | None) -> bool:
-    if left is None or right is None:
-        return left is None and right is None
-    return left is right or np.array_equal(left, right)
-
-
-def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms,
-                 diagonal: np.ndarray | None = None) -> np.ndarray:
-    """Dense block sum_t left_t[x] k_t(x - y) right_t[y] (+ diagonal).
+def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms) -> np.ndarray:
+    """Dense block sum_t left_t[x] k_t(x - y) right_t[y].
 
     x runs over rows and y over cols, two increasing lists of flat indices
     into an n x n torus lattice (nodes, or modes in FFT order); x - y is
     taken mod n per axis.  Each term is (kernel, left, right): kernel has
     shape (n*n, c, c), indexed by the flat offset, and left and right are
-    weights over the lattice, or None for ones.  Row c*r + a and column
-    c*s + b hold component [a, b] of the entry [rows[r], cols[s]].  The
-    block is gathered from the kernels straight into the output, in row
-    strips of about 1 MiB so the index temporaries stay small; diagonal is
-    added to every component where a row index is a column index.
+    weights over the lattice, both None for ones.  A handle's term has
+    left = right = W; the Schur complement's has the complex pair
+    (b, conj b).  Row c*r + a and column c*s + b hold component [a, b] of
+    the entry [rows[r], cols[s]].  The block is gathered from the kernels
+    straight into the output, in row strips of about 1 MiB so the index
+    temporaries stay small.
     """
     c = terms[0][0].shape[-1]
     ri, rj = np.divmod(rows, n)
     ci, cj = np.divmod(cols, n)
-    weights = []
-    for _, left, right in terms:
-        if left is None and right is None:
-            weights.append(None)
-            continue
-        ones = np.ones(n * n)
-        weights.append(((ones if left is None else np.ravel(left))[rows],
-                        (ones if right is None else np.ravel(right))[cols]))
+    weights = [None if left is None else (np.ravel(left)[rows], np.ravel(right)[cols])
+               for _, left, right in terms]
     out = np.empty((c * len(rows), c * len(cols)), dtype=complex)
     out4 = out.reshape(len(rows), c, len(cols), c)
     strip = max(1, _STRIP_BYTES // (16 * c * c * max(len(cols), 1)))
@@ -339,19 +291,13 @@ def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms,
                 gathered *= _outer(w[0][r0:r1], w[1])[:, :, None, None]
             if t > 0:
                 part += gathered
-    if diagonal is not None:
-        nodes, r, s = np.intersect1d(rows, cols, assume_unique=True,
-                                     return_indices=True)
-        d = np.ravel(diagonal)[nodes]
-        for a in range(c):
-            out4[r, a, s, a] += d
     return out
 
 
 def _outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left[x] * right[y], exactly conjugated by swapping x and y if right = conj(left).
 
-    Real weights (or left == right real) give a symmetric product anyway.
+    Real weights give a symmetric product anyway.
     A complex product is formed from its real and imaginary parts by
     separate real operations: a fused multiply-add would round
     left[x] * right[y] and left[y] * right[x] differently, and the
@@ -379,14 +325,14 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray
 
     Entry [(x, a), (y, b)] sits at row 2*(n*x1 + x2) + a and column
     2*(n*y1 + y2) + b (C-order flattening of the (n, n, 2) array).  It is
-    gathered from the Hermitian convolution kernel (_kernel, _dense_block),
-    so a handle with equal node weights gives an exactly Hermitian matrix.
-    The dimension cap is checked before anything is allocated.
+    gathered from the Hermitian convolution kernel (_kernel, _dense_block)
+    and scaled by W on both sides, so the matrix is exactly Hermitian.  The
+    dimension cap is checked before anything is allocated.
     """
     _check_cap(op.dimension, cap)
     nodes = np.arange(op.grid.n_points ** 2)
     return _dense_block(op.grid.n_points, nodes, nodes,
-                        [(_kernel(op), op.left, op.right)], op.diagonal)
+                        [(_kernel(op), op.weight, op.weight)])
 
 
 def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
@@ -394,10 +340,10 @@ def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
     """Schur complement of free + diag(diagonal) - shift onto the first component.
 
     free is the unperturbed operator F^*[[m, b], [conj b, -m]]F of params
-    and diagonal a real node field acting on both spinor components (the
-    flow passes -alpha*V, so that the operator is perturbed_operator at
-    t = alpha).  In component-block order the operator minus shift is
-    [[P, B], [B^H, Q]], with P = diag(m + diagonal - shift) and
+    (free_operator) and diagonal a real node field acting on both spinor
+    components; the flow passes -alpha*V, so that the operator is
+    D(alpha) = free - alpha*V.  In component-block order the operator
+    minus shift is [[P, B], [B^H, Q]], with P = diag(m + diagonal - shift) and
     Q = diag(-m + diagonal - shift) diagonal on the nodes and B = F^* b F.
     Q must be negative definite (ValueError otherwise); then
     S = P - B Q^-1 B^H is an n^2 x n^2 matrix, and by Haynsworth's inertia
@@ -409,8 +355,9 @@ def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
     S[k, k'] = d^(k - k') + b(k) w^(k - k') conj(b(k')), where d^ and w^ are
     fft2 / n^2 of the node fields d = m + diagonal - shift and
     w = -1 / (-m + diagonal - shift), from one batched FFT.  Both kernels
-    are made Hermitian on the kernel (_kernel does the same), so S is
-    exactly Hermitian.  The cap applies to grid.dimension, as in
+    are made Hermitian on the kernel (_kernel does the same), and the
+    second term's weights are the complex pair (b, conj b) (_dense_block),
+    so S is exactly Hermitian.  The cap applies to grid.dimension, as in
     assemble_dense, and is checked before anything is allocated.
     """
     _check_cap(grid.dimension, cap)
@@ -439,14 +386,14 @@ def restricted_block(op: LinearOperatorHandle, row_mask: np.ndarray,
 
     The block is the np.ix_ sub-matrix of assemble_dense(op) on the masked
     nodes (both components of each), gathered from the convolution kernel
-    without building the full matrix.  For operators of the form
-    P_row A P_col (sharp indicator projections on both sides) the nonzero
-    singular values -- and for row_mask == col_mask the nonzero
-    eigenvalues -- of the full operator coincide with those of this block.
+    without building the full matrix.  An operator P_row A P_col with
+    different sharp indicator projections on the two sides (a crossterm
+    zone piece) appears only in this form: its nonzero singular values
+    coincide with those of this block, and for row_mask == col_mask the
+    nonzero eigenvalues of P A P with those of the block.
     """
     shape = (op.grid.n_points,) * 2
     if np.shape(row_mask) != shape or np.shape(col_mask) != shape:
         raise ValueError(f"node masks must have shape {shape}")
     return _dense_block(op.grid.n_points, np.flatnonzero(row_mask),
-                        np.flatnonzero(col_mask), [(_kernel(op), op.left, op.right)],
-                        op.diagonal)
+                        np.flatnonzero(col_mask), [(_kernel(op), op.weight, op.weight)])

@@ -162,14 +162,13 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     For dimensions up to 3000 eigenvectors are computed as well and five
     spread-out eigenpairs are verified to satisfy ||A v - w v|| <= 1e-8 ||A||
     (RuntimeError otherwise); larger problems use the eigenvalue-only LAPACK
-    driver, whose backward stability bounds the error.  A matrix with a
-    nonzero (tolerated) Hermiticity defect is replaced by its
-    symmetrization (A + A^H)/2; an exactly Hermitian one, such as every
-    dense block built by operators, is used as it is.
+    driver, whose backward stability bounds the error.  The matrix is
+    checked, never repaired: a Hermiticity defect above 1e-9 relative
+    raises ValueError (check_hermitian), and every dense block built by
+    operators is exactly Hermitian.
     """
     a = np.asarray(matrix)
-    if check_hermitian(a) != 0.0:
-        a = 0.5 * (a + a.conj().T)
+    check_hermitian(a)
     dim = a.shape[0]
     if dim > _RESIDUAL_CHECK_LIMIT:
         return np.linalg.eigvalsh(a)[::-1].copy()
@@ -445,12 +444,13 @@ def _block_lanczos(op, thresholds, columns, block, seed):
 
 def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
                           dense_cap: int = DENSE_CAP) -> CountResult:
-    """Count eigenvalues of a Hermitian handle above each of the thresholds.
+    """Count eigenvalues of the Hermitian sandwich op above each threshold.
 
-    thresholds is a sequence of positive numbers; one block Lanczos run
-    with full reorthogonalization (Golub & Underwood, 1977) and blocks of
-    _BLOCK vectors serves them all, and every count and certificate comes
-    from the same Ritz values.  Each new block takes one Gram-Schmidt pass
+    op, Hermitian by construction, is applied by FFT.  thresholds is a
+    sequence of positive numbers; one block Lanczos run with full
+    reorthogonalization (Golub & Underwood, 1977) and blocks of _BLOCK
+    vectors serves them all, and every count and certificate comes from the
+    same Ritz values.  Each new block takes one Gram-Schmidt pass
     against the whole basis after the local recurrence, and a second only
     when the first cancelled more than the DGKS criterion allows
     (_block_lanczos).  A count is settled when every Ritz value above its
@@ -476,9 +476,6 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
         raise ValueError(f"thresholds must be a sequence of positive numbers, "
                          f"got {thresholds}")
     thresholds = tuple(float(x) for x in values)
-    if not op.hermitian:
-        raise ValueError("iterative_count_above expects a Hermitian handle "
-                         "(equal node weights)")
     dim = op.dimension
     block = min(_BLOCK, dim)
     found, built = _block_lanczos(op, thresholds, _column_cap(dim, block), block,

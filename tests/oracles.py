@@ -4,19 +4,19 @@ These deliberately avoid the library's own quadrature paths: the radial
 reduction uses composite Simpson on graded meshes so the production
 Gauss-Kronrod/trapezoid pipeline is checked against a different method,
 and the phase-space and box-law areas are midpoint polar quadratures of
-indicators whose closed forms the production oracles use.  The operator
-handles here (the free operator, the box-localized resolvent) are the
-references that the symbol spectrum, the dense gather and the box-block
-compression are checked against; parse_report_csv inverts the report
-writer.
+indicators whose closed forms the production oracles use.  The
+box-localized resolvent handle is the reference the box-block compression
+is checked against, and perturbed_dense, built from FFT columns, the
+reference for the flow's dense D(t) and its Schur complement;
+parse_report_csv inverts the report writer.
 """
 
 import numpy as np
 from scipy import integrate
 
-from gapcount.operators import LinearOperatorHandle, box_mask, check_box_fits, resolvent
+from gapcount.operators import (LinearOperatorHandle, box_mask, check_box_fits,
+                                free_operator, potential_on_grid, resolvent)
 from gapcount.potential import eval_potential
-from gapcount.symbol import dirac_symbol
 
 
 def radial_profile_integral(params, psi_const, p):
@@ -107,17 +107,22 @@ def box_symbol_region_area(tau, params, n_radial=200_000, n_theta=16):
         1.5 * disc ** 0.25, n_radial, n_theta)
 
 
-def free_operator(grid, params):
-    """The unperturbed operator, the symbol as a multiplier on the momentum lattice."""
-    xi1, xi2 = grid.momentum_mesh()
-    return LinearOperatorHandle(grid, dirac_symbol(np.stack([xi1, xi2], axis=-1), params))
+def perturbed_dense(grid, params, spec, t):
+    """Dense D(t) = free - t*V from FFT columns of the free operator.
+
+    V acts as a scalar on both spinor components, so -t*V(x) is added to
+    both diagonal entries of node x.
+    """
+    dense = dense_by_columns(free_operator(grid, params))
+    dense[np.diag_indices_from(dense)] -= t * np.repeat(potential_on_grid(grid, spec), 2)
+    return dense
 
 
 def box_localized_resolvent(grid, params, box):
     """phi (free - lambda)^{-1} phi with phi the indicator of beta*Q."""
     check_box_fits(grid, box)
     phi = box_mask(grid, box).astype(float)
-    return LinearOperatorHandle(grid, resolvent(grid, params).mult, left=phi, right=phi)
+    return LinearOperatorHandle(grid, resolvent(grid, params).mult, weight=phi)
 
 
 INT_COLUMNS = frozenset({"n_bs", "n_flow", "count", "i", "j", "index"})

@@ -19,11 +19,12 @@ from gapcount.operators import (
     DenseCapExceededError,
     assemble_dense,
     check_hermitian,
-    perturbed_operator,
+    free_operator,
+    potential_on_grid,
     schur_complement,
 )
 from gapcount.spectra import inertia
-from oracles import free_operator
+from oracles import perturbed_dense
 
 GRID = build_grid(12, 12.0)
 GAUSS = Gaussian(4.0, 1.0)
@@ -56,7 +57,7 @@ def test_birman_schwinger_equivalence(lam):
 
 
 def _dense_count_below(grid, params, spec, t, threshold):
-    dense = assemble_dense(perturbed_operator(grid, params, spec, t))
+    dense = perturbed_dense(grid, params, spec, t)
     return int(np.count_nonzero(np.linalg.eigvalsh(dense) < threshold))
 
 
@@ -104,8 +105,7 @@ def test_negative_coupling_rejected():
 def test_degenerate_threshold_flagged_and_bracketed():
     params = ModelParams(1.0, 0.0)
     alpha = 6.0
-    dense = assemble_dense(perturbed_operator(GRID, params, GAUSS, alpha))
-    eigs = hermitian_eigenvalues(dense)
+    eigs = hermitian_eigenvalues(perturbed_dense(GRID, params, GAUSS, alpha))
     gap_eigs = eigs[(np.abs(eigs) < 1.0)]
     assert len(gap_eigs) > 0
     lam = float(gap_eigs[0]) + 3e-11  # within the 1e-10 collision tolerance
@@ -143,8 +143,8 @@ def test_full_spectrum_weyl_monotonicity():
     params = ModelParams(1.0, 0.0)
     spectra = []
     for t in (0.0, 1.0, 2.0, 4.0):
-        dense = assemble_dense(perturbed_operator(GRID, params, GAUSS, t))
-        spectra.append(np.sort(hermitian_eigenvalues(dense)))
+        spectra.append(np.sort(hermitian_eigenvalues(perturbed_dense(GRID, params,
+                                                                     GAUSS, t))))
     for a, b in zip(spectra, spectra[1:]):
         assert np.all(b <= a + 1e-10)
 
@@ -205,10 +205,9 @@ def test_crossing_count_checks_hermiticity_once_per_matrix(monkeypatch):
 # Schur complement onto the first spinor component
 # ---------------------------------------------------------------------------
 
-def _dense_schur_in_fourier_basis(op, shift):
-    """P - B Q^-1 B^H from the assembled matrix, moved to the Fourier basis."""
-    n = op.grid.n_points
-    dense = assemble_dense(op)
+def _dense_schur_in_fourier_basis(dense, shift):
+    """P - B Q^-1 B^H from the dense operator, moved to the Fourier basis."""
+    n = int(np.sqrt(dense.shape[0] // 2))
     eye = np.eye(n * n)
     p = dense[0::2, 0::2] - shift * eye
     b = dense[0::2, 1::2]
@@ -225,10 +224,11 @@ def _dense_schur_in_fourier_basis(op, shift):
 def test_schur_complement_matches_dense_schur_complement(name, lam, n):
     grid = build_grid(n, 12.0)
     params = ModelParams(1.0, lam)
-    op = perturbed_operator(grid, params, FLOW_POTENTIALS[name], 3.0)
+    spec = FLOW_POTENTIALS[name]
     shift = lam + DEGENERACY_TOL
-    schur = schur_complement(grid, params, op.diagonal, shift)
-    reference = _dense_schur_in_fourier_basis(op, shift)
+    schur = schur_complement(grid, params, -3.0 * potential_on_grid(grid, spec), shift)
+    reference = _dense_schur_in_fourier_basis(perturbed_dense(grid, params, spec, 3.0),
+                                              shift)
     assert schur.shape == (n * n, n * n)
     assert np.abs(schur - reference).max() <= 1e-12 * np.abs(reference).max()
     assert check_hermitian(schur) == 0.0
@@ -243,12 +243,12 @@ def test_schur_inertia_matches_full_inertia_and_spectrum(name, lam, n):
     params = ModelParams(1.0, lam)
     half = n * n
     for alpha in (1.0, 3.0, 8.0):
-        op = perturbed_operator(grid, params, FLOW_POTENTIALS[name], alpha)
-        dense = assemble_dense(op)
+        diagonal = -alpha * potential_on_grid(grid, FLOW_POTENTIALS[name])
+        dense = perturbed_dense(grid, params, FLOW_POTENTIALS[name], alpha)
         ev = np.linalg.eigvalsh(dense)
         for shift in (lam - DEGENERACY_TOL, lam + DEGENERACY_TOL):
             assert np.abs(ev - shift).min() > 1e-6
-            part = inertia(schur_complement(grid, params, op.diagonal, shift), 0.0)
+            part = inertia(schur_complement(grid, params, diagonal, shift), 0.0)
             full = inertia(dense.copy(), shift)
             counts = (half + part.negative, part.zero, part.positive)
             assert counts == (full.negative, full.zero, full.positive)
@@ -259,10 +259,10 @@ def test_schur_inertia_matches_full_inertia_and_spectrum(name, lam, n):
 
 def test_schur_complement_rejects_what_it_cannot_reduce():
     params = ModelParams(1.0, 0.0)
-    op = perturbed_operator(GRID, params, GAUSS, 2.0)
+    diagonal = -2.0 * potential_on_grid(GRID, GAUSS)
     # at s <= -m the second-component block is no longer negative definite
     with pytest.raises(ValueError, match="not negative definite"):
-        schur_complement(GRID, params, op.diagonal, -1.0)
+        schur_complement(GRID, params, diagonal, -1.0)
 
 
 def test_crossing_count_checks_the_cap_before_any_dense_work(monkeypatch):

@@ -444,14 +444,14 @@ def test_run_meta_records_crossterm_svd_seconds(tmp_path):
     meta = dict(line.split(" = ", 1)
                 for line in paths["meta"].read_text().splitlines())
     assert float(meta["svd_seconds"]) >= 0.0
+    assert float(meta["svd_certificate_min"]) > 1e-10
+    assert not report.degenerate
     _assert_process_keys(meta, threads)
     assert paths["csv"].read_text() == CROSS_CSV
 
 
 def test_flow_trace_eigenvalues_match_column_oracle():
-    from oracles import dense_by_columns
-
-    from gapcount.operators import perturbed_operator
+    from oracles import perturbed_dense
 
     text = WEYL_TEXT.replace("study = weyl", "study = flow-trace").replace(
         "alpha.values = 2, 4, 8", "flow.t_values = 0, 1, 2")
@@ -460,8 +460,8 @@ def test_flow_trace_eigenvalues_match_column_oracle():
     m = config.model.mass
     tol = 1e-12
     for t in config.t_values:
-        op = perturbed_operator(config.grid, config.model, config.potential, t)
-        ev = np.linalg.eigvalsh(dense_by_columns(op))
+        ev = np.linalg.eigvalsh(perturbed_dense(config.grid, config.model,
+                                                config.potential, t))
         got = np.asarray([row[2] for row in report.rows if row[0] == t])
         assert [row[1] for row in report.rows if row[0] == t] == list(range(len(got)))
         assert np.all(np.diff(got) >= 0)
@@ -551,6 +551,24 @@ def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, study, text):
     assert cli_main([study, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("alpha.values = 2, 4, 8", "alpha.values = 2, 4, nan"),
+    ("alpha.values = 2, 4, 8", "alpha.values = 2, 4, inf"),
+    ("potential.amplitude = 4.0", "potential.amplitude = nan"),
+    ("grid.box_side = 12.0", "grid.box_side = inf"),
+    ("potential.width = 1.0", "potential.width = inf"),
+], ids=["alpha-nan", "alpha-inf", "amplitude-nan", "box-side-inf", "width-inf"])
+def test_cli_non_finite_number_is_a_config_error(tmp_path, capsys, old, new):
+    cfg = _write(tmp_path, "bad.cfg", WEYL_TEXT.replace(old, new))
+    capsys.readouterr()
+    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert "not a finite number" in lines[0] and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_study_mismatch(tmp_path):
@@ -655,6 +673,31 @@ def test_cli_degenerate_flow_trace_exit_code(tmp_path, capsys):
     warned = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("warning:")]
     assert len(warned) == 1 and f"alpha = {alpha:.17g}" in warned[0]
+
+
+def test_cli_degenerate_crossterm_threshold_exit_code(tmp_path, capsys):
+    # epsilon/alpha at alpha = 2 is the second singular value of the (1, 2) block
+    from gapcount import (LocalizationSpec, birman_schwinger, restricted_block,
+                          singular_values, zone_masks)
+
+    config = ExperimentConfig.from_text(CROSS_TEXT)
+    masks = zone_masks(config.grid, LocalizationSpec(config.eps1, config.eps2, 2.0,
+                                                     config.potential.exponent))
+    block = restricted_block(birman_schwinger(config.grid, config.model,
+                                              config.potential), masks[0], masks[1])
+    sigma = singular_values(block)[1]
+    text = CROSS_TEXT.replace("localization.epsilon = 0.5",
+                              f"localization.epsilon = {2.0 * sigma:.17g}")
+    cfg = _write(tmp_path, "deg.cfg", text)
+    capsys.readouterr()
+    assert cli_main(["crossterm", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning:") and "degenerate" in line]
+    assert len(warned) == 1
+    assert "alpha = 2," in warned[0] and "zones (1, 2)" in warned[0]
+    meta = dict(line.split(" = ", 1)
+                for line in (tmp_path / "o" / "run_meta.txt").read_text().splitlines())
+    assert float(meta["svd_certificate_min"]) == 0.0
 
 
 def test_ratio_warning_prints_plain_numbers():

@@ -1,7 +1,8 @@
 """No package module imports a name it never uses, and package code reaches
-every public function and class the package defines."""
+every public function, class, method and property the package defines."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,12 +16,9 @@ ALLOWED_UNUSED = {
     ("harness", "assemble_dense"): "bench/selftest.py checks its traced binding",
 }
 
-# (module, name) of a public function or class that no package code reaches,
-# with the reason it stays in the package
-ALLOWED_UNREACHED = {
-    ("operators", "localized_piece"):
-        "the term builder of matrix-free cross-term counts (ROADMAP item 2)",
-}
+# (module, name) of a public definition that no package code reaches, with
+# the reason it stays in the package
+ALLOWED_UNREACHED: dict[tuple[str, str], str] = {}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,28 +50,38 @@ def test_unused_import_detection():
     assert unused_imports(source) == ["path"]
 
 
-def unreached_definitions(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
-    """(module, name) of every public top-level function or class that no
-    top-level statement of any module references outside its own definition.
+def _references(node: ast.AST) -> Counter:
+    """Names read inside node: every Name and every attribute of an Attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
 
-    A reference is a Name or an Attribute with that name; imports, and so
-    the re-exports of __init__, are not references.  Sorted.
+
+def unreached_definitions(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """Public definitions that no code of any module references outside
+    their own definition, sorted.
+
+    A definition is a public top-level function or class, named (module,
+    name), or a public method or property of a top-level class, named
+    (module, "Class.member").  A reference is a Name or an Attribute with
+    the bare name, wherever it stands; imports, and so the re-exports of
+    __init__, are not references.  Dataclass fields are not definitions.
     """
     defined = []
-    referenced = set()
     for module, tree in trees.items():
         for node in tree.body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = node.name
-                if not own.startswith("_"):
-                    defined.append((module, own))
-            for sub in ast.walk(node):
-                name = (sub.id if isinstance(sub, ast.Name)
-                        else sub.attr if isinstance(sub, ast.Attribute) else None)
-                if name is not None and name != own:
-                    referenced.add(name)
-    return sorted(item for item in defined if item[1] not in referenced)
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                defined.append((module, node.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{member.name}", member.name, member)
+                            for member in node.body
+                            if isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("_")]
+    referenced = sum((_references(tree) for tree in trees.values()), Counter())
+    return sorted((module, qualified) for module, qualified, name, node in defined
+                  if referenced[name] == _references(node)[name])
 
 
 def test_every_public_definition_is_reached_by_package_code():
@@ -88,5 +96,10 @@ def test_unreached_definition_detection():
                        "class H:\n    pass\n\nclass K:\n    pass\n\n"
                        "def _private():\n    pass\n"),
         "b": ast.parse("from a import K\nimport a\na.g()\n"),
+        "c": ast.parse("class M:\n    x: int = 0\n\n"
+                       "    @property\n    def p(self):\n        return self.p\n\n"
+                       "    def q(self):\n        return self.r()\n\n"
+                       "    def r(self):\n        return 0\n\n"
+                       "    def _s(self):\n        pass\n\nM().q\n"),
     }
-    assert unreached_definitions(trees) == [("a", "K"), ("a", "f")]
+    assert unreached_definitions(trees) == [("a", "K"), ("a", "f"), ("c", "M.p")]

@@ -11,14 +11,15 @@ def _random_values(grid, rng):
 
 
 def test_momentum_lattice_unit_box():
-    # L = 2*pi makes the momentum lattice the integers
+    # L = 2*pi makes the momentum lattice the integers, in FFT order
     grid = build_grid(8, 2.0 * np.pi)
-    assert [grid.momentum(k) for k in range(-4, 4)] == pytest.approx(list(range(-4, 4)))
+    assert list(grid.momenta) == pytest.approx([0, 1, 2, 3, -4, -3, -2, -1])
 
 
 def test_momentum_step():
     grid = build_grid(16, 8.0)
-    assert grid.momentum(1) == pytest.approx(2.0 * np.pi / 8.0)
+    assert np.diff(np.sort(grid.momenta)) == pytest.approx(
+        np.full(15, 2.0 * np.pi / 8.0))
 
 
 @pytest.mark.parametrize("n_points,box_side", [(7, 1.0), (6, 1.0), (8, 0.0), (8, -2.0)])
@@ -34,10 +35,12 @@ def test_spacing_times_n_is_box_side():
 
 def test_momentum_lattice_symmetric_up_to_unpaired_mode():
     grid = build_grid(12, 5.0)
+    xi = grid.momenta
     for k in range(1, 6):
-        assert grid.momentum(-k) == -grid.momentum(k)
-    with pytest.raises(ValueError):
-        grid.momentum(6)  # the pair of -6 is absent
+        assert xi[-k] == -xi[k]
+    # the Nyquist mode -6 (index 6) is the only one whose negation is absent
+    assert xi[6] == pytest.approx(-2.0 * np.pi * 6 / 5.0)
+    assert set(-xi) - set(xi) == {-xi[6]}
 
 
 def test_origin_is_a_grid_node():

@@ -11,15 +11,15 @@ from gapcount import (
     assemble_dense,
     birman_schwinger,
     build_grid,
-    localized_piece,
-    perturbed_operator,
+    free_operator,
     resolvent,
     restricted_block,
     zone_masks,
 )
-from gapcount.operators import LinearOperatorHandle, box_mask, check_hermitian
+from gapcount.operators import (LinearOperatorHandle, box_mask, check_hermitian,
+                                sqrt_potential_on_grid)
 from gapcount.symbol import dirac_symbol, symbol_eigenvalues
-from oracles import box_localized_resolvent, dense_by_columns, free_operator
+from oracles import box_localized_resolvent, dense_by_columns
 
 GRID = build_grid(12, 9.0)
 PARAMS = ModelParams(1.0, 0.3)
@@ -51,7 +51,7 @@ def test_free_operator_plane_wave_eigenfields():
     for _ in range(10):
         k1 = rng.integers(-6, 6)
         k2 = rng.integers(-6, 6)
-        xi = (GRID.momentum(int(k1)), GRID.momentum(int(k2)))
+        xi = (GRID.momenta[k1], GRID.momenta[k2])
         wave = np.exp(1j * (xi[0] * x1 + xi[1] * x2))
         evals, evecs = np.linalg.eigh(dirac_symbol(xi, PARAMS))
         for which in (0, 1):
@@ -122,33 +122,6 @@ def test_birman_schwinger_hermiticity_and_dense_oracle():
         assert abs(rq - evals[k]) < 1e-8 * max(abs(evals).max(), 1.0)
 
 
-def test_perturbed_operator_matches_free_at_zero_coupling():
-    op0 = perturbed_operator(GRID, PARAMS, GAUSS, 0.0)
-    free = free_operator(GRID, PARAMS)
-    f = _rand(GRID, 3)
-    assert np.abs(op0.apply_array(f) - free.apply_array(f)).max() < 1e-14
-
-
-def test_perturbed_quadratic_form_decreasing_in_coupling():
-    f = _rand(GRID, 4)
-    values = []
-    for t in (0.0, 0.5, 1.0, 2.0):
-        op = perturbed_operator(GRID, PARAMS, GAUSS, t)
-        values.append(np.vdot(f, op.apply_array(f)).real)
-    assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_perturbed_dense_hermitian():
-    grid = build_grid(8, 6.0)
-    dense = assemble_dense(perturbed_operator(grid, PARAMS, GAUSS, 1.0))
-    assert np.abs(dense - dense.conj().T).max() < 1e-12
-
-
-def test_perturbed_rejects_negative_coupling():
-    with pytest.raises(ValueError):
-        perturbed_operator(GRID, PARAMS, GAUSS, -1.0)
-
-
 # ---------------------------------------------------------------------------
 # localized pieces
 # ---------------------------------------------------------------------------
@@ -164,42 +137,17 @@ def test_zone_masks_partition():
     assert np.all(total == 1)
 
 
-def test_localized_pieces_sum_to_full_sandwich():
-    spec = PowerDecay(1.0, 2.0)
-    loc = _loc()
-    full = birman_schwinger(GRID, PARAMS, spec)
-    pieces = [localized_piece(GRID, PARAMS, spec, loc, i, j)
-              for i in (1, 2, 3) for j in (1, 2, 3)]
-    for seed in range(5):
-        f = _rand(GRID, seed)
-        total = sum(p.apply_array(f) for p in pieces)
-        expected = full.apply_array(f)
-        assert np.abs(total - expected).max() < 1e-10 * np.abs(expected).max()
-
-
 def test_outer_piece_norm_bound():
+    # the (3, 3) piece W_3 R W_3 is the sandwich with the zone-3 part of sqrt(V)
     spec = PowerDecay(1.0, 2.0)
-    loc = _loc()
-    piece = localized_piece(GRID, PARAMS, spec, loc, 3, 3)
-    masks = zone_masks(GRID, loc)
+    masks = zone_masks(GRID, _loc())
+    w3 = np.where(masks[2], sqrt_potential_on_grid(GRID, spec), 0.0)
+    piece = LinearOperatorHandle(GRID, resolvent(GRID, PARAMS).mult, weight=w3)
     x1, x2 = GRID.position_mesh()
     v = np.where(masks[2], 2.0 * (1.0 + x1 ** 2 + x2 ** 2) ** -0.5, 0.0)
     bound = v.max() / PARAMS.gap_distance
     norm = np.linalg.norm(assemble_dense(piece), 2)
     assert 0.0 < norm <= bound * (1.0 + 1e-12)
-
-
-def test_cross_piece_is_adjoint_of_its_transpose():
-    spec = PowerDecay(1.0, 2.0)
-    loc = _loc()
-    p12 = localized_piece(GRID, PARAMS, spec, loc, 1, 2)
-    p21 = localized_piece(GRID, PARAMS, spec, loc, 2, 1)
-    for seed in range(5):
-        f = _rand(GRID, seed)
-        g = _rand(GRID, 60 + seed)
-        lhs = np.vdot(f, p12.apply_array(g))
-        rhs = np.conj(np.vdot(g, p21.apply_array(f)))
-        assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
 
 def test_zone_blocks_of_birman_schwinger_are_exact_adjoints():
@@ -211,17 +159,6 @@ def test_zone_blocks_of_birman_schwinger_are_exact_adjoints():
         assert block.size > 0
         assert np.array_equal(restricted_block(op, masks[j - 1], masks[i - 1]),
                               block.conj().T)
-
-
-def test_localized_piece_rejects_bad_zone_or_big_radius():
-    spec = PowerDecay(1.0, 2.0)
-    with pytest.raises(ValueError):
-        localized_piece(GRID, PARAMS, spec, _loc(), 0, 1)
-    with pytest.raises(ValueError):
-        localized_piece(GRID, PARAMS, spec, _loc(), 1, 4)
-    big = LocalizationSpec(0.3, 0.8, 40.0, 1.0)  # r2 = 32 > L/2
-    with pytest.raises(ValueError, match="fit"):
-        localized_piece(GRID, PARAMS, spec, big, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +253,7 @@ def test_spectral_gap_empty_at_zero_coupling():
 def test_quadratic_form_invariant_under_symbol_sign_flip():
     # conjugation by diag(1, -1) commutes with pointwise multipliers, so
     # <f, X f> is unchanged when both off-diagonal symbol signs flip
-    from gapcount.operators import _multiplier_on_grid, sqrt_potential_on_grid
+    from gapcount.operators import _multiplier_on_grid
     from gapcount.symbol import resolvent_symbol
 
     mult = _multiplier_on_grid(GRID, resolvent_symbol, PARAMS)
@@ -324,8 +261,8 @@ def test_quadratic_form_invariant_under_symbol_sign_flip():
     flipped[..., 0, 1] *= -1.0
     flipped[..., 1, 0] *= -1.0
     w = sqrt_potential_on_grid(GRID, GAUSS)
-    x_std = LinearOperatorHandle(GRID, mult, left=w, right=w)
-    x_flip = LinearOperatorHandle(GRID, flipped, left=w, right=w)
+    x_std = LinearOperatorHandle(GRID, mult, weight=w)
+    x_flip = LinearOperatorHandle(GRID, flipped, weight=w)
     for seed in range(5):
         f = _rand(GRID, seed)
         conj = f.copy()
@@ -342,10 +279,8 @@ _HANDLES = {
     "free": lambda grid, spec: free_operator(grid, PARAMS),
     "resolvent": lambda grid, spec: resolvent(grid, PARAMS),
     "birman_schwinger": lambda grid, spec: birman_schwinger(grid, PARAMS, spec),
-    "perturbed": lambda grid, spec: perturbed_operator(grid, PARAMS, spec, 2.5),
     "box": lambda grid, spec: box_localized_resolvent(
         grid, PARAMS, BoxSpec(corner=(-0.5, 0.0), side=1.0, scale=2.0)),
-    "piece(1,2)": lambda grid, spec: localized_piece(grid, PARAMS, spec, _loc(), 1, 2),
 }
 _POTENTIALS = {
     "gaussian": GAUSS,
@@ -363,8 +298,7 @@ def test_dense_block_matches_column_oracle(handle, potential, n):
     dense = assemble_dense(op)
     oracle = dense_by_columns(op)
     assert np.abs(dense - oracle).max() <= 1e-13 * np.abs(oracle).max()
-    if op.hermitian:
-        assert check_hermitian(dense) == 0.0
+    assert check_hermitian(dense) == 0.0
     rng = np.random.default_rng(n)
     row_mask = rng.random((n, n)) < 0.4
     col_mask = rng.random((n, n)) < 0.6
@@ -376,7 +310,7 @@ def test_dense_block_matches_column_oracle(handle, potential, n):
 
 
 @pytest.mark.parametrize("n", [8, 12])
-@pytest.mark.parametrize("handle", ["birman_schwinger", "perturbed", "box", "piece(1,2)"])
+@pytest.mark.parametrize("handle", ["birman_schwinger", "box"])
 def test_apply_array_matches_gathered_dense(handle, n):
     # the gather builds the dense matrix without apply_array, unlike the
     # column oracle, so this checks the FFT apply against an independent path
@@ -413,25 +347,16 @@ def test_assemble_dense_peak_memory_within_one_and_a_half_matrices():
 
 
 def test_hermitian_promise_is_checked_on_the_kernel():
-    from gapcount import iterative_count_above
-
     mult = resolvent(GRID, PARAMS).mult.copy()
     mult[..., 0, 1] += 0.1  # breaks mult == mult^H mode by mode
     w = np.linspace(0.5, 1.5, GRID.n_points ** 2).reshape(GRID.n_points, -1)
     mask = np.ones(w.shape, bool)
-    # every kernel is checked, whatever the node weights
+    # every kernel is checked, with or without a weight
     with pytest.raises(ValueError, match="non-Hermitian multiplier"):
         assemble_dense(LinearOperatorHandle(GRID, mult))
     with pytest.raises(ValueError, match="non-Hermitian multiplier"):
-        restricted_block(LinearOperatorHandle(GRID, mult, left=w, right=w[::-1]),
-                         mask, mask)
-    # a Hermitian multiplier between unequal weights is not a Hermitian
-    # operator, and the Krylov count refuses it
-    good = resolvent(GRID, PARAMS).mult
-    for op in (LinearOperatorHandle(GRID, good, left=w, right=w[::-1]),
-               LinearOperatorHandle(GRID, good, left=w)):
-        assert not op.hermitian
-        with pytest.raises(ValueError, match="Hermitian handle"):
-            iterative_count_above(op, [0.5])
-    assert LinearOperatorHandle(GRID, good, left=w, right=w.copy()).hermitian
-    assert LinearOperatorHandle(GRID, good).hermitian
+        restricted_block(LinearOperatorHandle(GRID, mult, weight=w), mask, mask)
+    # a Hermitian multiplier between two copies of any real weight is an
+    # exactly Hermitian sandwich
+    good = LinearOperatorHandle(GRID, resolvent(GRID, PARAMS).mult, weight=w)
+    assert check_hermitian(assemble_dense(good)) == 0.0

@@ -23,11 +23,11 @@ from gapcount.operators import (
     LinearOperatorHandle,
     assemble_dense,
     check_hermitian,
+    free_operator,
     potential_on_grid,
 )
 from gapcount.spectra import _column_cap
 from gapcount.symbol import symbol_eigenvalues
-from oracles import free_operator
 
 
 def _random_hermitian(rng, dim):
