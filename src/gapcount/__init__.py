@@ -22,11 +22,7 @@ from .harness import (
     emit_outputs,
     oracle_lines,
     report_csv_text,
-    run_box_study,
-    run_crossterm_study,
-    run_flow_trace_study,
-    run_theorem2_study,
-    run_weyl_study,
+    run_study,
 )
 from .lattice import GridSpec, build_grid
 from .operators import (

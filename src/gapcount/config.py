@@ -22,11 +22,14 @@ import numpy as np
 
 from .lattice import GridSpec, build_grid
 from .operators import (DENSE_CAP, BoxSpec, DenseCapExceededError, LocalizationSpec,
-                        box_mask, check_box_fits, check_zones_fit)
+                        box_mask, check_box_fits, check_zones_fit, potential_on_grid)
 from .potential import DiskBump, Gaussian, PotentialSpec, PowerDecay
 from .symbol import ModelParams
 
 STUDIES = ("weyl", "theorem2", "crossterm", "box", "flow-trace", "oracle")
+# largest Birman-Schwinger norm bound max V / (m - |lambda|) a config may
+# set; Krylov vector norms overflow near 1e150, so this keeps a wide margin
+BS_NORM_LIMIT = 1e100
 
 
 class ConfigError(ValueError):
@@ -191,7 +194,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         potential = (_build_potential(mapping)
                      if "potential.kind" in mapping else None)
-        cfg = cls(
+        return cls(
             study=study,
             grid=grid,
             model=model,
@@ -215,24 +218,17 @@ class ExperimentConfig:
             seed=seed,
             raw_text=text,
         )
-        cfg.validate()
-        return cfg
 
-    def validate(self) -> None:
-        """Study-specific invariants; cheap, runs before any heavy work."""
+    def __post_init__(self) -> None:
+        """Study-specific invariants, checked once at construction and before
+        any heavy work: no operator is built and no block gathered."""
         study = self.study
         if self.potential is None and study != "box":
             raise ConfigError(f"study {study!r} requires potential.kind")
         if self.tau is not None and not (self.tau > 0 and self.box_side > 0):
             raise ConfigError("box.tau and box.side must be positive")
-        if study in ("weyl", "theorem2", "crossterm"):
-            if self.alphas is None:
-                raise ConfigError(f"study {study!r} requires alpha values")
-            if self.grid.dimension > self.dense_cap:
-                raise DenseCapExceededError(
-                    f"grid dimension {self.grid.dimension} exceeds the dense cap "
-                    f"{self.dense_cap}"
-                )
+        if study in ("weyl", "theorem2", "crossterm") and self.alphas is None:
+            raise ConfigError(f"study {study!r} requires alpha values")
         if study == "weyl" and isinstance(self.potential, PowerDecay):
             raise ConfigError(
                 "the weyl study requires an integrable potential family"
@@ -265,6 +261,14 @@ class ExperimentConfig:
                     self.potential.exponent))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+        if study == "flow-trace":
+            if self.t_values is None:
+                raise ConfigError("flow-trace study requires flow.t_values")
+            t = self.t_values
+            if t[0] != 0.0 or any(b <= a for a, b in zip(t, t[1:])):
+                raise ConfigError("flow.t_values must start at 0 and increase")
+        if study == "oracle":
+            return
         if study == "box":
             if self.betas is None or self.tau is None:
                 raise ConfigError("box study requires box.betas and box.tau")
@@ -280,23 +284,23 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from exc
             # each box count factors the dense block on both components of
             # the box's nodes
-            block = max(2 * int(np.count_nonzero(box_mask(self.grid, box)))
-                        for box in boxes)
-            if block > self.dense_cap:
-                raise DenseCapExceededError(
-                    f"box block dimension {block} exceeds the dense cap "
-                    f"{self.dense_cap}"
-                )
-        if study == "flow-trace":
-            if self.t_values is None:
-                raise ConfigError("flow-trace study requires flow.t_values")
-            t = self.t_values
-            if t[0] != 0.0 or any(b <= a for a, b in zip(t, t[1:])):
-                raise ConfigError("flow.t_values must start at 0 and increase")
-            if self.grid.dimension > self.dense_cap:
-                raise DenseCapExceededError(
-                    f"grid dimension {self.grid.dimension} exceeds the dense cap"
-                )
+            what, dim = "box block", max(
+                2 * int(np.count_nonzero(box_mask(self.grid, box))) for box in boxes)
+        else:
+            # every other study weights the grid by V: one evaluation, no operator
+            with np.errstate(all="ignore"):
+                v = potential_on_grid(self.grid, self.potential)
+            if not np.all(np.isfinite(v)):
+                raise ConfigError("the potential is not finite on every grid node")
+            bound = float(v.max()) / self.model.gap_distance
+            if bound > BS_NORM_LIMIT:
+                raise ConfigError(
+                    f"the Birman-Schwinger norm bound max V / (m - |lambda|) = "
+                    f"{bound:.3g} exceeds {BS_NORM_LIMIT:g}")
+            what, dim = "grid", self.grid.dimension
+        if dim > self.dense_cap:
+            raise DenseCapExceededError(
+                f"{what} dimension {dim} exceeds the dense cap {self.dense_cap}")
 
 
 def load_config(path: str, seed: int = 0) -> ExperimentConfig:

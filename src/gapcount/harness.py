@@ -1,8 +1,9 @@
 """Study drivers: counting experiments, CSV reports, and SVG trend plots.
 
-Every study validates its configuration, counts with a certificate, and
-produces a CountingReport whose CSV serialization is byte-deterministic for
-a fixed config and seed (floats use 17 significant digits, LF newlines,
+run_study runs the study a config names; the config was validated once,
+when it was built.  Every study counts with a certificate and produces a
+CountingReport whose CSV serialization is byte-deterministic for a fixed
+config and seed (floats use 17 significant digits, LF newlines,
 missing values empty).  A CSV that prints eigenvalues (flow-trace) is
 byte-stable only for a fixed BLAS build and thread count, because threaded
 LAPACK rounds differently; run_meta.txt records that count as
@@ -96,12 +97,6 @@ def report_csv_text(report: CountingReport) -> str:
 # studies
 # ---------------------------------------------------------------------------
 
-def _require(config: ExperimentConfig, study: str) -> None:
-    if config.study != study:
-        raise ConfigError(f"config is for study {config.study!r}, expected {study!r}")
-    config.validate()
-
-
 def _bs_counts(config: ExperimentConfig, alphas: list[float]) -> CountResult:
     """n_+(1/alpha, W R W) for every alpha from one Krylov run (dense fallback)."""
     op = birman_schwinger(config.grid, config.model, config.potential)
@@ -120,8 +115,17 @@ def _max_residual(residuals) -> float:
     return float(np.fmax.reduce([float("nan"), *residuals]))
 
 
-def _warn_unless_monotone(study: str, ratios: list) -> None:
-    """NonMonotoneRatioWarning if |ratio - 1| grows anywhere along the sequence."""
+def _law_rows(study: str, xs, counts, prediction) -> list[tuple]:
+    """Rows (x, *count, prediction(x), ratio), the ratio being the first count
+    over the prediction (None when the prediction is 0).
+
+    NonMonotoneRatioWarning if |ratio - 1| grows anywhere along the rows.
+    """
+    rows = []
+    for x, count in zip(xs, counts):
+        pred = prediction(x)
+        rows.append((x, *count, pred, count[0] / pred if pred > 0 else None))
+    ratios = [row[-1] for row in rows if row[-1] is not None]
     if len(ratios) >= 2 and np.any(np.diff(np.abs(np.asarray(ratios) - 1.0)) > 0):
         warnings.warn(
             f"{study} ratio sequence is not monotone toward 1: "
@@ -129,11 +133,10 @@ def _warn_unless_monotone(study: str, ratios: list) -> None:
             NonMonotoneRatioWarning,
             stacklevel=3,
         )
+    return rows
 
 
-def _counting_study(config: ExperimentConfig, prediction_of_alpha,
-                    study: str) -> CountingReport:
-    t0 = time.time()
+def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingReport:
     alphas = [float(a) for a in config.alphas]
     t_bs = time.perf_counter()
     bs = _bs_counts(config, alphas)
@@ -150,15 +153,15 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha,
                 DegenerateThresholdWarning,
                 stacklevel=3,
             )
-    n_flow: dict[float, int | None] = {a: None for a in alphas}
+    n_flow: list[int | None] = [None] * len(alphas)
     flow_meta = {}
     if config.with_flow:
         t_flow = time.perf_counter()
         residuals = []
-        for a in alphas:
+        for k, a in enumerate(alphas):
             res = crossing_count_detailed(config.grid, config.model, config.potential,
                                           a, config.dense_cap)
-            n_flow[a] = res.count
+            n_flow[k] = res.count
             degenerate = degenerate or res.degenerate
             residuals.append(res.residual)
         flow_meta = {
@@ -168,23 +171,11 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha,
             "inertia_residual_max": _max_residual(residuals),
             "flow_seconds": time.perf_counter() - t_flow,
         }
-    rows = []
-    ratios = []
-    for a, n_bs in zip(alphas, bs.counts):
-        pred = prediction_of_alpha(a)
-        ratio = n_bs / pred if pred > 0 else None
-        if ratio is not None:
-            ratios.append(ratio)
-        rows.append((a, n_bs, n_flow[a], pred, ratio))
-    _warn_unless_monotone(study, ratios)
     return CountingReport(
-        study=study,
+        study=config.study,
         header=("alpha", "n_bs", "n_flow", "prediction", "ratio"),
-        rows=rows,
+        rows=_law_rows(config.study, alphas, zip(bs.counts, n_flow), prediction_of_alpha),
         metadata={
-            "grid": f"{config.grid.n_points}x{config.grid.n_points}, L={config.grid.box_side:g}",
-            "runtime_seconds": time.time() - t0,
-            "seed": config.seed,
             "bs_count_method": bs.method,
             "bs_certificate_min": bs.certificate,
             "bs_count_seconds": bs_seconds,
@@ -195,9 +186,8 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha,
     )
 
 
-def run_weyl_study(config: ExperimentConfig) -> CountingReport:
+def _weyl_study(config: ExperimentConfig) -> CountingReport:
     """First counting law: N(lambda, alpha) against alpha/(4pi) * int V."""
-    _require(config, "weyl")
     t_oracle = time.perf_counter()
     coeff = weyl_coefficient(config.potential)
     # internal identity: the independent phase-space route must agree
@@ -208,28 +198,26 @@ def run_weyl_study(config: ExperimentConfig) -> CountingReport:
             f"{volume.value!r} disagree beyond tolerance"
         )
     oracle_seconds = time.perf_counter() - t_oracle
-    report = _counting_study(config, lambda a: a * coeff.value, "weyl")
+    report = _counting_study(config, lambda a: a * coeff.value)
     report.metadata["oracle_seconds"] = oracle_seconds
     report.metadata["weyl_coefficient"] = coeff.value
     report.metadata["phase_space_volume"] = volume.value
     return report
 
 
-def run_theorem2_study(config: ExperimentConfig) -> CountingReport:
+def _theorem2_study(config: ExperimentConfig) -> CountingReport:
     """Second counting law: N against alpha^(2/p) * J(lambda, m)."""
-    _require(config, "theorem2")
-    assert isinstance(config.potential, PowerDecay)
     t_oracle = time.perf_counter()
     j = j_integral(config.model, config.potential)
     oracle_seconds = time.perf_counter() - t_oracle
     p = config.potential.exponent
-    report = _counting_study(config, lambda a: a ** (2.0 / p) * j.value, "theorem2")
+    report = _counting_study(config, lambda a: a ** (2.0 / p) * j.value)
     report.metadata["oracle_seconds"] = oracle_seconds
     report.metadata["j_integral"] = j.value
     return report
 
 
-def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
+def _crossterm_study(config: ExperimentConfig) -> CountingReport:
     """Normalized counts of the off-diagonal localized pieces.
 
     The piece between zones i and j is the (zone-i rows) x (zone-j columns)
@@ -241,9 +229,6 @@ def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
     threshold within 1e-10 of a singular value is flagged, naming alpha and
     the zone pair; svd_certificate_min in run_meta.txt is the least distance.
     """
-    _require(config, "crossterm")
-    t0 = time.time()
-    assert isinstance(config.potential, PowerDecay)
     p = config.potential.exponent
     op = birman_schwinger(config.grid, config.model, config.potential)
     rows = []
@@ -286,10 +271,7 @@ def run_crossterm_study(config: ExperimentConfig) -> CountingReport:
         header=("alpha", "i", "j", "count", "normalized"),
         rows=rows,
         metadata={
-            "grid": f"{config.grid.n_points}x{config.grid.n_points}, L={config.grid.box_side:g}",
             "epsilon": config.epsilon,
-            "runtime_seconds": time.time() - t0,
-            "seed": config.seed,
             "svd_certificate_min": certificate,
             "svd_seconds": svd_seconds,
         },
@@ -312,7 +294,7 @@ def _box_count(grid, model, box, tau) -> tuple[int, float, int]:
     return res.positive, res.residual, block.shape[0]
 
 
-def run_box_study(config: ExperimentConfig) -> CountingReport:
+def _box_study(config: ExperimentConfig) -> CountingReport:
     """Box-localized resolvent counts against the (4pi)^-1 coefficient law.
 
     Counts use the compression of the resolvent to the nodes inside the
@@ -322,10 +304,8 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
     run_meta.txt records the method, the largest probe residual, the
     largest block dimension factored and the seconds spent gathering and
     counting the blocks.  That every dilated box fits the grid, and that
-    its block is within dense_cap, is checked by config.validate.
+    its block is within dense_cap, is checked when the config is built.
     """
-    _require(config, "box")
-    t0 = time.time()
     tau = float(config.tau)
     area = config.box_side ** 2
     coeff = box_coefficient(tau, config.model, area)
@@ -334,25 +314,14 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
     t_count = time.perf_counter()
     results = [_box_count(config.grid, config.model, box, tau) for box in boxes]
     count_seconds = time.perf_counter() - t_count
-    rows = []
-    ratios = []
-    for box, (count, _, _) in zip(boxes, results):
-        pred = box.scale ** 2 * coeff
-        ratio = count / pred if pred > 0 else None
-        if ratio is not None:
-            ratios.append(ratio)
-        rows.append((box.scale, count, pred, ratio))
-    _warn_unless_monotone("box", ratios)
     return CountingReport(
         study="box",
         header=("beta", "count", "prediction", "ratio"),
-        rows=rows,
+        rows=_law_rows("box", [box.scale for box in boxes],
+                       [(count,) for count, _, _ in results], lambda b: b ** 2 * coeff),
         metadata={
-            "grid": f"{config.grid.n_points}x{config.grid.n_points}, L={config.grid.box_side:g}",
             "tau": tau,
             "coefficient_per_beta2": coeff,
-            "runtime_seconds": time.time() - t0,
-            "seed": config.seed,
             "box_count_method": "ldl-inertia",
             "box_count_seconds": count_seconds,
             "box_factor_dim": max(dim for _, _, dim in results),
@@ -361,10 +330,8 @@ def run_box_study(config: ExperimentConfig) -> CountingReport:
     )
 
 
-def run_flow_trace_study(config: ExperimentConfig) -> CountingReport:
+def _flow_trace_study(config: ExperimentConfig) -> CountingReport:
     """Gap eigenvalues along the coupling grid, one row per (t, branch)."""
-    _require(config, "flow-trace")
-    t0 = time.time()
     trace = branch_trace(config.grid, config.model, config.potential,
                          np.asarray(config.t_values), cap=config.dense_cap)
     rows = []
@@ -375,13 +342,40 @@ def run_flow_trace_study(config: ExperimentConfig) -> CountingReport:
         study="flow-trace",
         header=("t", "index", "eigenvalue"),
         rows=rows,
-        metadata={
-            "crossing_count": trace.crossing_count,
-            "runtime_seconds": time.time() - t0,
-            "seed": config.seed,
-        },
+        metadata={"crossing_count": trace.crossing_count},
         degenerate=trace.degenerate,
     )
+
+
+# study -> runner; run_study looks the runner up at call time, so a binding
+# replaced here (a tracing wrapper, say) takes effect on the next study
+RUNNERS = {
+    "weyl": _weyl_study,
+    "theorem2": _theorem2_study,
+    "crossterm": _crossterm_study,
+    "box": _box_study,
+    "flow-trace": _flow_trace_study,
+}
+
+
+def run_study(config: ExperimentConfig) -> CountingReport:
+    """The count table of config's study.
+
+    The config was validated when it was built.  Next to the study's own
+    metadata, the report records the grid, the seed and the study's wall
+    time in seconds.
+    """
+    runner = RUNNERS.get(config.study)
+    if runner is None:
+        raise ConfigError(f"study {config.study!r} has no count table")
+    t0 = time.perf_counter()
+    report = runner(config)
+    report.metadata.update(
+        grid=f"{config.grid.n_points}x{config.grid.n_points}, L={config.grid.box_side:g}",
+        seed=config.seed,
+        runtime_seconds=time.perf_counter() - t0,
+    )
+    return report
 
 
 def oracle_lines(config: ExperimentConfig) -> list[str]:
@@ -399,15 +393,6 @@ def oracle_lines(config: ExperimentConfig) -> list[str]:
         coeff = box_coefficient(config.tau, config.model, config.box_side ** 2)
         lines.append(f"box_coefficient_per_beta2 = {coeff:.17g}")
     return lines
-
-
-RUNNERS = {
-    "weyl": run_weyl_study,
-    "theorem2": run_theorem2_study,
-    "crossterm": run_crossterm_study,
-    "box": run_box_study,
-    "flow-trace": run_flow_trace_study,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +478,12 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
 
 
 def _plot_series(report: CountingReport):
-    header = report.header
-    if header[:1] == ("alpha",) and "ratio" in header:
-        i_ratio = header.index("ratio")
+    if report.study in ("weyl", "theorem2", "box"):
+        # the law studies end every row with the ratio
         xs = [row[0] for row in report.rows]
-        ys = [row[i_ratio] for row in report.rows]
-        return [("ratio", xs, ys)], "alpha", "count / prediction", True
-    if header[:1] == ("beta",):
-        xs = [row[0] for row in report.rows]
-        ys = [row[3] for row in report.rows]
-        return [("ratio", xs, ys)], "beta", "count / prediction", True
+        ys = [row[-1] for row in report.rows]
+        xlabel = "beta" if report.study == "box" else "alpha"
+        return [("ratio", xs, ys)], xlabel, "count / prediction", True
     if report.study == "crossterm":
         series = []
         pairs = sorted({(row[1], row[2]) for row in report.rows})
@@ -511,15 +492,14 @@ def _plot_series(report: CountingReport):
             ys = [row[4] for row in report.rows if (row[1], row[2]) == (i, j)]
             series.append((f"({i},{j})", xs, ys))
         return series, "alpha", "normalized count", True
-    if report.study == "flow-trace":
-        series = []
-        indices = sorted({row[1] for row in report.rows})
-        for k in indices:
-            xs = [row[0] for row in report.rows if row[1] == k]
-            ys = [row[2] for row in report.rows if row[1] == k]
-            series.append(("", xs, ys))
-        return series, "t", "gap eigenvalue", False
-    return [], "x", "y", False
+    # flow-trace: one series per branch index
+    series = []
+    indices = sorted({row[1] for row in report.rows})
+    for k in indices:
+        xs = [row[0] for row in report.rows if row[1] == k]
+        ys = [row[2] for row in report.rows if row[1] == k]
+        series.append(("", xs, ys))
+    return series, "t", "gap eigenvalue", False
 
 
 def emit_outputs(report: CountingReport, directory, config: ExperimentConfig) -> dict:

@@ -8,11 +8,7 @@ from gapcount import (
     ExperimentConfig,
     parse_config_text,
     report_csv_text,
-    run_box_study,
-    run_crossterm_study,
-    run_flow_trace_study,
-    run_theorem2_study,
-    run_weyl_study,
+    run_study,
 )
 from gapcount.cli import build_parser, main as cli_main
 from gapcount.harness import emit_outputs, oracle_lines
@@ -131,7 +127,7 @@ def test_weyl_study_columns_and_prediction():
     config = ExperimentConfig.from_text(WEYL_TEXT)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_weyl_study(config)
+        report = run_study(config)
     assert report.header == ("alpha", "n_bs", "n_flow", "prediction", "ratio")
     assert [row[0] for row in report.rows] == [2.0, 4.0, 8.0]
     # Gaussian(4, 1) has coefficient exactly 1, prediction = alpha
@@ -148,7 +144,7 @@ def test_weyl_study_with_flow_matches_bs():
     config = ExperimentConfig.from_text(WEYL_TEXT + "study.with_flow = true\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_weyl_study(config)
+        report = run_study(config)
     for row in report.rows:
         assert row[2] == row[1]
 
@@ -156,7 +152,7 @@ def test_weyl_study_with_flow_matches_bs():
 def test_zero_potential_study_all_zero():
     text = WEYL_TEXT.replace("potential.amplitude = 4.0", "potential.amplitude = 0.0")
     config = ExperimentConfig.from_text(text)
-    report = run_weyl_study(config)
+    report = run_study(config)
     for row in report.rows:
         assert row[1] == 0
         assert row[3] == 0.0
@@ -179,7 +175,7 @@ localization.eps2 = 1.0
     config = ExperimentConfig.from_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_theorem2_study(config)
+        report = run_study(config)
     assert report.metadata["j_integral"] == pytest.approx(np.pi / 2, rel=1e-8)
     for row in report.rows:
         assert row[3] == pytest.approx(row[0] ** 2 * np.pi / 2, rel=1e-8)
@@ -200,7 +196,7 @@ def test_crossterm_study_adjoint_equality():
     config = ExperimentConfig.from_text(CROSS_TEXT)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_crossterm_study(config)
+        report = run_study(config)
     assert report.header == ("alpha", "i", "j", "count", "normalized")
     table = {(row[0], row[1], row[2]): row[3] for row in report.rows}
     op = birman_schwinger(config.grid, config.model, config.potential)
@@ -217,7 +213,7 @@ def test_box_study_rows_and_prediction():
     config = ExperimentConfig.from_text(BOX_TEXT)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_box_study(config)
+        report = run_study(config)
     assert report.header == ("beta", "count", "prediction", "ratio")
     coeff = np.sqrt(3.0) / (4.0 * np.pi)
     for row, beta in zip(report.rows, (2.0, 4.0)):
@@ -244,7 +240,7 @@ potential.width = 1.0
 flow.t_values = 0, 1, 2
 """
     config = ExperimentConfig.from_text(text)
-    report = run_flow_trace_study(config)
+    report = run_study(config)
     assert report.header == ("t", "index", "eigenvalue")
     for row in report.rows:
         assert abs(row[2]) < 1.0
@@ -265,7 +261,7 @@ def test_csv_round_trip_exact():
     config = ExperimentConfig.from_text(WEYL_TEXT)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_weyl_study(config)
+        report = run_study(config)
     text = report_csv_text(report)
     header, rows = parse_report_csv(text)
     assert header == report.header
@@ -310,11 +306,11 @@ def test_emit_outputs_and_determinism(tmp_path):
     config = ExperimentConfig.from_text(WEYL_TEXT)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_weyl_study(config)
+        report = run_study(config)
     paths1 = emit_outputs(report, tmp_path / "run1", config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report2 = run_weyl_study(config)
+        report2 = run_study(config)
     paths2 = emit_outputs(report2, tmp_path / "run2", config)
     assert paths1["csv"].read_bytes() == paths2["csv"].read_bytes()
     assert paths1["svg"].read_bytes() == paths2["svg"].read_bytes()
@@ -348,9 +344,9 @@ def _assert_process_keys(meta, threads):
 # the largest dimension factored: the 12^2 flow Schur complement, and the
 # beta = 4 box block, 16 nodes on two spinor components
 @pytest.mark.parametrize("text,runner,method_key,seconds_key,dim_key,dim,csv,svg_sha", [
-    (WEYL_TEXT + "study.with_flow = true\n", run_weyl_study, "flow_count_method",
+    (WEYL_TEXT + "study.with_flow = true\n", run_study, "flow_count_method",
      "flow_seconds", "flow_factor_dim", 144, WEYL_FLOW_CSV, WEYL_FLOW_SVG_SHA256),
-    (BOX_TEXT, run_box_study, "box_count_method", "box_count_seconds",
+    (BOX_TEXT, run_study, "box_count_method", "box_count_seconds",
      "box_factor_dim", 32, BOX_CSV, BOX_SVG_SHA256),
 ], ids=["weyl-flow", "box"])
 def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key,
@@ -379,7 +375,7 @@ def test_run_meta_records_flow_factor_dim(tmp_path):
     config = ExperimentConfig.from_text(WEYL_TEXT + "study.with_flow = true\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_weyl_study(config)
+        report = run_study(config)
     paths = emit_outputs(report, tmp_path, config)
     meta = dict(line.split(" = ", 1)
                 for line in paths["meta"].read_text().splitlines())
@@ -389,7 +385,7 @@ def test_run_meta_records_flow_factor_dim(tmp_path):
     # studies without flow record no flow keys
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        plain = run_weyl_study(ExperimentConfig.from_text(WEYL_TEXT))
+        plain = run_study(ExperimentConfig.from_text(WEYL_TEXT))
     assert "flow_factor_dim" not in plain.metadata
 
 
@@ -419,8 +415,8 @@ CROSS_SVG_SHA256 = "845cd0950f6f1deca2c1d91d30ed3d6db2e6aa9414dd4da7adfb8cbfd2d7
 
 
 @pytest.mark.parametrize("text,runner,csv,svg_sha", [
-    (THEOREM2_TEXT, run_theorem2_study, THEOREM2_CSV, THEOREM2_SVG_SHA256),
-    (CROSS_TEXT, run_crossterm_study, CROSS_CSV, CROSS_SVG_SHA256),
+    (THEOREM2_TEXT, run_study, THEOREM2_CSV, THEOREM2_SVG_SHA256),
+    (CROSS_TEXT, run_study, CROSS_CSV, CROSS_SVG_SHA256),
 ], ids=["theorem2", "crossterm"])
 def test_report_bytes_pinned(tmp_path, text, runner, csv, svg_sha):
     import hashlib
@@ -439,7 +435,7 @@ def test_run_meta_records_crossterm_svd_seconds(tmp_path):
     threads = _blas_threads_text()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_crossterm_study(config)
+        report = run_study(config)
     paths = emit_outputs(report, tmp_path, config)
     meta = dict(line.split(" = ", 1)
                 for line in paths["meta"].read_text().splitlines())
@@ -450,13 +446,32 @@ def test_run_meta_records_crossterm_svd_seconds(tmp_path):
     assert paths["csv"].read_text() == CROSS_CSV
 
 
+# plot bytes of a flow-trace report with fixed rows, so no eigensolve runs
+FLOW_TRACE_SVG_SHA256 = "d6912df490173fe4a7dcfaec6bed30770e453369773fbbe8dd10f7a6fe2089e9"
+
+
+def test_flow_trace_plot_bytes_pinned(tmp_path):
+    import hashlib
+
+    from gapcount.harness import CountingReport
+
+    config = ExperimentConfig.from_text(WEYL_TEXT.replace("study = weyl", "study = flow-trace")
+                                        .replace("alpha.values = 2, 4, 8",
+                                                 "flow.t_values = 0, 1, 2"))
+    report = CountingReport("flow-trace", ("t", "index", "eigenvalue"),
+                            [(0.0, 0, -0.5), (0.0, 1, 0.25), (1.0, 0, -0.75), (1.0, 1, 0.0),
+                             (1.0, 2, 0.5), (2.0, 0, -0.875), (2.0, 1, -0.25)])
+    paths = emit_outputs(report, tmp_path, config)
+    assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == FLOW_TRACE_SVG_SHA256
+
+
 def test_flow_trace_eigenvalues_match_column_oracle():
     from oracles import perturbed_dense
 
     text = WEYL_TEXT.replace("study = weyl", "study = flow-trace").replace(
         "alpha.values = 2, 4, 8", "flow.t_values = 0, 1, 2")
     config = ExperimentConfig.from_text(text)
-    report = run_flow_trace_study(config)
+    report = run_study(config)
     m = config.model.mass
     tol = 1e-12
     for t in config.t_values:
@@ -569,6 +584,55 @@ def test_cli_non_finite_number_is_a_config_error(tmp_path, capsys, old, new):
     assert len(lines) == 1 and lines[0].startswith("config error:")
     assert "not a finite number" in lines[0] and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("potential.width = 1.0", "potential.width = 1e-300", "not finite"),
+    ("potential.amplitude = 4.0", "potential.amplitude = 1e300", "norm bound"),
+], ids=["width-1e-300", "amplitude-1e300"])
+def test_cli_extreme_potential_is_a_config_error(tmp_path, capsys, old, new, message):
+    # finite parameters whose potential is nan somewhere, or whose
+    # Birman-Schwinger operator is too large for the Krylov counts
+    cfg = _write(tmp_path, "bad.cfg", WEYL_TEXT.replace(old, new))
+    capsys.readouterr()
+    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert message in lines[0] and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_counting_study_needs_out(tmp_path, capsys):
+    cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
+    capsys.readouterr()
+    assert cli_main(["weyl", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "--out" in err[0]
+
+
+def test_cli_out_of_memory_is_a_resource_error(tmp_path, capsys, monkeypatch):
+    import gapcount.cli as cli
+
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_study", exhausted)
+    cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
+    capsys.readouterr()
+    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["resource error: out of memory"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_counting_study_has_a_runner():
+    from gapcount import harness
+    from gapcount.config import STUDIES
+
+    assert set(harness.RUNNERS) == set(STUDIES) - {"oracle"}
+    config = ExperimentConfig.from_text(WEYL_TEXT.replace("study = weyl", "study = oracle"))
+    with pytest.raises(ConfigError, match="oracle"):
+        run_study(config)
 
 
 def test_cli_study_mismatch(tmp_path):
@@ -703,13 +767,13 @@ def test_cli_degenerate_crossterm_threshold_exit_code(tmp_path, capsys):
 def test_ratio_warning_prints_plain_numbers():
     config = ExperimentConfig.from_text(WEYL_TEXT)
     with pytest.warns(UserWarning, match="not monotone") as caught:
-        run_weyl_study(config)
+        run_study(config)
     text = str(caught[0].message)
     assert "np.float64" not in text and text.endswith("[0.5, 0.75, 0.625]")
 
 @pytest.mark.parametrize("text,runner,csv", [
-    (WEYL_TEXT + "study.with_flow = true\n", run_weyl_study, WEYL_FLOW_CSV),
-    (THEOREM2_TEXT, run_theorem2_study, THEOREM2_CSV),
+    (WEYL_TEXT + "study.with_flow = true\n", run_study, WEYL_FLOW_CSV),
+    (THEOREM2_TEXT, run_study, THEOREM2_CSV),
 ], ids=["weyl-flow", "theorem2"])
 def test_run_meta_records_bs_count_method(tmp_path, text, runner, csv):
     config = ExperimentConfig.from_text(text)
@@ -746,8 +810,8 @@ localization.eps2 = 1.0
 
 
 @pytest.mark.parametrize("text,runner", [
-    (WEYL_TEXT.replace("grid.n_points = 12", "grid.n_points = 16"), run_weyl_study),
-    (THEOREM2_N16_TEXT, run_theorem2_study),
+    (WEYL_TEXT.replace("grid.n_points = 12", "grid.n_points = 16"), run_study),
+    (THEOREM2_N16_TEXT, run_study),
 ], ids=["weyl", "theorem2"])
 def test_bs_studies_need_no_dense_matrix(monkeypatch, text, runner):
     import gapcount.spectra as spectra
@@ -780,7 +844,7 @@ def test_degenerate_coupling_counts_densely_and_is_flagged():
         WEYL_TEXT.replace("alpha.values = 2, 4, 8", f"alpha.values = 2, {1.0 / eig:.17g}"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_weyl_study(config)
+        report = run_study(config)
     assert report.degenerate
     assert report.metadata["bs_count_method"] == "dense"
     assert report.metadata["bs_certificate_min"] <= 1e-10
