@@ -180,6 +180,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
             "bs_certificate_min": bs.certificate,
             "bs_count_seconds": bs_seconds,
             "krylov_columns": bs.columns,
+            "krylov_block": bs.block,
             **flow_meta,
         },
         degenerate=degenerate,

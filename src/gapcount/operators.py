@@ -199,25 +199,38 @@ def check_hermitian(matrix: np.ndarray) -> float:
     """Largest entry of |A - A^H|; raises ValueError above 1e-9 relative.
 
     The defect is taken relative to max(max|A_ij|, 1).  Rows are compared
-    with the matching columns in strips of about 1 MiB, so the check needs
-    no dense temporary.  A strip whose largest entry is nan or infinite
-    raises ValueError, as a non-finite entry would compare as no defect.
-    Small strips also stay below the allocator's mmap threshold, so freeing
-    them leaves no large block cached on the heap.
+    with the matching columns in strips of about 1 MiB.  Each strip is
+    conjugated and transposed into one reused complex buffer, the columns
+    are subtracted from it in place, and the moduli go to one reused real
+    buffer, which first holds |rows|; so the check allocates those two
+    buffers, 1.5 MiB at any dimension, and no dense temporary.  A strip
+    whose largest entry is nan or infinite raises ValueError, as a
+    non-finite entry would compare as no defect.  The small buffers also
+    stay below the allocator's mmap threshold, so freeing them leaves no
+    large block cached on the heap.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    strip = max(1, _STRIP_BYTES // (16 * max(a.shape[0], 1)))
+    dim = a.shape[0]
+    strip = max(1, _STRIP_BYTES // (16 * max(dim, 1)))
+    # flat, so that every strip, the last and shorter one too, gets a
+    # contiguous view in either orientation
+    difference = np.empty(min(strip, dim) * dim, dtype=complex)
+    modulus = np.empty(min(strip, dim) * dim)
     defect = 0.0
     scale = 1.0
-    for r0 in range(0, a.shape[0], strip):
+    for r0 in range(0, dim, strip):
         rows = a[r0:r0 + strip]
-        top = float(np.abs(rows).max())
+        size = rows.size
+        top = float(np.abs(rows, out=modulus[:size].reshape(rows.shape)).max())
         if not np.isfinite(top):
             raise ValueError("matrix contains non-finite entries")
         scale = max(scale, top)
-        defect = max(defect, float(np.abs(rows - a[:, r0:r0 + strip].conj().T).max()))
+        # |conj(A[r, c]) - A[c, r]| is the defect |A - A^H| at (r, c)
+        d = np.conjugate(rows.T, out=difference[:size].reshape(rows.T.shape))
+        np.subtract(d, a[:, r0:r0 + strip], out=d)
+        defect = max(defect, float(np.abs(d, out=modulus[:size].reshape(d.shape)).max()))
     if defect > HERMITICITY_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "

@@ -8,7 +8,11 @@ count comes from one matrix-free block Lanczos run for all thresholds
 (iterative_count_above), certified by the straddle of converged Ritz
 values.  Its basis stays orthogonal through one Gram-Schmidt pass per
 block against the whole basis, repeated only when the DGKS criterion finds
-that pass cancelled too much.  When a count cannot be certified, the dense
+that pass cancelled too much.  The run starts on a block of _BLOCK = 2
+vectors, which sees at most two copies of an eigenvalue; when a converged
+Ritz cluster above the smallest threshold is as wide as the block, a
+multiplicity could hide, and the run restarts on twice the block with the
+same column cap.  When a count cannot be certified, the dense
 spectrum gives the counts and the distance to the nearest eigenvalue.  A
 count that needs no eigenvalues comes from the Sylvester inertia of an
 LDL^H factorization (inertia).  inertia factors a complex C-ordered matrix
@@ -49,10 +53,10 @@ _RESIDUAL_CHECK_LIMIT = 3000  # above this, eigenvector residual spot-checks cos
                               # another O(n^3) pass and are skipped
 _SINGLE_THREAD_LIMIT = 2048  # largest dimension factored on one BLAS thread
                              # (see _single_blas_thread)
-_BLOCK = 8  # Krylov block size
+_BLOCK = 2  # Krylov start block, doubled while a multiplicity could hide
 _CERTIFICATE_FLOOR = 1e-8  # a converged Ritz value this close to a threshold
                            # sends every count to the dense path
-_CHECK_EVERY = 4  # Krylov blocks between Ritz checks while the basis is small
+_CHECK_EVERY = 32  # Krylov columns between Ritz checks while the basis is small
 _DGKS = 1.0 / np.sqrt(2.0)  # a vector keeping less of its norm through a
                             # Gram-Schmidt pass is orthogonalized again
 
@@ -83,13 +87,17 @@ class CountResult:
     that threshold to the nearest eigenvalue the method resolved: a
     converged Ritz value ("krylov") or an eigenvalue of the dense spectrum
     ("dense").  An inconclusive result has counts None.  columns is the
-    number of Krylov basis vectors built, also before a dense fallback.
+    number of Krylov basis vectors built over every run, also those a wider
+    block restarted and those before a dense fallback.  block is the start
+    block of the last Krylov run: the one whose counts are returned, or the
+    widest tried before the dense path or an inconclusive result.
     """
 
     counts: tuple[int, ...] | None
     certificates: tuple[float, ...]
     method: str  # "krylov" | "dense"
     columns: int
+    block: int = _BLOCK
 
     @property
     def conclusive(self) -> bool:
@@ -310,23 +318,38 @@ def _column_cap(dim: int, block: int) -> int:
     about half of it at dimensions 2048 and 3200, with two passes per
     block).  The cap stays a quarter although one pass made the columns
     cheaper, because it sets where a run gives up, and so the column counts
-    and certificates that reports record.  Every problem gets at least 48
-    blocks: below dimension 1536 that floor lets an inconclusive run cost
+    and certificates that reports record.  Every problem gets at least 384
+    columns: below dimension 1536 that floor lets an inconclusive run cost
     up to a few tenths of a second, several times a dense path that is
     itself that cheap, in exchange for matrix-free counts on small grids.
+    The cap is in columns and does not depend on the start block, so a run
+    that iterative_count_above restarts on a wider block has the same
+    budget; it widens only while the block stays below the cap.
     """
-    return int(min(dim, max(dim // 4, 48 * block)))
+    return int(min(dim, max(dim // 4, 384)))
+
+
+def _widest_cluster(values) -> int:
+    """Members of the largest run of ascending values, each within
+    _CERTIFICATE_FLOOR of the one before (0 for no values)."""
+    if len(values) == 0:
+        return 0
+    breaks = np.flatnonzero(np.diff(values) > _CERTIFICATE_FLOOR)
+    edges = np.concatenate(([-1], breaks, [len(values) - 1]))
+    return int(np.diff(edges).max())
 
 
 def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale, thresholds):
-    """Count and certificate per threshold from one Rayleigh-Ritz step.
+    """Count and certificate per threshold from one Rayleigh-Ritz step, and
+    the widest cluster of converged Ritz values above the smallest threshold.
 
     proj[:k, :k] is the projection Q^H A Q on the k processed columns, lo:k
     the last processed block and coupling its projection onto the next
     block.  A Ritz pair's residual is ||coupling y_last|| plus the norm of
     every residual direction that deflation dropped.  For each threshold
     the verdict is None (not settled yet), or the count with the distance
-    from the threshold to the nearest converged Ritz value.
+    from the threshold to the nearest converged Ritz value.  The cluster
+    is counted by _widest_cluster.
     """
     t = proj[:k, :k]
     theta, y = np.linalg.eigh(0.5 * (t + t.conj().T))
@@ -351,7 +374,8 @@ def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale, thresholds)
                    float(s - lower.max()) if len(lower) else np.inf)
         # np.inf: the whole spectrum lies on one side of the threshold
         verdicts.append((int(np.count_nonzero(above)), s if cert == np.inf else cert))
-    return verdicts
+    gate = min(thresholds) * (1.0 + TIE_GUARD)
+    return verdicts, _widest_cluster(theta[converged & (theta > gate)])
 
 
 def _orthogonalize(w, q, coefficients):
@@ -368,17 +392,20 @@ def _orthogonalize(w, q, coefficients):
 def _block_lanczos(op, thresholds, columns, block, seed):
     """Certified counts for every threshold, or None; and the columns built.
 
-    The basis lives in one preallocated array (a row per vector), so each
-    orthogonalization pass against it is a single GEMM.  A new block A x is
-    first orthogonalized against the previous and the current block (the
-    Lanczos recurrence), then once against the whole basis, and once more
-    only if that pass left some vector less than 1/sqrt(2) of its norm:
-    "twice is enough" (Daniel, Gragg, Kaufman & Stewart, 1976).  Every
-    coefficient goes into the projection Q^H A Q, which is kept in full and
-    lets the block size shrink: residual directions with singular value at
-    most 1e-13 * ||A|| are dropped (deflation), and a residual with none
-    left means the basis spans an invariant subspace (exhaustion), whose
-    Ritz values are eigenvalues.
+    The counts come as (counts, certificates, widest), widest being the
+    largest cluster of converged Ritz values above the smallest threshold
+    at the check that certified them (_ritz_verdicts).  The basis lives in
+    one preallocated array (a row per vector), so each orthogonalization
+    pass against it is a single GEMM.  A new block A x is first
+    orthogonalized against the previous and the current block (the Lanczos
+    recurrence), then once against the whole basis, and once more only if
+    that pass left some vector less than 1/sqrt(2) of its norm: "twice is
+    enough" (Daniel, Gragg, Kaufman & Stewart, 1976).  Every coefficient
+    goes into the projection Q^H A Q, which is kept in full and lets the
+    block size shrink: residual directions with singular value at most
+    1e-13 * ||A|| are dropped (deflation), and a residual with none left
+    means the basis spans an invariant subspace (exhaustion), whose Ritz
+    values are eigenvalues.
     """
     dim = op.dimension
     n = op.grid.n_points
@@ -393,7 +420,7 @@ def _block_lanczos(op, thresholds, columns, block, seed):
     scale = 0.0  # largest ||A q|| seen, a lower bound on ||A||
     dropped = 0.0  # squared norm of the dropped residual directions
     last = None  # counts of the previous check, None where not settled
-    next_check = _CHECK_EVERY * block
+    next_check = _CHECK_EVERY
     while True:
         w = op.apply_array(basis[lo:hi].reshape(-1, n, n, 2)).reshape(hi - lo, dim)
         scale = max(scale, float(np.linalg.norm(w, axis=1).max()))
@@ -422,19 +449,19 @@ def _block_lanczos(op, thresholds, columns, block, seed):
             basis[hi:hi + new.shape[1]] = new.T
         if exhausted or at_cap or hi >= next_check:
             # a check costs about 23 k^3 flops, and once k^2/(4 dim) columns
-            # exceed _CHECK_EVERY blocks the spacing grows to that: the
-            # checks up to k columns then cost at most about 50 dim k^2
-            # flops.  The spacing was set against two reorthogonalization
-            # passes (32 dim k per new column; one pass costs 16 dim k) and
-            # is kept, so that each count settles at the same check
-            next_check = hi + max(_CHECK_EVERY * block, hi * hi // (4 * dim))
-            verdicts = _ritz_verdicts(proj, hi, lo, coupling, dropped, exhausted,
-                                      scale, thresholds)
+            # exceed _CHECK_EVERY the spacing grows to that: the checks up
+            # to k columns then cost at most about 50 dim k^2 flops.  The
+            # spacing was set against two reorthogonalization passes
+            # (32 dim k per new column; one pass costs 16 dim k) and is
+            # kept, so that each count settles at the same check
+            next_check = hi + max(_CHECK_EVERY, hi * hi // (4 * dim))
+            verdicts, widest = _ritz_verdicts(proj, hi, lo, coupling, dropped,
+                                              exhausted, scale, thresholds)
             if any(v is not None and v[1] < _CERTIFICATE_FLOOR for v in verdicts):
                 break  # an eigenvalue sits within the floor of a threshold
             counts = [None if v is None else v[0] for v in verdicts]
             if None not in counts and (exhausted or counts == last):
-                return (tuple(counts), tuple(v[1] for v in verdicts)), hi
+                return (tuple(counts), tuple(v[1] for v in verdicts), widest), hi
             last = counts
         if exhausted or at_cap:
             break
@@ -448,28 +475,34 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
 
     op, Hermitian by construction, is applied by FFT.  thresholds is a
     sequence of positive numbers; one block Lanczos run with full
-    reorthogonalization (Golub & Underwood, 1977) and blocks of _BLOCK
-    vectors serves them all, and every count and certificate comes from the
-    same Ritz values.  Each new block takes one Gram-Schmidt pass
-    against the whole basis after the local recurrence, and a second only
-    when the first cancelled more than the DGKS criterion allows
-    (_block_lanczos).  A count is settled when every Ritz value above its
-    threshold has converged, some converged Ritz value (or exhaustion) lies
-    below it, and no unconverged Ritz value could still cross.  It is
-    certified when it is settled with the same value at two consecutive
-    checks (every 4 blocks, spaced wider once the checks would dominate the
-    cost), or once at exhaustion, and its certificate -- the distance from
-    the threshold to the nearest converged Ritz value -- is at least
-    _CERTIFICATE_FLOOR.
+    reorthogonalization (Golub & Underwood, 1977), started on a random
+    block of _BLOCK vectors, serves them all, and every count and
+    certificate comes from the same Ritz values.  Each new block takes one
+    Gram-Schmidt pass against the whole basis after the local recurrence,
+    and a second only when the first cancelled more than the DGKS criterion
+    allows (_block_lanczos).  A count is settled when every Ritz value
+    above its threshold has converged, some converged Ritz value (or
+    exhaustion) lies below it, and no unconverged Ritz value could still
+    cross.  It is certified when it is settled with the same value at two
+    consecutive checks (every _CHECK_EVERY columns, spaced wider once the
+    checks would dominate the cost), or once at exhaustion, and its
+    certificate -- the distance from the threshold to the nearest converged
+    Ritz value -- is at least _CERTIFICATE_FLOOR.
+
+    A start block of b vectors sees at most b copies of an eigenvalue, so
+    a multiplicity above b would be undercounted.  The counts are kept only
+    when no cluster of converged Ritz values above the smallest threshold
+    (consecutive values within _CERTIFICATE_FLOOR of each other) has b or
+    more members.  Otherwise the run starts again, from the same seed, on
+    twice the block, with the same cap in columns; columns counts the
+    vectors of every run.
 
     When some threshold cannot be certified within _column_cap basis
-    vectors, or a converged Ritz value lies within the floor of it, every
-    count comes from the dense spectrum instead, with certificate
-    min |eigenvalue - s|, provided the dimension is within dense_cap;
-    otherwise the result says inconclusive rather than guessing.
-
-    Eigenvalue multiplicities above _BLOCK are invisible to the Krylov
-    subspace; use the dense path when exact multiplicity counts matter.
+    vectors, a converged Ritz value lies within the floor of it, or a
+    widened block would reach the cap, every count comes from the dense
+    spectrum instead, with certificate min |eigenvalue - s|, provided the
+    dimension is within dense_cap; otherwise the result says inconclusive
+    rather than guessing.
     """
     values = np.asarray(thresholds, dtype=float)
     if values.ndim != 1 or len(values) == 0 or not np.all(values > 0):
@@ -478,13 +511,22 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     thresholds = tuple(float(x) for x in values)
     dim = op.dimension
     block = min(_BLOCK, dim)
-    found, built = _block_lanczos(op, thresholds, _column_cap(dim, block), block,
-                                  seed)
-    if found is not None:
-        return CountResult(*found, "krylov", built)
+    cap = _column_cap(dim, block)
+    built = 0
+    while True:
+        found, columns = _block_lanczos(op, thresholds, cap, block, seed)
+        built += columns
+        if found is None:
+            break
+        counts, certificates, widest = found
+        if widest < block:
+            return CountResult(counts, certificates, "krylov", built, block)
+        if 2 * block >= cap:
+            break  # a multiplicity could hide, and no wider block fits
+        block *= 2
     if dim > dense_cap:
-        return CountResult(None, (0.0,) * len(thresholds), "krylov", built)
+        return CountResult(None, (0.0,) * len(thresholds), "krylov", built, block)
     spectrum = hermitian_eigenvalues(assemble_dense(op, cap=dense_cap))
     counts = tuple(count_above(spectrum, x) for x in thresholds)
     certificates = tuple(float(np.abs(spectrum - x).min()) for x in thresholds)
-    return CountResult(counts, certificates, "dense", built)
+    return CountResult(counts, certificates, "dense", built, block)

@@ -558,8 +558,11 @@ _WITHOUT_POTENTIAL = "\n".join(line for line in WEYL_TEXT.splitlines()
     ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle") + "box.tau = -1\n"),
     ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle")
      + "box.tau = 0.5\nbox.side = -1\n"),
+    # the width's square underflows to 0, which made the oracle print nan
+    ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle")
+     .replace("potential.width = 1.0", "potential.width = 1e-300")),
 ], ids=["weyl-no-potential", "flow-trace-no-potential", "oracle-no-potential",
-        "oracle-negative-tau", "oracle-negative-side"])
+        "oracle-negative-tau", "oracle-negative-side", "oracle-width-1e-300"])
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, study, text):
     cfg = _write(tmp_path, "bad.cfg", text)
     capsys.readouterr()
@@ -787,6 +790,7 @@ def test_run_meta_records_bs_count_method(tmp_path, text, runner, csv):
     assert meta["bs_count_method"] == "krylov"
     assert float(meta["bs_certificate_min"]) >= 1e-8
     assert 0 < int(meta["krylov_columns"]) <= config.grid.dimension
+    assert int(meta["krylov_block"]) == 2
     timed = {"bs_count_seconds", "oracle_seconds"} | (
         {"flow_seconds"} if config.with_flow else set())
     assert {key for key in meta if key.endswith("_seconds")} == timed | {"runtime_seconds"}

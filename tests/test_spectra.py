@@ -25,6 +25,7 @@ from gapcount.operators import (
     check_hermitian,
     free_operator,
     potential_on_grid,
+    resolvent,
 )
 from gapcount.spectra import _column_cap
 from gapcount.symbol import symbol_eigenvalues
@@ -77,6 +78,20 @@ def test_non_finite_entries_are_rejected(check, bad):
         check(a)
 
 
+@pytest.mark.parametrize("dim", [512, 1024])
+def test_hermiticity_check_allocates_only_its_strip_buffers(dim):
+    # a complex strip buffer of about 1 MiB and a real one of half that,
+    # reused for every strip, whatever the dimension
+    a = _random_hermitian(np.random.default_rng(13), dim)
+    tracemalloc.start()
+    try:
+        assert check_hermitian(a) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8e6
+
+
 # ---------------------------------------------------------------------------
 # Sylvester inertia
 # ---------------------------------------------------------------------------
@@ -122,8 +137,8 @@ def test_inertia_rejects_non_hermitian():
 
 def test_inertia_factors_a_complex_matrix_in_place():
     # a copy of the matrix would double the peak; what remains is the
-    # Hermiticity check's strips (about 2 MiB whatever the dimension, so
-    # 0.13 of this 16 MiB matrix) and the LAPACK workspace (1 MiB)
+    # Hermiticity check's strip buffers (1.5 MiB whatever the dimension, so
+    # 0.09 of this 16 MiB matrix) and the LAPACK workspace (1 MiB)
     a = _random_hermitian(np.random.default_rng(11), 1024)
     ev = np.linalg.eigvalsh(a)
     tracemalloc.start()
@@ -397,6 +412,7 @@ def test_krylov_counts_match_dense_for_every_coupling(monkeypatch, name, n):
     monkeypatch.setattr(spectra, "_column_cap", lambda dim, block: dim)
     result = iterative_count_above(op, thresholds)
     assert result.conclusive and result.method == "krylov"
+    assert result.block == 2  # no Birman-Schwinger cluster made the run widen
     q = np.concatenate(applied)
     assert len(q) == result.columns
     assert np.abs(q.conj() @ q.T - np.eye(len(q))).max() <= 1e-12
@@ -416,7 +432,9 @@ def test_second_gram_schmidt_pass_when_the_first_cancels(monkeypatch):
     op = birman_schwinger(build_grid(12, 12.0), ModelParams(1.0, 0.0), spec)
     ev = np.linalg.eigvalsh(assemble_dense(op))
     thresholds = [1.0 / a for a in alphas]
-    passes, applied = [], []  # Gram-Schmidt calls and the vectors, per block
+    # per block: Gram-Schmidt calls, whether the first global pass cancelled
+    # beyond the DGKS criterion, and the vectors
+    passes, cancelled, applied = [], [], []
     apply_array = LinearOperatorHandle.apply_array
     orthogonalize = spectra._orthogonalize
 
@@ -427,8 +445,13 @@ def test_second_gram_schmidt_pass_when_the_first_cancels(monkeypatch):
 
     def without_recurrence(w, q, coefficients):
         passes[-1] += 1
-        if passes[-1] > 1:  # the first call of each block is the recurrence
-            orthogonalize(w, q, coefficients)
+        if passes[-1] == 1:  # the first call of each block is the recurrence
+            return
+        before = np.linalg.norm(w, axis=1)
+        orthogonalize(w, q, coefficients)
+        if passes[-1] == 2:
+            cancelled.append(bool(np.any(np.linalg.norm(w, axis=1)
+                                         < spectra._DGKS * before)))
 
     monkeypatch.setattr(LinearOperatorHandle, "apply_array", recording)
     monkeypatch.setattr(spectra, "_orthogonalize", without_recurrence)
@@ -436,7 +459,11 @@ def test_second_gram_schmidt_pass_when_the_first_cancels(monkeypatch):
     result = iterative_count_above(op, thresholds)
     assert result.method == "krylov"
     assert list(result.counts) == [count_above(ev, s) for s in thresholds]
-    assert passes[1:] == [3] * (len(passes) - 1)
+    # with blocks of 2 the first few global passes keep most of the norm;
+    # the second pass runs on exactly the blocks whose first one cancelled,
+    # and without the recurrence that is most of them
+    assert passes == [3 if c else 2 for c in cancelled]
+    assert sum(cancelled) > len(cancelled) // 2
     q = np.concatenate(applied)
     assert np.abs(q.conj() @ q.T - np.eye(len(q))).max() <= 1e-12
 
@@ -452,9 +479,23 @@ def test_rank_deficient_operator_certifies_by_exhaustion(spec):
     rank = 2 * int(np.count_nonzero(potential_on_grid(grid, spec) > 0))
     result = iterative_count_above(op, [0.5, 0.1, 0.05])
     assert result.method == "krylov" and result.conclusive
-    assert result.columns == rank + 8
+    assert result.columns == rank + result.block
     ev = np.linalg.eigvalsh(assemble_dense(op))
     assert list(result.counts) == [count_above(ev, s) for s in (0.5, 0.1, 0.05)]
+
+
+def test_hidden_multiplicity_widens_the_block():
+    # the free resolvent has exact 4-fold eigenvalues at 0.9644, 0.8768 and
+    # 0.6738 (four lattice momenta of equal |xi|); a start block of 2 sees two
+    # copies of each, so the run must widen past 4 to count them all
+    grid = build_grid(24, 12.0)
+    op = LinearOperatorHandle(grid, resolvent(grid, ModelParams(1.0, 0.0)).mult)
+    thresholds = (0.95, 0.9, 0.6)
+    ev = np.linalg.eigvalsh(assemble_dense(op))
+    result = iterative_count_above(op, thresholds)
+    assert result.conclusive and result.method == "krylov"
+    assert result.counts == tuple(count_above(ev, s) for s in thresholds) == (5, 5, 13)
+    assert result.block > 4
 
 
 def test_threshold_on_an_eigenvalue_falls_back_to_dense():
