@@ -3,6 +3,10 @@ phase-space volumes, and the box-law coefficient.
 
 These are pure quadratures and closed forms with no spectral computation;
 the studies divide measured eigenvalue counts by these predictions.
+QUADPACK (scipy.integrate, which pulls in scipy.optimize, scipy.special and
+scipy.sparse.linalg) loads on the first adaptive quadrature, not when this
+module is imported, so the studies with a closed-form law or none never
+load it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .potential import DiskBump, Gaussian, PotentialSpec, PowerDecay, eval_potential, psi_profile
 from .symbol import ModelParams
@@ -64,6 +67,8 @@ def weyl_coefficient(spec: PotentialSpec) -> AsymptoticPrediction:
     Rejects the power-decay family: with decay exponent below 2 the
     integral diverges.
     """
+    from scipy import integrate
+
     fn, rmax, points, tail = _radial_profile(spec)
     val, err = integrate.quad(lambda r: fn(r) * r, 0.0, rmax,
                               points=points, limit=200, epsabs=1e-12, epsrel=1e-12)
@@ -115,11 +120,13 @@ def radial_support(params: ModelParams, spec: PowerDecay, theta: float) -> float
     psi = float(psi_profile(spec, theta))
     if psi <= 0.0:
         return 0.0
-    return (psi / params.gap_distance) ** (1.0 / spec.exponent)
+    return (psi / (params.mass - params.gap_point)) ** (1.0 / spec.exponent)
 
 
 def _radial_integral(params: ModelParams, spec: PowerDecay, theta: float):
     """int_0^{R(theta)} sqrt((lambda + Psi r^-p)^2 - m^2) r dr via adaptive GK."""
+    from scipy import integrate
+
     rmax = radial_support(params, spec, theta)
     if rmax == 0.0:
         return 0.0, 0.0

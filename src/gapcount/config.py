@@ -12,14 +12,23 @@ ignored.  Lists are comma-separated.  Example::
     potential.amplitude = 4.0
     potential.width = 1.0
     alpha.values = 5, 10, 20, 40
+
+ExperimentConfig validates a config once, when it is built: the cheap
+checks first, so a malformed config fails fast, then, for the weyl,
+theorem2 and oracle studies, the limiting law's quadratures.  Those load
+QUADPACK on first use (see asymptotic), so the studies that need no
+quadrature never pay for its import, and the law studies pay for it here,
+during set-up, rather than inside the study.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .asymptotic import AsymptoticPrediction, j_integral, phase_space_volume, weyl_coefficient
 from .lattice import GridSpec, build_grid
 from .operators import (DENSE_CAP, BoxSpec, DenseCapExceededError, LocalizationSpec,
                         box_mask, check_box_fits, check_zones_fit, potential_on_grid)
@@ -30,6 +39,9 @@ STUDIES = ("weyl", "theorem2", "crossterm", "box", "flow-trace", "oracle")
 # largest Birman-Schwinger norm bound max V / (m - |lambda|) a config may
 # set; Krylov vector norms overflow near 1e150, so this keeps a wide margin
 BS_NORM_LIMIT = 1e100
+# largest relative gap between the Weyl coefficient and the phase-space
+# volume, two independent quadratures of the same integral
+WEYL_IDENTITY_TOL = 1e-6
 
 
 class ConfigError(ValueError):
@@ -174,6 +186,12 @@ class ExperimentConfig:
     dense_cap: int
     seed: int
     raw_text: str
+    # the law's oracle predictions by name and the seconds that evaluating
+    # them took, QUADPACK import included; set by validation for the weyl,
+    # theorem2 and oracle studies, empty and 0 for the others
+    law: dict[str, AsymptoticPrediction] = field(
+        init=False, default_factory=dict, compare=False, repr=False)
+    law_seconds: float = field(init=False, default=0.0, compare=False, repr=False)
 
     @classmethod
     def from_text(cls, text: str, seed: int = 0) -> "ExperimentConfig":
@@ -221,7 +239,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Study-specific invariants, checked once at construction and before
-        any heavy work: no operator is built and no block gathered."""
+        any heavy work: no operator is built and no block gathered.  The
+        law's quadratures run last, after every cheap check."""
         study = self.study
         if self.potential is None and study != "box":
             raise ConfigError(f"study {study!r} requires potential.kind")
@@ -268,6 +287,7 @@ class ExperimentConfig:
             if t[0] != 0.0 or any(b <= a for a, b in zip(t, t[1:])):
                 raise ConfigError("flow.t_values must start at 0 and increase")
         if study == "oracle":
+            self._evaluate_law()
             return
         if study == "box":
             if self.betas is None or self.tau is None:
@@ -301,6 +321,35 @@ class ExperimentConfig:
         if dim > self.dense_cap:
             raise DenseCapExceededError(
                 f"{what} dimension {dim} exceeds the dense cap {self.dense_cap}")
+        if study in ("weyl", "theorem2"):
+            self._evaluate_law()
+
+    def _evaluate_law(self) -> None:
+        """The oracle predictions of the potential's law, evaluated once.
+
+        A power-decay potential gets the theorem-2 integral J; an integrable
+        one gets the Weyl coefficient and, as an internal identity, the
+        phase-space volume, which must agree with it.  A quadrature over its
+        error budget or a failed identity is a ConfigError.
+        """
+        t0 = time.perf_counter()
+        try:
+            if isinstance(self.potential, PowerDecay):
+                law = {"j_integral": j_integral(self.model, self.potential)}
+            else:
+                law = {"weyl_coefficient": weyl_coefficient(self.potential),
+                       "phase_space_volume": phase_space_volume(self.potential)}
+        except ValueError as exc:
+            raise ConfigError(f"the limiting law cannot be evaluated: {exc}") from exc
+        if "weyl_coefficient" in law:
+            coeff = law["weyl_coefficient"].value
+            volume = law["phase_space_volume"].value
+            if abs(coeff - volume) > WEYL_IDENTITY_TOL * max(coeff, 1.0):
+                raise ConfigError(
+                    f"weyl coefficient {coeff!r} and phase-space volume "
+                    f"{volume!r} disagree beyond tolerance")
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "law_seconds", time.perf_counter() - t0)
 
 
 def load_config(path: str, seed: int = 0) -> ExperimentConfig:

@@ -18,9 +18,12 @@ DegenerateThresholdWarning, naming the coupling, and flags the report.  Box
 counts are strict inertia at tau*(1 + 1e-12) and are not flagged, which
 would take further factorizations.
 run_meta.txt records which method produced each count and its margin, the
-seconds spent in each stage (oracle, Birman-Schwinger count and flow
-cross-check for weyl and theorem2; box counts; crossterm SVDs), the
-process's peak RSS and the thread count of each bundled OpenBLAS pool.
+seconds spent in each stage (Birman-Schwinger count and flow cross-check for
+weyl and theorem2; box counts; crossterm SVDs), the process's peak RSS and
+the thread count of each bundled OpenBLAS pool.  The weyl and theorem2 law
+(and the oracle study's lines) come from the config, which evaluated the
+quadratures once when it was built; their oracle_seconds is the time that
+took, QUADPACK import included, and is spent before run_study starts.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotic import box_coefficient, j_integral, phase_space_volume, weyl_coefficient
+from .asymptotic import box_coefficient
 from .config import ConfigError, ExperimentConfig
 from .flow import (DEGENERACY_TOL, DegenerateThresholdWarning, branch_trace,
                    crossing_count_detailed)
@@ -47,7 +50,6 @@ from .operators import (
     restricted_block,
     zone_masks,
 )
-from .potential import PowerDecay
 from .spectra import (
     TIE_GUARD,
     CountResult,
@@ -137,6 +139,8 @@ def _law_rows(study: str, xs, counts, prediction) -> list[tuple]:
 
 
 def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingReport:
+    """Birman-Schwinger counts (and flow counts) against the config's law,
+    whose oracle values and seconds go to the metadata."""
     alphas = [float(a) for a in config.alphas]
     t_bs = time.perf_counter()
     bs = _bs_counts(config, alphas)
@@ -182,6 +186,8 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
             "krylov_columns": bs.columns,
             "krylov_block": bs.block,
             **flow_meta,
+            "oracle_seconds": config.law_seconds,
+            **{name: pred.value for name, pred in config.law.items()},
         },
         degenerate=degenerate,
     )
@@ -189,33 +195,15 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
 
 def _weyl_study(config: ExperimentConfig) -> CountingReport:
     """First counting law: N(lambda, alpha) against alpha/(4pi) * int V."""
-    t_oracle = time.perf_counter()
-    coeff = weyl_coefficient(config.potential)
-    # internal identity: the independent phase-space route must agree
-    volume = phase_space_volume(config.potential)
-    if abs(coeff.value - volume.value) > 1e-6 * max(coeff.value, 1.0):
-        raise RuntimeError(
-            f"weyl coefficient {coeff.value!r} and phase-space volume "
-            f"{volume.value!r} disagree beyond tolerance"
-        )
-    oracle_seconds = time.perf_counter() - t_oracle
-    report = _counting_study(config, lambda a: a * coeff.value)
-    report.metadata["oracle_seconds"] = oracle_seconds
-    report.metadata["weyl_coefficient"] = coeff.value
-    report.metadata["phase_space_volume"] = volume.value
-    return report
+    coeff = config.law["weyl_coefficient"].value
+    return _counting_study(config, lambda a: a * coeff)
 
 
 def _theorem2_study(config: ExperimentConfig) -> CountingReport:
     """Second counting law: N against alpha^(2/p) * J(lambda, m)."""
-    t_oracle = time.perf_counter()
-    j = j_integral(config.model, config.potential)
-    oracle_seconds = time.perf_counter() - t_oracle
+    j = config.law["j_integral"].value
     p = config.potential.exponent
-    report = _counting_study(config, lambda a: a ** (2.0 / p) * j.value)
-    report.metadata["oracle_seconds"] = oracle_seconds
-    report.metadata["j_integral"] = j.value
-    return report
+    return _counting_study(config, lambda a: a ** (2.0 / p) * j)
 
 
 def _crossterm_study(config: ExperimentConfig) -> CountingReport:
@@ -380,16 +368,12 @@ def run_study(config: ExperimentConfig) -> CountingReport:
 
 
 def oracle_lines(config: ExperimentConfig) -> list[str]:
-    """Closed-form/quadrature predictions for a config, no spectra computed."""
-    lines = []
-    if isinstance(config.potential, PowerDecay):
-        j = j_integral(config.model, config.potential)
-        lines.append(f"j_integral = {j.value:.17g} (error {j.error:.3g})")
-    else:
-        w = weyl_coefficient(config.potential)
-        v = phase_space_volume(config.potential)
-        lines.append(f"weyl_coefficient = {w.value:.17g} (error {w.error:.3g})")
-        lines.append(f"phase_space_volume = {v.value:.17g} (error {v.error:.3g})")
+    """Closed-form/quadrature predictions for a config, no spectra computed.
+
+    The quadratures were evaluated when the config was built.
+    """
+    lines = [f"{name} = {pred.value:.17g} (error {pred.error:.3g})"
+             for name, pred in config.law.items()]
     if config.tau is not None:
         coeff = box_coefficient(config.tau, config.model, config.box_side ** 2)
         lines.append(f"box_coefficient_per_beta2 = {coeff:.17g}")

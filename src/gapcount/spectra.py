@@ -97,7 +97,7 @@ class CountResult:
     certificates: tuple[float, ...]
     method: str  # "krylov" | "dense"
     columns: int
-    block: int = _BLOCK
+    block: int
 
     @property
     def conclusive(self) -> bool:
@@ -307,7 +307,7 @@ def count_above(values, s: float) -> int:
 # Krylov counting with a straddle certificate
 # ---------------------------------------------------------------------------
 
-def _column_cap(dim: int, block: int) -> int:
+def _column_cap(dim: int) -> int:
     """Largest Krylov basis before the dense fallback takes over.
 
     Reorthogonalization costs about 8 dim k^2 flops for k columns (one
@@ -511,7 +511,7 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     thresholds = tuple(float(x) for x in values)
     dim = op.dimension
     block = min(_BLOCK, dim)
-    cap = _column_cap(dim, block)
+    cap = _column_cap(dim)
     built = 0
     while True:
         found, columns = _block_lanczos(op, thresholds, cap, block, seed)

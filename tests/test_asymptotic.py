@@ -78,7 +78,10 @@ def test_j_integral_constant_profile_closed_form():
     assert pred.value == pytest.approx(np.pi / 2.0, rel=1e-10)
 
 
-@pytest.mark.parametrize("psi,p,lam", [(2.0, 1.0, 0.0), (1.5, 0.8, 0.2), (3.0, 1.4, -0.3)])
+# below the gap center the support ends at (Psi/(m - lambda))^(1/p), not at
+# (Psi/(m - |lambda|))^(1/p); at small p the wrong bound misses it entirely
+@pytest.mark.parametrize("psi,p,lam", [(2.0, 1.0, 0.0), (1.5, 0.8, 0.2), (3.0, 1.4, -0.3),
+                                       (2.0, 0.3, -0.8), (2.5, 0.05, -0.9)])
 def test_j_integral_matches_radial_oracle(psi, p, lam):
     params = ModelParams(1.0, lam)
     spec = PowerDecay(p, psi)

@@ -606,6 +606,36 @@ def test_cli_extreme_potential_is_a_config_error(tmp_path, capsys, old, new, mes
     assert not (tmp_path / "o").exists()
 
 
+def _over_budget_ray(params, spec, theta):
+    return 1.0, 1.0  # a radial quadrature error far above the 1e-6 budget
+
+
+def _unit_radial_rule(fn, rmax, panels, order, breakpoints=()):
+    return 1.0  # phase-space volume 0.5 against the Weyl coefficient 1 of WEYL_TEXT
+
+
+@pytest.mark.parametrize("study,text,name,oracle,message", [
+    ("theorem2", THEOREM2_TEXT, "_radial_integral", _over_budget_ray, "budget"),
+    ("oracle", THEOREM2_TEXT.replace("study = theorem2", "study = oracle"),
+     "_radial_integral", _over_budget_ray, "budget"),
+    ("weyl", WEYL_TEXT, "_composite_gl_radial", _unit_radial_rule, "disagree"),
+], ids=["theorem2-over-budget", "oracle-over-budget", "weyl-identity-fails"])
+def test_cli_law_that_cannot_be_evaluated_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                            study, text, name, oracle,
+                                                            message):
+    import gapcount.asymptotic as asymptotic
+
+    monkeypatch.setattr(asymptotic, name, oracle)
+    cfg = _write(tmp_path, "law.cfg", text)
+    capsys.readouterr()
+    assert cli_main([study, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert message in lines[0] and "Traceback" not in captured.err
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
 def test_cli_counting_study_needs_out(tmp_path, capsys):
     cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
     capsys.readouterr()
@@ -681,7 +711,7 @@ def test_cli_uncertified_bs_count_is_a_resource_error(tmp_path, capsys, monkeypa
     from gapcount.spectra import CountResult
 
     def inconclusive(op, s, seed=0, dense_cap=None):
-        return CountResult(None, (0.0,) * len(s), "krylov", 96)
+        return CountResult(None, (0.0,) * len(s), "krylov", 96, 2)
 
     monkeypatch.setattr(harness, "iterative_count_above", inconclusive)
     cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)

@@ -1,7 +1,11 @@
-"""No package module imports a name it never uses, and package code reaches
-every public function, class, method and property the package defines."""
+"""No package module imports a name it never uses, package code reaches
+every public function, class, method and property the package defines, and
+only the studies with a quadrature law load QUADPACK."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -103,3 +107,52 @@ def test_unreached_definition_detection():
                        "    def _s(self):\n        pass\n\nM().q\n"),
     }
     assert unreached_definitions(trees) == [("a", "K"), ("a", "f"), ("c", "M.p")]
+
+
+# ---------------------------------------------------------------------------
+# import boundary: QUADPACK loads only where a law needs a quadrature
+# ---------------------------------------------------------------------------
+
+_GRID = "grid.n_points = 12\ngrid.box_side = 16.0\nmodel.mass = 1.0\nmodel.gap_point = 0.0\n"
+_GAUSSIAN = "potential.kind = gaussian\npotential.amplitude = 4.0\npotential.width = 1.0\n"
+_POWER = "potential.kind = powerdecay\npotential.exponent = 1.0\npotential.psi_constant = 2.0\n"
+BOX = ("study = box\n" + _GRID + "box.corner_x = 0.0\nbox.corner_y = 0.0\nbox.side = 1.0\n"
+       "box.tau = 0.5\nbox.betas = 2, 4\n")
+CROSSTERM = ("study = crossterm\n" + _GRID + _POWER + "alpha.values = 2, 4\n"
+             "localization.eps1 = 0.3\nlocalization.eps2 = 0.8\n")
+FLOW_TRACE = "study = flow-trace\n" + _GRID + _GAUSSIAN + "flow.t_values = 0, 1\n"
+WEYL = "study = weyl\n" + _GRID + _GAUSSIAN + "alpha.values = 2, 4\n"
+THEOREM2 = "study = theorem2\n" + _GRID + _POWER + "alpha.values = 2, 4\nlocalization.eps2 = 1.0\n"
+
+# builds a config from each argument after the first, runs the first config's
+# study if the first argument is "run", and prints whether QUADPACK is loaded
+_PROBE = """
+import sys
+from gapcount import cli
+from gapcount.config import ExperimentConfig
+from gapcount.harness import run_study
+configs = [ExperimentConfig.from_text(text) for text in sys.argv[2:]]
+if sys.argv[1] == "run":
+    run_study(configs[0])
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def _quadpack_loaded(*texts: str, run: bool = False) -> bool:
+    """Whether scipy.integrate is loaded after the probe, in a fresh
+    interpreter: this one loaded it already, through tests/oracles.py."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _PROBE, "run" if run else "build", *texts],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip() == "True"
+
+
+def test_studies_without_a_quadrature_law_never_load_quadpack():
+    assert not _quadpack_loaded(BOX, CROSSTERM, FLOW_TRACE, run=True)
+
+
+@pytest.mark.parametrize("text", [WEYL, THEOREM2], ids=["weyl", "theorem2"])
+def test_law_studies_load_quadpack_while_their_config_is_built(text):
+    # so the import is paid during set-up, not inside the study
+    assert _quadpack_loaded(text)

@@ -409,7 +409,7 @@ def test_krylov_counts_match_dense_for_every_coupling(monkeypatch, name, n):
 
     monkeypatch.setattr(LinearOperatorHandle, "apply_array", recording)
     # no column cap: the Krylov run itself is under test, not the fallback
-    monkeypatch.setattr(spectra, "_column_cap", lambda dim, block: dim)
+    monkeypatch.setattr(spectra, "_column_cap", lambda dim: dim)
     result = iterative_count_above(op, thresholds)
     assert result.conclusive and result.method == "krylov"
     assert result.block == 2  # no Birman-Schwinger cluster made the run widen
@@ -455,7 +455,7 @@ def test_second_gram_schmidt_pass_when_the_first_cancels(monkeypatch):
 
     monkeypatch.setattr(LinearOperatorHandle, "apply_array", recording)
     monkeypatch.setattr(spectra, "_orthogonalize", without_recurrence)
-    monkeypatch.setattr(spectra, "_column_cap", lambda dim, block: dim)
+    monkeypatch.setattr(spectra, "_column_cap", lambda dim: dim)
     result = iterative_count_above(op, thresholds)
     assert result.method == "krylov"
     assert list(result.counts) == [count_above(ev, s) for s in thresholds]
@@ -509,7 +509,7 @@ def test_threshold_on_an_eigenvalue_falls_back_to_dense():
     assert min(result.certificates[0], result.certificates[2]) > DEGENERACY_TOL
     assert list(result.counts) == [count_above(ev, s) for s in thresholds]
     # a converged Ritz value within the floor of a threshold ends the run early
-    assert result.columns < _column_cap(op.dimension, 8)
+    assert result.columns < _column_cap(op.dimension)
 
 
 def test_count_result_single_and_several_thresholds():
