@@ -13,6 +13,9 @@ ignored.  Lists are comma-separated.  Example::
     potential.width = 1.0
     alpha.values = 5, 10, 20, 40
 
+A key that nothing reads (a misspelt one, or one of another potential
+kind) is a ConfigError, as is a dense_cap below 1.
+
 ExperimentConfig validates a config once, when it is built: the cheap
 checks first, so a malformed config fails fast, then, for the weyl,
 theorem2 and oracle studies, the limiting law's quadratures.  Those load
@@ -65,6 +68,22 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
+
+
+class _ReadKeys(dict):
+    """A parsed config that remembers which keys were read (by [] or get)."""
+
+    def __init__(self, mapping):
+        super().__init__(mapping)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 def _finite(key, token: str) -> float:
@@ -195,7 +214,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str, seed: int = 0) -> "ExperimentConfig":
-        mapping = parse_config_text(text)
+        """The config a text declares; ConfigError names every key it sets
+        that nothing reads, such as a misspelt key or one of another
+        potential kind."""
+        mapping = _ReadKeys(parse_config_text(text))
         study = mapping.get("study")
         if study not in STUDIES:
             raise ConfigError(f"study must be one of {STUDIES}, got {study!r}")
@@ -212,7 +234,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         potential = (_build_potential(mapping)
                      if "potential.kind" in mapping else None)
-        return cls(
+        fields = dict(
             study=study,
             grid=grid,
             model=model,
@@ -233,15 +255,19 @@ class ExperimentConfig:
             t_values=_get_float_list(mapping, "flow.t_values"),
             with_flow=_get_bool(mapping, "study.with_flow", False),
             dense_cap=_get_int(mapping, "dense_cap", DENSE_CAP),
-            seed=seed,
-            raw_text=text,
         )
+        unread = sorted(set(mapping) - mapping.read)
+        if unread:
+            raise ConfigError(f"unknown or unused keys: {', '.join(unread)}")
+        return cls(**fields, seed=seed, raw_text=text)
 
     def __post_init__(self) -> None:
         """Study-specific invariants, checked once at construction and before
         any heavy work: no operator is built and no block gathered.  The
         law's quadratures run last, after every cheap check."""
         study = self.study
+        if self.dense_cap < 1:
+            raise ConfigError(f"dense_cap must be positive, got {self.dense_cap}")
         if self.potential is None and study != "box":
             raise ConfigError(f"study {study!r} requires potential.kind")
         if self.tau is not None and not (self.tau > 0 and self.box_side > 0):

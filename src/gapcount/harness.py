@@ -17,7 +17,10 @@ whose threshold lies within 1e-10 of an eigenvalue or singular value raises
 DegenerateThresholdWarning, naming the coupling, and flags the report.  Box
 counts are strict inertia at tau*(1 + 1e-12) and are not flagged, which
 would take further factorizations.
-run_meta.txt records which method produced each count and its margin, the
+run_meta.txt records which method produced each count and its margin; for
+the Birman-Schwinger count also the Krylov columns, the start block and the
+degree of the Chebyshev filter the run applied (krylov_filter_degree, 1 for
+an unfiltered run; see spectra.iterative_count_above).  It records the
 seconds spent in each stage (Birman-Schwinger count and flow cross-check for
 weyl and theorem2; box counts; crossterm SVDs), the process's peak RSS and
 the thread count of each bundled OpenBLAS pool.  The weyl and theorem2 law
@@ -185,6 +188,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
             "bs_count_seconds": bs_seconds,
             "krylov_columns": bs.columns,
             "krylov_block": bs.block,
+            "krylov_filter_degree": bs.filter_degree,
             **flow_meta,
             "oracle_seconds": config.law_seconds,
             **{name: pred.value for name, pred in config.law.items()},

@@ -13,8 +13,48 @@ vectors, which sees at most two copies of an eigenvalue; when a converged
 Ritz cluster above the smallest threshold is as wide as the block, a
 multiplicity could hide, and the run restarts on twice the block with the
 same column cap.  When a count cannot be certified, the dense
-spectrum gives the counts and the distance to the nearest eigenvalue.  A
-count that needs no eigenvalues comes from the Sylvester inertia of an
+spectrum gives the counts and the distance to the nearest eigenvalue.
+
+The Lanczos run works on p(A) rather than A, where p is a Chebyshev
+filter p(x) = T_d((x - c) / e) of odd degree d that maps [-b, a] onto
+[-1, 1]: a = s_min / 2 for the smallest threshold s_min, b the norm bound
+max(W)^2 max_xi ||mult(xi)||_2 of the handle (Zhou & Saad 2007; Fang &
+Saad 2012).  The Birman-Schwinger spectrum of a power decay is symmetric,
+and plain Lanczos converges both ends of it, although no threshold asks
+about the negative one; p damps it, and a basis holds fewer columns per
+counted eigenvalue.  The counts stay exact: for every s > a and every real
+x, x > s exactly when p(x) > p(s), because |p| <= 1 < p(s) on [-b, a], p < -1
+below -b (d is odd; an even d would count the eigenvalues there), and p
+increases above a.  So b needs no rigour and only sets how fast the run
+converges, and the run counts p(A) above p(s (1 + 1e-12)).  Certificates
+stay in A-space: a Ritz value theta > 1 of p(A) maps back to
+c + e cosh(arccosh(theta) / d), and one at most 1 to a, the nearest to s
+that its eigenvalue can lie.  The certificates, the floor that sends a
+count to the dense path and the multiplicity clusters all use the mapped
+values; an exact multiplicity stays exact under p, a width in p-space is
+not one in A-space.  ||p(A)|| reaches T_d(3) (1.5e11 at d = 15), so the
+tolerances relative to it are loose near the thresholds; a count settles
+only when every Ritz value clears p(s (1 + 1e-12)) by its residual.
+
+The degree is the least odd d >= 3 with p(s_min) >= _FILTER_GAIN = 10,
+and d = 1, no filter (the unfiltered run itself), when that needs more
+than _FILTER_MAX_DEGREE = 15.  Both were measured, one
+iterative_count_above call per fresh process on 2 vCPUs, seed 0.  Gains
+3, 10, 30 and 100 give theorem 2 at n = 80, L = 48, alpha 2-12 degrees 7,
+11, 15 and 19, 608, 480, 416 and 384 columns, 7.4, 6.3-7.1, 6.2 and
+6.3 s, 268, 225, 205 and 196 MB (unfiltered: 1056 columns, 21.9 s,
+435 MB); at n = 96, L = 24, alpha 2-6 degrees 5, 9, 11 and 15, 224, 160,
+160 and 128 columns, 2.0-2.2 s each (unfiltered: 352 columns, 2.4 s).
+Above 10 the columns fall slowly and the time not at all, while the n = 80
+degree reaches the maximum.  Weyl thresholds sit near the dense centre of
+the spectrum: gain 10 needs d = 25 for the weyl-flow benchmark shape
+(Gaussian, n = 24) and 55 for the Gaussian at n = 96, alpha 5-160, and
+forced filters did not pay there: at n = 96 degrees 7, 15 and 25 took 352,
+320 and 224 columns in 5.2, 6.7-7.4 and 7.6 s, against 352 columns in
+2.6 s unfiltered; at n = 24, degrees 5-13 took the same 96 columns as no
+filter, in 0.09-0.13 s against 0.04 s.
+
+A count that needs no eigenvalues comes from the Sylvester inertia of an
 LDL^H factorization (inertia).  inertia factors a complex C-ordered matrix
 in place and consumes it, so a count holds one dense matrix, not the
 matrix and a shifted copy; its probe residual reads the original matrix
@@ -59,6 +99,8 @@ _CERTIFICATE_FLOOR = 1e-8  # a converged Ritz value this close to a threshold
 _CHECK_EVERY = 32  # Krylov columns between Ritz checks while the basis is small
 _DGKS = 1.0 / np.sqrt(2.0)  # a vector keeping less of its norm through a
                             # Gram-Schmidt pass is orthogonalized again
+_FILTER_GAIN = 10.0  # least filter value at the smallest threshold
+_FILTER_MAX_DEGREE = 15  # a filter needing a higher degree is not used
 
 
 @dataclass(frozen=True)
@@ -91,6 +133,8 @@ class CountResult:
     block restarted and those before a dense fallback.  block is the start
     block of the last Krylov run: the one whose counts are returned, or the
     widest tried before the dense path or an inconclusive result.
+    filter_degree is the degree of the Chebyshev filter the Krylov runs
+    applied (_chebyshev_filter), 1 for an unfiltered run.
     """
 
     counts: tuple[int, ...] | None
@@ -98,6 +142,7 @@ class CountResult:
     method: str  # "krylov" | "dense"
     columns: int
     block: int
+    filter_degree: int
 
     @property
     def conclusive(self) -> bool:
@@ -329,6 +374,84 @@ def _column_cap(dim: int) -> int:
     return int(min(dim, max(dim // 4, 384)))
 
 
+@dataclass(frozen=True)
+class _ChebyshevFilter:
+    """p(x) = T_d((x - centre) / half_width), which maps [-b, a] onto [-1, 1].
+
+    Degree 1 is no filter: p is then the identity, not the affine map T_1,
+    so an unfiltered run does exactly what plain Lanczos on A does.
+    """
+
+    degree: int
+    centre: float = 0.0
+    half_width: float = 1.0
+
+    def __call__(self, x):
+        """p(x), by the recurrence T_{k+1}(y) = 2 y T_k(y) - T_{k-1}(y)."""
+        if self.degree == 1:
+            return x
+        y = (x - self.centre) / self.half_width
+        prev, cur = 1.0, y
+        for _ in range(self.degree - 1):
+            prev, cur = cur, 2.0 * y * cur - prev
+        return cur
+
+    def inverse(self, theta):
+        """The eigenvalue of A behind an eigenvalue theta of p(A).
+
+        Above 1 that is the unique x > a with p(x) = theta; a theta of at
+        most 1 comes from an eigenvalue at most a and is mapped to a, the
+        nearest it can lie to a threshold.
+        """
+        if self.degree == 1:
+            return theta
+        return self.centre + self.half_width * np.cosh(
+            np.arccosh(np.maximum(theta, 1.0)) / self.degree)
+
+    def apply(self, op, x):
+        """p(A) on the rows of x, shape (k, dim): degree applies of A."""
+        n = op.grid.n_points
+
+        def a(v):
+            return op.apply_array(v.reshape(-1, n, n, 2)).reshape(v.shape)
+
+        if self.degree == 1:
+            return a(x)
+        prev, cur = x, (a(x) - self.centre * x) / self.half_width
+        for _ in range(self.degree - 1):
+            prev, cur = cur, (2.0 / self.half_width) * (a(cur) - self.centre * cur) - prev
+        return cur
+
+
+def _norm_bound(op) -> float:
+    """max(W)^2 max_xi ||mult(xi)||_2, a bound on ||op||; for a
+    Birman-Schwinger handle, max V / (m - |lambda|)."""
+    m = op.mult
+    half_trace = 0.5 * (m[..., 0, 0].real + m[..., 1, 1].real)
+    radius = np.hypot(0.5 * (m[..., 0, 0].real - m[..., 1, 1].real), np.abs(m[..., 0, 1]))
+    weight = 1.0 if op.weight is None else float(np.abs(op.weight).max())
+    return weight ** 2 * float((np.abs(half_trace) + radius).max())
+
+
+def _chebyshev_filter(op, thresholds) -> _ChebyshevFilter:
+    """The filter of a Krylov count: odd degree, damping [-b, s_min / 2].
+
+    b is _norm_bound(op); it need not bound ||op||, since the counts stay
+    exact for any b.  The degree is the least odd d >= 3 with p(s_min) >=
+    _FILTER_GAIN, or 1 (no filter) when that needs more than
+    _FILTER_MAX_DEGREE.
+    """
+    b = _norm_bound(op)
+    s = min(thresholds)
+    a = 0.5 * s
+    centre, half_width = 0.5 * (a - b), 0.5 * (a + b)
+    width = np.arccosh((s - centre) / half_width)  # T_d(y) = cosh(d arccosh y)
+    for degree in range(3, _FILTER_MAX_DEGREE + 1, 2):
+        if np.cosh(degree * width) >= _FILTER_GAIN:
+            return _ChebyshevFilter(degree, centre, half_width)
+    return _ChebyshevFilter(1)
+
+
 def _widest_cluster(values) -> int:
     """Members of the largest run of ascending values, each within
     _CERTIFICATE_FLOOR of the one before (0 for no values)."""
@@ -339,17 +462,20 @@ def _widest_cluster(values) -> int:
     return int(np.diff(edges).max())
 
 
-def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale, thresholds):
+def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale, thresholds,
+                   filt):
     """Count and certificate per threshold from one Rayleigh-Ritz step, and
     the widest cluster of converged Ritz values above the smallest threshold.
 
-    proj[:k, :k] is the projection Q^H A Q on the k processed columns, lo:k
+    proj[:k, :k] is the projection Q^H p(A) Q on the k processed columns, lo:k
     the last processed block and coupling its projection onto the next
     block.  A Ritz pair's residual is ||coupling y_last|| plus the norm of
-    every residual direction that deflation dropped.  For each threshold
-    the verdict is None (not settled yet), or the count with the distance
-    from the threshold to the nearest converged Ritz value.  The cluster
-    is counted by _widest_cluster.
+    every residual direction that deflation dropped.  Convergence and the
+    counts are read in p-space, against p(s (1 + 1e-12)); the certificates
+    and the cluster use the Ritz values mapped back to A (filt.inverse).
+    For each threshold the verdict is None (not settled yet), or the count
+    with the distance from the threshold to the nearest converged Ritz
+    value.  The cluster is counted by _widest_cluster.
     """
     t = proj[:k, :k]
     theta, y = np.linalg.eigh(0.5 * (t + t.conj().T))
@@ -357,25 +483,27 @@ def _ritz_verdicts(proj, k, lo, coupling, dropped, exhausted, scale, thresholds)
     if not exhausted:
         resid += np.linalg.norm(coupling @ y[lo:k], axis=0)
     converged = resid <= max(1e-10, 1e-12 * scale)
+    values = filt.inverse(theta)
     verdicts = []
     for s in thresholds:
-        gate = s * (1.0 + TIE_GUARD)
+        gate = filt(s * (1.0 + TIE_GUARD))
         above = theta > gate
-        loose = ~converged
+        # every Ritz value clears the gate by its residual, so each lies on
+        # the side of the gate of an eigenvalue within that residual
         settled = (np.all(converged[above])
                    and (exhausted or bool(np.any(converged & ~above)))
-                   and bool(np.all(theta[loose] + resid[loose] < gate)))
+                   and bool(np.all(np.abs(theta - gate) > resid)))
         if not settled:
             verdicts.append(None)
             continue
-        upper = theta[converged & above]
-        lower = theta[converged & ~above]
+        upper = values[converged & above]
+        lower = values[converged & ~above]
         cert = min(float(upper.min() - s) if len(upper) else np.inf,
                    float(s - lower.max()) if len(lower) else np.inf)
         # np.inf: the whole spectrum lies on one side of the threshold
         verdicts.append((int(np.count_nonzero(above)), s if cert == np.inf else cert))
-    gate = min(thresholds) * (1.0 + TIE_GUARD)
-    return verdicts, _widest_cluster(theta[converged & (theta > gate)])
+    gate = filt(min(thresholds) * (1.0 + TIE_GUARD))
+    return verdicts, _widest_cluster(values[converged & (theta > gate)])
 
 
 def _orthogonalize(w, q, coefficients):
@@ -389,12 +517,14 @@ def _orthogonalize(w, q, coefficients):
     coefficients += c
 
 
-def _block_lanczos(op, thresholds, columns, block, seed):
+def _block_lanczos(op, filt, thresholds, columns, block, seed):
     """Certified counts for every threshold, or None; and the columns built.
 
     The counts come as (counts, certificates, widest), widest being the
     largest cluster of converged Ritz values above the smallest threshold
-    at the check that certified them (_ritz_verdicts).  The basis lives in
+    at the check that certified them (_ritz_verdicts).  The run is Lanczos
+    on p(A), p the filter filt (the identity at degree 1), and A below
+    stands for p(A).  The basis lives in
     one preallocated array (a row per vector), so each orthogonalization
     pass against it is a single GEMM.  A new block A x is first
     orthogonalized against the previous and the current block (the Lanczos
@@ -408,7 +538,6 @@ def _block_lanczos(op, thresholds, columns, block, seed):
     values are eigenvalues.
     """
     dim = op.dimension
-    n = op.grid.n_points
     rng = np.random.default_rng(seed)
     start = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     basis = np.empty((columns + block, dim), dtype=complex)
@@ -422,7 +551,7 @@ def _block_lanczos(op, thresholds, columns, block, seed):
     last = None  # counts of the previous check, None where not settled
     next_check = _CHECK_EVERY
     while True:
-        w = op.apply_array(basis[lo:hi].reshape(-1, n, n, 2)).reshape(hi - lo, dim)
+        w = filt.apply(op, basis[lo:hi])
         scale = max(scale, float(np.linalg.norm(w, axis=1).max()))
         _orthogonalize(w, basis[prev:hi], proj[prev:hi, lo:hi])  # the recurrence
         before = np.linalg.norm(w, axis=1)
@@ -456,7 +585,7 @@ def _block_lanczos(op, thresholds, columns, block, seed):
             # kept, so that each count settles at the same check
             next_check = hi + max(_CHECK_EVERY, hi * hi // (4 * dim))
             verdicts, widest = _ritz_verdicts(proj, hi, lo, coupling, dropped,
-                                              exhausted, scale, thresholds)
+                                              exhausted, scale, thresholds, filt)
             if any(v is not None and v[1] < _CERTIFICATE_FLOOR for v in verdicts):
                 break  # an eigenvalue sits within the floor of a threshold
             counts = [None if v is None else v[0] for v in verdicts]
@@ -482,12 +611,25 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     and a second only when the first cancelled more than the DGKS criterion
     allows (_block_lanczos).  A count is settled when every Ritz value
     above its threshold has converged, some converged Ritz value (or
-    exhaustion) lies below it, and no unconverged Ritz value could still
-    cross.  It is certified when it is settled with the same value at two
-    consecutive checks (every _CHECK_EVERY columns, spaced wider once the
-    checks would dominate the cost), or once at exhaustion, and its
-    certificate -- the distance from the threshold to the nearest converged
-    Ritz value -- is at least _CERTIFICATE_FLOOR.
+    exhaustion) lies below it, and every Ritz value clears the threshold by
+    its residual, so none could still cross.  It is certified when it is
+    settled with the same value at two consecutive checks (every
+    _CHECK_EVERY columns, spaced wider once the checks would dominate the
+    cost), or once at exhaustion, and its certificate -- the distance from
+    the threshold to the nearest converged Ritz value -- is at least
+    _CERTIFICATE_FLOOR.
+
+    The run applies the Chebyshev filter p of _chebyshev_filter, d
+    operator applies per block, and counts p(op) above p(s (1 + 1e-12)),
+    which for odd d and s above the damped interval [-b, s_min / 2] is the
+    same count as op above s (1 + 1e-12), whatever b is (module docstring).
+    Convergence is judged on p(op); certificates, the floor and the
+    clusters below are distances in op's spectrum, from the Ritz values
+    mapped back by p^-1.  The degree is the least odd d >= 3 with p(s_min)
+    >= _FILTER_GAIN = 10, or 1, no filter, when that exceeds
+    _FILTER_MAX_DEGREE = 15: power-decay thresholds get d = 7-11, Weyl
+    thresholds near the dense centre of the spectrum none.  filter_degree
+    records d.
 
     A start block of b vectors sees at most b copies of an eigenvalue, so
     a multiplicity above b would be undercounted.  The counts are kept only
@@ -512,21 +654,23 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     dim = op.dimension
     block = min(_BLOCK, dim)
     cap = _column_cap(dim)
+    filt = _chebyshev_filter(op, thresholds)
     built = 0
     while True:
-        found, columns = _block_lanczos(op, thresholds, cap, block, seed)
+        found, columns = _block_lanczos(op, filt, thresholds, cap, block, seed)
         built += columns
         if found is None:
             break
         counts, certificates, widest = found
         if widest < block:
-            return CountResult(counts, certificates, "krylov", built, block)
+            return CountResult(counts, certificates, "krylov", built, block, filt.degree)
         if 2 * block >= cap:
             break  # a multiplicity could hide, and no wider block fits
         block *= 2
     if dim > dense_cap:
-        return CountResult(None, (0.0,) * len(thresholds), "krylov", built, block)
+        return CountResult(None, (0.0,) * len(thresholds), "krylov", built, block,
+                           filt.degree)
     spectrum = hermitian_eigenvalues(assemble_dense(op, cap=dense_cap))
     counts = tuple(count_above(spectrum, x) for x in thresholds)
     certificates = tuple(float(np.abs(spectrum - x).min()) for x in thresholds)
-    return CountResult(counts, certificates, "dense", built, block)
+    return CountResult(counts, certificates, "dense", built, block, filt.degree)

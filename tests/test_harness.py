@@ -571,6 +571,41 @@ def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, study, text):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+@pytest.mark.parametrize("extra,unknown", [
+    ("study.with_flwo = true\n", ["study.with_flwo"]),
+    ("potential.centre_x = 1.5\n", ["potential.centre_x"]),
+    # a key of another potential kind is not read either
+    ("potential.radius = 2.0\n", ["potential.radius"]),
+    ("grid.npoints = 16\nbox.corner = 1\n", ["box.corner", "grid.npoints"]),
+    # alpha.values wins over a range, which is then not read
+    ("alpha.min = 1\nalpha.max = 2\nalpha.count = 2\n",
+     ["alpha.count", "alpha.max", "alpha.min"]),
+], ids=["misspelt-flag", "misspelt-center", "other-kind", "two-keys", "shadowed-range"])
+def test_cli_unknown_key_is_a_config_error(tmp_path, capsys, extra, unknown):
+    # ignoring an unread key would run the weyl study without its flow, or
+    # leave the Gaussian at the origin
+    with pytest.raises(ConfigError) as caught:
+        ExperimentConfig.from_text(WEYL_TEXT + extra)
+    assert str(caught.value) == f"unknown or unused keys: {', '.join(unknown)}"
+    cfg = _write(tmp_path, "bad.cfg", WEYL_TEXT + extra)
+    capsys.readouterr()
+    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: unknown or unused keys: {', '.join(unknown)}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_cli_non_positive_dense_cap_is_a_config_error(tmp_path, capsys, cap):
+    # a malformed value, not a resource limit (exit 3, "grid dimension 288
+    # exceeds the dense cap -1")
+    cfg = _write(tmp_path, "bad.cfg", WEYL_TEXT + f"dense_cap = {cap}\n")
+    capsys.readouterr()
+    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: dense_cap must be positive, got {cap}"]
+
+
 @pytest.mark.parametrize("old,new", [
     ("alpha.values = 2, 4, 8", "alpha.values = 2, 4, nan"),
     ("alpha.values = 2, 4, 8", "alpha.values = 2, 4, inf"),
@@ -711,7 +746,7 @@ def test_cli_uncertified_bs_count_is_a_resource_error(tmp_path, capsys, monkeypa
     from gapcount.spectra import CountResult
 
     def inconclusive(op, s, seed=0, dense_cap=None):
-        return CountResult(None, (0.0,) * len(s), "krylov", 96, 2)
+        return CountResult(None, (0.0,) * len(s), "krylov", 96, 2, 1)
 
     monkeypatch.setattr(harness, "iterative_count_above", inconclusive)
     cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
@@ -804,11 +839,11 @@ def test_ratio_warning_prints_plain_numbers():
     text = str(caught[0].message)
     assert "np.float64" not in text and text.endswith("[0.5, 0.75, 0.625]")
 
-@pytest.mark.parametrize("text,runner,csv", [
-    (WEYL_TEXT + "study.with_flow = true\n", run_study, WEYL_FLOW_CSV),
-    (THEOREM2_TEXT, run_study, THEOREM2_CSV),
+@pytest.mark.parametrize("text,runner,csv,degree", [
+    (WEYL_TEXT + "study.with_flow = true\n", run_study, WEYL_FLOW_CSV, 13),
+    (THEOREM2_TEXT, run_study, THEOREM2_CSV, 7),
 ], ids=["weyl-flow", "theorem2"])
-def test_run_meta_records_bs_count_method(tmp_path, text, runner, csv):
+def test_run_meta_records_bs_count_method(tmp_path, text, runner, csv, degree):
     config = ExperimentConfig.from_text(text)
     threads = _blas_threads_text()
     with warnings.catch_warnings():
@@ -821,6 +856,8 @@ def test_run_meta_records_bs_count_method(tmp_path, text, runner, csv):
     assert float(meta["bs_certificate_min"]) >= 1e-8
     assert 0 < int(meta["krylov_columns"]) <= config.grid.dimension
     assert int(meta["krylov_block"]) == 2
+    # the least odd degree whose filter reaches the gain at 1/alpha_max
+    assert int(meta["krylov_filter_degree"]) == degree
     timed = {"bs_count_seconds", "oracle_seconds"} | (
         {"flow_seconds"} if config.with_flow else set())
     assert {key for key in meta if key.endswith("_seconds")} == timed | {"runtime_seconds"}

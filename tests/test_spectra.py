@@ -399,20 +399,22 @@ def test_krylov_counts_match_dense_for_every_coupling(monkeypatch, name, n):
     op = birman_schwinger(grid, ModelParams(1.0, 0.0), spec)
     ev = np.linalg.eigvalsh(assemble_dense(op))
     thresholds = [1.0 / a for a in alphas]
-    # the Lanczos basis is every block the run applies the operator to
+    # the Lanczos basis is every block the run applies the filter to
     applied = []
-    apply_array = LinearOperatorHandle.apply_array
+    apply = spectra._ChebyshevFilter.apply
 
-    def recording(self, values):
-        applied.append(values.reshape(len(values), -1).copy())
-        return apply_array(self, values)
+    def recording(self, op, x):
+        applied.append(x.copy())
+        return apply(self, op, x)
 
-    monkeypatch.setattr(LinearOperatorHandle, "apply_array", recording)
+    monkeypatch.setattr(spectra._ChebyshevFilter, "apply", recording)
     # no column cap: the Krylov run itself is under test, not the fallback
     monkeypatch.setattr(spectra, "_column_cap", lambda dim: dim)
     result = iterative_count_above(op, thresholds)
     assert result.conclusive and result.method == "krylov"
     assert result.block == 2  # no Birman-Schwinger cluster made the run widen
+    if name.startswith("powerdecay"):
+        assert result.filter_degree > 1
     q = np.concatenate(applied)
     assert len(q) == result.columns
     assert np.abs(q.conj() @ q.T - np.eye(len(q))).max() <= 1e-12
@@ -433,15 +435,15 @@ def test_second_gram_schmidt_pass_when_the_first_cancels(monkeypatch):
     ev = np.linalg.eigvalsh(assemble_dense(op))
     thresholds = [1.0 / a for a in alphas]
     # per block: Gram-Schmidt calls, whether the first global pass cancelled
-    # beyond the DGKS criterion, and the vectors
+    # beyond the DGKS criterion, and the vectors the filter is applied to
     passes, cancelled, applied = [], [], []
-    apply_array = LinearOperatorHandle.apply_array
+    apply = spectra._ChebyshevFilter.apply
     orthogonalize = spectra._orthogonalize
 
-    def recording(self, values):
+    def recording(self, op, x):
         passes.append(0)
-        applied.append(values.reshape(len(values), -1).copy())
-        return apply_array(self, values)
+        applied.append(x.copy())
+        return apply(self, op, x)
 
     def without_recurrence(w, q, coefficients):
         passes[-1] += 1
@@ -453,11 +455,11 @@ def test_second_gram_schmidt_pass_when_the_first_cancels(monkeypatch):
             cancelled.append(bool(np.any(np.linalg.norm(w, axis=1)
                                          < spectra._DGKS * before)))
 
-    monkeypatch.setattr(LinearOperatorHandle, "apply_array", recording)
+    monkeypatch.setattr(spectra._ChebyshevFilter, "apply", recording)
     monkeypatch.setattr(spectra, "_orthogonalize", without_recurrence)
     monkeypatch.setattr(spectra, "_column_cap", lambda dim: dim)
     result = iterative_count_above(op, thresholds)
-    assert result.method == "krylov"
+    assert result.method == "krylov" and result.filter_degree > 1
     assert list(result.counts) == [count_above(ev, s) for s in thresholds]
     # with blocks of 2 the first few global passes keep most of the norm;
     # the second pass runs on exactly the blocks whose first one cancelled,
@@ -496,6 +498,80 @@ def test_hidden_multiplicity_widens_the_block():
     assert result.conclusive and result.method == "krylov"
     assert result.counts == tuple(count_above(ev, s) for s in thresholds) == (5, 5, 13)
     assert result.block > 4
+    # the filter keeps an exact multiplicity exact
+    assert result.filter_degree > 1
+
+
+@pytest.mark.parametrize("degree", [3, 5, 9, 15])
+def test_odd_filter_keeps_the_order_above_the_damped_interval(degree):
+    # for any b and any s > a, x > s exactly when p(x) > p(s): on [-b, a]
+    # |p| <= 1 < p(s), below -b p < -1, and above a p increases
+    b = 1.0
+    x = np.linspace(-10 * b, 10 * b, 200_001)
+    for a in (0.01, 0.2, 0.9):
+        filt = spectra._ChebyshevFilter(degree, 0.5 * (a - b), 0.5 * (a + b))
+        px = filt(x)
+        for s in a * np.array([1.001, np.sqrt(2.0), np.pi, 7.3]):
+            # rounding decides the order only within a hair of s
+            away = np.abs(x - s) > 1e-9
+            assert np.array_equal((px > filt(s))[away], (x > s)[away])
+            kept = x >= s
+            assert np.allclose(filt.inverse(px[kept]), x[kept], rtol=0, atol=1e-9)
+        # a value at most 1 maps back to a, the nearest it can be to s
+        assert np.all(filt.inverse(px[x <= a]) == pytest.approx(a))
+    # an even degree would count values below -b
+    even = spectra._ChebyshevFilter(degree + 1, 0.5 * (0.2 - b), 0.5 * (0.2 + b))
+    assert np.any((even(x) > even(0.3)) & (x < -b))
+
+
+def test_filter_on_too_small_a_norm_bound_still_counts_exactly(monkeypatch):
+    # b only sets how fast the run converges: with b = ||A|| / 4 the filter
+    # grows again below -b, and the eigenvalues there still count as below s
+    spec, alphas = _GATE_POTENTIALS["powerdecay"]
+    op = birman_schwinger(build_grid(16, 12.0), ModelParams(1.0, 0.0), spec)
+    ev = np.linalg.eigvalsh(assemble_dense(op))
+    norm = float(np.abs(ev).max())
+    assert ev.min() < -norm / 4
+    thresholds = [1.0 / a for a in alphas]
+    monkeypatch.setattr(spectra, "_norm_bound", lambda op: norm / 4)
+    monkeypatch.setattr(spectra, "_column_cap", lambda dim: dim)
+    result = iterative_count_above(op, thresholds)
+    assert result.method == "krylov" and result.filter_degree > 1
+    assert list(result.counts) == [count_above(ev, s) for s in thresholds]
+    for s, cert in zip(thresholds, result.certificates):
+        assert cert >= max(1e-8, np.abs(ev - s).min() - 1e-10)
+
+
+def test_filter_too_steep_to_resolve_the_thresholds_never_miscounts(monkeypatch):
+    # degree 55 spreads p(A) over about 1e42, so every tolerance relative to
+    # its norm swamps the thresholds near p = 10: deflation drops every
+    # direction after 7 columns, and counting those Ritz values would give
+    # (4, 5, 6, 6, 6, 6).  No Ritz value clears a gate by its residual, so
+    # the counts come from the dense spectrum
+    monkeypatch.setattr(spectra, "_FILTER_MAX_DEGREE", 81)
+    op = birman_schwinger(build_grid(24, 24.0), ModelParams(1.0, 0.0), Gaussian(4.0, 1.0))
+    thresholds = [1.0 / a for a in (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)]
+    result = iterative_count_above(op, thresholds)
+    assert result.filter_degree == 55
+    ev = np.linalg.eigvalsh(assemble_dense(op))
+    assert list(result.counts) == [count_above(ev, s) for s in thresholds]
+    assert result.method == "dense"
+
+
+def test_weyl_thresholds_stay_unfiltered():
+    # Weyl thresholds sit near the dense centre of the spectrum, where no
+    # filter of degree at most _FILTER_MAX_DEGREE reaches the gain: the
+    # weyl-flow benchmark shape at n = 24, and the Gaussian at n = 96
+    params = ModelParams(1.0, 0.0)
+    grid = build_grid(24, 24.0)
+    op = birman_schwinger(grid, params, Gaussian(4.0, 1.0, (1.5, 0.5)))
+    thresholds = [1.0 / a for a in (5.0, 10.0, 20.0, 40.0)]
+    result = iterative_count_above(op, thresholds)
+    assert result.method == "krylov" and result.filter_degree == 1
+    ev = np.linalg.eigvalsh(assemble_dense(op))
+    assert list(result.counts) == [count_above(ev, s) for s in thresholds]
+    fine = birman_schwinger(build_grid(96, 24.0), params, Gaussian(4.0, 1.0))
+    assert spectra._chebyshev_filter(fine, [1.0 / 160.0, 0.2]).degree == 1
 
 
 def test_threshold_on_an_eigenvalue_falls_back_to_dense():
