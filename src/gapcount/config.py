@@ -328,8 +328,8 @@ class ExperimentConfig:
                     check_box_fits(self.grid, box)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            # each box count factors the dense block on both components of
-            # the box's nodes
+            # the cap bounds the two-component block of the box's N nodes,
+            # 2N, although a count factors N x N arrays (harness._box_count)
             what, dim = "box block", max(
                 2 * int(np.count_nonzero(box_mask(self.grid, box))) for box in boxes)
         else:

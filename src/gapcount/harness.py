@@ -9,14 +9,22 @@ byte-stable only for a fixed BLAS build and thread count, because threaded
 LAPACK rounds differently; run_meta.txt records that count as
 blas_threads.  The weyl and theorem2 Birman-Schwinger counts come from one
 block Lanczos run for all couplings, with the dense spectrum as the
-fallback; the flow cross-check (through the Schur complement onto one
-spinor component) and the box counts from LDL^H inertia; the crossterm
-counts from singular values of dense zone blocks, one SVD per zone pair.
+fallback; the flow cross-check and the box counts from LDL^H inertia,
+each of a complement onto the first spinor component; the crossterm counts
+from singular values of dense zone blocks, one SVD per zone pair.
 Every study runs serially.  A Birman-Schwinger, flow or crossterm count
 whose threshold lies within 1e-10 of an eigenvalue or singular value raises
 DegenerateThresholdWarning, naming the coupling, and flags the report.  Box
-counts are strict inertia at tau*(1 + 1e-12) and are not flagged, which
-would take further factorizations.
+counts are strict inertia at tau' = tau*(1 + 1e-12) and are not flagged,
+which would take further factorizations.
+A box block minus tau' on the N box nodes is [[A00 - tau', A01],
+[A10, A11 - tau']] in component-block order.  A11 compresses the
+resolvent's R11 = (m - lambda)/det, negative for |lambda| < m because
+det = lambda^2 - m^2 - |xi|^4 < 0, so M = tau' - A11 >= tau' is positive
+definite, with cond(M) <= 1 + 1/(tau'(m + lambda)).  By Haynsworth's
+inertia additivity the count is the positive inertia of the N x N
+complement S' - tau', S' = A00 + A01 M^-1 A10 (_box_count).  Building S'
+holds two N x N arrays at once, half the 2N x 2N block.
 run_meta.txt records which method produced each count and its margin; for
 the Birman-Schwinger count also the Krylov columns, the start block and the
 degree of the Chebyshev filter the run applied (krylov_filter_degree, 1 for
@@ -49,6 +57,7 @@ from .operators import (
     assemble_dense,  # noqa: F401 -- unused; bench/selftest.py checks its traced binding
     birman_schwinger,
     box_mask,
+    component_gather,
     resolvent,
     restricted_block,
     zone_masks,
@@ -58,6 +67,7 @@ from .spectra import (
     CountResult,
     blas_threads,
     count_above,
+    eliminate_second_component,
     inertia,
     iterative_count_above,
     singular_values,
@@ -272,19 +282,32 @@ def _crossterm_study(config: ExperimentConfig) -> CountingReport:
     )
 
 
-def _box_count(grid, model, box, tau) -> tuple[int, float, int]:
-    """Eigenvalues of the box block above tau, probe residual, block dimension.
+def _box_count(gather, grid, box, tau) -> tuple[int, float, int]:
+    """Eigenvalues of the box block above tau, probe residual, dimension factored.
 
-    The count is the positive inertia of block - tau*(1 + 1e-12): strict and
-    tie-guarded exactly like count_above, but with no eigenvalue computed.
-    inertia factors the block in place, so each count holds one dense block.
+    The block is the resolvent compressed to the N nodes of the box on both
+    spinor components, A = [[A00, A01], [A10, A11]] in component-block
+    order; gather(nodes, a, b) gathers A_ab (operators.component_gather).
+    The count is the positive inertia of A - tau' with tau' = tau*(1 + 1e-12):
+    strict and tie-guarded exactly like count_above, but with no eigenvalue
+    computed.  It is read from an N x N complement onto the first component
+    (spectra.eliminate_second_component), by Haynsworth's inertia
+    additivity.  R11 = (m - lambda)/det is negative for every mode, as
+    det = lambda^2 - m^2 - |xi|^4 < 0 for |lambda| < m, so A11 is negative
+    definite and M = tau' - A11 >= tau'.  Then positive(A - tau') =
+    positive(S' - tau') with S' = A00 + A01 M^-1 A10, and inertia(S', tau')
+    gives the count.  M is well conditioned, cond(M) <= 1 + 1/(tau'(m +
+    lambda)) since ||R11|| <= 1/(m + lambda): 3 at m = 1, lambda = 0, tau =
+    0.5.  Two N x N arrays are live at once (M and the solve, then the solve
+    and S'), half of the 2N x 2N block; inertia factors S' in place.
     """
-    mask = box_mask(grid, box)
-    if not mask.any():
+    nodes = np.flatnonzero(box_mask(grid, box))
+    if len(nodes) == 0:
         return 0, 0.0, 0
-    block = restricted_block(resolvent(grid, model), mask, mask)
-    res = inertia(block, tau * (1.0 + TIE_GUARD))
-    return res.positive, res.residual, block.shape[0]
+    shift = tau * (1.0 + TIE_GUARD)
+    complement = eliminate_second_component(lambda a, b: gather(nodes, a, b), shift)
+    res = inertia(complement, shift)
+    return res.positive, res.residual, len(nodes)
 
 
 def _box_study(config: ExperimentConfig) -> CountingReport:
@@ -293,11 +316,16 @@ def _box_study(config: ExperimentConfig) -> CountingReport:
     Counts use the compression of the resolvent to the nodes inside the
     dilated box: the complementary modes contribute eigenvalue 0 < tau,
     so the block count equals the count of the full localized operator.
-    Each block count is the Sylvester inertia of block - tau (see _box_count);
-    run_meta.txt records the method, the largest probe residual, the
-    largest block dimension factored and the seconds spent gathering and
-    counting the blocks.  That every dilated box fits the grid, and that
-    its block is within dense_cap, is checked when the config is built.
+    Each block count is the Sylvester inertia of block - tau, read from its
+    complement onto the first spinor component (see _box_count).  The
+    resolvent kernel is computed once for every box, and the boxes are
+    counted largest first, so that the allocator can reuse the largest
+    box's freed buffers for the smaller ones; the rows stay in ascending
+    beta.  run_meta.txt records the method, the largest probe residual,
+    the largest dimension factored (box_factor_dim, the N nodes of the
+    largest box) and the seconds spent gathering and counting the blocks.
+    That every dilated box fits the grid, and that its two-component block
+    is within dense_cap, is checked when the config is built.
     """
     tau = float(config.tau)
     area = config.box_side ** 2
@@ -305,7 +333,8 @@ def _box_study(config: ExperimentConfig) -> CountingReport:
     boxes = [BoxSpec(config.box_corner, config.box_side, float(b))
              for b in config.betas]
     t_count = time.perf_counter()
-    results = [_box_count(config.grid, config.model, box, tau) for box in boxes]
+    gather = component_gather(resolvent(config.grid, config.model))
+    results = [_box_count(gather, config.grid, box, tau) for box in boxes[::-1]][::-1]
     count_seconds = time.perf_counter() - t_count
     return CountingReport(
         study="box",

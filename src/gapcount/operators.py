@@ -14,7 +14,9 @@ Matrices, 1979).  A dense block between two node sets is a gather from k,
 scaled by W[x] * W[y].  The same gather builds the Schur complement of the
 perturbed operator free - alpha*V onto one spinor component
 (schur_complement): in the Fourier basis its node diagonals are circulant,
-with kernels from one FFT of the node fields.
+with kernels from one FFT of the node fields.  A block of one spinor
+component against another between one node set gathers from a component
+slice of k (component_gather).
 """
 
 from __future__ import annotations
@@ -280,20 +282,24 @@ def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms) -> np.ndarra
     left = right = W; the Schur complement's has the complex pair
     (b, conj b).  Row c*r + a and column c*s + b hold component [a, b] of
     the entry [rows[r], cols[s]].  The block is gathered from the kernels
-    straight into the output, in row strips of about 1 MiB so the index
-    temporaries stay small.
+    straight into the output, in row strips of about 1 MiB, through one
+    reused buffer of integer offsets, one per entry of a strip.
     """
     c = terms[0][0].shape[-1]
-    ri, rj = np.divmod(rows, n)
-    ci, cj = np.divmod(cols, n)
+    rj, cj = rows % n, cols % n
     weights = [None if left is None else (np.ravel(left)[rows], np.ravel(right)[cols])
                for _, left, right in terms]
     out = np.empty((c * len(rows), c * len(cols)), dtype=complex)
     out4 = out.reshape(len(rows), c, len(cols), c)
     strip = max(1, _STRIP_BYTES // (16 * c * c * max(len(cols), 1)))
+    offsets = np.empty((min(strip, len(rows)), len(cols)), dtype=np.intp)
     for r0 in range(0, len(rows), strip):
         r1 = min(r0 + strip, len(rows))
-        offset = (ri[r0:r1, None] - ci) % n * n + (rj[r0:r1, None] - cj) % n
+        # the flat x - y, with n added back where the second axis borrowed
+        # it from the first, is the offset mod n per axis once taken mod n^2
+        offset = np.subtract.outer(rows[r0:r1], cols, out=offsets[:r1 - r0])
+        np.add(offset, n, out=offset, where=rj[r0:r1, None] < cj)
+        offset %= n * n
         part = out4[r0:r1].swapaxes(1, 2)
         for t, ((kernel, _, _), w) in enumerate(zip(terms, weights)):
             # mode="wrap" lets take fill the strided view without a buffer;
@@ -391,6 +397,28 @@ def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
         terms.append(((0.5 * (k + _mirror(k))).reshape(n * n, 1, 1), left, right))
     modes = np.arange(n * n)
     return _dense_block(n, modes, modes, terms)
+
+
+def component_gather(op: LinearOperatorHandle):
+    """gather(nodes, a, b): the dense block of spinor component a against b.
+
+    nodes is an increasing list of flat node indices.  The block has one
+    row and one column per node, and entry [r, s] is component [a, b] of
+    the entry [nodes[r], nodes[s]] of assemble_dense(op): W[x] k_ab(x - y)
+    W[y].  It is gathered like every dense block (_dense_block), and each
+    call returns a fresh complex C-ordered array.  The kernel is computed
+    and checked once, here, so a study that gathers many node sets pays for
+    it once.  Component blocks with a == b are exactly Hermitian, and the
+    (b, a) block is exactly the conjugate transpose of the (a, b) block.
+    """
+    kernel = _kernel(op)
+    n = op.grid.n_points
+
+    def gather(nodes: np.ndarray, a: int, b: int) -> np.ndarray:
+        k = np.ascontiguousarray(kernel[:, a:a + 1, b:b + 1])
+        return _dense_block(n, nodes, nodes, [(k, op.weight, op.weight)])
+
+    return gather
 
 
 def restricted_block(op: LinearOperatorHandle, row_mask: np.ndarray,

@@ -58,7 +58,12 @@ A count that needs no eigenvalues comes from the Sylvester inertia of an
 LDL^H factorization (inertia).  inertia factors a complex C-ordered matrix
 in place and consumes it, so a count holds one dense matrix, not the
 matrix and a shifted copy; its probe residual reads the original matrix
-from the triangle the factor leaves untouched.  The dense spectrum is the
+from the triangle the factor leaves untouched.  A Hermitian matrix on two
+spinor components whose second-component block lies below the shift is
+counted on one component (eliminate_second_component): by Haynsworth's
+inertia additivity its count above the shift is that of an N x N
+complement, built by a Cholesky factor, a triangular solve and a rank-N
+update, with two N x N arrays live at once.  The dense spectrum is the
 reference the other two are tested against on small grids.
 
 An inertia count of dimension up to _SINGLE_THREAD_LIMIT runs on one
@@ -84,7 +89,8 @@ import numpy as np
 import scipy
 import scipy.linalg
 
-from .operators import DENSE_CAP, LinearOperatorHandle, assemble_dense, check_hermitian
+from .operators import (_STRIP_BYTES, DENSE_CAP, LinearOperatorHandle, assemble_dense,
+                        check_hermitian)
 
 TIE_GUARD = 1e-12
 INERTIA_RESIDUAL_TOL = 1e-8
@@ -195,8 +201,15 @@ def _single_blas_thread(dim: int):
     scipy's default 2: dim 576 0.02 s against 0.02-0.03 s (one first call
     0.79 s); 1152 0.11-0.14 s against 0.11-0.21 s; 2048 0.53-0.87 s against
     0.48-1.12 s at half the CPU time; 2304 0.69-1.29 s against 0.61-1.25 s;
-    3072 1.48-1.70 s against 1.04-1.36 s.  The thread counts are
-    process-wide, so this is for serial callers; every study runs serially.
+    3072 1.48-1.70 s against 1.04-1.36 s.  The box study's elimination
+    (eliminate_second_component, N up to 784 on the box-localized benchmark)
+    follows the same rule.  There, with potrf, trsm and herk on the default
+    2 threads instead of one, study_s fell from 0.335 to 0.256 s but cpu_s
+    rose from 1.27 to 1.45 s (medians of 4 alternating pairs, bench/run.py
+    --seconds 20); on one thread both fall against the 2N x 2N LDL^H the
+    study factored before, study_s 0.459 -> 0.288 s and cpu_s 1.30 ->
+    1.09 s (10 pairs, --seconds 36).  The thread counts are process-wide,
+    so this is for serial callers; every study runs serially.
     """
     pools = _blas_pools() if dim <= _SINGLE_THREAD_LIMIT else ()
     before = [get() for _, get, _ in pools]
@@ -331,6 +344,57 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
                 f"{INERTIA_RESIDUAL_TOL:.0e} relative"
             )
         return InertiaResult(negative, zero, positive, residual)
+
+
+def eliminate_second_component(block, shift: float) -> np.ndarray:
+    """S' = A00 + A01 (shift - A11)^-1 A10 of a Hermitian two-component matrix.
+
+    In component-block order A = [[A00, A01], [A10, A11]], N x N blocks
+    with N >= 1; block(a, b) returns the (a, b) block as a fresh complex
+    C-ordered array, which this consumes.  M = shift - A11 must be positive definite, and a
+    Cholesky failure raises ValueError naming the second-component block.
+    Then A - shift has the complement S' - shift onto the first component
+    (A11 - shift = -M), and by Haynsworth's inertia additivity A - shift has
+    N + negative(S' - shift) negative, zero(S' - shift) zero and
+    positive(S' - shift) positive eigenvalues: inertia(S', shift) counts A.
+
+    M = L L^H (zpotrf), Y = L^-1 A10 (ztrsm, in place) and S' = A00 + Y^H Y
+    (zherk into A00's buffer), with the triangle then mirrored in strips
+    of about 1 MiB, so S' is exactly Hermitian.  block is called for
+    (1, 1), (0, 1) and (0, 0) in that order, and M is freed before A00 is
+    gathered: two N x N arrays are live at once, M and Y, then Y and S'.
+    The LAPACK routines work on each C-ordered array's transpose, a
+    Fortran-ordered view that holds its conjugate, so they factor conj(M)
+    and build conj(S'), whose C-ordered view is S'.  Up to dimension
+    _SINGLE_THREAD_LIMIT this runs on one thread in each OpenBLAS pool
+    (_single_blas_thread).
+    """
+    shift = float(shift)
+    m = block(1, 1)
+    dim = m.shape[0]
+    blas, lapack = scipy.linalg.blas, scipy.linalg.lapack
+    with _single_blas_thread(dim):
+        np.negative(m, out=m)
+        m.flat[::dim + 1] += shift
+        factor, info = lapack.zpotrf(m.T, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise ValueError(f"second-component block minus {shift:g} is not negative "
+                             f"definite (zpotrf info {info})")
+        # the transpose of A01 holds conj(A10)
+        y = blas.ztrsm(1.0, factor, block(0, 1).T, lower=1, overwrite_b=1)
+        del m, factor
+        s = block(0, 0)
+        blas.zherk(1.0, y, beta=1.0, c=s.T, trans=2, lower=1, overwrite_c=1)
+        del y
+    # the transpose's lower triangle is s's upper one
+    strip = max(1, _STRIP_BYTES // (16 * dim))
+    for r0 in range(0, dim, strip):
+        r1 = min(r0 + strip, dim)
+        np.conjugate(s[:r0, r0:r1].T, out=s[r0:r1, :r0])
+        diagonal = s[r0:r1, r0:r1]
+        below = np.tril_indices(r1 - r0, -1)
+        diagonal[below] = diagonal.T[below].conj()
+    return s
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

@@ -6,16 +6,18 @@ Gauss-Kronrod/trapezoid pipeline is checked against a different method,
 and the phase-space and box-law areas are midpoint polar quadratures of
 indicators whose closed forms the production oracles use.  The
 box-localized resolvent handle is the reference the box-block compression
-is checked against, and perturbed_dense, built from FFT columns, the
-reference for the flow's dense D(t) and its Schur complement;
-parse_report_csv inverts the report writer.
+is checked against, box_block_count (eigvalsh of the two-component box
+block) the reference for the box counts, and perturbed_dense, built from
+FFT columns, the reference for the flow's dense D(t) and its Schur
+complement; parse_report_csv inverts the report writer.
 """
 
 import numpy as np
 from scipy import integrate
 
 from gapcount.operators import (LinearOperatorHandle, box_mask, check_box_fits,
-                                free_operator, potential_on_grid, resolvent)
+                                free_operator, potential_on_grid, resolvent,
+                                restricted_block)
 from gapcount.potential import eval_potential
 
 
@@ -123,6 +125,18 @@ def box_localized_resolvent(grid, params, box):
     check_box_fits(grid, box)
     phi = box_mask(grid, box).astype(float)
     return LinearOperatorHandle(grid, resolvent(grid, params).mult, weight=phi)
+
+
+def box_block_count(grid, params, box, tau):
+    """Eigenvalues above tau of the resolvent compressed to beta*Q, by eigvalsh.
+
+    The block holds both spinor components of every box node
+    (restricted_block); the count is strict with the 1e-12 relative tie
+    guard, like count_above.
+    """
+    mask = box_mask(grid, box)
+    block = restricted_block(resolvent(grid, params), mask, mask)
+    return int(np.count_nonzero(np.linalg.eigvalsh(block) > tau * (1.0 + 1e-12)))
 
 
 INT_COLUMNS = frozenset({"n_bs", "n_flow", "count", "i", "j", "index"})

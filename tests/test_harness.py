@@ -11,10 +11,13 @@ from gapcount import (
     run_study,
 )
 from gapcount.cli import build_parser, main as cli_main
-from gapcount.harness import emit_outputs, oracle_lines
-from gapcount.operators import DenseCapExceededError
+from gapcount.harness import _box_count, emit_outputs, oracle_lines
+from gapcount.lattice import build_grid
+from gapcount.operators import (BoxSpec, DenseCapExceededError, box_mask, check_box_fits,
+                                component_gather, resolvent, restricted_block)
 from gapcount.spectra import blas_threads
-from oracles import parse_report_csv
+from gapcount.symbol import ModelParams
+from oracles import box_block_count, parse_report_csv
 
 WEYL_TEXT = """
 # tiny smoke configuration
@@ -227,6 +230,67 @@ def test_box_study_rejects_escaping_box():
         ExperimentConfig.from_text(text)
 
 
+# an off-center unit box; beta = 5 spans [-1.5, 3.5] x [-3, 2], inside the
+# L = 12 grid with its 2-spacing margin at every n below
+BOX_CASES = [BoxSpec((-0.3, -0.6), 1.0, beta) for beta in (2.0, 4.0, 5.0)]
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_box_count_matches_the_two_component_spectrum(n):
+    grid = build_grid(n, 12.0)
+    counts = []
+    for lam in (-0.6, 0.0, 0.4, 0.9):
+        params = ModelParams(1.0, lam)
+        gather = component_gather(resolvent(grid, params))
+        for tau in (0.2, 0.5, 1.3):
+            for box in BOX_CASES:
+                check_box_fits(grid, box)
+                count, residual, dim = _box_count(gather, grid, box, tau)
+                assert count == box_block_count(grid, params, box, tau)
+                assert 0.0 <= residual <= 1e-8
+                assert dim == np.count_nonzero(box_mask(grid, box))
+                counts.append(count)
+    # the cases reach both empty and well-filled counts
+    assert min(counts) == 0 and max(counts) >= 10
+
+
+def test_box_count_resolves_a_threshold_next_to_an_eigenvalue():
+    grid = build_grid(16, 12.0)
+    params = ModelParams(1.0, 0.4)
+    box = BOX_CASES[1]
+    mask = box_mask(grid, box)
+    spectrum = np.linalg.eigvalsh(restricted_block(resolvent(grid, params), mask, mask))
+    above = spectrum[spectrum > 0.5]
+    k = int(np.argmax(np.diff(above)))  # an eigenvalue with room above it
+    gather = component_gather(resolvent(grid, params))
+    for tau, expected in ((above[k] - 5e-10, len(above) - k),
+                          (above[k] + 5e-10, len(above) - k - 1)):
+        assert _box_count(gather, grid, box, tau)[0] == expected
+        assert box_block_count(grid, params, box, tau) == expected
+
+
+def test_box_count_holds_two_single_component_arrays():
+    import tracemalloc
+
+    # beta = 14: 28^2 = 784 nodes, the largest box of the box-localized
+    # benchmark; the 2N x 2N block alone would be 4 units
+    grid = build_grid(32, 16.0)
+    params = ModelParams(1.0, 0.0)
+    box = BoxSpec((-0.5, -0.5), 1.0, 14.0)
+    check_box_fits(grid, box)
+    gather = component_gather(resolvent(grid, params))
+    unit = 16 * np.count_nonzero(box_mask(grid, box)) ** 2
+    tracemalloc.start()
+    try:
+        count, _, dim = _box_count(gather, grid, box, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 784
+    assert count == box_block_count(grid, params, box, 0.5)
+    assert peak <= 2.2 * unit
+
+
 def test_flow_trace_study():
     text = """
 study = flow-trace
@@ -342,12 +406,12 @@ def _assert_process_keys(meta, threads):
 
 
 # the largest dimension factored: the 12^2 flow Schur complement, and the
-# beta = 4 box block, 16 nodes on two spinor components
+# beta = 4 box block's complement onto one spinor component, its 16 nodes
 @pytest.mark.parametrize("text,runner,method_key,seconds_key,dim_key,dim,csv,svg_sha", [
     (WEYL_TEXT + "study.with_flow = true\n", run_study, "flow_count_method",
      "flow_seconds", "flow_factor_dim", 144, WEYL_FLOW_CSV, WEYL_FLOW_SVG_SHA256),
     (BOX_TEXT, run_study, "box_count_method", "box_count_seconds",
-     "box_factor_dim", 32, BOX_CSV, BOX_SVG_SHA256),
+     "box_factor_dim", 16, BOX_CSV, BOX_SVG_SHA256),
 ], ids=["weyl-flow", "box"])
 def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key,
                                          seconds_key, dim_key, dim, csv, svg_sha):

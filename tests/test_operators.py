@@ -17,7 +17,7 @@ from gapcount import (
     zone_masks,
 )
 from gapcount.operators import (LinearOperatorHandle, box_mask, check_hermitian,
-                                sqrt_potential_on_grid)
+                                component_gather, sqrt_potential_on_grid)
 from gapcount.symbol import dirac_symbol, symbol_eigenvalues
 from oracles import box_localized_resolvent, dense_by_columns
 
@@ -322,6 +322,22 @@ def test_apply_array_matches_gathered_dense(handle, n):
     expected = v.reshape(3, -1) @ assemble_dense(op).T
     got = op.apply_array(v).reshape(3, -1)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["resolvent", "birman_schwinger"])
+def test_component_blocks_are_slices_of_the_restricted_block(weighted):
+    op = birman_schwinger(GRID, PARAMS, GAUSS) if weighted else resolvent(GRID, PARAMS)
+    mask = box_mask(GRID, BoxSpec((-0.4, -0.2), 1.0, 3.0))
+    nodes = np.flatnonzero(mask)
+    block = restricted_block(op, mask, mask)
+    gather = component_gather(op)
+    for a in (0, 1):
+        for b in (0, 1):
+            part = gather(nodes, a, b)
+            assert part.flags.c_contiguous
+            assert np.array_equal(part, block[a::2, b::2])
+        assert check_hermitian(gather(nodes, a, a)) == 0.0
+    assert np.array_equal(gather(nodes, 1, 0), gather(nodes, 0, 1).conj().T)
 
 
 def test_restricted_block_rejects_mask_of_wrong_shape():

@@ -27,7 +27,7 @@ from gapcount.operators import (
     potential_on_grid,
     resolvent,
 )
-from gapcount.spectra import _column_cap
+from gapcount.spectra import _column_cap, eliminate_second_component
 from gapcount.symbol import symbol_eigenvalues
 
 
@@ -243,6 +243,53 @@ def test_inertia_without_a_bundled_openblas(monkeypatch):
         result = inertia(a.copy(), shift)
         assert (result.negative, result.zero, result.positive) == (
             int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift)))
+
+
+def _two_component(rng, dim):
+    """A Hermitian [[A00, A01], [A10, A11]] with A11 <= -0.2, as block(a, b)."""
+    a = _random_hermitian(rng, 2 * dim)
+    b = _random_matrix(rng, dim)
+    a[dim:, dim:] = -0.1 * (b @ b.conj().T) - 0.2 * np.eye(dim)
+    return a, lambda i, j: a[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim].copy()
+
+
+@pytest.mark.parametrize("dim", [1, 7, 300])  # 300: the mirror takes two strips
+def test_second_component_elimination_keeps_the_inertia(dim):
+    rng = np.random.default_rng(20 + dim)
+    a, block = _two_component(rng, dim)
+    ev = np.linalg.eigvalsh(a)
+    a01, a11 = a[:dim, dim:], a[dim:, dim:]
+    for shift in (0.05, 0.3, 1.0):
+        s = eliminate_second_component(block, shift)
+        expected = a[:dim, :dim] + a01 @ np.linalg.solve(shift * np.eye(dim) - a11, a01.conj().T)
+        assert np.abs(s - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert check_hermitian(s) == 0.0  # mirrored exactly
+        result = inertia(s, shift)
+        assert (dim + result.negative, result.zero, result.positive) == (
+            int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift)))
+
+
+def test_second_component_elimination_rejects_an_indefinite_second_block():
+    # A11 has the eigenvalue 0.7 above the shift, so shift - A11 is indefinite
+    blocks = {(0, 0): np.eye(2), (0, 1): np.zeros((2, 2)), (1, 0): np.zeros((2, 2)),
+              (1, 1): np.diag([-1.0, 0.7])}
+    with pytest.raises(ValueError, match="second-component block minus 0.5"):
+        eliminate_second_component(lambda i, j: blocks[i, j].astype(complex), 0.5)
+
+
+def test_second_component_elimination_runs_on_one_thread(monkeypatch, blas_pools):
+    seen = []
+    for module, name in ((scipy.linalg.lapack, "zpotrf"), (scipy.linalg.blas, "ztrsm"),
+                         (scipy.linalg.blas, "zherk")):
+        def recording(*args, _routine=getattr(module, name), **kwargs):
+            seen.append(spectra.blas_threads())
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    _, block = _two_component(np.random.default_rng(7), 40)
+    eliminate_second_component(block, 0.3)
+    assert seen == [{package: 1 for package in blas_pools}] * 3
+    assert spectra.blas_threads() == blas_pools
 
 
 def test_singular_values_of_hermitian_are_absolute_eigenvalues():
