@@ -48,11 +48,9 @@ from .potential import (
 from .spectra import (
     CountResult,
     InertiaResult,
-    count_above,
     hermitian_eigenvalues,
     inertia,
     iterative_count_above,
-    singular_values,
 )
 from .symbol import (
     ModelParams,

@@ -35,10 +35,9 @@ from .lattice import GridSpec
 from .operators import (DENSE_CAP, assemble_dense, free_operator, potential_on_grid,
                         schur_complement)
 from .potential import PotentialSpec
-from .spectra import InertiaResult, hermitian_eigenvalues, inertia
+from .spectra import (DEGENERACY_TOL, InertiaResult, hermitian_eigenvalues, inertia,
+                      inertia_bracket)
 from .symbol import ModelParams, symbol_eigenvalues
-
-DEGENERACY_TOL = 1e-10
 
 
 class DegenerateThresholdWarning(UserWarning):
@@ -115,29 +114,24 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
     complement S(s), which is factored once per shift.  A factorization
     of S certifies as much as one of D(alpha) - s would:
     min |eig S| >= dist(s, spec D(alpha)), since S^-1 is a block of
-    (D(alpha) - s)^-1.  When the two counts differ an eigenvalue lies in
-    the tolerance window, and S(lambda) gives the strict count.  The dense
-    cap applies to grid.dimension and is checked before anything dense is
-    allocated.
+    (D(alpha) - s)^-1.  The two shifts bracket lambda (spectra.inertia_bracket):
+    when their counts differ an eigenvalue lies in the tolerance window, and
+    S(lambda) gives the strict count.  The dense cap applies to
+    grid.dimension and is checked before anything dense is allocated.
     """
     if alpha < 0:
         raise ValueError(f"coupling must be nonnegative, got {alpha}")
     lam = params.gap_point
     diagonal = -alpha * potential_on_grid(grid, spec)  # D(alpha) = free - alpha*V
-    below = _inertia_at(grid, params, diagonal, lam - DEGENERACY_TOL, cap)
-    above = _inertia_at(grid, params, diagonal, lam + DEGENERACY_TOL, cap)
-    factorizations = [below, above]
-    # an eigenvalue in [lam - tol, lam + tol] separates the two counts
-    end_degenerate = above.negative + above.zero != below.negative
-    if end_degenerate:
-        factorizations.append(_inertia_at(grid, params, diagonal, lam, cap))
+    end = inertia_bracket(lambda shift: _inertia_at(grid, params, diagonal, shift, cap),
+                          lam - DEGENERACY_TOL, lam + DEGENERACY_TOL, lam)
     ev_start = _free_spectrum(grid, params)
     degenerate = bool(
-        end_degenerate or np.any(np.abs(ev_start - lam) <= DEGENERACY_TOL)
+        end.degenerate or np.any(np.abs(ev_start - lam) <= DEGENERACY_TOL)
     )
-    count = factorizations[-1].negative - _count_below(ev_start, lam)
-    lo = below.negative - _count_below(ev_start, lam + DEGENERACY_TOL)
-    hi = above.negative - _count_below(ev_start, lam - DEGENERACY_TOL)
+    count = end.strict.negative - _count_below(ev_start, lam)
+    lo = end.low.negative - _count_below(ev_start, lam + DEGENERACY_TOL)
+    hi = end.high.negative - _count_below(ev_start, lam - DEGENERACY_TOL)
     if degenerate:
         warnings.warn(
             f"flow count at alpha = {alpha:.17g}: eigenvalue within "
@@ -146,9 +140,8 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
             DegenerateThresholdWarning,
             stacklevel=2,
         )
-    residual = float(np.fmax.reduce([f.residual for f in factorizations]))
     return CrossingResult(count=count, degenerate=degenerate, bracket=(lo, hi),
-                          residual=residual)
+                          residual=end.residual)
 
 
 def branch_trace(grid: GridSpec, params: ModelParams, spec: PotentialSpec,

@@ -7,16 +7,20 @@ config and seed (floats use 17 significant digits, LF newlines,
 missing values empty).  A CSV that prints eigenvalues (flow-trace) is
 byte-stable only for a fixed BLAS build and thread count, because threaded
 LAPACK rounds differently; run_meta.txt records that count as
-blas_threads.  The weyl and theorem2 Birman-Schwinger counts come from one
-block Lanczos run for all couplings, with the dense spectrum as the
-fallback; the flow cross-check and the box counts from LDL^H inertia,
-each of a complement onto the first spinor component; the crossterm counts
-from singular values of dense zone blocks, one SVD per zone pair.
-Every study runs serially.  A Birman-Schwinger, flow or crossterm count
-whose threshold lies within 1e-10 of an eigenvalue or singular value raises
-DegenerateThresholdWarning, naming the coupling, and flags the report.  Box
-counts are strict inertia at tau' = tau*(1 + 1e-12) and are not flagged,
-which would take further factorizations.
+blas_threads.  Every count is certified either by the straddle of
+converged Ritz values or by Sylvester inertia (LDL^H).  The weyl and
+theorem2 Birman-Schwinger counts come from one block Lanczos run for all
+couplings, with bracketed inertia of the dense matrix as the fallback; the
+flow cross-check and the box counts from LDL^H inertia, each of a
+complement onto the first spinor component; the crossterm counts from
+bracketed inertia of the Gram matrix of each dense zone block
+(spectra.gram_matrix), one per zone pair.  Every study runs serially.  A
+Birman-Schwinger, flow or crossterm count whose bracket finds an
+eigenvalue or singular value within 1e-10 of its threshold
+(spectra.inertia_bracket) raises DegenerateThresholdWarning, naming the
+coupling, and flags the report.  Box counts are strict inertia at
+tau' = tau*(1 + 1e-12) and are not flagged, which would take further
+factorizations.
 A box block minus tau' on the N box nodes is [[A00 - tau', A01],
 [A10, A11 - tau']] in component-block order.  A11 compresses the
 resolvent's R11 = (m - lambda)/det, negative for |lambda| < m because
@@ -30,7 +34,7 @@ the Birman-Schwinger count also the Krylov columns, the start block and the
 degree of the Chebyshev filter the run applied (krylov_filter_degree, 1 for
 an unfiltered run; see spectra.iterative_count_above).  It records the
 seconds spent in each stage (Birman-Schwinger count and flow cross-check for
-weyl and theorem2; box counts; crossterm SVDs), the process's peak RSS and
+weyl and theorem2; box counts; crossterm counts), the process's peak RSS and
 the thread count of each bundled OpenBLAS pool.  The weyl and theorem2 law
 (and the oracle study's lines) come from the config, which evaluated the
 quadratures once when it was built; their oracle_seconds is the time that
@@ -48,8 +52,7 @@ import numpy as np
 
 from .asymptotic import box_coefficient
 from .config import ConfigError, ExperimentConfig
-from .flow import (DEGENERACY_TOL, DegenerateThresholdWarning, branch_trace,
-                   crossing_count_detailed)
+from .flow import DegenerateThresholdWarning, branch_trace, crossing_count_detailed
 from .operators import (
     BoxSpec,
     DenseCapExceededError,
@@ -63,14 +66,15 @@ from .operators import (
     zone_masks,
 )
 from .spectra import (
+    DEGENERACY_TOL,
     TIE_GUARD,
     CountResult,
     blas_threads,
-    count_above,
     eliminate_second_component,
+    gram_matrix,
     inertia,
+    inertia_bracket,
     iterative_count_above,
-    singular_values,
 )
 
 
@@ -158,15 +162,15 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
     t_bs = time.perf_counter()
     bs = _bs_counts(config, alphas)
     bs_seconds = time.perf_counter() - t_bs
-    # a dense certificate is the distance to the nearest eigenvalue; a Krylov
-    # one is at least its 1e-8 floor, so it never marks a threshold degenerate
+    # a dense certificate is 0 exactly when its bracket holds an eigenvalue;
+    # a Krylov one is at least its 1e-8 floor
     degenerate = False
     for a, cert in zip(alphas, bs.certificates):
-        if cert <= DEGENERACY_TOL:
+        if cert == 0.0:
             degenerate = True
             warnings.warn(
                 f"Birman-Schwinger count at alpha = {a:.17g} is degenerate: "
-                f"1/alpha lies within {cert:.1e} of an eigenvalue",
+                f"1/alpha lies within {DEGENERACY_TOL:.0e} of an eigenvalue",
                 DegenerateThresholdWarning,
                 stacklevel=3,
             )
@@ -224,13 +228,22 @@ def _crossterm_study(config: ExperimentConfig) -> CountingReport:
     """Normalized counts of the off-diagonal localized pieces.
 
     The piece between zones i and j is the (zone-i rows) x (zone-j columns)
-    block of the sandwich, whose singular values are exactly those of the
+    block P of the sandwich, whose singular values are exactly those of the
     full localized piece; restricted_block gathers each block without
-    building the full matrix.  The (j, i) block is exactly the conjugate
-    transpose of the (i, j) block, because the kernel is made Hermitian and
-    the weights are real, so one SVD gives the count of both rows.  A
+    building the full matrix.  The count of sigma(P) > t = epsilon/alpha is
+    the positive inertia of the Gram matrix G on P's smaller side
+    (spectra.gram_matrix) at (t (1 + 1e-12))^2, bracketed in sigma-space by
+    the shifts max(t - 1e-10, 0)^2 and (t + 1e-10)^2
+    (spectra.inertia_bracket); each factorization consumes a copy of G,
+    and P is freed once G is built.  The (j, i) block is exactly the
+    conjugate transpose of the (i, j) block, because the kernel is made
+    Hermitian and the weights are real, so one count serves both rows.  A
     threshold within 1e-10 of a singular value is flagged, naming alpha and
-    the zone pair; svd_certificate_min in run_meta.txt is the least distance.
+    the zone pair.  run_meta.txt records the method, the largest probe
+    residual, the seconds spent on the Gram matrices and their
+    factorizations (crossterm_count_seconds), and svd_certificate_min, the
+    least half-width of a bracket's singular-value-free window: 1e-10, or
+    0 when a singular value lies inside one.
     """
     p = config.potential.exponent
     op = birman_schwinger(config.grid, config.model, config.potential)
@@ -239,25 +252,31 @@ def _crossterm_study(config: ExperimentConfig) -> CountingReport:
     monotone = True
     degenerate = False
     certificate = np.inf
-    svd_seconds = 0.0
+    residuals = []
+    count_seconds = 0.0
     for a in (float(a) for a in config.alphas):
         loc = LocalizationSpec(config.eps1, config.eps2, a, p)
         masks = zone_masks(config.grid, loc)
-        threshold = config.epsilon / a
+        t = config.epsilon / a
         for i, j in ((1, 2), (1, 3), (2, 3)):
             block = restricted_block(op, masks[i - 1], masks[j - 1])
-            t_svd = time.perf_counter()
-            values = singular_values(block)
-            svd_seconds += time.perf_counter() - t_svd
-            count = count_above(values, threshold)
-            # an empty block has no singular value to meet the threshold
-            gap = float(np.abs(values - threshold).min(initial=np.inf))
-            certificate = min(certificate, gap)
-            if gap <= DEGENERACY_TOL:
+            t_count = time.perf_counter()
+            gram = gram_matrix(block)
+            del block
+            bracket = inertia_bracket(lambda shift: inertia(gram.copy(), shift),
+                                      max(t - DEGENERACY_TOL, 0.0) ** 2,
+                                      (t + DEGENERACY_TOL) ** 2, (t * (1.0 + TIE_GUARD)) ** 2)
+            del gram
+            count_seconds += time.perf_counter() - t_count
+            count = bracket.strict.positive
+            residuals.append(bracket.residual)
+            certificate = min(certificate, 0.0 if bracket.degenerate else DEGENERACY_TOL)
+            if bracket.degenerate:
                 degenerate = True
                 warnings.warn(f"crossterm count at alpha = {a:.17g}, zones ({i}, {j}) is "
-                              f"degenerate: epsilon/alpha lies within {gap:.1e} of a "
-                              f"singular value", DegenerateThresholdWarning, stacklevel=2)
+                              f"degenerate: epsilon/alpha lies within {DEGENERACY_TOL:.0e} "
+                              f"of a singular value", DegenerateThresholdWarning,
+                              stacklevel=2)
             normalized = count / a ** (2.0 / p)
             if (i, j) in previous and normalized >= previous[(i, j)]:
                 monotone = False
@@ -275,8 +294,10 @@ def _crossterm_study(config: ExperimentConfig) -> CountingReport:
         rows=rows,
         metadata={
             "epsilon": config.epsilon,
+            "crossterm_count_method": "ldl-inertia",
+            "crossterm_count_seconds": count_seconds,
+            "inertia_residual_max": _max_residual(residuals),
             "svd_certificate_min": certificate,
-            "svd_seconds": svd_seconds,
         },
         degenerate=degenerate,
     )
@@ -288,10 +309,10 @@ def _box_count(gather, grid, box, tau) -> tuple[int, float, int]:
     The block is the resolvent compressed to the N nodes of the box on both
     spinor components, A = [[A00, A01], [A10, A11]] in component-block
     order; gather(nodes, a, b) gathers A_ab (operators.component_gather).
-    The count is the positive inertia of A - tau' with tau' = tau*(1 + 1e-12):
-    strict and tie-guarded exactly like count_above, but with no eigenvalue
-    computed.  It is read from an N x N complement onto the first component
-    (spectra.eliminate_second_component), by Haynsworth's inertia
+    The count is the positive inertia of A - tau' with tau' = tau*(1 + 1e-12),
+    the strict, tie-guarded count of eigenvalues above tau, with no
+    eigenvalue computed.  It is read from an N x N complement onto the first
+    component (spectra.eliminate_second_component), by Haynsworth's inertia
     additivity.  R11 = (m - lambda)/det is negative for every mode, as
     det = lambda^2 - m^2 - |xi|^4 < 0 for |lambda| < m, so A11 is negative
     definite and M = tau' - A11 >= tau'.  Then positive(A - tau') =

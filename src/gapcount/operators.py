@@ -201,11 +201,12 @@ def check_hermitian(matrix: np.ndarray) -> float:
     """Largest entry of |A - A^H|; raises ValueError above 1e-9 relative.
 
     The defect is taken relative to max(max|A_ij|, 1).  Rows are compared
-    with the matching columns in strips of about 1 MiB.  Each strip is
-    conjugated and transposed into one reused complex buffer, the columns
-    are subtracted from it in place, and the moduli go to one reused real
-    buffer, which first holds |rows|; so the check allocates those two
-    buffers, 1.5 MiB at any dimension, and no dense temporary.  A strip
+    with the matching columns in strips of about 1 MiB, and of at most an
+    eighth of the rows.  Each strip is conjugated and transposed into one
+    reused complex buffer, the columns are subtracted from it in place, and
+    the moduli go to one reused real buffer, which first holds |rows|; so
+    the check allocates those two buffers, at most 1.5 MiB and at most 3/16
+    of the matrix, and no dense temporary.  A strip
     whose largest entry is nan or infinite raises ValueError, as a
     non-finite entry would compare as no defect.  The small buffers also
     stay below the allocator's mmap threshold, so freeing them leaves no
@@ -215,7 +216,7 @@ def check_hermitian(matrix: np.ndarray) -> float:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     dim = a.shape[0]
-    strip = max(1, _STRIP_BYTES // (16 * max(dim, 1)))
+    strip = max(1, min(_STRIP_BYTES // (16 * max(dim, 1)), dim // 8))
     # flat, so that every strip, the last and shorter one too, gets a
     # contiguous view in either orientation
     difference = np.empty(min(strip, dim) * dim, dtype=complex)
@@ -282,8 +283,11 @@ def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms) -> np.ndarra
     left = right = W; the Schur complement's has the complex pair
     (b, conj b).  Row c*r + a and column c*s + b hold component [a, b] of
     the entry [rows[r], cols[s]].  The block is gathered from the kernels
-    straight into the output, in row strips of about 1 MiB, through one
-    reused buffer of integer offsets, one per entry of a strip.
+    straight into the output, in row strips of about 1 MiB and of at most
+    an eighth of the rows, through one reused buffer of integer offsets,
+    one per entry of a strip.  For c = 2 a strip of the output is a strided
+    view, which take fills through a buffer of the strip's size, at most an
+    eighth of the block.
     """
     c = terms[0][0].shape[-1]
     rj, cj = rows % n, cols % n
@@ -291,7 +295,7 @@ def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms) -> np.ndarra
                for _, left, right in terms]
     out = np.empty((c * len(rows), c * len(cols)), dtype=complex)
     out4 = out.reshape(len(rows), c, len(cols), c)
-    strip = max(1, _STRIP_BYTES // (16 * c * c * max(len(cols), 1)))
+    strip = max(1, min(_STRIP_BYTES // (16 * c * c * max(len(cols), 1)), len(rows) // 8))
     offsets = np.empty((min(strip, len(rows)), len(cols)), dtype=np.intp)
     for r0 in range(0, len(rows), strip):
         r1 = min(r0 + strip, len(rows))
@@ -302,8 +306,8 @@ def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms) -> np.ndarra
         offset %= n * n
         part = out4[r0:r1].swapaxes(1, 2)
         for t, ((kernel, _, _), w) in enumerate(zip(terms, weights)):
-            # mode="wrap" lets take fill the strided view without a buffer;
-            # the offsets are in range anyway
+            # mode="wrap" lets take fill a contiguous view (c = 1) in place,
+            # where "raise" would copy; the offsets are in range anyway
             gathered = np.take(kernel, offset, axis=0, out=part if t == 0 else None,
                                mode="wrap")
             if w is not None:

@@ -1,19 +1,20 @@
-"""Eigenvalue/singular-value computation and the counting functionals.
+"""Eigenvalue computation and the counting functionals.
 
 Spectra are plain descending ndarrays.  Counts use strict inequality with
 a fixed relative tie guard: a value counts as above the threshold s only
 when it exceeds s * (1 + 1e-12), so machine-precision ties resolve
-deterministically.  Every count carries a certificate.  A Birman-Schwinger
-count comes from one matrix-free block Lanczos run for all thresholds
-(iterative_count_above), certified by the straddle of converged Ritz
-values.  Its basis stays orthogonal through one Gram-Schmidt pass per
-block against the whole basis, repeated only when the DGKS criterion finds
-that pass cancelled too much.  The run starts on a block of _BLOCK = 2
-vectors, which sees at most two copies of an eigenvalue; when a converged
-Ritz cluster above the smallest threshold is as wide as the block, a
+deterministically.  Every count carries one of two certificates: the
+straddle of converged Ritz values, or a Sylvester inertia bracket.  A
+Birman-Schwinger count comes from one matrix-free block Lanczos run for
+all thresholds (iterative_count_above), certified by the straddle.  Its
+basis stays orthogonal through one Gram-Schmidt pass per block against
+the whole basis, repeated only when the DGKS criterion finds that pass
+cancelled too much.  The run starts on a block of _BLOCK = 2 vectors,
+which sees at most two copies of an eigenvalue; when a converged Ritz
+cluster above the smallest threshold is as wide as the block, a
 multiplicity could hide, and the run restarts on twice the block with the
-same column cap.  When a count cannot be certified, the dense
-spectrum gives the counts and the distance to the nearest eigenvalue.
+same column cap.  When a count cannot be certified, each threshold is
+counted on the dense matrix by an inertia bracket instead.
 
 The Lanczos run works on p(A) rather than A, where p is a Chebyshev
 filter p(x) = T_d((x - c) / e) of odd degree d that maps [-b, a] onto
@@ -63,8 +64,27 @@ spinor components whose second-component block lies below the shift is
 counted on one component (eliminate_second_component): by Haynsworth's
 inertia additivity its count above the shift is that of an N x N
 complement, built by a Cholesky factor, a triangular solve and a rank-N
-update, with two N x N arrays live at once.  The dense spectrum is the
-reference the other two are tested against on small grids.
+update, with two N x N arrays live at once.
+
+Every inertia count that may meet an eigenvalue at its threshold is
+bracketed (inertia_bracket): the matrix is factored just below and just
+above the threshold, DEGENERACY_TOL = 1e-10 away on either side, and a
+difference between the two counts puts an eigenvalue in that window.  The
+Birman-Schwinger dense fallback, the flow's endpoint counts and the
+crossterm counts all go through it.  A crossterm count of singular values
+sigma(P) > t is the count of the Gram matrix G on P's smaller side
+(gram_matrix) above t^2, since the nonzero eigenvalues of P P^H and P^H P
+are the squares of the singular values (Golub & Kahan 1965), and its
+window is [max(t - 1e-10, 0)^2, (t + 1e-10)^2], the sigma-space window
+squared.  Forming G squares the condition number, but a count only asks
+on which side of t^2 an eigenvalue of G lies.  Rounding moves an
+eigenvalue of G by about u ||P||^2, u the unit roundoff (at worst
+k u ||P||^2 for the longer side k of P), so a sigma near t moves by that
+over 2 t.  At n = 48 (power decay p = 1, L = 24, eps1 0.5, eps2 1.5,
+epsilon 0.5, alpha 2-6) every zone block has ||P|| <= 0.54, k <= 4382 and
+t >= 0.083: the shift is below 1e-14 relative to t, and even the worst
+case is below 1e-12 absolute, far inside the window.  The dense spectrum
+(hermitian_eigenvalues) is left to the flow-trace plot.
 
 An inertia count of dimension up to _SINGLE_THREAD_LIMIT runs on one
 BLAS thread.  numpy and scipy each bundle their own OpenBLAS, each with a
@@ -72,9 +92,7 @@ thread pool as wide as the machine; on 2 vCPUs the two pools' threads
 contend, and a threaded LDL^H of a few hundred to a couple of thousand
 rows spends more time in that overhead than in arithmetic, the first call
 in a process sometimes close to a second.  Each pool's thread count is
-restored when the count returns or raises.  The dense eigensolve and SVD
-keep the default threads: on one thread the flow-trace study (eigh at
-dimension 1152) and the crossterm study (zone SVDs) ran slower.
+restored when the count returns or raises.
 """
 
 from __future__ import annotations
@@ -93,6 +111,7 @@ from .operators import (_STRIP_BYTES, DENSE_CAP, LinearOperatorHandle, assemble_
                         check_hermitian)
 
 TIE_GUARD = 1e-12
+DEGENERACY_TOL = 1e-10  # absolute half-width of an inertia bracket
 INERTIA_RESIDUAL_TOL = 1e-8
 _INERTIA_PROBES = 5
 _RESIDUAL_CHECK_LIMIT = 3000  # above this, eigenvector residual spot-checks cost
@@ -130,17 +149,22 @@ class InertiaResult:
 class CountResult:
     """Eigenvalue counts above one or more thresholds, with certificates.
 
-    counts[i] is the number of eigenvalues above the i-th threshold (strict
-    and tie-guarded like count_above); certificates[i] is the distance from
-    that threshold to the nearest eigenvalue the method resolved: a
-    converged Ritz value ("krylov") or an eigenvalue of the dense spectrum
-    ("dense").  An inconclusive result has counts None.  columns is the
-    number of Krylov basis vectors built over every run, also those a wider
-    block restarted and those before a dense fallback.  block is the start
-    block of the last Krylov run: the one whose counts are returned, or the
-    widest tried before the dense path or an inconclusive result.
-    filter_degree is the degree of the Chebyshev filter the Krylov runs
-    applied (_chebyshev_filter), 1 for an unfiltered run.
+    counts[i] is the number of eigenvalues above s (1 + 1e-12), s the i-th
+    threshold.  certificates[i] depends on the method.  For "krylov" it is
+    the distance from s to the nearest converged Ritz value, at least
+    _CERTIFICATE_FLOOR.  For "dense" it is the half-width of the
+    eigenvalue-free window of the inertia bracket around s: DEGENERACY_TOL
+    when no eigenvalue lies within DEGENERACY_TOL of s, and 0 when one does
+    (inertia_bracket), which marks the count degenerate.  An inconclusive
+    result has counts None.
+
+    columns is the number of Krylov basis vectors built over every run,
+    also those a wider block restarted and those before a dense fallback.
+    block is the start block of the last Krylov run: the one whose counts
+    are returned, or the widest tried before the dense path or an
+    inconclusive result.  filter_degree is the degree of the Chebyshev
+    filter the Krylov runs applied (_chebyshev_filter), 1 for an unfiltered
+    run.
     """
 
     counts: tuple[int, ...] | None
@@ -346,6 +370,81 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
         return InertiaResult(negative, zero, positive, residual)
 
 
+@dataclass(frozen=True)
+class InertiaBracket:
+    """Inertia of A minus three shifts: low, high and strict.
+
+    An eigenvalue lies in [low, high] exactly when the counts below low and
+    at most high differ (degenerate).  residual is the largest probe
+    residual of the factorizations behind the bracket (nan ones skipped).
+    """
+
+    low: InertiaResult
+    high: InertiaResult
+    strict: InertiaResult
+
+    @property
+    def degenerate(self) -> bool:
+        return self.high.negative + self.high.zero != self.low.negative
+
+    @property
+    def residual(self) -> float:
+        return float(np.fmax.reduce([self.low.residual, self.high.residual,
+                                     self.strict.residual]))
+
+
+def inertia_bracket(factor, low: float, high: float, strict: float) -> InertiaBracket:
+    """The inertia at strict, and whether an eigenvalue lies in [low, high].
+
+    factor(shift) returns the InertiaResult of A - shift, factoring a fresh
+    matrix on each call, as inertia consumes its input.  A is factored at
+    low, then at high, and at strict only when the two counts differ (an
+    eigenvalue lies in the window) or strict lies outside [low, high].
+    Otherwise no eigenvalue lies between low and high, and the inertia at
+    strict is that at high.  Every non-Krylov count goes through here, with
+    low and high DEGENERACY_TOL (absolute) either side of its threshold.
+    """
+    at_low, at_high = factor(low), factor(high)
+    bracket = InertiaBracket(at_low, at_high, at_high)
+    if bracket.degenerate or not low <= strict <= high:
+        bracket = InertiaBracket(at_low, at_high, factor(strict))
+    return bracket
+
+
+def _mirror_upper(s: np.ndarray) -> None:
+    """Overwrite the strict lower triangle of a square C-ordered array with
+    the conjugate of its upper one, in row strips of about 1 MiB, so that s
+    is exactly Hermitian."""
+    dim = s.shape[0]
+    strip = max(1, _STRIP_BYTES // (16 * dim))
+    for r0 in range(0, dim, strip):
+        r1 = min(r0 + strip, dim)
+        np.conjugate(s[:r0, r0:r1].T, out=s[r0:r1, :r0])
+        diagonal = s[r0:r1, r0:r1]
+        below = np.tril_indices(r1 - r0, -1)
+        diagonal[below] = diagonal.T[below].conj()
+
+
+def gram_matrix(block: np.ndarray) -> np.ndarray:
+    """P P^H or P^H P, whichever is smaller, for a complex C-ordered P.
+
+    Its eigenvalues are the squares of P's singular values, less the zeros
+    of the longer side (Golub & Kahan 1965).  It is built by one rank-k
+    update (zherk) into a fresh array and its triangle mirrored
+    (_mirror_upper), so it is exactly Hermitian.  zherk runs on P.T, a
+    Fortran-ordered view holding P^T, and builds conj(G) = G^T in Fortran
+    order, whose C-ordered transpose view is G.  An empty P gives a 0 x 0
+    matrix.
+    """
+    rows, cols = block.shape
+    if min(rows, cols) == 0:
+        return np.zeros((0, 0), dtype=complex)
+    a = np.ascontiguousarray(block, dtype=complex).T
+    g = scipy.linalg.blas.zherk(1.0, a, trans=2 if rows <= cols else 0, lower=1).T
+    _mirror_upper(g)
+    return g
+
+
 def eliminate_second_component(block, shift: float) -> np.ndarray:
     """S' = A00 + A01 (shift - A11)^-1 A10 of a Hermitian two-component matrix.
 
@@ -387,29 +486,8 @@ def eliminate_second_component(block, shift: float) -> np.ndarray:
         blas.zherk(1.0, y, beta=1.0, c=s.T, trans=2, lower=1, overwrite_c=1)
         del y
     # the transpose's lower triangle is s's upper one
-    strip = max(1, _STRIP_BYTES // (16 * dim))
-    for r0 in range(0, dim, strip):
-        r1 = min(r0 + strip, dim)
-        np.conjugate(s[:r0, r0:r1].T, out=s[r0:r1, :r0])
-        diagonal = s[r0:r1, r0:r1]
-        below = np.tril_indices(r1 - r0, -1)
-        diagonal[below] = diagonal.T[below].conj()
+    _mirror_upper(s)
     return s
-
-
-def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Descending singular values; their squares are eigenvalues of A*A."""
-    a = np.asarray(matrix)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    return np.linalg.svd(a, compute_uv=False)
-
-
-def count_above(values, s: float) -> int:
-    """#{k : values_k > s}, strict, with the 1e-12 relative tie guard."""
-    if not s > 0:
-        raise ValueError(f"threshold must be positive, got {s}")
-    return int(np.count_nonzero(np.asarray(values) > s * (1.0 + TIE_GUARD)))
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +784,14 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     When some threshold cannot be certified within _column_cap basis
     vectors, a converged Ritz value lies within the floor of it, or a
     widened block would reach the cap, every count comes from the dense
-    spectrum instead, with certificate min |eigenvalue - s|, provided the
-    dimension is within dense_cap; otherwise the result says inconclusive
-    rather than guessing.
+    matrix instead, provided the dimension is within dense_cap; otherwise
+    the result says inconclusive rather than guessing.  method is then
+    "dense": each threshold s is counted by inertia_bracket at
+    s -/+ DEGENERACY_TOL, with strict shift s (1 + 1e-12), and its
+    certificate is DEGENERACY_TOL, or 0 when an eigenvalue lies within
+    DEGENERACY_TOL of s.  Each factorization gathers the matrix afresh
+    (assemble_dense) and consumes it, so the fallback holds one dense
+    matrix at a time.
     """
     values = np.asarray(thresholds, dtype=float)
     if values.ndim != 1 or len(values) == 0 or not np.all(values > 0):
@@ -734,7 +817,12 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     if dim > dense_cap:
         return CountResult(None, (0.0,) * len(thresholds), "krylov", built, block,
                            filt.degree)
-    spectrum = hermitian_eigenvalues(assemble_dense(op, cap=dense_cap))
-    counts = tuple(count_above(spectrum, x) for x in thresholds)
-    certificates = tuple(float(np.abs(spectrum - x).min()) for x in thresholds)
+
+    def factor(shift):
+        return inertia(assemble_dense(op, cap=dense_cap), shift)
+
+    brackets = [inertia_bracket(factor, x - DEGENERACY_TOL, x + DEGENERACY_TOL,
+                                x * (1.0 + TIE_GUARD)) for x in thresholds]
+    counts = tuple(b.strict.positive for b in brackets)
+    certificates = tuple(0.0 if b.degenerate else DEGENERACY_TOL for b in brackets)
     return CountResult(counts, certificates, "dense", built, block, filt.degree)

@@ -9,7 +9,9 @@ box-localized resolvent handle is the reference the box-block compression
 is checked against, box_block_count (eigvalsh of the two-component box
 block) the reference for the box counts, and perturbed_dense, built from
 FFT columns, the reference for the flow's dense D(t) and its Schur
-complement; parse_report_csv inverts the report writer.
+complement.  singular_values (LAPACK SVD) and count_above on a full
+spectrum are the references the inertia counts are checked against;
+parse_report_csv inverts the report writer.
 """
 
 import numpy as np
@@ -125,6 +127,21 @@ def box_localized_resolvent(grid, params, box):
     check_box_fits(grid, box)
     phi = box_mask(grid, box).astype(float)
     return LinearOperatorHandle(grid, resolvent(grid, params).mult, weight=phi)
+
+
+def singular_values(matrix):
+    """Descending singular values; their squares are eigenvalues of A*A."""
+    a = np.asarray(matrix)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def count_above(values, s):
+    """#{k : values_k > s}, strict, with the 1e-12 relative tie guard."""
+    if not s > 0:
+        raise ValueError(f"threshold must be positive, got {s}")
+    return int(np.count_nonzero(np.asarray(values) > s * (1.0 + 1e-12)))
 
 
 def box_block_count(grid, params, box, tau):

@@ -10,11 +10,10 @@ from gapcount import (
     birman_schwinger,
     branch_trace,
     build_grid,
-    count_above,
     crossing_count_detailed,
     hermitian_eigenvalues,
 )
-from gapcount.flow import DEGENERACY_TOL, _free_spectrum
+from gapcount.flow import _free_spectrum
 from gapcount.operators import (
     DenseCapExceededError,
     assemble_dense,
@@ -23,8 +22,8 @@ from gapcount.operators import (
     potential_on_grid,
     schur_complement,
 )
-from gapcount.spectra import inertia
-from oracles import perturbed_dense
+from gapcount.spectra import DEGENERACY_TOL, inertia
+from oracles import count_above, perturbed_dense
 
 GRID = build_grid(12, 12.0)
 GAUSS = Gaussian(4.0, 1.0)

@@ -15,9 +15,9 @@ from gapcount.harness import _box_count, emit_outputs, oracle_lines
 from gapcount.lattice import build_grid
 from gapcount.operators import (BoxSpec, DenseCapExceededError, box_mask, check_box_fits,
                                 component_gather, resolvent, restricted_block)
-from gapcount.spectra import blas_threads
+from gapcount.spectra import DEGENERACY_TOL, blas_threads
 from gapcount.symbol import ModelParams
-from oracles import box_block_count, parse_report_csv
+from oracles import box_block_count, count_above, parse_report_csv, singular_values
 
 WEYL_TEXT = """
 # tiny smoke configuration
@@ -184,19 +184,14 @@ localization.eps2 = 1.0
         assert row[3] == pytest.approx(row[0] ** 2 * np.pi / 2, rel=1e-8)
 
 
-def test_crossterm_study_adjoint_equality():
-    # the runner copies each (i, j) count into the (j, i) row; the (j, i)
-    # block is counted here on its own
-    from gapcount import (
-        LocalizationSpec,
-        birman_schwinger,
-        count_above,
-        restricted_block,
-        singular_values,
-        zone_masks,
-    )
+@pytest.mark.parametrize("n", [12, 16, 24])
+def test_crossterm_study_adjoint_equality(n):
+    # the runner counts the (i, j) block by Gram inertia and copies the count
+    # into the (j, i) row; the (j, i) block is counted here on its own, by SVD
+    from gapcount import LocalizationSpec, birman_schwinger, restricted_block, zone_masks
 
-    config = ExperimentConfig.from_text(CROSS_TEXT)
+    config = ExperimentConfig.from_text(
+        CROSS_TEXT.replace("grid.n_points = 12", f"grid.n_points = {n}"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = run_study(config)
@@ -494,7 +489,7 @@ def test_report_bytes_pinned(tmp_path, text, runner, csv, svg_sha):
     assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
 
 
-def test_run_meta_records_crossterm_svd_seconds(tmp_path):
+def test_run_meta_records_crossterm_count_seconds(tmp_path):
     config = ExperimentConfig.from_text(CROSS_TEXT)
     threads = _blas_threads_text()
     with warnings.catch_warnings():
@@ -503,8 +498,13 @@ def test_run_meta_records_crossterm_svd_seconds(tmp_path):
     paths = emit_outputs(report, tmp_path, config)
     meta = dict(line.split(" = ", 1)
                 for line in paths["meta"].read_text().splitlines())
-    assert float(meta["svd_seconds"]) >= 0.0
-    assert float(meta["svd_certificate_min"]) > 1e-10
+    assert meta["crossterm_count_method"] == "ldl-inertia"
+    assert 0.0 <= float(meta["inertia_residual_max"]) <= 1e-8
+    assert float(meta["crossterm_count_seconds"]) >= 0.0
+    assert "svd_seconds" not in meta
+    # no singular value within the tolerance of any threshold: every
+    # bracket's window is free, and its half-width is the tolerance
+    assert float(meta["svd_certificate_min"]) == DEGENERACY_TOL
     assert not report.degenerate
     _assert_process_keys(meta, threads)
     assert paths["csv"].read_text() == CROSS_CSV
@@ -873,8 +873,7 @@ def test_cli_degenerate_flow_trace_exit_code(tmp_path, capsys):
 
 def test_cli_degenerate_crossterm_threshold_exit_code(tmp_path, capsys):
     # epsilon/alpha at alpha = 2 is the second singular value of the (1, 2) block
-    from gapcount import (LocalizationSpec, birman_schwinger, restricted_block,
-                          singular_values, zone_masks)
+    from gapcount import LocalizationSpec, birman_schwinger, restricted_block, zone_masks
 
     config = ExperimentConfig.from_text(CROSS_TEXT)
     masks = zone_masks(config.grid, LocalizationSpec(config.eps1, config.eps2, 2.0,
@@ -983,3 +982,73 @@ def test_degenerate_coupling_counts_densely_and_is_flagged():
     assert report.degenerate
     assert report.metadata["bs_count_method"] == "dense"
     assert report.metadata["bs_certificate_min"] <= 1e-10
+
+
+def _bs_bracket(offset):
+    # 1/alpha lies offset above the third Birman-Schwinger eigenvalue; a
+    # Ritz value that close sends the count to the dense path
+    from gapcount import birman_schwinger
+    from gapcount.operators import assemble_dense
+
+    config = ExperimentConfig.from_text(WEYL_TEXT)
+    ev = np.linalg.eigvalsh(assemble_dense(birman_schwinger(config.grid, config.model,
+                                                            config.potential)))[::-1]
+    config = ExperimentConfig.from_text(WEYL_TEXT.replace(
+        "alpha.values = 2, 4, 8", f"alpha.values = {1.0 / (ev[2] + offset):.17g}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_study(config)
+    assert report.metadata["bs_count_method"] == "dense"
+    expected = count_above(ev, 1.0 / float(config.alphas[0]))
+    return (report.rows[0][1], report.degenerate, report.metadata["bs_certificate_min"],
+            expected)
+
+
+def _crossterm_bracket(offset):
+    # epsilon/alpha at alpha = 2 lies offset above the second singular value
+    # of the (1, 2) zone block
+    from gapcount import LocalizationSpec, birman_schwinger, zone_masks
+
+    config = ExperimentConfig.from_text(CROSS_TEXT)
+    masks = zone_masks(config.grid, LocalizationSpec(config.eps1, config.eps2, 2.0,
+                                                     config.potential.exponent))
+    sigma = singular_values(restricted_block(birman_schwinger(
+        config.grid, config.model, config.potential), masks[0], masks[1]))
+    config = ExperimentConfig.from_text(CROSS_TEXT.replace(
+        "localization.epsilon = 0.5", f"localization.epsilon = {2.0 * (sigma[1] + offset):.17g}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_study(config)
+    row = next(row for row in report.rows if row[:3] == (2.0, 1, 2))
+    return (row[3], report.degenerate, report.metadata["svd_certificate_min"],
+            count_above(sigma, config.epsilon / 2.0))
+
+
+def _flow_bracket(offset):
+    # the gap point lies offset above an eigenvalue of D(alpha)
+    from gapcount import Gaussian, crossing_count_detailed
+    from oracles import perturbed_dense
+
+    grid, spec, alpha = build_grid(12, 12.0), Gaussian(4.0, 1.0), 6.0
+    end = np.linalg.eigvalsh(perturbed_dense(grid, ModelParams(1.0, 0.0), spec, alpha))
+    lam = float(end[np.abs(end) < 1.0][0]) + offset
+    params = ModelParams(1.0, lam)
+    start = np.linalg.eigvalsh(perturbed_dense(grid, params, spec, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        detail = crossing_count_detailed(grid, params, spec, alpha)
+    expected = int(np.count_nonzero(end < lam)) - int(np.count_nonzero(start < lam))
+    return detail.count, detail.degenerate, None, expected
+
+
+@pytest.mark.parametrize("offset", [5e-11, -5e-11, 2e-10, -2e-10])
+@pytest.mark.parametrize("count", [_bs_bracket, _crossterm_bracket, _flow_bracket],
+                         ids=["bs-dense", "crossterm", "flow"])
+def test_inertia_bracket_flags_a_threshold_within_the_tolerance(count, offset):
+    # a threshold 5e-11 from an eigenvalue (a singular value for crossterm)
+    # is degenerate, one 2e-10 away is not; either way the strict count is exact
+    got, degenerate, certificate, expected = count(offset)
+    assert got == expected
+    assert degenerate == (abs(offset) < DEGENERACY_TOL)
+    if certificate is not None:
+        assert certificate == (0.0 if degenerate else DEGENERACY_TOL)

@@ -1,6 +1,7 @@
 """No package module imports a name it never uses, package code reaches
-every public function, class, method and property the package defines, and
-only the studies with a quadrature law load QUADPACK."""
+every public function, class, method and property the package defines,
+only the studies with a quadrature law load QUADPACK, and only the dense
+spectrum and the Krylov steps call a LAPACK spectral driver."""
 
 import ast
 import os
@@ -107,6 +108,56 @@ def test_unreached_definition_detection():
                        "    def _s(self):\n        pass\n\nM().q\n"),
     }
     assert unreached_definitions(trees) == [("a", "K"), ("a", "f"), ("c", "M.p")]
+
+
+# ---------------------------------------------------------------------------
+# counting boundary: a count is certified by a Krylov straddle or by inertia
+# ---------------------------------------------------------------------------
+
+SPECTRAL_DRIVERS = frozenset({"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals"})
+
+# (module, top-level function) allowed to call a spectral driver: the dense
+# spectrum of the flow-trace plot, and the Krylov run's Rayleigh-Ritz step
+# (eigh of the projection) and deflating QR step (svd of the block's R)
+SPECTRAL_CALLERS = {
+    ("spectra", "hermitian_eigenvalues"),
+    ("spectra", "_ritz_verdicts"),
+    ("spectra", "_block_lanczos"),
+}
+
+
+def spectral_driver_callers(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, top-level definition) of every call of a spectral driver,
+    by bare name or as an attribute (np.linalg.svd, scipy.linalg.eigh);
+    a call outside any definition is named by its module and "<module>"."""
+    callers = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            name = getattr(node, "name", "<module>")
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Call):
+                    continue
+                func = sub.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(
+                    func, "id", None)
+                if called in SPECTRAL_DRIVERS:
+                    callers.add((module, name))
+    return callers
+
+
+def test_only_the_dense_spectrum_and_krylov_steps_call_spectral_drivers():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    assert spectral_driver_callers(trees) == SPECTRAL_CALLERS
+
+
+def test_spectral_driver_caller_detection():
+    trees = {"a": ast.parse("import numpy as np\nfrom scipy.linalg import svd\n"
+                            "def f(a):\n    return np.linalg.eigvalsh(a)\n\n"
+                            "def g(a):\n    return svd(a)\n\n"
+                            "class C:\n    def h(self, a):\n        return np.linalg.qr(a)\n\n"
+                            "np.linalg.eigh(1)\n")}
+    assert spectral_driver_callers(trees) == {("a", "f"), ("a", "g"), ("a", "<module>")}
 
 
 # ---------------------------------------------------------------------------

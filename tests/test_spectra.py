@@ -11,14 +11,11 @@ from gapcount import (
     PowerDecay,
     build_grid,
     birman_schwinger,
-    count_above,
     hermitian_eigenvalues,
     inertia,
     iterative_count_above,
-    singular_values,
 )
 from gapcount import spectra
-from gapcount.flow import DEGENERACY_TOL
 from gapcount.operators import (
     LinearOperatorHandle,
     assemble_dense,
@@ -27,8 +24,9 @@ from gapcount.operators import (
     potential_on_grid,
     resolvent,
 )
-from gapcount.spectra import _column_cap, eliminate_second_component
+from gapcount.spectra import DEGENERACY_TOL, _column_cap, eliminate_second_component
 from gapcount.symbol import symbol_eigenvalues
+from oracles import count_above, singular_values
 
 
 def _random_hermitian(rng, dim):
@@ -80,8 +78,8 @@ def test_non_finite_entries_are_rejected(check, bad):
 
 @pytest.mark.parametrize("dim", [512, 1024])
 def test_hermiticity_check_allocates_only_its_strip_buffers(dim):
-    # a complex strip buffer of about 1 MiB and a real one of half that,
-    # reused for every strip, whatever the dimension
+    # a complex strip buffer of at most 1 MiB and a real one of half that,
+    # reused for every strip
     a = _random_hermitian(np.random.default_rng(13), dim)
     tracemalloc.start()
     try:
@@ -128,6 +126,47 @@ def test_inertia_shift_on_an_eigenvalue_reports_zero():
     result = inertia(np.array([[2.0, 1.0], [1.0, 2.0]]), 1.0)
     assert (result.negative, result.zero, result.positive) == (0, 1, 1)
     assert inertia(np.zeros((4, 4)), 0.0).zero == 4
+
+
+def test_inertia_bracket_factors_at_strict_only_when_needed():
+    # eigenvalues 0.1, 0.5, 0.9; each factorization is recorded by its shift
+    a = np.diag([0.1, 0.5, 0.9])
+    shifts = []
+
+    def factor(shift):
+        shifts.append(shift)
+        return inertia(a.copy(), shift)
+
+    clean = spectra.inertia_bracket(factor, 0.3 - 1e-10, 0.3 + 1e-10, 0.3)
+    assert shifts == [0.3 - 1e-10, 0.3 + 1e-10]
+    assert not clean.degenerate and clean.strict == clean.high
+    assert (clean.strict.negative, clean.strict.zero, clean.strict.positive) == (1, 0, 2)
+    shifts.clear()
+    held = spectra.inertia_bracket(factor, 0.5 - 1e-10, 0.5 + 1e-10, 0.5)
+    assert shifts == [0.5 - 1e-10, 0.5 + 1e-10, 0.5]
+    assert held.degenerate
+    assert (held.strict.negative, held.strict.zero, held.strict.positive) == (1, 1, 1)
+    assert 0.0 <= held.residual <= 1e-8
+    shifts.clear()
+    # a strict shift outside the window is factored though the window is free
+    outside = spectra.inertia_bracket(factor, 0.6 - 1e-10, 0.6 + 1e-10, 0.8)
+    assert shifts == [0.6 - 1e-10, 0.6 + 1e-10, 0.8]
+    assert not outside.degenerate and outside.strict.positive == 1
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (7, 3), (6, 6), (0, 4)])
+def test_gram_matrix_is_the_exactly_hermitian_gram_of_the_smaller_side(shape):
+    rng = np.random.default_rng(14)
+    p = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = spectra.gram_matrix(p)
+    reference = p @ p.conj().T if shape[0] <= shape[1] else p.conj().T @ p
+    assert g.shape == (min(shape),) * 2 and g.flags.c_contiguous
+    assert np.abs(g - reference).max(initial=0.0) <= 1e-13 * max(np.abs(reference).max(
+        initial=0.0), 1.0)
+    assert check_hermitian(g) == 0.0
+    # its eigenvalues are the squared singular values
+    assert np.allclose(np.sort(np.linalg.eigvalsh(g))[::-1],
+                       singular_values(p)[:min(shape)] ** 2, rtol=0, atol=1e-12)
 
 
 def test_inertia_rejects_non_hermitian():
@@ -628,11 +667,31 @@ def test_threshold_on_an_eigenvalue_falls_back_to_dense():
     thresholds = [0.5, float(ev[2]), 0.1]
     result = iterative_count_above(op, thresholds)
     assert result.method == "dense" and result.conclusive
-    assert result.certificates[1] <= DEGENERACY_TOL
-    assert min(result.certificates[0], result.certificates[2]) > DEGENERACY_TOL
+    # the bracket around ev[2] holds it; the other two windows are free
+    assert result.certificates == (DEGENERACY_TOL, 0.0, DEGENERACY_TOL)
     assert list(result.counts) == [count_above(ev, s) for s in thresholds]
     # a converged Ritz value within the floor of a threshold ends the run early
     assert result.columns < _column_cap(op.dimension)
+
+
+def test_dense_fallback_holds_one_dense_matrix(monkeypatch):
+    # each factorization gathers the matrix afresh and consumes it; the
+    # full eigensolve held the matrix, its eigenvectors and LAPACK's workspace
+    op = birman_schwinger(build_grid(16, 12.0), ModelParams(1.0, 0.0), Gaussian(4.0, 1.0))
+    thresholds = [0.5, 0.2, 0.1]
+    ev = np.linalg.eigvalsh(assemble_dense(op))
+    monkeypatch.setattr(spectra, "_column_cap", lambda dim: 8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = iterative_count_above(op, thresholds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.method == "dense"
+    assert list(result.counts) == [count_above(ev, s) for s in thresholds]
+    assert result.certificates == (DEGENERACY_TOL,) * 3
+    assert peak <= 1.3 * 16 * op.dimension ** 2
 
 
 def test_count_result_single_and_several_thresholds():
