@@ -4,6 +4,13 @@ The plane is replaced by the torus [-L/2, L/2)^2 so that every Fourier
 multiplier in this package is exact on the truncated momentum lattice.
 Spatial samples sit at j*spacing - L/2, which puts the origin on a grid
 node; radial potentials therefore attain their maximum on-grid.
+
+A spinor field is component-major: shape (..., 2, n, n), component a of
+node (x1, x2) at [..., a, x1, x2], so each component is one contiguous
+n x n plane and the transforms act on the last two axes.  Its C-order
+flattening, entry (a, x) at a*n^2 + n*x1 + x2, is the vector the Krylov
+counts work on.  Dense blocks use the node-major order instead (see
+operators.assemble_dense).
 """
 
 from __future__ import annotations
@@ -73,11 +80,11 @@ def build_grid(n_points: int, box_side: float) -> GridSpec:
 
 
 def forward_array(values: np.ndarray) -> np.ndarray:
-    """Batched unitary DFT on raw arrays of shape (..., n, n, 2)."""
-    return scipy.fft.fft2(values, axes=(-3, -2), norm="ortho")
+    """Batched unitary DFT over the last two axes, shape (..., n, n)."""
+    return scipy.fft.fft2(values, norm="ortho")
 
 
 def inverse_array(values: np.ndarray) -> np.ndarray:
     """Adjoint (= inverse) of forward_array."""
-    return scipy.fft.ifft2(values, axes=(-3, -2), norm="ortho")
+    return scipy.fft.ifft2(values, norm="ortho")
 

@@ -3,9 +3,9 @@
 Every operator here is a Hermitian sandwich W F^*[mult]F W: a Fourier
 multiplier (exact on the momentum lattice) between two copies of one real
 pointwise position-space weight (sqrt(V) for Birman-Schwinger), the
-standard pseudospectral discretization.  Handles apply to raw arrays of
-shape (..., n, n, 2) by FFT, so Krylov methods and probes batch over
-leading axes.
+standard pseudospectral discretization.  Handles apply by FFT to
+component-major spinor fields of shape (..., 2, n, n), or to their C-order
+flattenings, so Krylov methods and probes batch over leading axes.
 
 Dense blocks need no FFT per column.  On the torus the multiplier is a
 circulant convolution, so entry [(x, a), (y, b)] of F^*[mult]F is
@@ -16,7 +16,8 @@ perturbed operator free - alpha*V onto one spinor component
 (schur_complement): in the Fourier basis its node diagonals are circulant,
 with kernels from one FFT of the node fields.  A block of one spinor
 component against another between one node set gathers from a component
-slice of k (component_gather).
+slice of k (component_gather).  Dense blocks are node-major: the two
+components of a node are adjacent rows and columns (assemble_dense).
 """
 
 from __future__ import annotations
@@ -42,12 +43,14 @@ class DenseCapExceededError(RuntimeError):
 class LinearOperatorHandle:
     """The Hermitian sandwich W F^*[mult]F W on spinor fields.
 
-    mult is the per-mode 2x2 multiplier, shape (n, n, 2, 2) in FFT order;
-    it must be Hermitian mode by mode, which dense assembly checks on the
-    convolution kernel (_kernel).  weight is the real node field W of shape
-    (n, n), acting on both spinor components on both sides, or None for
-    the identity.  The same real weight on both sides makes the operator
-    Hermitian whenever mult is.
+    mult is the per-mode 2x2 multiplier as four contiguous planes, shape
+    (2, 2, n, n): mult[a, b] holds entry (a, b) at every mode, in FFT
+    order.  It must be Hermitian mode by mode, which dense assembly checks
+    on the convolution kernel (_kernel).  weight is the real node field W
+    of shape (n, n), acting on both spinor components on both sides, or
+    None for the identity.  The same real weight on both sides makes the
+    operator Hermitian whenever mult is.  Fields are component-major,
+    (..., 2, n, n) (see lattice), so the apply multiplies whole planes.
     """
 
     grid: GridSpec
@@ -59,15 +62,22 @@ class LinearOperatorHandle:
         return self.grid.dimension
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
-        """The operator on an array of shape (..., n, n, 2), by FFT."""
-        w = None if self.weight is None else self.weight[..., None]
-        ghat = forward_array(values if w is None else values * w)
+        """The operator on component-major fields, by FFT.
+
+        values holds whole fields, of shape (..., 2, n, n) or flattened to
+        (..., dim) in C order; the result has the shape of values.
+        """
+        n = self.grid.n_points
+        fields = values.reshape(-1, 2, n, n)
+        ghat = forward_array(fields if self.weight is None else fields * self.weight)
         m = self.mult
         prod = np.empty_like(ghat)
-        prod[..., 0] = m[..., 0, 0] * ghat[..., 0] + m[..., 0, 1] * ghat[..., 1]
-        prod[..., 1] = m[..., 1, 0] * ghat[..., 0] + m[..., 1, 1] * ghat[..., 1]
+        for a in (0, 1):
+            np.add(m[a, 0] * ghat[:, 0], m[a, 1] * ghat[:, 1], out=prod[:, a])
         out = inverse_array(prod)
-        return out if w is None else out * w
+        if self.weight is not None:
+            out *= self.weight
+        return out.reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -114,9 +124,10 @@ class BoxSpec:
 
 
 def _multiplier_on_grid(grid: GridSpec, symbol_fn, params: ModelParams) -> np.ndarray:
+    """The symbol on the momentum lattice as planes, shape (2, 2, n, n)."""
     xi1, xi2 = grid.momentum_mesh()
     xi = np.stack([xi1, xi2], axis=-1)
-    return symbol_fn(xi, params)
+    return np.ascontiguousarray(np.moveaxis(symbol_fn(xi, params), (-2, -1), (0, 1)))
 
 
 def free_operator(grid: GridSpec, params: ModelParams) -> LinearOperatorHandle:
@@ -246,16 +257,16 @@ def _kernel(op: LinearOperatorHandle) -> np.ndarray:
     """Convolution kernel k[d, a, b] of F^*[mult]F, d the flat node offset.
 
     Entry [(x, a), (y, b)] of the multiplier is k_ab(x - y) (offsets taken
-    mod n per axis), computed by one batched inverse FFT over b.  The
-    multiplier must be Hermitian, which is checked on the kernel, as it
-    holds every distinct entry of the circulant part: k_ab(d) must equal
-    conj(k_ba(-d)) to 1e-9 relative (ValueError otherwise).  k is then
-    replaced by (k_ab(d) + conj(k_ba(-d))) / 2, so every block of the
-    sandwich W k W gathered between equal node sets is exactly Hermitian
-    and needs no O(dim^2) check.
+    mod n per axis), computed by one batched inverse FFT of the four
+    multiplier planes.  The multiplier must be Hermitian, which is checked
+    on the kernel, as it holds every distinct entry of the circulant part:
+    k_ab(d) must equal conj(k_ba(-d)) to 1e-9 relative (ValueError
+    otherwise).  k is then replaced by (k_ab(d) + conj(k_ba(-d))) / 2, so
+    every block of the sandwich W k W gathered between equal node sets is
+    exactly Hermitian and needs no O(dim^2) check.
     """
     n = op.grid.n_points
-    k = np.moveaxis(inverse_array(np.moveaxis(op.mult, -1, 0)), 0, -1) / n
+    k = np.moveaxis(inverse_array(op.mult), (0, 1), (2, 3)) / n
     mirror = _mirror(k)
     defect = float(np.abs(k - mirror).max())
     if defect > HERMITICITY_TOL * max(float(np.abs(k).max()), 1.0):
@@ -344,10 +355,14 @@ def _check_cap(dim: int, cap: int) -> None:
 
 
 def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense matrix of the handle in the node/component basis.
+    """Dense matrix of the handle in the node-major basis.
 
     Entry [(x, a), (y, b)] sits at row 2*(n*x1 + x2) + a and column
-    2*(n*y1 + y2) + b (C-order flattening of the (n, n, 2) array).  It is
+    2*(n*y1 + y2) + b: the two components of a node are adjacent, as in
+    every dense block (_dense_block).  Fields are component-major instead
+    (apply_array): the node-major vector of a field f of shape (2, n, n) is
+    np.moveaxis(f, 0, -1).ravel(), and for the flattened field the matrix
+    is A[p][:, p] with p = np.arange(dim).reshape(-1, 2).T.ravel().  It is
     gathered from the Hermitian convolution kernel (_kernel, _dense_block)
     and scaled by W on both sides, so the matrix is exactly Hermitian.  The
     dimension cap is checked before anything is allocated.
@@ -392,12 +407,12 @@ def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
             f"(largest entry {q_nodes.max():.3e})"
         )
     d = m + diagonal - shift
-    b = _multiplier_on_grid(grid, dirac_symbol, params)[..., 0, 1]
+    b = _multiplier_on_grid(grid, dirac_symbol, params)[0, 1]
     n = grid.n_points
-    hats = forward_array(np.stack([d, -1.0 / q_nodes], axis=-1)) / n
+    hats = forward_array(np.stack([d, -1.0 / q_nodes])) / n
     terms = []
     for i, left, right in ((0, None, None), (1, b, b.conj())):
-        k = hats[..., i, None, None]
+        k = hats[i, :, :, None, None]
         terms.append(((0.5 * (k + _mirror(k))).reshape(n * n, 1, 1), left, right))
     modes = np.arange(n * n)
     return _dense_block(n, modes, modes, terms)

@@ -86,13 +86,20 @@ t >= 0.083: the shift is below 1e-14 relative to t, and even the worst
 case is below 1e-12 absolute, far inside the window.  The dense spectrum
 (hermitian_eigenvalues) is left to the flow-trace plot.
 
-An inertia count of dimension up to _SINGLE_THREAD_LIMIT runs on one
-BLAS thread.  numpy and scipy each bundle their own OpenBLAS, each with a
-thread pool as wide as the machine; on 2 vCPUs the two pools' threads
-contend, and a threaded LDL^H of a few hundred to a couple of thousand
-rows spends more time in that overhead than in arithmetic, the first call
-in a process sometimes close to a second.  Each pool's thread count is
-restored when the count returns or raises.
+Small dense factorizations and small Krylov runs use one BLAS thread
+(_single_blas_thread).  numpy and scipy each bundle their own OpenBLAS,
+each with a thread pool as wide as the machine.  On 2 vCPUs a second
+thread saves little wall time at these sizes, and after every threaded
+burst the pool's worker spins for about 0.13 s of CPU time before it
+sleeps.  An inertia count of dimension up to _SINGLE_THREAD_LIMIT = 2048
+runs on one thread: a threaded LDL^H of a few hundred to a couple of
+thousand rows spends more time in the two pools' contention than in
+arithmetic, the first call in a process sometimes close to a second.  A
+Krylov count of dimension up to _KRYLOV_SINGLE_THREAD_LIMIT = 3872
+(n = 44) runs its Lanczos on one thread: its applies are FFTs, one thread
+anyway, and its GEMMs are thin products with the basis, where a second
+thread mostly spins.  Each pool's thread count is restored when the call
+returns or raises.
 """
 
 from __future__ import annotations
@@ -118,6 +125,9 @@ _RESIDUAL_CHECK_LIMIT = 3000  # above this, eigenvector residual spot-checks cos
                               # another O(n^3) pass and are skipped
 _SINGLE_THREAD_LIMIT = 2048  # largest dimension factored on one BLAS thread
                              # (see _single_blas_thread)
+_KRYLOV_SINGLE_THREAD_LIMIT = 3872  # largest dimension counted by Lanczos on
+                                    # one BLAS thread (n = 44; see
+                                    # _single_blas_thread)
 _BLOCK = 2  # Krylov start block, doubled while a multiplicity could hide
 _CERTIFICATE_FLOOR = 1e-8  # a converged Ritz value this close to a threshold
                            # sends every count to the dense path
@@ -216,12 +226,18 @@ def blas_threads() -> dict[str, int]:
 
 
 @contextmanager
-def _single_blas_thread(dim: int):
-    """Run the block on one thread in every OpenBLAS pool when dim is small.
+def _single_blas_thread(dim: int, limit: int):
+    """Run the block on one thread in every OpenBLAS pool when dim <= limit.
 
-    Above _SINGLE_THREAD_LIMIT the pools keep their thread counts.  The
-    limit is the measured crossover of inertia on random Hermitian matrices,
-    three calls per fresh process on 2 vCPUs, one thread against numpy's and
+    Above the limit the pools keep their thread counts.  A threaded call
+    costs CPU time beyond its own: the pool's worker spins for about 0.13 s
+    after every threaded burst (13-14 clock ticks of the worker thread's
+    CPU time in the 0.5 s after a burst of thin complex GEMMs, and none
+    after a one-thread burst).  Two limits are used.
+
+    _SINGLE_THREAD_LIMIT = 2048 serves the dense factorizations.  It is
+    the measured crossover of inertia on random Hermitian matrices, three
+    calls per fresh process on 2 vCPUs, one thread against numpy's and
     scipy's default 2: dim 576 0.02 s against 0.02-0.03 s (one first call
     0.79 s); 1152 0.11-0.14 s against 0.11-0.21 s; 2048 0.53-0.87 s against
     0.48-1.12 s at half the CPU time; 2304 0.69-1.29 s against 0.61-1.25 s;
@@ -232,10 +248,30 @@ def _single_blas_thread(dim: int):
     rose from 1.27 to 1.45 s (medians of 4 alternating pairs, bench/run.py
     --seconds 20); on one thread both fall against the 2N x 2N LDL^H the
     study factored before, study_s 0.459 -> 0.288 s and cpu_s 1.30 ->
-    1.09 s (10 pairs, --seconds 36).  The thread counts are process-wide,
-    so this is for serial callers; every study runs serially.
+    1.09 s (10 pairs, --seconds 36).
+
+    _KRYLOV_SINGLE_THREAD_LIMIT = 3872 serves the Lanczos runs of
+    iterative_count_above.  It was measured with one call per fresh
+    process, 10 alternating pairs per cell on 2 vCPUs, Birman-Schwinger
+    handles at L = 24: a filtered theorem-2 run (power decay p = 1,
+    Psi = 2, alpha 2, 3, 4, 6, degree 9) and an unfiltered Weyl run
+    (centred Gaussian A = 4, w = 1, alpha 5-160).  Median wall and CPU
+    seconds, one thread against two:
+
+        n (dim)     theorem 2                    Weyl
+        40 (3200)   0.42 / 0.42 vs 0.35 / 0.68   0.18 / 0.18 vs 0.17 / 0.33
+        44 (3872)   0.52 / 0.52 vs 0.47 / 0.92   0.19 / 0.20 vs 0.20 / 0.38
+        48 (4608)   0.48 / 0.48 vs 0.52 / 1.01   0.37 / 0.36 vs 0.28 / 0.54
+        56 (6272)   0.60 / 0.60 vs 0.57 / 1.12   0.45 / 0.45 vs 0.38 / 0.76
+
+    One thread halves the CPU time throughout.  Up to n = 44 it keeps the
+    Weyl wall time and costs the theorem-2 run at most 0.07 s; from n = 48
+    two threads win the Weyl run by 17-30 %, and at n = 64 both (0.89
+    against 1.17 s for theorem 2, 0.81 against 1.15 s for Weyl, 3 pairs).
+    The thread counts are process-wide, so this is for serial callers;
+    every study runs serially.
     """
-    pools = _blas_pools() if dim <= _SINGLE_THREAD_LIMIT else ()
+    pools = _blas_pools() if dim <= limit else ()
     before = [get() for _, get, _ in pools]
     try:
         for _, _, put in pools:
@@ -277,27 +313,21 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 def _pivot_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, int, int]:
     """Inertia of the block diagonal D of a lower Bunch-Kaufman factorization.
 
-    ipiv[k] > 0 marks a 1x1 block at k; ipiv[k] == ipiv[k+1] < 0 marks a 2x2
-    block on rows k, k+1, whose inertia follows from its determinant and
-    trace.
+    ipiv[k] > 0 marks a 1x1 block at k, counted by the sign of its pivot;
+    ipiv[k] == ipiv[k+1] < 0 marks a 2x2 block on rows k, k+1.  The blocks
+    are disjoint, so the negative entries come in adjacent pairs and every
+    other one starts a block.  A 2x2 block's inertia follows from its
+    determinant, then its trace: a negative determinant gives one eigenvalue
+    of each sign, a positive one two of the trace's sign, and a zero one a
+    zero and one of the trace's sign.
     """
-    signs = []
-    k = 0
-    while k < len(ipiv):
-        if ipiv[k] > 0:
-            signs.append(np.sign(ldu[k, k].real))
-            k += 1
-            continue
-        a, c = ldu[k, k].real, ldu[k + 1, k + 1].real
-        det = a * c - abs(ldu[k + 1, k]) ** 2
-        if det < 0:
-            signs += [-1.0, 1.0]
-        elif det > 0:
-            signs += [np.sign(a + c)] * 2
-        else:
-            signs += [0.0, np.sign(a + c)]
-        k += 2
-    signs = np.asarray(signs)
+    signs = np.sign(ldu.diagonal().real)
+    k = np.flatnonzero(ipiv < 0)[::2]
+    a, c = ldu[k, k].real, ldu[k + 1, k + 1].real
+    det = a * c - np.abs(ldu[k + 1, k]) ** 2
+    trace = np.sign(a + c)
+    signs[k] = np.where(det < 0, -1.0, np.where(det > 0, trace, 0.0))
+    signs[k + 1] = np.where(det < 0, 1.0, trace)
     return (int(np.count_nonzero(signs < 0)), int(np.count_nonzero(signs == 0)),
             int(np.count_nonzero(signs > 0)))
 
@@ -335,7 +365,7 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
     dim = a.shape[0]
     if dim == 0:
         return InertiaResult(0, 0, 0, 0.0)
-    with _single_blas_thread(dim):
+    with _single_blas_thread(dim, _SINGLE_THREAD_LIMIT):
         # a.T is Fortran-ordered and holds conj(A), whose inertia equals that
         # of A because A is Hermitian.  LAPACK factors its lower triangle in
         # place (a's upper triangle); its strict upper triangle keeps conj(A).
@@ -472,7 +502,7 @@ def eliminate_second_component(block, shift: float) -> np.ndarray:
     m = block(1, 1)
     dim = m.shape[0]
     blas, lapack = scipy.linalg.blas, scipy.linalg.lapack
-    with _single_blas_thread(dim):
+    with _single_blas_thread(dim, _SINGLE_THREAD_LIMIT):
         np.negative(m, out=m)
         m.flat[::dim + 1] += shift
         factor, info = lapack.zpotrf(m.T, lower=1, clean=0, overwrite_a=1)
@@ -552,11 +582,7 @@ class _ChebyshevFilter:
 
     def apply(self, op, x):
         """p(A) on the rows of x, shape (k, dim): degree applies of A."""
-        n = op.grid.n_points
-
-        def a(v):
-            return op.apply_array(v.reshape(-1, n, n, 2)).reshape(v.shape)
-
+        a = op.apply_array
         if self.degree == 1:
             return a(x)
         prev, cur = x, (a(x) - self.centre * x) / self.half_width
@@ -569,8 +595,8 @@ def _norm_bound(op) -> float:
     """max(W)^2 max_xi ||mult(xi)||_2, a bound on ||op||; for a
     Birman-Schwinger handle, max V / (m - |lambda|)."""
     m = op.mult
-    half_trace = 0.5 * (m[..., 0, 0].real + m[..., 1, 1].real)
-    radius = np.hypot(0.5 * (m[..., 0, 0].real - m[..., 1, 1].real), np.abs(m[..., 0, 1]))
+    half_trace = 0.5 * (m[0, 0].real + m[1, 1].real)
+    radius = np.hypot(0.5 * (m[0, 0].real - m[1, 1].real), np.abs(m[0, 1]))
     weight = 1.0 if op.weight is None else float(np.abs(op.weight).max())
     return weight ** 2 * float((np.abs(half_trace) + radius).max())
 
@@ -666,18 +692,18 @@ def _block_lanczos(op, filt, thresholds, columns, block, seed):
     largest cluster of converged Ritz values above the smallest threshold
     at the check that certified them (_ritz_verdicts).  The run is Lanczos
     on p(A), p the filter filt (the identity at degree 1), and A below
-    stands for p(A).  The basis lives in
-    one preallocated array (a row per vector), so each orthogonalization
-    pass against it is a single GEMM.  A new block A x is first
-    orthogonalized against the previous and the current block (the Lanczos
-    recurrence), then once against the whole basis, and once more only if
-    that pass left some vector less than 1/sqrt(2) of its norm: "twice is
-    enough" (Daniel, Gragg, Kaufman & Stewart, 1976).  Every coefficient
-    goes into the projection Q^H A Q, which is kept in full and lets the
-    block size shrink: residual directions with singular value at most
-    1e-13 * ||A|| are dropped (deflation), and a residual with none left
-    means the basis spans an invariant subspace (exhaustion), whose Ritz
-    values are eigenvalues.
+    stands for p(A).  The basis lives in one preallocated array, a row per
+    vector, each row a flattened component-major field that op.apply_array
+    takes as it is, and each orthogonalization pass against it is a single
+    GEMM.  A new block A x is first orthogonalized against the previous and
+    the current block (the Lanczos recurrence), then once against the whole
+    basis, and once more only if that pass left some vector less than
+    1/sqrt(2) of its norm: "twice is enough" (Daniel, Gragg, Kaufman &
+    Stewart, 1976).  Every coefficient goes into the projection Q^H A Q,
+    which is kept in full and lets the block size shrink: residual
+    directions with singular value at most 1e-13 * ||A|| are dropped
+    (deflation), and a residual with none left means the basis spans an
+    invariant subspace (exhaustion), whose Ritz values are eigenvalues.
     """
     dim = op.dimension
     rng = np.random.default_rng(seed)
@@ -792,6 +818,10 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     DEGENERACY_TOL of s.  Each factorization gathers the matrix afresh
     (assemble_dense) and consumes it, so the fallback holds one dense
     matrix at a time.
+
+    Up to dimension _KRYLOV_SINGLE_THREAD_LIMIT the Lanczos runs use one
+    thread in each OpenBLAS pool (_single_blas_thread); the dense fallback
+    follows inertia's own limit.
     """
     values = np.asarray(thresholds, dtype=float)
     if values.ndim != 1 or len(values) == 0 or not np.all(values > 0):
@@ -803,17 +833,19 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     cap = _column_cap(dim)
     filt = _chebyshev_filter(op, thresholds)
     built = 0
-    while True:
-        found, columns = _block_lanczos(op, filt, thresholds, cap, block, seed)
-        built += columns
-        if found is None:
-            break
-        counts, certificates, widest = found
-        if widest < block:
-            return CountResult(counts, certificates, "krylov", built, block, filt.degree)
-        if 2 * block >= cap:
-            break  # a multiplicity could hide, and no wider block fits
-        block *= 2
+    with _single_blas_thread(dim, _KRYLOV_SINGLE_THREAD_LIMIT):
+        while True:
+            found, columns = _block_lanczos(op, filt, thresholds, cap, block, seed)
+            built += columns
+            if found is None:
+                break
+            counts, certificates, widest = found
+            if widest < block:
+                return CountResult(counts, certificates, "krylov", built, block,
+                                   filt.degree)
+            if 2 * block >= cap:
+                break  # a multiplicity could hide, and no wider block fits
+            block *= 2
     if dim > dense_cap:
         return CountResult(None, (0.0,) * len(thresholds), "krylov", built, block,
                            filt.degree)

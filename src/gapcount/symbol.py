@@ -53,20 +53,23 @@ def dirac_symbol(xi, params: ModelParams) -> np.ndarray:
     """Hermitian symbol at momentum xi; broadcasts over leading axes.
 
     xi may be a pair or an array of shape (..., 2); the result has shape
-    (..., 2, 2).
+    (..., 2, 2).  Its four entries are stored as contiguous planes (the
+    result is a view of an array of shape (2, 2, ...)), the layout a grid
+    multiplier takes (operators.LinearOperatorHandle).
     """
     x1, x2 = _split(xi)
     off = -((x1 - 1j * x2) ** 2)
-    out = np.zeros(x1.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = params.mass
-    out[..., 1, 1] = -params.mass
-    out[..., 0, 1] = off
-    out[..., 1, 0] = np.conj(off)
-    return out
+    out = np.zeros((2, 2) + x1.shape, dtype=complex)
+    out[0, 0] = params.mass
+    out[1, 1] = -params.mass
+    out[0, 1] = off
+    out[1, 0] = np.conj(off)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def resolvent_symbol(xi, params: ModelParams) -> np.ndarray:
-    """(S(xi) - lambda I)^{-1} in closed form; shape (..., 2, 2).
+    """(S(xi) - lambda I)^{-1} in closed form; shape (..., 2, 2), stored as
+    planes like dirac_symbol.
 
     The 2x2 determinant is lambda^2 - m^2 - |xi|^4, strictly negative for
     |lambda| < m, so the inverse never degenerates.
@@ -75,12 +78,12 @@ def resolvent_symbol(xi, params: ModelParams) -> np.ndarray:
     x1, x2 = _split(xi)
     det = lam ** 2 - m ** 2 - (x1 ** 2 + x2 ** 2) ** 2
     off = (x1 - 1j * x2) ** 2
-    out = np.zeros(x1.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = (-m - lam) / det
-    out[..., 1, 1] = (m - lam) / det
-    out[..., 0, 1] = off / det
-    out[..., 1, 0] = np.conj(off) / det
-    return out
+    out = np.zeros((2, 2) + x1.shape, dtype=complex)
+    out[0, 0] = (-m - lam) / det
+    out[1, 1] = (m - lam) / det
+    out[0, 1] = off / det
+    out[1, 0] = np.conj(off) / det
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def symbol_eigenvalues(xi, params: ModelParams) -> np.ndarray:

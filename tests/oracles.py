@@ -10,8 +10,10 @@ is checked against, box_block_count (eigvalsh of the two-component box
 block) the reference for the box counts, and perturbed_dense, built from
 FFT columns, the reference for the flow's dense D(t) and its Schur
 complement.  singular_values (LAPACK SVD) and count_above on a full
-spectrum are the references the inertia counts are checked against;
-parse_report_csv inverts the report writer.
+spectrum are the references the inertia counts are checked against, and
+pivot_inertia, a loop over the pivots, the reference for reading the
+inertia off a Bunch-Kaufman factor; parse_report_csv inverts the report
+writer.
 """
 
 import numpy as np
@@ -49,9 +51,11 @@ def radial_profile_integral(params, psi_const, p):
 def dense_by_columns(op, chunk=256):
     """Reference dense matrix of a handle: apply_array on every identity column.
 
-    Column k is the operator applied to the k-th basis field (C-order
-    flattening of the (n, n, 2) array), computed by FFT in batches of
-    chunk columns.  No symmetrization: the raw columns are the reference.
+    The matrix is node-major, like assemble_dense: column k is the operator
+    applied to the k-th basis vector of the C-order flattening of an
+    (n, n, 2) array, moved to a component-major field (2, n, n) for the FFT
+    apply and back, in batches of chunk columns.  No symmetrization: the
+    raw columns are the reference.
     """
     dim = op.dimension
     n = op.grid.n_points
@@ -60,7 +64,8 @@ def dense_by_columns(op, chunk=256):
         k1 = min(k0 + chunk, dim)
         basis = np.zeros((k1 - k0, dim), dtype=complex)
         basis[np.arange(k1 - k0), np.arange(k0, k1)] = 1.0
-        cols = op.apply_array(basis.reshape(k1 - k0, n, n, 2))
+        fields = np.moveaxis(basis.reshape(k1 - k0, n, n, 2), -1, 1)
+        cols = np.moveaxis(op.apply_array(fields), 1, -1)
         out[:, k0:k1] = cols.reshape(k1 - k0, dim).T
     return out
 
@@ -135,6 +140,31 @@ def singular_values(matrix):
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return np.linalg.svd(a, compute_uv=False)
+
+
+def pivot_inertia(ldu, ipiv):
+    """(negative, zero, positive) of the block diagonal D of a lower
+    Bunch-Kaufman factor, pivot by pivot: a 1x1 block by its sign, a 2x2
+    block (ipiv[k] == ipiv[k+1] < 0) by its determinant, then its trace."""
+    signs = []
+    k = 0
+    while k < len(ipiv):
+        if ipiv[k] > 0:
+            signs.append(np.sign(ldu[k, k].real))
+            k += 1
+            continue
+        a, c = ldu[k, k].real, ldu[k + 1, k + 1].real
+        det = a * c - abs(ldu[k + 1, k]) ** 2
+        if det < 0:
+            signs += [-1.0, 1.0]
+        elif det > 0:
+            signs += [np.sign(a + c)] * 2
+        else:
+            signs += [0.0, np.sign(a + c)]
+        k += 2
+    signs = np.asarray(signs)
+    return (int(np.count_nonzero(signs < 0)), int(np.count_nonzero(signs == 0)),
+            int(np.count_nonzero(signs > 0)))
 
 
 def count_above(values, s):

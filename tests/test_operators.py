@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from gapcount import (
     BoxSpec,
@@ -27,21 +28,21 @@ GAUSS = Gaussian(4.0, 1.0)
 
 
 def _rand(grid, seed):
-    """Gaussian random spinor field of shape (n, n, 2), a probe vector."""
+    """Gaussian random spinor field of shape (2, n, n), a probe vector."""
     rng = np.random.default_rng(seed)
-    shape = (grid.n_points, grid.n_points, 2)
+    shape = (2, grid.n_points, grid.n_points)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_free_operator_zero_mode():
     op = free_operator(GRID, ModelParams(1.0, 0.0))
-    values = np.zeros((12, 12, 2), dtype=complex)
-    values[..., 0] = 1.0
-    values[..., 1] = 0.5
+    values = np.zeros((2, 12, 12), dtype=complex)
+    values[0] = 1.0
+    values[1] = 0.5
     out = op.apply_array(values)
     # xi = 0 symbol is diag(m, -m)
-    assert np.abs(out[..., 0] - 1.0).max() < 1e-12
-    assert np.abs(out[..., 1] + 0.5).max() < 1e-12
+    assert np.abs(out[0] - 1.0).max() < 1e-12
+    assert np.abs(out[1] + 0.5).max() < 1e-12
 
 
 def test_free_operator_plane_wave_eigenfields():
@@ -56,7 +57,7 @@ def test_free_operator_plane_wave_eigenfields():
         evals, evecs = np.linalg.eigh(dirac_symbol(xi, PARAMS))
         for which in (0, 1):
             spinor = evecs[:, which]
-            field = wave[..., None] * spinor
+            field = spinor[:, None, None] * wave
             out = op.apply_array(field)
             expected = evals[which] * field
             assert np.abs(out - expected).max() < 1e-10 * max(abs(evals[which]), 1.0)
@@ -84,12 +85,12 @@ def test_resolvent_inverts_shifted_operator():
 
 def test_resolvent_zero_mode_components():
     res = resolvent(GRID, ModelParams(1.0, 0.0))
-    values = np.zeros((12, 12, 2), dtype=complex)
-    values[..., 0] = 2.0
-    values[..., 1] = 3.0
+    values = np.zeros((2, 12, 12), dtype=complex)
+    values[0] = 2.0
+    values[1] = 3.0
     out = res.apply_array(values)
-    assert np.abs(out[..., 0] - 2.0).max() < 1e-12
-    assert np.abs(out[..., 1] + 3.0).max() < 1e-12
+    assert np.abs(out[0] - 2.0).max() < 1e-12
+    assert np.abs(out[1] + 3.0).max() < 1e-12
 
 
 def test_resolvent_norm_is_inverse_gap_distance():
@@ -116,7 +117,8 @@ def test_birman_schwinger_hermiticity_and_dense_oracle():
     evals, evecs = np.linalg.eigh(dense)
     # Rayleigh quotients of the handle on dense eigenvectors reproduce eigenvalues
     for k in (0, len(evals) // 2, len(evals) - 1):
-        v = evecs[:, k].reshape(12, 12, 2)
+        # the dense matrix is node-major, the field component-major
+        v = np.moveaxis(evecs[:, k].reshape(12, 12, 2), -1, 0)
         applied = op.apply_array(v)
         rq = np.vdot(v, applied).real
         assert abs(rq - evals[k]) < 1e-8 * max(abs(evals).max(), 1.0)
@@ -258,15 +260,15 @@ def test_quadratic_form_invariant_under_symbol_sign_flip():
 
     mult = _multiplier_on_grid(GRID, resolvent_symbol, PARAMS)
     flipped = mult.copy()
-    flipped[..., 0, 1] *= -1.0
-    flipped[..., 1, 0] *= -1.0
+    flipped[0, 1] *= -1.0
+    flipped[1, 0] *= -1.0
     w = sqrt_potential_on_grid(GRID, GAUSS)
     x_std = LinearOperatorHandle(GRID, mult, weight=w)
     x_flip = LinearOperatorHandle(GRID, flipped, weight=w)
     for seed in range(5):
         f = _rand(GRID, seed)
         conj = f.copy()
-        conj[..., 1] *= -1.0
+        conj[1] *= -1.0
         a = np.vdot(f, x_std.apply_array(f))
         b = np.vdot(conj, x_flip.apply_array(conj))
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
@@ -309,19 +311,40 @@ def test_dense_block_matches_column_oracle(handle, potential, n):
     assert np.array_equal(block, dense[np.ix_(rows, cols)])
 
 
+def _node_major_apply(op, values):
+    """The FFT apply on node-major fields (..., n, n, 2), each multiplier
+    entry read across the component axis: the reference for the layout."""
+    w = None if op.weight is None else op.weight[..., None]
+    ghat = scipy.fft.fft2(values if w is None else values * w, axes=(-3, -2), norm="ortho")
+    m = np.moveaxis(op.mult, (0, 1), (2, 3))
+    prod = np.empty_like(ghat)
+    prod[..., 0] = m[..., 0, 0] * ghat[..., 0] + m[..., 0, 1] * ghat[..., 1]
+    prod[..., 1] = m[..., 1, 0] * ghat[..., 0] + m[..., 1, 1] * ghat[..., 1]
+    out = scipy.fft.ifft2(prod, axes=(-3, -2), norm="ortho")
+    return out if w is None else out * w
+
+
 @pytest.mark.parametrize("n", [8, 12])
-@pytest.mark.parametrize("handle", ["birman_schwinger", "box"])
+@pytest.mark.parametrize("handle", ["resolvent", "birman_schwinger", "box"])
 def test_apply_array_matches_gathered_dense(handle, n):
     # the gather builds the dense matrix without apply_array, unlike the
     # column oracle, so this checks the FFT apply against an independent path
     grid = build_grid(n, 9.0)
     op = _HANDLES[handle](grid, _POTENTIALS["gaussian-off-center"])
     rng = np.random.default_rng(n)
-    shape = (3, n, n, 2)
+    shape = (3, 2, n, n)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    expected = v.reshape(3, -1) @ assemble_dense(op).T
-    got = op.apply_array(v).reshape(3, -1)
-    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    got = op.apply_array(v)
+    assert got.shape == shape
+    # component-major planes give the node-major apply bit for bit
+    assert np.array_equal(np.moveaxis(got, 1, -1), _node_major_apply(op, np.moveaxis(v, 1, -1)))
+    # a flattened field is the same vector
+    flat = got.reshape(3, -1)
+    assert np.array_equal(op.apply_array(v.reshape(3, -1)), flat)
+    # dense blocks are node-major: on flattened fields the matrix is A[p][:, p]
+    p = np.arange(op.dimension).reshape(-1, 2).T.ravel()
+    expected = v.reshape(3, -1) @ assemble_dense(op)[np.ix_(p, p)].T
+    assert np.abs(flat - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["resolvent", "birman_schwinger"])
@@ -364,7 +387,7 @@ def test_assemble_dense_peak_memory_within_one_and_a_half_matrices():
 
 def test_hermitian_promise_is_checked_on_the_kernel():
     mult = resolvent(GRID, PARAMS).mult.copy()
-    mult[..., 0, 1] += 0.1  # breaks mult == mult^H mode by mode
+    mult[0, 1] += 0.1  # breaks mult == mult^H mode by mode
     w = np.linspace(0.5, 1.5, GRID.n_points ** 2).reshape(GRID.n_points, -1)
     mask = np.ones(w.shape, bool)
     # every kernel is checked, with or without a weight

@@ -26,7 +26,7 @@ from gapcount.operators import (
 )
 from gapcount.spectra import DEGENERACY_TOL, _column_cap, eliminate_second_component
 from gapcount.symbol import symbol_eigenvalues
-from oracles import count_above, singular_values
+from oracles import count_above, pivot_inertia, singular_values
 
 
 def _random_hermitian(rng, dim):
@@ -109,6 +109,43 @@ def test_inertia_matches_eigenvalue_count(zero_diagonal):
                 int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift))
             )
             assert 0.0 <= result.residual <= 1e-8
+
+
+@pytest.mark.parametrize("diagonal, below, ipiv, expected", [
+    # two adjacent 2x2 blocks with the same interchange row, then a 1x1 pivot:
+    # determinants -1 (one of each sign) and 5.75 (two of the trace's sign)
+    ([0.0, 0.0, 2.0, 3.0, -1.0], {1: 1.0, 3: 0.5}, [-4, -4, -4, -4, 5], (2, 0, 3)),
+    # zero determinants: a zero and one of the trace's sign per block
+    ([5.0, 1.0, 4.0, -1.0, -4.0], {2: 2.0, 4: 2.0j}, [1, -3, -3, -5, -5], (1, 2, 2)),
+], ids=["adjacent-blocks", "zero-determinant"])
+def test_pivot_inertia_reads_each_2x2_block(diagonal, below, ipiv, expected):
+    # D as zhetrf leaves it: pivots on the diagonal, a 2x2 block's off-diagonal
+    # entry D[k + 1, k] below it; the strict upper triangle is never read
+    ldu = np.diag(np.asarray(diagonal, dtype=complex))
+    for k, value in below.items():
+        ldu[k, k - 1] = value
+    ldu[np.triu_indices(len(diagonal), 1)] = np.nan
+    assert spectra._pivot_inertia(ldu, np.asarray(ipiv)) == expected
+    assert pivot_inertia(ldu, ipiv) == expected
+
+
+def test_pivot_inertia_matches_the_pivot_loop():
+    # the vectorized reading against the loop over the pivots, on 1x1, 2x2
+    # and mixed pivot sequences; the arithmetic is the same, so the counts
+    # must be equal
+    rng = np.random.default_rng(11)
+    lapack = scipy.linalg.lapack
+    two_by_two = 0
+    for dim in (1, 2, 5, 31, 120):
+        for zero_diagonal in (False, True):
+            a = _random_hermitian(rng, dim)
+            if zero_diagonal:
+                np.fill_diagonal(a, 0.0)
+            lwork, _ = lapack.zhetrf_lwork(dim, lower=1)
+            ldu, ipiv, _ = lapack.zhetrf(a, lower=1, lwork=int(lwork.real))
+            two_by_two += int(np.count_nonzero(ipiv < 0))
+            assert spectra._pivot_inertia(ldu, ipiv) == pivot_inertia(ldu, ipiv)
+    assert two_by_two > 0
 
 
 def test_inertia_agrees_with_count_above_on_operator():
@@ -328,6 +365,61 @@ def test_second_component_elimination_runs_on_one_thread(monkeypatch, blas_pools
     _, block = _two_component(np.random.default_rng(7), 40)
     eliminate_second_component(block, 0.3)
     assert seen == [{package: 1 for package in blas_pools}] * 3
+    assert spectra.blas_threads() == blas_pools
+
+
+def _record_threads_in_lanczos(monkeypatch, error=None):
+    """Thread counts read inside every _block_lanczos run, which raises error
+    instead of running when one is given."""
+    seen = []
+    lanczos = spectra._block_lanczos
+
+    def recording(*args, **kwargs):
+        seen.append(spectra.blas_threads())
+        if error is not None:
+            raise error
+        return lanczos(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_block_lanczos", recording)
+    return seen
+
+
+def _gaussian_bs():
+    """A Birman-Schwinger handle of dimension 288."""
+    return birman_schwinger(build_grid(12, 12.0), ModelParams(1.0, 0.0), Gaussian(4.0, 1.0))
+
+
+@pytest.mark.parametrize("at_limit", [False, True])
+def test_krylov_count_on_one_thread_and_restores_the_pools(monkeypatch, blas_pools,
+                                                           at_limit):
+    op = _gaussian_bs()
+    assert op.dimension < spectra._KRYLOV_SINGLE_THREAD_LIMIT
+    if at_limit:
+        monkeypatch.setattr(spectra, "_KRYLOV_SINGLE_THREAD_LIMIT", op.dimension)
+    seen = _record_threads_in_lanczos(monkeypatch)
+    result = iterative_count_above(op, [0.1, 0.5])
+    assert result.conclusive and result.method == "krylov"
+    assert len(seen) >= 1
+    assert seen == [{package: 1 for package in blas_pools}] * len(seen)
+    assert spectra.blas_threads() == blas_pools
+
+
+def test_krylov_count_restores_the_pools_when_it_raises(monkeypatch, blas_pools):
+    seen = _record_threads_in_lanczos(monkeypatch, RuntimeError("Lanczos failed"))
+    with pytest.raises(RuntimeError, match="Lanczos failed"):
+        iterative_count_above(_gaussian_bs(), [0.1, 0.5])
+    assert seen == [{package: 1 for package in blas_pools}]
+    assert spectra.blas_threads() == blas_pools
+
+
+def test_krylov_count_above_the_limit_keeps_the_pools(monkeypatch, blas_pools):
+    op = _gaussian_bs()
+    monkeypatch.setattr(spectra, "_KRYLOV_SINGLE_THREAD_LIMIT", op.dimension - 1)
+    seen = _record_threads_in_lanczos(monkeypatch)
+    result = iterative_count_above(op, [0.1, 0.5])
+    assert result.conclusive and result.method == "krylov"
+    assert len(seen) >= 1
+    assert seen == [blas_pools] * len(seen)
     assert spectra.blas_threads() == blas_pools
 
 
