@@ -2,11 +2,13 @@
 phase-space volumes, and the box-law coefficient.
 
 These are pure quadratures and closed forms with no spectral computation;
-the studies divide measured eigenvalue counts by these predictions.
-QUADPACK (scipy.integrate, which pulls in scipy.optimize, scipy.special and
-scipy.sparse.linalg) loads on the first adaptive quadrature, not when this
-module is imported, so the studies with a closed-form law or none never
-load it.
+the studies divide measured eigenvalue counts by these predictions.  The
+Weyl coefficient is a closed form for both integrable families, checked
+against the fixed-order phase-space volume.  QUADPACK (scipy.integrate,
+which pulls in scipy.optimize, scipy.sparse, scipy.spatial and
+scipy.constants) loads only for the theorem-2 integral J, on its first
+radial quadrature rather than when this module is imported, so the weyl,
+box, crossterm and flow-trace studies never load it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .potential import DiskBump, Gaussian, PotentialSpec, PowerDecay, eval_poten
 from .symbol import ModelParams
 
 _ERROR_BUDGET = 1e-6  # admissible quadrature error relative to max(value, 1)
+# relative rounding bound of a closed form: a dozen roundings, and its one
+# subtraction, 2M^2/pi^2 from M^2/2, loses at most a factor 2.4
+_CLOSED_FORM_ROUNDING = 32 * float(np.finfo(float).eps)
 _THETA_PANELS = 512
 
 
@@ -62,19 +67,23 @@ def _radial_profile(spec: PotentialSpec):
 
 
 def weyl_coefficient(spec: PotentialSpec) -> AsymptoticPrediction:
-    """(1/4pi) * integral of V, by adaptive radial quadrature.
+    """(1/4pi) * integral of V, in closed form.
 
-    Rejects the power-decay family: with decay exponent below 2 the
-    integral diverges.
+    A Gaussian integrates to pi A w^2, so the coefficient is A w^2 / 4.  A
+    disk bump adds to the plateau pi A R^2 the cosine ramp over [R, R + M],
+    pi A (R M + M^2/2 - 2 M^2/pi^2), so the coefficient is
+    A (R^2 + R M + M^2/2 - 2 M^2/pi^2) / 4.  The error is a bound on the
+    roundings.  Rejects the power-decay family: with decay exponent below 2
+    the integral diverges.
     """
-    from scipy import integrate
-
-    fn, rmax, points, tail = _radial_profile(spec)
-    val, err = integrate.quad(lambda r: fn(r) * r, 0.0, rmax,
-                              points=points, limit=200, epsabs=1e-12, epsrel=1e-12)
-    total = 2.0 * np.pi * val + tail
-    return AsymptoticPrediction(total / (4.0 * np.pi),
-                                (2.0 * np.pi * err + tail) / (4.0 * np.pi))
+    if isinstance(spec, Gaussian):
+        value = spec.amplitude * spec.width ** 2 / 4.0
+    elif isinstance(spec, DiskBump):
+        r, m = spec.radius, spec.margin
+        value = spec.amplitude * (r * r + r * m + m * m / 2 - 2 * m * m / np.pi ** 2) / 4.0
+    else:
+        raise NonIntegrableError(f"{type(spec).__name__} is not integrable on the plane")
+    return AsymptoticPrediction(value, _CLOSED_FORM_ROUNDING * value)
 
 
 def _composite_gl_radial(fn, rmax: float, panels: int, order: int,
@@ -96,7 +105,7 @@ def phase_space_volume(spec: PotentialSpec) -> AsymptoticPrediction:
     The inner momentum integral is the area pi*V(x) of a disk, so the
     volume reduces to (2pi)^-2 * pi * int V.  The remaining x-integral is
     done with a fixed-order composite rule, a deliberately different path
-    from weyl_coefficient's adaptive quadrature; the two must agree.
+    from weyl_coefficient's closed form; the two must agree.
     """
     fn, rmax, points, tail = _radial_profile(spec)
     coarse = _composite_gl_radial(fn, rmax, 64, 24, points)

@@ -18,10 +18,10 @@ kind) is a ConfigError, as is a dense_cap below 1.
 
 ExperimentConfig validates a config once, when it is built: the cheap
 checks first, so a malformed config fails fast, then, for the weyl,
-theorem2 and oracle studies, the limiting law's quadratures.  Those load
-QUADPACK on first use (see asymptotic), so the studies that need no
-quadrature never pay for its import, and the law studies pay for it here,
-during set-up, rather than inside the study.
+theorem2 and oracle studies, the limiting law.  The Weyl coefficient is a
+closed form; the theorem-2 integral J is the one quadrature that loads
+QUADPACK (see asymptotic), so only a power-decay law pays for that import,
+and it pays here, during set-up, rather than inside the study.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ STUDIES = ("weyl", "theorem2", "crossterm", "box", "flow-trace", "oracle")
 # set; Krylov vector norms overflow near 1e150, so this keeps a wide margin
 BS_NORM_LIMIT = 1e100
 # largest relative gap between the Weyl coefficient and the phase-space
-# volume, two independent quadratures of the same integral
+# volume, a closed form and an independent quadrature of the same integral
 WEYL_IDENTITY_TOL = 1e-6
 
 
@@ -206,11 +206,15 @@ class ExperimentConfig:
     seed: int
     raw_text: str
     # the law's oracle predictions by name and the seconds that evaluating
-    # them took, QUADPACK import included; set by validation for the weyl,
-    # theorem2 and oracle studies, empty and 0 for the others
+    # them took, the QUADPACK import included for J of a power decay; set by
+    # validation for the weyl, theorem2 and oracle studies, empty and 0 for
+    # the others
     law: dict[str, AsymptoticPrediction] = field(
         init=False, default_factory=dict, compare=False, repr=False)
     law_seconds: float = field(init=False, default=0.0, compare=False, repr=False)
+    # the grid maximum of V; set by validation for the studies that weight
+    # the grid by V, 0 for box and oracle
+    potential_max: float = field(init=False, default=0.0, compare=False, repr=False)
 
     @classmethod
     def from_text(cls, text: str, seed: int = 0) -> "ExperimentConfig":
@@ -338,7 +342,8 @@ class ExperimentConfig:
                 v = potential_on_grid(self.grid, self.potential)
             if not np.all(np.isfinite(v)):
                 raise ConfigError("the potential is not finite on every grid node")
-            bound = float(v.max()) / self.model.gap_distance
+            object.__setattr__(self, "potential_max", float(v.max()))
+            bound = self.potential_max / self.model.gap_distance
             if bound > BS_NORM_LIMIT:
                 raise ConfigError(
                     f"the Birman-Schwinger norm bound max V / (m - |lambda|) = "
@@ -354,9 +359,10 @@ class ExperimentConfig:
         """The oracle predictions of the potential's law, evaluated once.
 
         A power-decay potential gets the theorem-2 integral J; an integrable
-        one gets the Weyl coefficient and, as an internal identity, the
-        phase-space volume, which must agree with it.  A quadrature over its
-        error budget or a failed identity is a ConfigError.
+        one gets the closed-form Weyl coefficient and, as an internal
+        identity, the phase-space volume, a fixed-order quadrature that must
+        agree with it.  A prediction over its error budget or a failed
+        identity is a ConfigError.
         """
         t0 = time.perf_counter()
         try:

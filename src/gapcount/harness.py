@@ -37,8 +37,13 @@ seconds spent in each stage (Birman-Schwinger count and flow cross-check for
 weyl and theorem2; box counts; crossterm counts), the process's peak RSS and
 the thread count of each bundled OpenBLAS pool.  The weyl and theorem2 law
 (and the oracle study's lines) come from the config, which evaluated the
-quadratures once when it was built; their oracle_seconds is the time that
-took, QUADPACK import included, and is spent before run_study starts.
+law once when it was built; their oracle_seconds is the time that took,
+and is spent before run_study starts.  It includes the QUADPACK import only
+for theorem 2, whose J is the one law evaluated by adaptive quadrature; the
+Weyl coefficient is a closed form.  The weyl and theorem2 run_meta.txt also
+records lattice_cutoff, pi n / L, and max_allowed_momentum, ((lambda +
+alpha_max max V)^2 - m^2)_+^(1/4) with max V on the grid, and the study
+raises LatticeCutoffWarning when the cutoff is the lower.
 """
 
 from __future__ import annotations
@@ -80,6 +85,10 @@ from .spectra import (
 
 class NonMonotoneRatioWarning(UserWarning):
     """The measured ratio sequence is not monotone toward the prediction."""
+
+
+class LatticeCutoffWarning(UserWarning):
+    """The lattice cutoff lies below the largest classically allowed momentum."""
 
 
 @dataclass
@@ -155,9 +164,24 @@ def _law_rows(study: str, xs, counts, prediction) -> list[tuple]:
     return rows
 
 
+def _momentum_bounds(config: ExperimentConfig) -> tuple[float, float]:
+    """The lattice cutoff pi n / L and the largest classically allowed
+    momentum ((lambda + alpha_max max V)^2 - m^2)_+^(1/4), max V on the grid."""
+    grid, model = config.grid, config.model
+    top = model.gap_point + float(config.alphas[-1]) * config.potential_max
+    allowed = max(top * top - model.mass ** 2, 0.0) ** 0.25
+    return np.pi * grid.n_points / grid.box_side, allowed
+
+
 def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingReport:
     """Birman-Schwinger counts (and flow counts) against the config's law,
-    whose oracle values and seconds go to the metadata."""
+    whose oracle values and seconds go to the metadata.
+
+    The metadata also records the lattice cutoff and the largest classically
+    allowed momentum at the largest coupling; LatticeCutoffWarning says when
+    the cutoff is the lower, as then the grid, not the law, can limit the
+    counts there.
+    """
     alphas = [float(a) for a in config.alphas]
     t_bs = time.perf_counter()
     bs = _bs_counts(config, alphas)
@@ -192,10 +216,20 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
             "inertia_residual_max": _max_residual(residuals),
             "flow_seconds": time.perf_counter() - t_flow,
         }
+    rows = _law_rows(config.study, alphas, zip(bs.counts, n_flow), prediction_of_alpha)
+    cutoff, allowed = _momentum_bounds(config)
+    if cutoff < allowed:
+        warnings.warn(
+            f"{config.study} lattice cutoff pi n / L = {cutoff:.4g} is below the largest "
+            f"classically allowed momentum {allowed:.4g} at alpha_max = {alphas[-1]:.17g}: "
+            f"the grid, not the law, may limit the counts",
+            LatticeCutoffWarning,
+            stacklevel=3,
+        )
     return CountingReport(
         study=config.study,
         header=("alpha", "n_bs", "n_flow", "prediction", "ratio"),
-        rows=_law_rows(config.study, alphas, zip(bs.counts, n_flow), prediction_of_alpha),
+        rows=rows,
         metadata={
             "bs_count_method": bs.method,
             "bs_certificate_min": bs.certificate,
@@ -204,6 +238,8 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
             "krylov_block": bs.block,
             "krylov_filter_degree": bs.filter_degree,
             **flow_meta,
+            "lattice_cutoff": cutoff,
+            "max_allowed_momentum": allowed,
             "oracle_seconds": config.law_seconds,
             **{name: pred.value for name, pred in config.law.items()},
         },
@@ -422,9 +458,13 @@ def run_study(config: ExperimentConfig) -> CountingReport:
 
 
 def oracle_lines(config: ExperimentConfig) -> list[str]:
-    """Closed-form/quadrature predictions for a config, no spectra computed.
+    """The law's predictions for a config, no spectra computed.
 
-    The quadratures were evaluated when the config was built.
+    They were evaluated when the config was built: the closed-form Weyl
+    coefficient and the phase-space volume for an integrable potential, the
+    theorem-2 integral J, by QUADPACK, for a power decay.  The box
+    coefficient, a closed form, is evaluated here when the config sets
+    box.tau.
     """
     lines = [f"{name} = {pred.value:.17g} (error {pred.error:.3g})"
              for name, pred in config.law.items()]

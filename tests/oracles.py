@@ -4,21 +4,23 @@ These deliberately avoid the library's own quadrature paths: the radial
 reduction uses composite Simpson on graded meshes so the production
 Gauss-Kronrod/trapezoid pipeline is checked against a different method,
 and the phase-space and box-law areas are midpoint polar quadratures of
-indicators whose closed forms the production oracles use.  The
-box-localized resolvent handle is the reference the box-block compression
-is checked against, box_block_count (eigvalsh of the two-component box
-block) the reference for the box counts, and perturbed_dense, built from
-FFT columns, the reference for the flow's dense D(t) and its Schur
-complement.  singular_values (LAPACK SVD) and count_above on a full
-spectrum are the references the inertia counts are checked against, and
-pivot_inertia, a loop over the pivots, the reference for reading the
-inertia off a Bunch-Kaufman factor; parse_report_csv inverts the report
-writer.
+indicators whose closed forms the production oracles use.  weyl_quadrature,
+adaptive QUADPACK on the radial profile, is the reference for the closed
+Weyl coefficients.  The box-localized resolvent handle is the reference
+the box-block compression is checked against, box_block_count (eigvalsh
+of the two-component box block) the reference for the box counts, and
+perturbed_dense, built from FFT columns, the reference for the flow's
+dense D(t) and its Schur complement.  singular_values (LAPACK SVD) and
+count_above on a full spectrum are the references the inertia counts are
+checked against, and pivot_inertia, a loop over the pivots, the reference
+for reading the inertia off a Bunch-Kaufman factor; parse_report_csv
+inverts the report writer.
 """
 
 import numpy as np
 from scipy import integrate
 
+from gapcount.asymptotic import AsymptoticPrediction, _radial_profile
 from gapcount.operators import (LinearOperatorHandle, box_mask, check_box_fits,
                                 free_operator, potential_on_grid, resolvent,
                                 restricted_block)
@@ -46,6 +48,18 @@ def radial_profile_integral(params, psi_const, p):
         xs = np.linspace(a, b, 41)
         total += integrate.simpson(f(xs), x=xs)
     return 0.5 * total
+
+
+def weyl_quadrature(spec):
+    """(1/4pi) * integral of V by adaptive radial QUADPACK, with the tail of
+    a Gaussian beyond 9 widths added in closed form; NonIntegrableError for
+    the power-decay family."""
+    fn, rmax, points, tail = _radial_profile(spec)
+    val, err = integrate.quad(lambda r: fn(r) * r, 0.0, rmax,
+                              points=points, limit=200, epsabs=1e-12, epsrel=1e-12)
+    total = 2.0 * np.pi * val + tail
+    return AsymptoticPrediction(total / (4.0 * np.pi),
+                                (2.0 * np.pi * err + tail) / (4.0 * np.pi))
 
 
 def dense_by_columns(op, chunk=256):

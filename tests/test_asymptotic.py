@@ -12,7 +12,8 @@ from gapcount import (
     phase_space_volume,
     weyl_coefficient,
 )
-from oracles import box_symbol_region_area, chi_momentum_integral, phase_space_count
+from oracles import (box_symbol_region_area, chi_momentum_integral, phase_space_count,
+                     weyl_quadrature)
 
 
 def test_weyl_gaussian_closed_form():
@@ -35,6 +36,36 @@ def test_weyl_disk_area():
 def test_weyl_rejects_power_decay():
     with pytest.raises(NonIntegrableError):
         weyl_coefficient(PowerDecay(1.0, 2.0))
+
+
+def _weyl_sweep():
+    """200 Gaussians and 200 disk bumps, every other disk without a margin."""
+    rng = np.random.default_rng(2506)
+    gaussians = [Gaussian(rng.uniform(0.1, 10.0), rng.uniform(0.2, 5.0),
+                          center=tuple(rng.uniform(-3.0, 3.0, 2))) for _ in range(200)]
+    disks = [DiskBump(rng.uniform(0.1, 10.0), rng.uniform(0.2, 5.0),
+                      0.0 if k % 2 == 0 else rng.uniform(0.05, 3.0)) for k in range(200)]
+    return gaussians + disks
+
+
+def test_weyl_closed_form_matches_quadpack_to_4_ulp():
+    specs = _weyl_sweep()
+    assert sum(isinstance(s, DiskBump) and s.margin == 0.0 for s in specs) == 100
+    for spec in specs:
+        closed = weyl_coefficient(spec).value
+        reference = weyl_quadrature(spec).value
+        assert abs(closed - reference) <= 4 * np.finfo(float).eps * reference, spec
+
+
+# the bench and pinned configs' Gaussian, and every family this module uses
+@pytest.mark.parametrize("spec", [
+    Gaussian(4.0, 1.0), Gaussian(4.0, 1.0, center=(1.5, 0.5)),
+    Gaussian(3.0, 2.0, center=(5.0, -1.0)), Gaussian(0.0, 1.0),
+    Gaussian(2.5, 0.8, center=(1.0, 2.0)), DiskBump(1.0, 1.0, 0.0), DiskBump(2.0, 1.5, 0.4),
+], ids=["gaussian", "gaussian-bench", "gaussian-wide", "gaussian-zero", "gaussian-narrow",
+        "disk", "disk-margin"])
+def test_weyl_closed_form_equals_quadpack_on_the_pinned_families(spec):
+    assert weyl_coefficient(spec).value == weyl_quadrature(spec).value
 
 
 def test_phase_space_volume_equals_weyl():

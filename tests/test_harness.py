@@ -895,6 +895,43 @@ def test_cli_degenerate_crossterm_threshold_exit_code(tmp_path, capsys):
     assert float(meta["svd_certificate_min"]) == 0.0
 
 
+@pytest.mark.parametrize("text,n", [(WEYL_TEXT, 12), (THEOREM2_TEXT, 12), (WEYL_TEXT, 24)],
+                         ids=["weyl", "theorem2", "weyl-resolved"])
+def test_lattice_cutoff_warning_compares_the_momenta(tmp_path, text, n):
+    from gapcount.harness import LatticeCutoffWarning
+
+    config = ExperimentConfig.from_text(text.replace("grid.n_points = 12",
+                                                     f"grid.n_points = {n}"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_study(config)
+    cutoff = np.pi * n / config.grid.box_side
+    # max V is 4 (Gaussian) or 2 (power decay) at the origin, a grid node
+    top = float(config.alphas[-1]) * config.potential_max
+    assert config.potential_max == (4.0 if config.study == "weyl" else 2.0)
+    allowed = (top * top - 1.0) ** 0.25
+    meta = dict(line.split(" = ", 1) for line in
+                emit_outputs(report, tmp_path, config)["meta"].read_text().splitlines())
+    assert float(meta["lattice_cutoff"]) == cutoff
+    assert float(meta["max_allowed_momentum"]) == allowed
+    cutoffs = [w for w in caught if issubclass(w.category, LatticeCutoffWarning)]
+    assert issubclass(LatticeCutoffWarning, UserWarning)
+    assert len(cutoffs) == (cutoff < allowed) == (n == 12)
+    if cutoffs:
+        assert f"alpha_max = {config.alphas[-1]:g}:" in str(cutoffs[0].message)
+
+
+def test_lattice_cutoff_is_not_exceeded_below_the_band():
+    # lambda + alpha max V below m: no momentum is classically allowed
+    config = ExperimentConfig.from_text(WEYL_TEXT.replace("alpha.values = 2, 4, 8",
+                                                          "alpha.values = 0.1, 0.2"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_study(config)
+    assert report.metadata["max_allowed_momentum"] == 0.0
+    assert not caught
+
+
 def test_ratio_warning_prints_plain_numbers():
     config = ExperimentConfig.from_text(WEYL_TEXT)
     with pytest.warns(UserWarning, match="not monotone") as caught:

@@ -1,7 +1,7 @@
 """No package module imports a name it never uses, package code reaches
 every public function, class, method and property the package defines,
-only the studies with a quadrature law load QUADPACK, and only the dense
-spectrum and the Krylov steps call a LAPACK spectral driver."""
+only the theorem-2 law loads QUADPACK, and only the dense spectrum and the
+Krylov steps call a LAPACK spectral driver."""
 
 import ast
 import os
@@ -161,11 +161,13 @@ def test_spectral_driver_caller_detection():
 
 
 # ---------------------------------------------------------------------------
-# import boundary: QUADPACK loads only where a law needs a quadrature
+# import boundary: QUADPACK loads only for the theorem-2 integral J
 # ---------------------------------------------------------------------------
 
 _GRID = "grid.n_points = 12\ngrid.box_side = 16.0\nmodel.mass = 1.0\nmodel.gap_point = 0.0\n"
 _GAUSSIAN = "potential.kind = gaussian\npotential.amplitude = 4.0\npotential.width = 1.0\n"
+_DISK = ("potential.kind = disk\npotential.amplitude = 2.0\npotential.radius = 1.5\n"
+         "potential.margin = 0.4\n")
 _POWER = "potential.kind = powerdecay\npotential.exponent = 1.0\npotential.psi_constant = 2.0\n"
 BOX = ("study = box\n" + _GRID + "box.corner_x = 0.0\nbox.corner_y = 0.0\nbox.side = 1.0\n"
        "box.tau = 0.5\nbox.betas = 2, 4\n")
@@ -174,6 +176,9 @@ CROSSTERM = ("study = crossterm\n" + _GRID + _POWER + "alpha.values = 2, 4\n"
 FLOW_TRACE = "study = flow-trace\n" + _GRID + _GAUSSIAN + "flow.t_values = 0, 1\n"
 WEYL = "study = weyl\n" + _GRID + _GAUSSIAN + "alpha.values = 2, 4\n"
 THEOREM2 = "study = theorem2\n" + _GRID + _POWER + "alpha.values = 2, 4\nlocalization.eps2 = 1.0\n"
+ORACLE_GAUSSIAN = "study = oracle\n" + _GRID + _GAUSSIAN
+ORACLE_DISK = "study = oracle\n" + _GRID + _DISK
+ORACLE_POWER = "study = oracle\n" + _GRID + _POWER
 
 # builds a config from each argument after the first, runs the first config's
 # study if the first argument is "run", and prints whether QUADPACK is loaded
@@ -200,10 +205,13 @@ def _quadpack_loaded(*texts: str, run: bool = False) -> bool:
 
 
 def test_studies_without_a_quadrature_law_never_load_quadpack():
-    assert not _quadpack_loaded(BOX, CROSSTERM, FLOW_TRACE, run=True)
+    # the weyl study is built and run; the oracle configs on an integrable
+    # potential are built, which evaluates their closed-form law
+    assert not _quadpack_loaded(WEYL, BOX, CROSSTERM, FLOW_TRACE, ORACLE_GAUSSIAN,
+                                ORACLE_DISK, run=True)
 
 
-@pytest.mark.parametrize("text", [WEYL, THEOREM2], ids=["weyl", "theorem2"])
+@pytest.mark.parametrize("text", [THEOREM2, ORACLE_POWER], ids=["theorem2", "oracle-power"])
 def test_law_studies_load_quadpack_while_their_config_is_built(text):
     # so the import is paid during set-up, not inside the study
     assert _quadpack_loaded(text)
