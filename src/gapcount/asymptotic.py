@@ -37,6 +37,9 @@ class AsymptoticPrediction:
     error: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.value) and np.isfinite(self.error)):
+            raise ValueError(f"prediction value {self.value!r} or its error "
+                             f"{self.error!r} is not finite")
         if self.value < 0 or self.error < 0:
             raise ValueError("prediction value and error must be nonnegative")
         if self.error > _ERROR_BUDGET * max(self.value, 1.0):

@@ -267,11 +267,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Study-specific invariants, checked once at construction and before
-        any heavy work: no operator is built and no block gathered.  The
-        law's quadratures run last, after every cheap check."""
+        any heavy work: no operator is built, no block gathered, and V is
+        evaluated on the grid only within the dense cap.  The law's
+        quadratures run last, after every cheap check."""
         study = self.study
         if self.dense_cap < 1:
             raise ConfigError(f"dense_cap must be positive, got {self.dense_cap}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.potential is None and study != "box":
             raise ConfigError(f"study {study!r} requires potential.kind")
         if self.tau is not None and not (self.tau > 0 and self.box_side > 0):
@@ -319,6 +322,7 @@ class ExperimentConfig:
         if study == "oracle":
             self._evaluate_law()
             return
+        what, dim = "grid", self.grid.dimension
         if study == "box":
             if self.betas is None or self.tau is None:
                 raise ConfigError("box study requires box.betas and box.tau")
@@ -336,7 +340,10 @@ class ExperimentConfig:
             # 2N, although a count factors N x N arrays (harness._box_count)
             what, dim = "box block", max(
                 2 * int(np.count_nonzero(box_mask(self.grid, box))) for box in boxes)
-        else:
+        if dim > self.dense_cap:
+            raise DenseCapExceededError(
+                f"{what} dimension {dim} exceeds the dense cap {self.dense_cap}")
+        if study != "box":
             # every other study weights the grid by V: one evaluation, no operator
             with np.errstate(all="ignore"):
                 v = potential_on_grid(self.grid, self.potential)
@@ -348,10 +355,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"the Birman-Schwinger norm bound max V / (m - |lambda|) = "
                     f"{bound:.3g} exceeds {BS_NORM_LIMIT:g}")
-            what, dim = "grid", self.grid.dimension
-        if dim > self.dense_cap:
-            raise DenseCapExceededError(
-                f"{what} dimension {dim} exceeds the dense cap {self.dense_cap}")
         if study in ("weyl", "theorem2"):
             self._evaluate_law()
 
@@ -361,8 +364,8 @@ class ExperimentConfig:
         A power-decay potential gets the theorem-2 integral J; an integrable
         one gets the closed-form Weyl coefficient and, as an internal
         identity, the phase-space volume, a fixed-order quadrature that must
-        agree with it.  A prediction over its error budget or a failed
-        identity is a ConfigError.
+        agree with it.  A non-finite prediction, one over its error budget
+        or a failed identity (nan included) is a ConfigError.
         """
         t0 = time.perf_counter()
         try:
@@ -376,7 +379,7 @@ class ExperimentConfig:
         if "weyl_coefficient" in law:
             coeff = law["weyl_coefficient"].value
             volume = law["phase_space_volume"].value
-            if abs(coeff - volume) > WEYL_IDENTITY_TOL * max(coeff, 1.0):
+            if not abs(coeff - volume) <= WEYL_IDENTITY_TOL * max(coeff, 1.0):
                 raise ConfigError(
                     f"weyl coefficient {coeff!r} and phase-space volume "
                     f"{volume!r} disagree beyond tolerance")

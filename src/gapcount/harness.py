@@ -14,7 +14,9 @@ couplings, with bracketed inertia of the dense matrix as the fallback; the
 flow cross-check and the box counts from LDL^H inertia, each of a
 complement onto the first spinor component; the crossterm counts from
 bracketed inertia of the Gram matrix of each dense zone block
-(spectra.gram_matrix), one per zone pair.  Every study runs serially.  A
+(spectra.gram_matrix), one per zone pair.  Every dense block is gathered
+from the kernel of the study's one handle (operators.restricted_block,
+assemble_dense), computed once.  Every study runs serially.  A
 Birman-Schwinger, flow or crossterm count whose bracket finds an
 eigenvalue or singular value within 1e-10 of its threshold
 (spectra.inertia_bracket) raises DegenerateThresholdWarning, naming the
@@ -65,7 +67,6 @@ from .operators import (
     assemble_dense,  # noqa: F401 -- unused; bench/selftest.py checks its traced binding
     birman_schwinger,
     box_mask,
-    component_gather,
     resolvent,
     restricted_block,
     zone_masks,
@@ -266,16 +267,16 @@ def _crossterm_study(config: ExperimentConfig) -> CountingReport:
     The piece between zones i and j is the (zone-i rows) x (zone-j columns)
     block P of the sandwich, whose singular values are exactly those of the
     full localized piece; restricted_block gathers each block without
-    building the full matrix.  The count of sigma(P) > t = epsilon/alpha is
-    the positive inertia of the Gram matrix G on P's smaller side
-    (spectra.gram_matrix) at (t (1 + 1e-12))^2, bracketed in sigma-space by
-    the shifts max(t - 1e-10, 0)^2 and (t + 1e-10)^2
-    (spectra.inertia_bracket); each factorization consumes a copy of G,
-    and P is freed once G is built.  The (j, i) block is exactly the
-    conjugate transpose of the (i, j) block, because the kernel is made
-    Hermitian and the weights are real, so one count serves both rows.  A
-    threshold within 1e-10 of a singular value is flagged, naming alpha and
-    the zone pair.  run_meta.txt records the method, the largest probe
+    building the full matrix, all from one handle and its one kernel.  The
+    count of sigma(P) > t = epsilon/alpha is the positive inertia of the
+    Gram matrix G on P's smaller side (spectra.gram_matrix) at
+    (t (1 + 1e-12))^2, bracketed in sigma-space by the shifts
+    max(t - 1e-10, 0)^2 and (t + 1e-10)^2 (spectra.inertia_bracket); each
+    factorization consumes a copy of G, and P is freed once G is built.
+    The (j, i) block is exactly the conjugate transpose of the (i, j)
+    block, because the kernel is made Hermitian and the weights are real,
+    so one count serves both rows.  A threshold within 1e-10 of a singular
+    value is flagged, naming alpha and the zone pair.  run_meta.txt records the method, the largest probe
     residual, the seconds spent on the Gram matrices and their
     factorizations (crossterm_count_seconds), and svd_certificate_min, the
     least half-width of a bracket's singular-value-free window: 1e-10, or
@@ -339,12 +340,12 @@ def _crossterm_study(config: ExperimentConfig) -> CountingReport:
     )
 
 
-def _box_count(gather, grid, box, tau) -> tuple[int, float, int]:
+def _box_count(op, box, tau) -> tuple[int, float, int]:
     """Eigenvalues of the box block above tau, probe residual, dimension factored.
 
-    The block is the resolvent compressed to the N nodes of the box on both
-    spinor components, A = [[A00, A01], [A10, A11]] in component-block
-    order; gather(nodes, a, b) gathers A_ab (operators.component_gather).
+    The block is the resolvent op compressed to the N nodes of the box on
+    both spinor components, A = [[A00, A01], [A10, A11]] in component-block
+    order; restricted_block(op, mask, mask, (a, b)) gathers A_ab.
     The count is the positive inertia of A - tau' with tau' = tau*(1 + 1e-12),
     the strict, tie-guarded count of eigenvalues above tau, with no
     eigenvalue computed.  It is read from an N x N complement onto the first
@@ -358,13 +359,15 @@ def _box_count(gather, grid, box, tau) -> tuple[int, float, int]:
     0.5.  Two N x N arrays are live at once (M and the solve, then the solve
     and S'), half of the 2N x 2N block; inertia factors S' in place.
     """
-    nodes = np.flatnonzero(box_mask(grid, box))
-    if len(nodes) == 0:
+    mask = box_mask(op.grid, box)
+    nodes = int(np.count_nonzero(mask))
+    if nodes == 0:
         return 0, 0.0, 0
     shift = tau * (1.0 + TIE_GUARD)
-    complement = eliminate_second_component(lambda a, b: gather(nodes, a, b), shift)
+    complement = eliminate_second_component(
+        lambda a, b: restricted_block(op, mask, mask, (a, b)), shift)
     res = inertia(complement, shift)
-    return res.positive, res.residual, len(nodes)
+    return res.positive, res.residual, nodes
 
 
 def _box_study(config: ExperimentConfig) -> CountingReport:
@@ -374,13 +377,14 @@ def _box_study(config: ExperimentConfig) -> CountingReport:
     dilated box: the complementary modes contribute eigenvalue 0 < tau,
     so the block count equals the count of the full localized operator.
     Each block count is the Sylvester inertia of block - tau, read from its
-    complement onto the first spinor component (see _box_count).  The
-    resolvent kernel is computed once for every box, and the boxes are
-    counted largest first, so that the allocator can reuse the largest
-    box's freed buffers for the smaller ones; the rows stay in ascending
-    beta.  run_meta.txt records the method, the largest probe residual,
-    the largest dimension factored (box_factor_dim, the N nodes of the
-    largest box) and the seconds spent gathering and counting the blocks.
+    complement onto the first spinor component (see _box_count).  Every
+    block is gathered from one resolvent handle and its one kernel, and
+    the boxes are counted largest first, so that the allocator can reuse
+    the largest box's freed buffers for the smaller ones; the rows stay in
+    ascending beta.  run_meta.txt records the method, the largest probe
+    residual, the largest dimension factored (box_factor_dim, the N nodes
+    of the largest box) and the seconds spent gathering and counting the
+    blocks.
     That every dilated box fits the grid, and that its two-component block
     is within dense_cap, is checked when the config is built.
     """
@@ -390,8 +394,8 @@ def _box_study(config: ExperimentConfig) -> CountingReport:
     boxes = [BoxSpec(config.box_corner, config.box_side, float(b))
              for b in config.betas]
     t_count = time.perf_counter()
-    gather = component_gather(resolvent(config.grid, config.model))
-    results = [_box_count(gather, config.grid, box, tau) for box in boxes[::-1]][::-1]
+    op = resolvent(config.grid, config.model)
+    results = [_box_count(op, box, tau) for box in boxes[::-1]][::-1]
     count_seconds = time.perf_counter() - t_count
     return CountingReport(
         study="box",

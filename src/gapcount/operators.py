@@ -10,19 +10,20 @@ flattenings, so Krylov methods and probes batch over leading axes.
 Dense blocks need no FFT per column.  On the torus the multiplier is a
 circulant convolution, so entry [(x, a), (y, b)] of F^*[mult]F is
 k_ab(x - y), where k is one inverse FFT of mult (Davis, Circulant
-Matrices, 1979).  A dense block between two node sets is a gather from k,
-scaled by W[x] * W[y].  The same gather builds the Schur complement of the
-perturbed operator free - alpha*V onto one spinor component
-(schur_complement): in the Fourier basis its node diagonals are circulant,
-with kernels from one FFT of the node fields.  A block of one spinor
-component against another between one node set gathers from a component
-slice of k (component_gather).  Dense blocks are node-major: the two
+Matrices, 1979), which each handle computes once (kernel).  A dense block
+between two node sets, on both spinor components or on one against
+another (restricted_block), is a gather from k, scaled by W[x] * W[y].
+The same gather builds the Schur complement of the perturbed operator
+free - alpha*V onto one spinor component (schur_complement): in the
+Fourier basis its node diagonals are circulant, with kernels from one FFT
+of the node fields.  Two-component blocks are node-major: the two
 components of a node are adjacent rows and columns (assemble_dense).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +46,13 @@ class LinearOperatorHandle:
 
     mult is the per-mode 2x2 multiplier as four contiguous planes, shape
     (2, 2, n, n): mult[a, b] holds entry (a, b) at every mode, in FFT
-    order.  It must be Hermitian mode by mode, which dense assembly checks
-    on the convolution kernel (_kernel).  weight is the real node field W
-    of shape (n, n), acting on both spinor components on both sides, or
-    None for the identity.  The same real weight on both sides makes the
-    operator Hermitian whenever mult is.  Fields are component-major,
-    (..., 2, n, n) (see lattice), so the apply multiplies whole planes.
+    order.  It must be Hermitian mode by mode, which kernel checks.
+    weight is the real node field W of shape (n, n), acting on both spinor
+    components on both sides, or None for the identity.  The same real
+    weight on both sides makes the operator Hermitian whenever mult is.
+    Fields are component-major, (..., 2, n, n) (see lattice), so the apply
+    multiplies whole planes.  kernel is cached at the first dense block, so
+    mult and weight must not change after it.
     """
 
     grid: GridSpec
@@ -78,6 +80,31 @@ class LinearOperatorHandle:
         if self.weight is not None:
             out *= self.weight
         return out.reshape(values.shape)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Convolution kernel k[d, a, b] of F^*[mult]F, d the flat node offset.
+
+        Entry [(x, a), (y, b)] of the multiplier is k_ab(x - y) (offsets
+        taken mod n per axis): one batched inverse FFT of the four planes,
+        computed at the first dense block and cached.  k holds every
+        distinct entry of the circulant part, so mult is Hermitian when
+        k_ab(d) = conj(k_ba(-d)), checked to 1e-9 relative (ValueError,
+        and nothing cached, otherwise).  k is then replaced by its
+        Hermitian part, so every block of W k W gathered between equal
+        node sets is exactly Hermitian and needs no O(dim^2) check.
+        """
+        n = self.grid.n_points
+        k = np.moveaxis(inverse_array(self.mult), (0, 1), (2, 3)) / n
+        hermitian = _hermitian_part(k)
+        # k - hermitian is half of k_ab(d) - conj(k_ba(-d))
+        defect = 2.0 * float(np.abs(k - hermitian).max())
+        if defect > HERMITICITY_TOL * max(float(np.abs(k).max()), 1.0):
+            raise ValueError(
+                f"non-Hermitian multiplier: kernel defect {defect:.3e} exceeds "
+                f"{HERMITICITY_TOL:.0e} relative"
+            )
+        return hermitian.reshape(n * n, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -253,34 +280,10 @@ def check_hermitian(matrix: np.ndarray) -> float:
     return defect
 
 
-def _kernel(op: LinearOperatorHandle) -> np.ndarray:
-    """Convolution kernel k[d, a, b] of F^*[mult]F, d the flat node offset.
-
-    Entry [(x, a), (y, b)] of the multiplier is k_ab(x - y) (offsets taken
-    mod n per axis), computed by one batched inverse FFT of the four
-    multiplier planes.  The multiplier must be Hermitian, which is checked
-    on the kernel, as it holds every distinct entry of the circulant part:
-    k_ab(d) must equal conj(k_ba(-d)) to 1e-9 relative (ValueError
-    otherwise).  k is then replaced by (k_ab(d) + conj(k_ba(-d))) / 2, so
-    every block of the sandwich W k W gathered between equal node sets is
-    exactly Hermitian and needs no O(dim^2) check.
-    """
-    n = op.grid.n_points
-    k = np.moveaxis(inverse_array(op.mult), (0, 1), (2, 3)) / n
-    mirror = _mirror(k)
-    defect = float(np.abs(k - mirror).max())
-    if defect > HERMITICITY_TOL * max(float(np.abs(k).max()), 1.0):
-        raise ValueError(
-            f"non-Hermitian multiplier: kernel defect {defect:.3e} exceeds "
-            f"{HERMITICITY_TOL:.0e} relative"
-        )
-    return (0.5 * (k + mirror)).reshape(n * n, 2, 2)
-
-
-def _mirror(k: np.ndarray) -> np.ndarray:
-    """conj(k_ba(-d)) of a kernel of shape (n, n, c, c); -d is taken mod n."""
+def _hermitian_part(k: np.ndarray) -> np.ndarray:
+    """(k_ab(d) + conj(k_ba(-d))) / 2 of a kernel of shape (n, n, c, c), -d mod n."""
     neg = -np.arange(k.shape[0]) % k.shape[0]
-    return k[neg][:, neg].conj().swapaxes(-1, -2)
+    return 0.5 * (k + k[neg][:, neg].conj().swapaxes(-1, -2))
 
 
 def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms) -> np.ndarray:
@@ -359,18 +362,17 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray
 
     Entry [(x, a), (y, b)] sits at row 2*(n*x1 + x2) + a and column
     2*(n*y1 + y2) + b: the two components of a node are adjacent, as in
-    every dense block (_dense_block).  Fields are component-major instead
-    (apply_array): the node-major vector of a field f of shape (2, n, n) is
-    np.moveaxis(f, 0, -1).ravel(), and for the flattened field the matrix
-    is A[p][:, p] with p = np.arange(dim).reshape(-1, 2).T.ravel().  It is
-    gathered from the Hermitian convolution kernel (_kernel, _dense_block)
-    and scaled by W on both sides, so the matrix is exactly Hermitian.  The
-    dimension cap is checked before anything is allocated.
+    every two-component block (_dense_block).  Fields are component-major
+    instead (apply_array): the node-major vector of a field f of shape
+    (2, n, n) is np.moveaxis(f, 0, -1).ravel(), and for the flattened field
+    the matrix is A[p][:, p] with p = np.arange(dim).reshape(-1, 2).T.ravel().
+    It is gathered from the handle's cached Hermitian kernel and scaled by
+    W on both sides, so it is exactly Hermitian.  The dimension cap is
+    checked before anything is allocated.
     """
     _check_cap(op.dimension, cap)
     nodes = np.arange(op.grid.n_points ** 2)
-    return _dense_block(op.grid.n_points, nodes, nodes,
-                        [(_kernel(op), op.weight, op.weight)])
+    return _dense_block(op.grid.n_points, nodes, nodes, [(op.kernel, op.weight, op.weight)])
 
 
 def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
@@ -393,7 +395,7 @@ def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
     S[k, k'] = d^(k - k') + b(k) w^(k - k') conj(b(k')), where d^ and w^ are
     fft2 / n^2 of the node fields d = m + diagonal - shift and
     w = -1 / (-m + diagonal - shift), from one batched FFT.  Both kernels
-    are made Hermitian on the kernel (_kernel does the same), and the
+    are replaced by their Hermitian parts, as a handle's is, and the
     second term's weights are the complex pair (b, conj b) (_dense_block),
     so S is exactly Hermitian.  The cap applies to grid.dimension, as in
     assemble_dense, and is checked before anything is allocated.
@@ -412,48 +414,33 @@ def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
     hats = forward_array(np.stack([d, -1.0 / q_nodes])) / n
     terms = []
     for i, left, right in ((0, None, None), (1, b, b.conj())):
-        k = hats[i, :, :, None, None]
-        terms.append(((0.5 * (k + _mirror(k))).reshape(n * n, 1, 1), left, right))
+        k = _hermitian_part(hats[i, :, :, None, None])
+        terms.append((k.reshape(n * n, 1, 1), left, right))
     modes = np.arange(n * n)
     return _dense_block(n, modes, modes, terms)
 
 
-def component_gather(op: LinearOperatorHandle):
-    """gather(nodes, a, b): the dense block of spinor component a against b.
-
-    nodes is an increasing list of flat node indices.  The block has one
-    row and one column per node, and entry [r, s] is component [a, b] of
-    the entry [nodes[r], nodes[s]] of assemble_dense(op): W[x] k_ab(x - y)
-    W[y].  It is gathered like every dense block (_dense_block), and each
-    call returns a fresh complex C-ordered array.  The kernel is computed
-    and checked once, here, so a study that gathers many node sets pays for
-    it once.  Component blocks with a == b are exactly Hermitian, and the
-    (b, a) block is exactly the conjugate transpose of the (a, b) block.
-    """
-    kernel = _kernel(op)
-    n = op.grid.n_points
-
-    def gather(nodes: np.ndarray, a: int, b: int) -> np.ndarray:
-        k = np.ascontiguousarray(kernel[:, a:a + 1, b:b + 1])
-        return _dense_block(n, nodes, nodes, [(k, op.weight, op.weight)])
-
-    return gather
-
-
-def restricted_block(op: LinearOperatorHandle, row_mask: np.ndarray,
-                     col_mask: np.ndarray) -> np.ndarray:
-    """Dense block of the operator between two node sets.
+def restricted_block(op: LinearOperatorHandle, row_mask: np.ndarray, col_mask: np.ndarray,
+                     component: tuple[int, int] | None = None) -> np.ndarray:
+    """Dense block of the operator between two node sets, a fresh C-ordered array.
 
     The block is the np.ix_ sub-matrix of assemble_dense(op) on the masked
-    nodes (both components of each), gathered from the convolution kernel
-    without building the full matrix.  An operator P_row A P_col with
-    different sharp indicator projections on the two sides (a crossterm
-    zone piece) appears only in this form: its nonzero singular values
-    coincide with those of this block, and for row_mask == col_mask the
-    nonzero eigenvalues of P A P with those of the block.
+    nodes (both components of each), or with component = (a, b) its slice
+    [a::2, b::2], spinor component a against b.  It is gathered from the
+    handle's cached kernel without building the full matrix.  Between
+    equal masks the (b, a) block is exactly the conjugate transpose of the
+    (a, b) block.  An operator P_row A P_col with different sharp indicator
+    projections on the two sides (a crossterm zone piece) appears only in
+    this form: its nonzero singular values coincide with those of this
+    block, and for row_mask == col_mask the nonzero eigenvalues of P A P
+    with those of the block.
     """
     shape = (op.grid.n_points,) * 2
     if np.shape(row_mask) != shape or np.shape(col_mask) != shape:
         raise ValueError(f"node masks must have shape {shape}")
+    kernel = op.kernel
+    if component is not None:
+        a, b = component
+        kernel = np.ascontiguousarray(kernel[:, a:a + 1, b:b + 1])
     return _dense_block(op.grid.n_points, np.flatnonzero(row_mask),
-                        np.flatnonzero(col_mask), [(_kernel(op), op.weight, op.weight)])
+                        np.flatnonzero(col_mask), [(kernel, op.weight, op.weight)])

@@ -32,9 +32,9 @@ class Gaussian:
             raise ValueError("amplitude must be nonnegative")
         if not self.width > 0:
             raise ValueError("width must be positive")
-        if not self.width ** 2 > 0:
-            raise ValueError(f"width {self.width!r} squared underflows to 0, so the "
-                             f"potential is not finite")
+        if not 0 < self.width * self.width < np.inf:
+            raise ValueError(f"width {self.width!r} squared is not a finite positive "
+                             f"number, so the potential is not finite")
 
 
 @dataclass(frozen=True)

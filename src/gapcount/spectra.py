@@ -817,7 +817,7 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     certificate is DEGENERACY_TOL, or 0 when an eigenvalue lies within
     DEGENERACY_TOL of s.  Each factorization gathers the matrix afresh
     (assemble_dense) and consumes it, so the fallback holds one dense
-    matrix at a time.
+    matrix at a time; every gather reads the kernel op cached at the first.
 
     Up to dimension _KRYLOV_SINGLE_THREAD_LIMIT the Lanczos runs use one
     thread in each OpenBLAS pool (_single_blas_thread); the dense fallback

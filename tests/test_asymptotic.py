@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gapcount import (
+    AsymptoticPrediction,
     DiskBump,
     Gaussian,
     ModelParams,
@@ -36,6 +37,15 @@ def test_weyl_disk_area():
 def test_weyl_rejects_power_decay():
     with pytest.raises(NonIntegrableError):
         weyl_coefficient(PowerDecay(1.0, 2.0))
+
+
+@pytest.mark.parametrize("value,error", [(np.inf, 0.0), (1.0, np.inf), (np.nan, 0.0),
+                                         (1.0, np.nan)])
+def test_prediction_must_be_finite(value, error):
+    # nan passes every comparison with the error budget, and inf passes it
+    # with an infinite error
+    with pytest.raises(ValueError, match="not finite"):
+        AsymptoticPrediction(value, error)
 
 
 def _weyl_sweep():

@@ -14,7 +14,7 @@ from gapcount.cli import build_parser, main as cli_main
 from gapcount.harness import _box_count, emit_outputs, oracle_lines
 from gapcount.lattice import build_grid
 from gapcount.operators import (BoxSpec, DenseCapExceededError, box_mask, check_box_fits,
-                                component_gather, resolvent, restricted_block)
+                                resolvent, restricted_block)
 from gapcount.spectra import DEGENERACY_TOL, blas_threads
 from gapcount.symbol import ModelParams
 from oracles import box_block_count, count_above, parse_report_csv, singular_values
@@ -236,11 +236,11 @@ def test_box_count_matches_the_two_component_spectrum(n):
     counts = []
     for lam in (-0.6, 0.0, 0.4, 0.9):
         params = ModelParams(1.0, lam)
-        gather = component_gather(resolvent(grid, params))
+        op = resolvent(grid, params)
         for tau in (0.2, 0.5, 1.3):
             for box in BOX_CASES:
                 check_box_fits(grid, box)
-                count, residual, dim = _box_count(gather, grid, box, tau)
+                count, residual, dim = _box_count(op, box, tau)
                 assert count == box_block_count(grid, params, box, tau)
                 assert 0.0 <= residual <= 1e-8
                 assert dim == np.count_nonzero(box_mask(grid, box))
@@ -257,10 +257,10 @@ def test_box_count_resolves_a_threshold_next_to_an_eigenvalue():
     spectrum = np.linalg.eigvalsh(restricted_block(resolvent(grid, params), mask, mask))
     above = spectrum[spectrum > 0.5]
     k = int(np.argmax(np.diff(above)))  # an eigenvalue with room above it
-    gather = component_gather(resolvent(grid, params))
+    op = resolvent(grid, params)
     for tau, expected in ((above[k] - 5e-10, len(above) - k),
                           (above[k] + 5e-10, len(above) - k - 1)):
-        assert _box_count(gather, grid, box, tau)[0] == expected
+        assert _box_count(op, box, tau)[0] == expected
         assert box_block_count(grid, params, box, tau) == expected
 
 
@@ -273,17 +273,43 @@ def test_box_count_holds_two_single_component_arrays():
     params = ModelParams(1.0, 0.0)
     box = BoxSpec((-0.5, -0.5), 1.0, 14.0)
     check_box_fits(grid, box)
-    gather = component_gather(resolvent(grid, params))
+    op = resolvent(grid, params)
     unit = 16 * np.count_nonzero(box_mask(grid, box)) ** 2
     tracemalloc.start()
     try:
-        count, _, dim = _box_count(gather, grid, box, 0.5)
+        count, _, dim = _box_count(op, box, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert dim == 784
     assert count == box_block_count(grid, params, box, 0.5)
     assert peak <= 2.2 * unit
+
+
+@pytest.mark.parametrize("text,dense_fallback", [
+    (CROSS_TEXT, False),
+    (BOX_TEXT, False),
+    (WEYL_TEXT, True),
+], ids=["crossterm", "box", "weyl-dense-fallback"])
+def test_study_computes_one_kernel(monkeypatch, text, dense_fallback):
+    # every dense block of the study, each crossterm zone block at each
+    # alpha, each box's component blocks or each factorization of the dense
+    # fallback, is gathered from the kernel its one handle cached
+    import gapcount.spectra as spectra
+    from gapcount.operators import LinearOperatorHandle
+
+    computed = []
+    compute = LinearOperatorHandle.kernel.func
+    monkeypatch.setattr(LinearOperatorHandle.kernel, "func",
+                        lambda op: computed.append(op) or compute(op))
+    if dense_fallback:
+        monkeypatch.setattr(spectra, "_column_cap", lambda dim: 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_study(ExperimentConfig.from_text(text))
+    if dense_fallback:
+        assert report.metadata["bs_count_method"] == "dense"
+    assert len(computed) == 1
 
 
 def test_flow_trace_study():
@@ -625,8 +651,13 @@ _WITHOUT_POTENTIAL = "\n".join(line for line in WEYL_TEXT.splitlines()
     # the width's square underflows to 0, which made the oracle print nan
     ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle")
      .replace("potential.width = 1.0", "potential.width = 1e-300")),
+    # a finite potential whose law overflows, which the oracle printed as inf
+    ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle")
+     .replace("potential.amplitude = 4.0", "potential.amplitude = 1e300")
+     .replace("potential.width = 1.0", "potential.width = 1e10")),
 ], ids=["weyl-no-potential", "flow-trace-no-potential", "oracle-no-potential",
-        "oracle-negative-tau", "oracle-negative-side", "oracle-width-1e-300"])
+        "oracle-negative-tau", "oracle-negative-side", "oracle-width-1e-300",
+        "oracle-infinite-law"])
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, study, text):
     cfg = _write(tmp_path, "bad.cfg", text)
     capsys.readouterr()
@@ -691,7 +722,9 @@ def test_cli_non_finite_number_is_a_config_error(tmp_path, capsys, old, new):
 @pytest.mark.parametrize("old,new,message", [
     ("potential.width = 1.0", "potential.width = 1e-300", "not finite"),
     ("potential.amplitude = 4.0", "potential.amplitude = 1e300", "norm bound"),
-], ids=["width-1e-300", "amplitude-1e300"])
+    # the width's square overflows, which a float power raised as OverflowError
+    ("potential.width = 1.0", "potential.width = 1e200", "not finite"),
+], ids=["width-1e-300", "amplitude-1e300", "width-1e200"])
 def test_cli_extreme_potential_is_a_config_error(tmp_path, capsys, old, new, message):
     # finite parameters whose potential is nan somewhere, or whose
     # Birman-Schwinger operator is too large for the Krylov counts
@@ -767,6 +800,17 @@ def test_every_counting_study_has_a_runner():
         run_study(config)
 
 
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
+    # numpy's generator rejects a negative seed only once the count starts
+    cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
+    capsys.readouterr()
+    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: seed must be nonnegative, got -1"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_study_mismatch(tmp_path):
     cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
     assert cli_main(["box", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -776,6 +820,21 @@ def test_cli_cap_exceeded_exit_code(tmp_path):
     text = WEYL_TEXT.replace("grid.n_points = 12", "grid.n_points = 32") + "dense_cap = 500\n"
     cfg = _write(tmp_path, "big.cfg", text)
     assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("text", [WEYL_TEXT, THEOREM2_TEXT], ids=["weyl", "theorem2"])
+def test_grid_over_the_cap_evaluates_no_potential(monkeypatch, text):
+    # n = 72 is dimension 10368, over the default cap: refused before V
+    # is evaluated on the n^2 mesh
+    import gapcount.config as config
+
+    evaluated = []
+    evaluate = config.potential_on_grid
+    monkeypatch.setattr(config, "potential_on_grid",
+                        lambda grid, spec: evaluated.append(grid) or evaluate(grid, spec))
+    with pytest.raises(DenseCapExceededError, match="grid dimension 10368"):
+        ExperimentConfig.from_text(text.replace("grid.n_points = 12", "grid.n_points = 72"))
+    assert evaluated == []
 
 
 def test_cli_box_block_over_the_cap_is_a_resource_error(tmp_path, capsys):
