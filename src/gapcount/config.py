@@ -337,7 +337,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             # the cap bounds the two-component block of the box's N nodes,
-            # 2N, although a count factors N x N arrays (harness._box_count)
+            # 2N, although a count factors N x N arrays (harness._box_counts)
             what, dim = "box block", max(
                 2 * int(np.count_nonzero(box_mask(self.grid, box))) for box in boxes)
         if dim > self.dense_cap:

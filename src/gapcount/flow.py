@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import GridSpec
-from .operators import (DENSE_CAP, assemble_dense, free_operator, potential_on_grid,
-                        schur_complement)
+from .operators import (DENSE_CAP, LinearOperatorHandle, assemble_dense, free_operator,
+                        potential_on_grid, schur_complement)
 from .potential import PotentialSpec
 from .spectra import (DEGENERACY_TOL, InertiaResult, hermitian_eigenvalues, inertia,
                       inertia_bracket)
@@ -75,11 +75,12 @@ def _count_below(values: np.ndarray, threshold: float) -> int:
     return int(np.count_nonzero(values < threshold))
 
 
-def _endpoint_spectrum(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
-                       t: float, cap: int) -> np.ndarray:
-    """Spectrum of the dense D(t) = free - t*V, V a scalar on both components."""
-    dense = assemble_dense(free_operator(grid, params), cap=cap)
-    dense.flat[::dense.shape[0] + 1] -= t * np.repeat(potential_on_grid(grid, spec), 2)
+def _endpoint_spectrum(free: LinearOperatorHandle, v: np.ndarray, t: float,
+                       cap: int) -> np.ndarray:
+    """Spectrum of the dense D(t) = free - t*V, v = V on the node-major diagonal
+    (each node's value twice, once per spinor component)."""
+    dense = assemble_dense(free, cap=cap)
+    dense.flat[::dense.shape[0] + 1] -= t * v
     return hermitian_eigenvalues(dense)
 
 
@@ -149,15 +150,19 @@ def branch_trace(grid: GridSpec, params: ModelParams, spec: PotentialSpec,
     """Gap-interval eigenvalues along an increasing coupling grid.
 
     Adjacent-t association is by sort order only, for plotting; the
-    crossing count itself comes from the endpoints.
+    crossing count itself comes from the endpoints.  One free handle and one
+    evaluation of V serve every t, so the trace computes one kernel; each t
+    gathers its dense matrix from it afresh.
     """
     t_values = np.asarray(t_grid, dtype=float)
     if len(t_values) == 0 or t_values[0] != 0.0 or np.any(np.diff(t_values) <= 0):
         raise ValueError("t grid must be strictly increasing and start at 0")
     m = params.mass
+    free = free_operator(grid, params)
+    v = np.repeat(potential_on_grid(grid, spec), 2)
     gap_lists = []
     for t in t_values:
-        ev = _endpoint_spectrum(grid, params, spec, float(t), cap)
+        ev = _endpoint_spectrum(free, v, float(t), cap)
         # eigenvalues within the tolerance of a band edge are the edge itself
         # (at t = 0 the edges +-m are exact eigenvalues), whichever side of
         # it rounding puts them

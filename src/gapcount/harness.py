@@ -29,8 +29,12 @@ resolvent's R11 = (m - lambda)/det, negative for |lambda| < m because
 det = lambda^2 - m^2 - |xi|^4 < 0, so M = tau' - A11 >= tau' is positive
 definite, with cond(M) <= 1 + 1/(tau'(m + lambda)).  By Haynsworth's
 inertia additivity the count is the positive inertia of the N x N
-complement S' - tau', S' = A00 + A01 M^-1 A10 (_box_count).  Building S'
-holds two N x N arrays at once, half the 2N x 2N block.
+complement S' - tau', S' = A00 + A01 M^-1 A10 (_box_counts).  Building S'
+holds two N x N arrays at once, half the 2N x 2N block.  Boxes that
+contain the origin are nested, and a nested sweep is eliminated once, on
+its largest box: the nodes are ordered so that every smaller box is a
+leading set, whose complement is a downdate of the next larger one's
+(spectra.nested_complements).
 run_meta.txt records which method produced each count and its margin; for
 the Birman-Schwinger count also the Krylov columns, the start block and the
 degree of the Chebyshev filter the run applied (krylov_filter_degree, 1 for
@@ -76,11 +80,11 @@ from .spectra import (
     TIE_GUARD,
     CountResult,
     blas_threads,
-    eliminate_second_component,
     gram_matrix,
     inertia,
     inertia_bracket,
     iterative_count_above,
+    nested_complements,
 )
 
 
@@ -293,10 +297,10 @@ def _crossterm_study(config: ExperimentConfig) -> CountingReport:
     count_seconds = 0.0
     for a in (float(a) for a in config.alphas):
         loc = LocalizationSpec(config.eps1, config.eps2, a, p)
-        masks = zone_masks(config.grid, loc)
+        zones = [np.flatnonzero(mask) for mask in zone_masks(config.grid, loc)]
         t = config.epsilon / a
         for i, j in ((1, 2), (1, 3), (2, 3)):
-            block = restricted_block(op, masks[i - 1], masks[j - 1])
+            block = restricted_block(op, zones[i - 1], zones[j - 1])
             t_count = time.perf_counter()
             gram = gram_matrix(block)
             del block
@@ -340,34 +344,62 @@ def _crossterm_study(config: ExperimentConfig) -> CountingReport:
     )
 
 
-def _box_count(op, box, tau) -> tuple[int, float, int]:
-    """Eigenvalues of the box block above tau, probe residual, dimension factored.
+def _box_counts(op, boxes, tau) -> tuple[list[tuple[int, float, int]], int]:
+    """Per box, eigenvalues of its block above tau, probe residual and
+    dimension factored; and the number of eliminations made.
 
-    The block is the resolvent op compressed to the N nodes of the box on
-    both spinor components, A = [[A00, A01], [A10, A11]] in component-block
-    order; restricted_block(op, mask, mask, (a, b)) gathers A_ab.
-    The count is the positive inertia of A - tau' with tau' = tau*(1 + 1e-12),
-    the strict, tie-guarded count of eigenvalues above tau, with no
-    eigenvalue computed.  It is read from an N x N complement onto the first
-    component (spectra.eliminate_second_component), by Haynsworth's inertia
-    additivity.  R11 = (m - lambda)/det is negative for every mode, as
-    det = lambda^2 - m^2 - |xi|^4 < 0 for |lambda| < m, so A11 is negative
-    definite and M = tau' - A11 >= tau'.  Then positive(A - tau') =
-    positive(S' - tau') with S' = A00 + A01 M^-1 A10, and inertia(S', tau')
-    gives the count.  M is well conditioned, cond(M) <= 1 + 1/(tau'(m +
-    lambda)) since ||R11|| <= 1/(m + lambda): 3 at m = 1, lambda = 0, tau =
-    0.5.  Two N x N arrays are live at once (M and the solve, then the solve
-    and S'), half of the 2N x 2N block; inertia factors S' in place.
+    boxes come in increasing scale.  A box's block is the resolvent op
+    compressed to the N nodes of the box on both spinor components,
+    A = [[A00, A01], [A10, A11]] in component-block order.  The count is
+    the positive inertia of A - tau' with tau' = tau*(1 + 1e-12), the
+    strict, tie-guarded count of eigenvalues above tau, with no eigenvalue
+    computed.  It is read from an N x N complement onto the first component
+    (spectra.nested_complements), by Haynsworth's inertia additivity.
+    R11 = (m - lambda)/det is negative for every mode, as det = lambda^2 -
+    m^2 - |xi|^4 < 0 for |lambda| < m, so A11 is negative definite and
+    M = tau' - A11 >= tau'.  Then positive(A - tau') = positive(S' - tau')
+    with S' = A00 + A01 M^-1 A10, and inertia(S', tau') gives the count.  M
+    is well conditioned, cond(M) <= 1 + 1/(tau'(m + lambda)) since
+    ||R11|| <= 1/(m + lambda): 3 at m = 1, lambda = 0, tau = 0.5.
+
+    The boxes fall into maximal chains of consecutive boxes whose node sets
+    are nested, each one's within the next's; boxes that are not nested
+    form chains of one.  A chain is eliminated once, on its largest box,
+    whose nodes are ordered by the first box of the chain that holds them
+    (row-major within each ring), so that every box of the chain is a
+    leading set.  restricted_block(op, nodes, nodes, (a, b)) gathers A_ab
+    of the largest box, three gathers per chain, and each smaller box's
+    complement is a downdate of the next larger one's.  Two N x N arrays
+    are live at once (the solve and the complement), N the nodes of the
+    largest box, half of its 2N x 2N block, and inertia factors each
+    complement in place.  A chain without nodes is counted as empty and
+    makes no elimination.
     """
-    mask = box_mask(op.grid, box)
-    nodes = int(np.count_nonzero(mask))
-    if nodes == 0:
-        return 0, 0.0, 0
+    masks = [box_mask(op.grid, box).ravel() for box in boxes]
     shift = tau * (1.0 + TIE_GUARD)
-    complement = eliminate_second_component(
-        lambda a, b: restricted_block(op, mask, mask, (a, b)), shift)
-    res = inertia(complement, shift)
-    return res.positive, res.residual, nodes
+    results = []
+    eliminations = 0
+    first = 0
+    for last in range(len(masks)):
+        if last + 1 < len(masks) and np.all(masks[last] <= masks[last + 1]):
+            continue
+        chain = masks[first:last + 1]
+        first = last + 1
+        depth = np.sum(chain, axis=0)  # boxes of the chain that hold each node
+        nodes = np.flatnonzero(depth)
+        if nodes.size == 0:
+            results += [(0, 0.0, 0)] * len(chain)
+            continue
+        nodes = nodes[np.argsort(-depth[nodes], kind="stable")]
+        eliminations += 1
+        counted = []
+        for complement in nested_complements(
+                lambda a, b: restricted_block(op, nodes, nodes, (a, b)),
+                [int(np.count_nonzero(mask)) for mask in chain], shift):
+            res = inertia(complement, shift)
+            counted.append((res.positive, res.residual, complement.shape[0]))
+        results += counted[::-1]
+    return results, eliminations
 
 
 def _box_study(config: ExperimentConfig) -> CountingReport:
@@ -377,14 +409,14 @@ def _box_study(config: ExperimentConfig) -> CountingReport:
     dilated box: the complementary modes contribute eigenvalue 0 < tau,
     so the block count equals the count of the full localized operator.
     Each block count is the Sylvester inertia of block - tau, read from its
-    complement onto the first spinor component (see _box_count).  Every
-    block is gathered from one resolvent handle and its one kernel, and
-    the boxes are counted largest first, so that the allocator can reuse
-    the largest box's freed buffers for the smaller ones; the rows stay in
-    ascending beta.  run_meta.txt records the method, the largest probe
-    residual, the largest dimension factored (box_factor_dim, the N nodes
-    of the largest box) and the seconds spent gathering and counting the
-    blocks.
+    complement onto the first spinor component (see _box_counts).  Every
+    block is gathered from one resolvent handle and its one kernel.  When
+    the boxes contain the origin they are nested, and the whole sweep is
+    one chain: one elimination of the largest box serves every beta.
+    run_meta.txt records the method, the largest probe residual, the
+    largest dimension factored (box_factor_dim, the N nodes of the largest
+    box), the number of eliminations (box_eliminations, one per chain of
+    nested boxes) and the seconds spent gathering and counting the blocks.
     That every dilated box fits the grid, and that its two-component block
     is within dense_cap, is checked when the config is built.
     """
@@ -395,7 +427,7 @@ def _box_study(config: ExperimentConfig) -> CountingReport:
              for b in config.betas]
     t_count = time.perf_counter()
     op = resolvent(config.grid, config.model)
-    results = [_box_count(op, box, tau) for box in boxes[::-1]][::-1]
+    results, eliminations = _box_counts(op, boxes, tau)
     count_seconds = time.perf_counter() - t_count
     return CountingReport(
         study="box",
@@ -408,6 +440,7 @@ def _box_study(config: ExperimentConfig) -> CountingReport:
             "box_count_method": "ldl-inertia",
             "box_count_seconds": count_seconds,
             "box_factor_dim": max(dim for _, _, dim in results),
+            "box_eliminations": eliminations,
             "inertia_residual_max": _max_residual(r for _, r, _ in results),
         },
     )

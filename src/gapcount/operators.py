@@ -33,7 +33,8 @@ from .symbol import ModelParams, dirac_symbol, resolvent_symbol
 
 DENSE_CAP = 10_000  # largest dimension assemble_dense will materialize
 HERMITICITY_TOL = 1e-9
-_STRIP_BYTES = 1 << 20  # temporaries of the dense-block gather and the check
+_STRIP_BYTES = 1 << 20  # temporaries of the dense-block gather
+_TILE = 64  # rows and columns of a tile of the Hermiticity check
 
 
 class DenseCapExceededError(RuntimeError):
@@ -238,40 +239,44 @@ def check_box_fits(grid: GridSpec, box: BoxSpec) -> None:
 def check_hermitian(matrix: np.ndarray) -> float:
     """Largest entry of |A - A^H|; raises ValueError above 1e-9 relative.
 
-    The defect is taken relative to max(max|A_ij|, 1).  Rows are compared
-    with the matching columns in strips of about 1 MiB, and of at most an
-    eighth of the rows.  Each strip is conjugated and transposed into one
-    reused complex buffer, the columns are subtracted from it in place, and
-    the moduli go to one reused real buffer, which first holds |rows|; so
-    the check allocates those two buffers, at most 1.5 MiB and at most 3/16
-    of the matrix, and no dense temporary.  A strip
-    whose largest entry is nan or infinite raises ValueError, as a
-    non-finite entry would compare as no defect.  The small buffers also
-    stay below the allocator's mmap threshold, so freeing them leaves no
-    large block cached on the heap.
+    The defect is taken relative to max(max|A_ij|, 1).  Tiles of at most
+    _TILE x _TILE entries are compared in pairs, tile (I, J) with tile
+    (J, I) for J >= I.  The first is conjugated and transposed into one
+    reused complex buffer, the second is subtracted from it in place, and
+    the moduli go to one reused real buffer, which first holds |A| on both
+    tiles; so the check allocates those two buffers, 64 KiB and 32 KiB,
+    and no dense temporary (numpy's iterator adds a 64 KiB buffer for a
+    strided tile while a ufunc runs).  A tile whose largest entry is nan or
+    infinite raises ValueError, as a non-finite entry would compare as no
+    defect.  Each buffer stays below the allocator's mmap threshold
+    (128 KiB), so freeing it leaves no large block cached on the heap, and
+    the check adds next to nothing to the peak of a caller that holds other
+    dense arrays.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     dim = a.shape[0]
-    strip = max(1, min(_STRIP_BYTES // (16 * max(dim, 1)), dim // 8))
-    # flat, so that every strip, the last and shorter one too, gets a
+    # flat, so that every tile, the last and shorter ones too, gets a
     # contiguous view in either orientation
-    difference = np.empty(min(strip, dim) * dim, dtype=complex)
-    modulus = np.empty(min(strip, dim) * dim)
+    difference = np.empty(min(_TILE, dim) ** 2, dtype=complex)
+    modulus = np.empty(min(_TILE, dim) ** 2)
     defect = 0.0
     scale = 1.0
-    for r0 in range(0, dim, strip):
-        rows = a[r0:r0 + strip]
-        size = rows.size
-        top = float(np.abs(rows, out=modulus[:size].reshape(rows.shape)).max())
-        if not np.isfinite(top):
-            raise ValueError("matrix contains non-finite entries")
-        scale = max(scale, top)
-        # |conj(A[r, c]) - A[c, r]| is the defect |A - A^H| at (r, c)
-        d = np.conjugate(rows.T, out=difference[:size].reshape(rows.T.shape))
-        np.subtract(d, a[:, r0:r0 + strip], out=d)
-        defect = max(defect, float(np.abs(d, out=modulus[:size].reshape(d.shape)).max()))
+    for r0 in range(0, dim, _TILE):
+        for c0 in range(r0, dim, _TILE):
+            upper = a[r0:r0 + _TILE, c0:c0 + _TILE]
+            lower = a[c0:c0 + _TILE, r0:r0 + _TILE]
+            size = upper.size
+            for tile in (upper,) if c0 == r0 else (upper, lower):
+                top = float(np.abs(tile, out=modulus[:size].reshape(tile.shape)).max())
+                if not np.isfinite(top):
+                    raise ValueError("matrix contains non-finite entries")
+                scale = max(scale, top)
+            # |conj(A[r, c]) - A[c, r]| is the defect |A - A^H| at (r, c)
+            d = np.conjugate(upper.T, out=difference[:size].reshape(lower.shape))
+            np.subtract(d, lower, out=d)
+            defect = max(defect, float(np.abs(d, out=modulus[:size].reshape(d.shape)).max()))
     if defect > HERMITICITY_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
@@ -289,40 +294,47 @@ def _hermitian_part(k: np.ndarray) -> np.ndarray:
 def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms) -> np.ndarray:
     """Dense block sum_t left_t[x] k_t(x - y) right_t[y].
 
-    x runs over rows and y over cols, two increasing lists of flat indices
-    into an n x n torus lattice (nodes, or modes in FFT order); x - y is
-    taken mod n per axis.  Each term is (kernel, left, right): kernel has
+    x runs over rows and y over cols, two lists of flat indices into an
+    n x n torus lattice (nodes, or modes in FFT order), in any order; x - y
+    is taken mod n per axis.  Each term is (kernel, left, right): kernel has
     shape (n*n, c, c), indexed by the flat offset, and left and right are
     weights over the lattice, both None for ones.  A handle's term has
     left = right = W; the Schur complement's has the complex pair
     (b, conj b).  Row c*r + a and column c*s + b hold component [a, b] of
-    the entry [rows[r], cols[s]].  The block is gathered from the kernels
-    straight into the output, in row strips of about 1 MiB and of at most
-    an eighth of the rows, through one reused buffer of integer offsets,
-    one per entry of a strip.  For c = 2 a strip of the output is a strided
-    view, which take fills through a buffer of the strip's size, at most an
-    eighth of the block.
+    the entry [rows[r], cols[s]].
+
+    Each kernel is first spread over the per-axis differences: entry
+    (2n - 1)(d1 + n - 1) + d2 + n - 1 of the spread kernel is k at the
+    offset (d1 mod n, d2 mod n), for -n < d1, d2 < n, so x - y needs no
+    reduction mod n.  With the keys (2n - 1) x1 + x2 of x and of y, that
+    index is key(x) - key(y) + 2n(n - 1).  The spread kernel holds (2n -
+    1)^2 c^2 entries, about four times the kernel.  The block is gathered
+    from the spread kernels straight into the output, in row strips of
+    about 1 MiB and of at most an eighth of the rows, through one reused
+    buffer of integer indices, one per entry of a strip.  For c = 2 a strip
+    of the output is a strided view, which take fills through a buffer of
+    the strip's size, at most an eighth of the block.
     """
     c = terms[0][0].shape[-1]
-    rj, cj = rows % n, cols % n
+    wrap = np.arange(1 - n, n) % n  # d mod n for d = 1 - n, ..., n - 1
+    spread = (n * wrap[:, None] + wrap).ravel()
+    row_keys = (2 * n - 1) * (rows // n) + rows % n + 2 * n * (n - 1)
+    col_keys = (2 * n - 1) * (cols // n) + cols % n
+    kernels = [np.take(kernel, spread, axis=0) for kernel, _, _ in terms]
     weights = [None if left is None else (np.ravel(left)[rows], np.ravel(right)[cols])
                for _, left, right in terms]
     out = np.empty((c * len(rows), c * len(cols)), dtype=complex)
     out4 = out.reshape(len(rows), c, len(cols), c)
     strip = max(1, min(_STRIP_BYTES // (16 * c * c * max(len(cols), 1)), len(rows) // 8))
-    offsets = np.empty((min(strip, len(rows)), len(cols)), dtype=np.intp)
+    indices = np.empty((min(strip, len(rows)), len(cols)), dtype=np.intp)
     for r0 in range(0, len(rows), strip):
         r1 = min(r0 + strip, len(rows))
-        # the flat x - y, with n added back where the second axis borrowed
-        # it from the first, is the offset mod n per axis once taken mod n^2
-        offset = np.subtract.outer(rows[r0:r1], cols, out=offsets[:r1 - r0])
-        np.add(offset, n, out=offset, where=rj[r0:r1, None] < cj)
-        offset %= n * n
+        index = np.subtract.outer(row_keys[r0:r1], col_keys, out=indices[:r1 - r0])
         part = out4[r0:r1].swapaxes(1, 2)
-        for t, ((kernel, _, _), w) in enumerate(zip(terms, weights)):
+        for t, (kernel, w) in enumerate(zip(kernels, weights)):
             # mode="wrap" lets take fill a contiguous view (c = 1) in place,
-            # where "raise" would copy; the offsets are in range anyway
-            gathered = np.take(kernel, offset, axis=0, out=part if t == 0 else None,
+            # where "raise" would copy; the indices are in range anyway
+            gathered = np.take(kernel, index, axis=0, out=part if t == 0 else None,
                                mode="wrap")
             if w is not None:
                 gathered *= _outer(w[0][r0:r1], w[1])[:, :, None, None]
@@ -420,27 +432,33 @@ def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
     return _dense_block(n, modes, modes, terms)
 
 
-def restricted_block(op: LinearOperatorHandle, row_mask: np.ndarray, col_mask: np.ndarray,
+def restricted_block(op: LinearOperatorHandle, rows: np.ndarray, cols: np.ndarray,
                      component: tuple[int, int] | None = None) -> np.ndarray:
-    """Dense block of the operator between two node sets, a fresh C-ordered array.
+    """Dense block of the operator between two node lists, a fresh C-ordered array.
 
-    The block is the np.ix_ sub-matrix of assemble_dense(op) on the masked
-    nodes (both components of each), or with component = (a, b) its slice
-    [a::2, b::2], spinor component a against b.  It is gathered from the
-    handle's cached kernel without building the full matrix.  Between
-    equal masks the (b, a) block is exactly the conjugate transpose of the
-    (a, b) block.  An operator P_row A P_col with different sharp indicator
-    projections on the two sides (a crossterm zone piece) appears only in
-    this form: its nonzero singular values coincide with those of this
-    block, and for row_mask == col_mask the nonzero eigenvalues of P A P
-    with those of the block.
+    rows and cols are 1-D arrays of flat node indices n*x1 + x2, in any
+    order, such as np.flatnonzero of a node mask.  The block is the np.ix_
+    sub-matrix of assemble_dense(op) on those nodes, in that order (both
+    components of each), or with component = (a, b) its slice [a::2, b::2],
+    spinor component a against b.  It is gathered from the handle's cached
+    kernel without building the full matrix.  Between equal node lists the
+    (b, a) block is exactly the conjugate transpose of the (a, b) block.
+    An operator P_row A P_col with different sharp indicator projections on
+    the two sides (a crossterm zone piece) appears only in this form: its
+    nonzero singular values coincide with those of this block, and for
+    equal node sets the nonzero eigenvalues of P A P with those of the
+    block.
     """
-    shape = (op.grid.n_points,) * 2
-    if np.shape(row_mask) != shape or np.shape(col_mask) != shape:
-        raise ValueError(f"node masks must have shape {shape}")
+    nodes = op.grid.n_points ** 2
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    for index in (rows, cols):
+        if index.ndim != 1 or index.dtype.kind not in "iu" or (
+                index.size and not (index.min() >= 0 and index.max() < nodes)):
+            raise ValueError(f"node lists must be 1-D integer arrays of flat node "
+                             f"indices in [0, {nodes}), got shape {index.shape} of "
+                             f"{index.dtype}")
     kernel = op.kernel
     if component is not None:
         a, b = component
         kernel = np.ascontiguousarray(kernel[:, a:a + 1, b:b + 1])
-    return _dense_block(op.grid.n_points, np.flatnonzero(row_mask),
-                        np.flatnonzero(col_mask), [(kernel, op.weight, op.weight)])
+    return _dense_block(op.grid.n_points, rows, cols, [(kernel, op.weight, op.weight)])

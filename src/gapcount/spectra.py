@@ -61,10 +61,14 @@ in place and consumes it, so a count holds one dense matrix, not the
 matrix and a shifted copy; its probe residual reads the original matrix
 from the triangle the factor leaves untouched.  A Hermitian matrix on two
 spinor components whose second-component block lies below the shift is
-counted on one component (eliminate_second_component): by Haynsworth's
-inertia additivity its count above the shift is that of an N x N
-complement, built by a Cholesky factor, a triangular solve and a rank-N
-update, with two N x N arrays live at once.
+counted on one component (nested_complements): by Haynsworth's inertia
+additivity its count above the shift is that of an N x N complement,
+built by a Cholesky factor, a triangular solve and a rank-N update, with
+two N x N arrays live at once.  One such elimination serves a whole chain
+of nested leading blocks: the factor and the solve of the largest block
+restrict to every leading block, and each smaller complement is a rank-k
+downdate of the one before, read from the triangle that its count left in
+place.
 
 Every inertia count that may meet an eigenvalue at its threshold is
 bracketed (inertia_bracket): the matrix is factored just below and just
@@ -136,6 +140,7 @@ _DGKS = 1.0 / np.sqrt(2.0)  # a vector keeping less of its norm through a
                             # Gram-Schmidt pass is orthogonalized again
 _FILTER_GAIN = 10.0  # least filter value at the smallest threshold
 _FILTER_MAX_DEGREE = 15  # a filter needing a higher degree is not used
+_PANEL = 64  # rows of Y per rank-k downdate (nested_complements)
 
 
 @dataclass(frozen=True)
@@ -242,7 +247,7 @@ def _single_blas_thread(dim: int, limit: int):
     0.79 s); 1152 0.11-0.14 s against 0.11-0.21 s; 2048 0.53-0.87 s against
     0.48-1.12 s at half the CPU time; 2304 0.69-1.29 s against 0.61-1.25 s;
     3072 1.48-1.70 s against 1.04-1.36 s.  The box study's elimination
-    (eliminate_second_component, N up to 784 on the box-localized benchmark)
+    (nested_complements, N up to 784 on the box-localized benchmark)
     follows the same rule.  There, with potrf, trsm and herk on the default
     2 threads instead of one, study_s fell from 0.335 to 0.256 s but cpu_s
     rose from 1.27 to 1.45 s (medians of 4 alternating pairs, bench/run.py
@@ -344,15 +349,17 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
     eigenvalue to working precision and is reported in zero.
 
     A complex C-contiguous matrix is factored in place and its contents
-    are destroyed, as with scipy's overwrite_a=True: afterwards its upper
-    triangle holds the factor, and passing it again fails the Hermiticity
-    check.  Pass a.copy() to keep a.  Any other input (real,
+    are destroyed, as with scipy's overwrite_a=True: afterwards its strict
+    upper triangle holds the factor, and passing it again fails the
+    Hermiticity check.  Pass a.copy() to keep a.  Any other input (real,
     Fortran-ordered, a transposed view) is first copied into a private
     complex C-ordered array and is left unchanged.  The factor leaves the
     strict lower triangle holding A, so after the probe solve the saved
     diagonal is put back and the residual applies A by a Hermitian product
     (zhemm) that reads only those entries: a count allocates no second
-    dense matrix.
+    dense matrix.  On return, also from an exactly singular factorization,
+    the strict lower triangle and the diagonal hold the input
+    (nested_complements reads the next complement from them).
 
     Up to dimension _SINGLE_THREAD_LIMIT the factorization, the probe solve
     and the residual product run on one thread in each of the two bundled
@@ -381,6 +388,7 @@ def inertia(matrix: np.ndarray, shift: float) -> InertiaResult:
             raise RuntimeError(f"zhetrf rejected argument {-info}")
         negative, zero, positive = _pivot_inertia(ldu, ipiv)
         if info > 0:
+            a.flat[::dim + 1] = diagonal
             return InertiaResult(negative, zero, positive, float("nan"))
         rng = np.random.default_rng(0)
         b = rng.standard_normal((dim, _INERTIA_PROBES)) \
@@ -441,16 +449,20 @@ def inertia_bracket(factor, low: float, high: float, strict: float) -> InertiaBr
     return bracket
 
 
-def _mirror_upper(s: np.ndarray) -> None:
-    """Overwrite the strict lower triangle of a square C-ordered array with
-    the conjugate of its upper one, in row strips of about 1 MiB, so that s
-    is exactly Hermitian."""
+def _mirror(s: np.ndarray, upper: bool = True) -> None:
+    """Overwrite one strict triangle of a square C-ordered array with the
+    conjugate transpose of the other, the upper one (upper) or the lower
+    one, in row strips of about 1 MiB, so that s is exactly Hermitian."""
     dim = s.shape[0]
+    if dim == 0:
+        return
+    # the transpose's upper triangle is s's lower one
+    t = s if upper else s.T
     strip = max(1, _STRIP_BYTES // (16 * dim))
     for r0 in range(0, dim, strip):
         r1 = min(r0 + strip, dim)
-        np.conjugate(s[:r0, r0:r1].T, out=s[r0:r1, :r0])
-        diagonal = s[r0:r1, r0:r1]
+        np.conjugate(t[:r0, r0:r1].T, out=t[r0:r1, :r0])
+        diagonal = t[r0:r1, r0:r1]
         below = np.tril_indices(r1 - r0, -1)
         diagonal[below] = diagonal.T[below].conj()
 
@@ -460,8 +472,8 @@ def gram_matrix(block: np.ndarray) -> np.ndarray:
 
     Its eigenvalues are the squares of P's singular values, less the zeros
     of the longer side (Golub & Kahan 1965).  It is built by one rank-k
-    update (zherk) into a fresh array and its triangle mirrored
-    (_mirror_upper), so it is exactly Hermitian.  zherk runs on P.T, a
+    update (zherk) into a fresh array and its triangle mirrored (_mirror),
+    so it is exactly Hermitian.  zherk runs on P.T, a
     Fortran-ordered view holding P^T, and builds conj(G) = G^T in Fortran
     order, whose C-ordered transpose view is G.  An empty P gives a 0 x 0
     matrix.
@@ -471,36 +483,61 @@ def gram_matrix(block: np.ndarray) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     a = np.ascontiguousarray(block, dtype=complex).T
     g = scipy.linalg.blas.zherk(1.0, a, trans=2 if rows <= cols else 0, lower=1).T
-    _mirror_upper(g)
+    _mirror(g)
     return g
 
 
-def eliminate_second_component(block, shift: float) -> np.ndarray:
-    """S' = A00 + A01 (shift - A11)^-1 A10 of a Hermitian two-component matrix.
+def nested_complements(block, sizes, shift: float):
+    """Complements onto the first component of nested leading blocks, largest first.
 
-    In component-block order A = [[A00, A01], [A10, A11]], N x N blocks
-    with N >= 1; block(a, b) returns the (a, b) block as a fresh complex
-    C-ordered array, which this consumes.  M = shift - A11 must be positive definite, and a
+    block(a, b) returns the (a, b) component block, N x N with N >= 1, of a
+    Hermitian two-component matrix A = [[A00, A01], [A10, A11]], as a fresh
+    complex C-ordered array, which this consumes; block is called for
+    (1, 1), (0, 1) and (0, 0) in that order, once each.  sizes is a
+    non-decreasing sequence N_1 <= ... <= N_K = N, and A_k is the
+    sub-matrix of A on the leading N_k rows and columns of each component.
+    This yields, for k = K down to 1, S'_k = A00_k + A01_k M_k^-1 A10_k with
+    M_k = shift - A11_k.  M = shift - A11 must be positive definite, and a
     Cholesky failure raises ValueError naming the second-component block.
-    Then A - shift has the complement S' - shift onto the first component
-    (A11 - shift = -M), and by Haynsworth's inertia additivity A - shift has
-    N + negative(S' - shift) negative, zero(S' - shift) zero and
-    positive(S' - shift) positive eigenvalues: inertia(S', shift) counts A.
+    Every M_k is a leading block of M and so positive definite too; A_k -
+    shift has the complement S'_k - shift onto the first component, and by
+    Haynsworth's inertia additivity A_k - shift has N_k + negative(S'_k -
+    shift) negative, zero(S'_k - shift) zero and positive(S'_k - shift)
+    positive eigenvalues: inertia(S'_k, shift) counts A_k.
 
-    M = L L^H (zpotrf), Y = L^-1 A10 (ztrsm, in place) and S' = A00 + Y^H Y
-    (zherk into A00's buffer), with the triangle then mirrored in strips
-    of about 1 MiB, so S' is exactly Hermitian.  block is called for
-    (1, 1), (0, 1) and (0, 0) in that order, and M is freed before A00 is
-    gathered: two N x N arrays are live at once, M and Y, then Y and S'.
-    The LAPACK routines work on each C-ordered array's transpose, a
-    Fortran-ordered view that holds its conjugate, so they factor conj(M)
-    and build conj(S'), whose C-ordered view is S'.  Up to dimension
-    _SINGLE_THREAD_LIMIT this runs on one thread in each OpenBLAS pool
-    (_single_blas_thread).
+    One elimination serves every k.  M = L L^H (zpotrf) and Y = L^-1 A10
+    (ztrsm, in place) are computed once, on the largest block.  M_k is the
+    leading block of M, so its factor is L[:N_k, :N_k], and as L is lower
+    triangular, L_k^-1 A10_k = Y[:N_k, :N_k].  The largest complement is
+    S' = A00 + Y^H Y (zherk into A00's buffer), and each smaller one is a
+    downdate of the one before, S'_k = S'_{k+1}[:N_k, :N_k] - Z^H Z with
+    Z = Y[N_k:N_{k+1}, :N_k], the rows between the two leading sets.  Z^H Z
+    is subtracted by zherk in row panels of at most _PANEL rows: scipy
+    copies an operand that is not contiguous, and the panel bounds the
+    copy.
+
+    Every complement lives in A00's buffer: S'_k is the C-ordered prefix
+    view of its first N_k^2 entries, valid until the next one is requested.
+    The next is built from its strict lower triangle and diagonal, which
+    inertia leaves in place: they are copied into the shorter prefix row by
+    row, each row moving left, downdated there and mirrored into the upper
+    triangle.  So each complement is exactly Hermitian, and a consumer may
+    overwrite only its strict upper triangle, as inertia does.  M is freed
+    before A00 is gathered; from the first complement on, Y and the buffer
+    are the two N x N arrays live.  The LAPACK routines work on each
+    C-ordered array's transpose, a Fortran-ordered view that holds its
+    conjugate, so they factor conj(M) and build conj(S'_k), whose C-ordered
+    view is S'_k.  Up to dimension _SINGLE_THREAD_LIMIT each elimination or
+    downdate runs on one thread in each OpenBLAS pool (_single_blas_thread);
+    the pools are restored before each complement is handed out.
     """
     shift = float(shift)
+    sizes = [int(size) for size in sizes]
     m = block(1, 1)
     dim = m.shape[0]
+    if not sizes or sizes[-1] != dim or sizes[0] < 0 or any(
+            b < a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sizes must rise to the block dimension {dim}, got {sizes}")
     blas, lapack = scipy.linalg.blas, scipy.linalg.lapack
     with _single_blas_thread(dim, _SINGLE_THREAD_LIMIT):
         np.negative(m, out=m)
@@ -509,15 +546,30 @@ def eliminate_second_component(block, shift: float) -> np.ndarray:
         if info != 0:
             raise ValueError(f"second-component block minus {shift:g} is not negative "
                              f"definite (zpotrf info {info})")
-        # the transpose of A01 holds conj(A10)
+        # the transpose of A01 holds conj(A10), so y holds conj(Y)
         y = blas.ztrsm(1.0, factor, block(0, 1).T, lower=1, overwrite_b=1)
         del m, factor
         s = block(0, 0)
         blas.zherk(1.0, y, beta=1.0, c=s.T, trans=2, lower=1, overwrite_c=1)
-        del y
     # the transpose's lower triangle is s's upper one
-    _mirror_upper(s)
-    return s
+    _mirror(s)
+    buffer = s.reshape(-1)
+    yield s
+    outer = dim
+    for size in reversed(sizes[:-1]):
+        s = buffer[:size * size].reshape(size, size)
+        if 0 < size < outer:
+            for row in range(1, size):
+                buffer[row * size:row * size + row + 1] = \
+                    buffer[row * outer:row * outer + row + 1]
+            with _single_blas_thread(dim, _SINGLE_THREAD_LIMIT):
+                for r0 in range(size, outer, _PANEL):
+                    # s.T's upper triangle is s's lower one
+                    blas.zherk(-1.0, y[r0:min(r0 + _PANEL, outer), :size], beta=1.0,
+                               c=s.T, trans=2, lower=0, overwrite_c=1)
+        _mirror(s, upper=False)
+        yield s
+        outer = size
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def box_block_count(grid, params, box, tau):
     (restricted_block); the count is strict with the 1e-12 relative tie
     guard, like count_above.
     """
-    mask = box_mask(grid, box)
+    mask = np.flatnonzero(box_mask(grid, box))
     block = restricted_block(resolvent(grid, params), mask, mask)
     return int(np.count_nonzero(np.linalg.eigvalsh(block) > tau * (1.0 + 1e-12)))
 

@@ -11,7 +11,7 @@ from gapcount import (
     run_study,
 )
 from gapcount.cli import build_parser, main as cli_main
-from gapcount.harness import _box_count, emit_outputs, oracle_lines
+from gapcount.harness import _box_counts, emit_outputs, oracle_lines
 from gapcount.lattice import build_grid
 from gapcount.operators import (BoxSpec, DenseCapExceededError, box_mask, check_box_fits,
                                 resolvent, restricted_block)
@@ -200,7 +200,7 @@ def test_crossterm_study_adjoint_equality(n):
     op = birman_schwinger(config.grid, config.model, config.potential)
     for a in (2.0, 4.0):
         loc = LocalizationSpec(config.eps1, config.eps2, a, config.potential.exponent)
-        masks = zone_masks(config.grid, loc)
+        masks = [np.flatnonzero(mask) for mask in zone_masks(config.grid, loc)]
         for i, j in ((1, 2), (1, 3), (2, 3)):
             block = restricted_block(op, masks[j - 1], masks[i - 1])
             assert table[(a, j, i)] == count_above(singular_values(block),
@@ -240,7 +240,7 @@ def test_box_count_matches_the_two_component_spectrum(n):
         for tau in (0.2, 0.5, 1.3):
             for box in BOX_CASES:
                 check_box_fits(grid, box)
-                count, residual, dim = _box_count(op, box, tau)
+                (count, residual, dim), = _box_counts(op, [box], tau)[0]
                 assert count == box_block_count(grid, params, box, tau)
                 assert 0.0 <= residual <= 1e-8
                 assert dim == np.count_nonzero(box_mask(grid, box))
@@ -253,14 +253,14 @@ def test_box_count_resolves_a_threshold_next_to_an_eigenvalue():
     grid = build_grid(16, 12.0)
     params = ModelParams(1.0, 0.4)
     box = BOX_CASES[1]
-    mask = box_mask(grid, box)
+    mask = np.flatnonzero(box_mask(grid, box))
     spectrum = np.linalg.eigvalsh(restricted_block(resolvent(grid, params), mask, mask))
     above = spectrum[spectrum > 0.5]
     k = int(np.argmax(np.diff(above)))  # an eigenvalue with room above it
     op = resolvent(grid, params)
     for tau, expected in ((above[k] - 5e-10, len(above) - k),
                           (above[k] + 5e-10, len(above) - k - 1)):
-        assert _box_count(op, box, tau)[0] == expected
+        assert _box_counts(op, [box], tau)[0][0][0] == expected
         assert box_block_count(grid, params, box, tau) == expected
 
 
@@ -277,12 +277,132 @@ def test_box_count_holds_two_single_component_arrays():
     unit = 16 * np.count_nonzero(box_mask(grid, box)) ** 2
     tracemalloc.start()
     try:
-        count, _, dim = _box_count(op, box, 0.5)
+        (count, _, dim), = _box_counts(op, [box], 0.5)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert dim == 784
     assert count == box_block_count(grid, params, box, 0.5)
+    assert peak <= 2.2 * unit
+
+
+def _record_zpotrf(monkeypatch):
+    """One entry per Cholesky factorization, that is per elimination."""
+    import scipy.linalg
+
+    calls = []
+    zpotrf = scipy.linalg.lapack.zpotrf
+    monkeypatch.setattr(scipy.linalg.lapack, "zpotrf",
+                        lambda *args, **kwargs: calls.append(1) or zpotrf(*args, **kwargs))
+    return calls
+
+
+def _assert_box_counts(grid, boxes, params, tau, results):
+    for box, (count, residual, dim) in zip(boxes, results, strict=True):
+        assert count == box_block_count(grid, params, box, tau)
+        assert 0.0 <= residual <= 1e-8
+        assert dim == np.count_nonzero(box_mask(grid, box))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_nested_box_sweep_is_counted_from_one_elimination(monkeypatch, n):
+    grid = build_grid(n, 12.0)
+    masks = [box_mask(grid, box) for box in BOX_CASES]
+    # BOX_CASES contain the origin, so their node sets are nested
+    assert all(np.all(a <= b) for a, b in zip(masks, masks[1:]))
+    calls = _record_zpotrf(monkeypatch)
+    counts = []
+    for lam in (-0.6, 0.0, 0.4, 0.9):
+        params = ModelParams(1.0, lam)
+        op = resolvent(grid, params)
+        for tau in (0.2, 0.5, 1.3):
+            results, eliminations = _box_counts(op, BOX_CASES, tau)
+            assert eliminations == 1
+            _assert_box_counts(grid, BOX_CASES, params, tau, results)
+            counts += [count for count, _, _ in results]
+    assert len(calls) == 12
+    assert min(counts) == 0 and max(counts) >= 10
+
+
+def test_boxes_that_are_not_nested_run_as_chains_of_one(monkeypatch):
+    # away from the origin each box leaves the one before
+    grid = build_grid(24, 12.0)
+    boxes = [BoxSpec((0.6, 0.6), 0.5, beta) for beta in (2.0, 3.0, 4.0)]
+    masks = [box_mask(grid, box) for box in boxes]
+    assert not any(np.all(a <= b) for a, b in zip(masks, masks[1:]))
+    calls = _record_zpotrf(monkeypatch)
+    params = ModelParams(1.0, 0.0)
+    for tau in (0.05, 0.2):
+        results, eliminations = _box_counts(resolvent(grid, params), boxes, tau)
+        assert eliminations == 3
+        _assert_box_counts(grid, boxes, params, tau, results)
+    assert len(calls) == 6
+
+
+def test_two_betas_with_one_node_set_get_one_count(monkeypatch):
+    grid = build_grid(16, 12.0)
+    boxes = [BoxSpec((-0.3, -0.6), 1.0, beta) for beta in (2.0, 4.0, 4.1, 5.0)]
+    assert np.array_equal(box_mask(grid, boxes[1]), box_mask(grid, boxes[2]))
+    calls = _record_zpotrf(monkeypatch)
+    params = ModelParams(1.0, 0.4)
+    results, eliminations = _box_counts(resolvent(grid, params), boxes, 0.5)
+    assert eliminations == 1 and len(calls) == 1
+    _assert_box_counts(grid, boxes, params, 0.5, results)
+    assert results[1] == results[2]
+
+
+def test_an_empty_smallest_box_counts_zero():
+    grid = build_grid(16, 12.0)
+    # nodes sit at multiples of 0.75: beta = 0.5 spans [0.05, 0.55)^2, no node
+    boxes = [BoxSpec((0.1, 0.1), 1.0, beta) for beta in (0.5, 2.0, 4.0)]
+    assert not box_mask(grid, boxes[0]).any()
+    params = ModelParams(1.0, 0.0)
+    op = resolvent(grid, params)
+    results, eliminations = _box_counts(op, boxes, 0.2)
+    assert eliminations == 1
+    assert results[0] == (0, 0.0, 0)
+    _assert_box_counts(grid, boxes, params, 0.2, results)
+    # a chain without nodes makes no elimination
+    assert _box_counts(op, boxes[:1], 0.2) == ([(0, 0.0, 0)], 0)
+
+
+def test_nested_counts_resolve_a_threshold_next_to_an_eigenvalue():
+    # the two smaller boxes are counted from downdated complements
+    grid = build_grid(16, 12.0)
+    params = ModelParams(1.0, 0.4)
+    op = resolvent(grid, params)
+    for k in (0, 1):
+        mask = np.flatnonzero(box_mask(grid, BOX_CASES[k]))
+        spectrum = np.linalg.eigvalsh(restricted_block(op, mask, mask))
+        above = spectrum[spectrum > 0.15]
+        j = int(np.argmax(np.diff(above)))  # an eigenvalue with room above it
+        for tau, expected in ((above[j] - 5e-10, len(above) - j),
+                              (above[j] + 5e-10, len(above) - j - 1)):
+            results, _ = _box_counts(op, BOX_CASES, tau)
+            assert results[k][0] == expected
+            assert box_block_count(grid, params, BOX_CASES[k], tau) == expected
+
+
+def test_a_nested_sweep_holds_two_single_component_arrays():
+    import tracemalloc
+
+    # betas 2-14 as on the box-localized benchmark: the largest box has
+    # 28^2 = 784 nodes, and the sweep stays within the bound of one box
+    grid = build_grid(32, 16.0)
+    params = ModelParams(1.0, 0.0)
+    boxes = [BoxSpec((-0.5, -0.5), 1.0, float(beta)) for beta in range(2, 15, 2)]
+    op = resolvent(grid, params)
+    unit = 16 * 784 ** 2
+    tracemalloc.start()
+    try:
+        results, eliminations = _box_counts(op, boxes, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eliminations == 1
+    assert [dim for _, _, dim in results] == [(2 * beta) ** 2 for beta in range(2, 15, 2)]
+    assert results[-1][0] == box_block_count(grid, params, boxes[-1], 0.5)
+    assert results[0][0] == box_block_count(grid, params, boxes[0], 0.5)
     assert peak <= 2.2 * unit
 
 
@@ -309,6 +429,24 @@ def test_study_computes_one_kernel(monkeypatch, text, dense_fallback):
         report = run_study(ExperimentConfig.from_text(text))
     if dense_fallback:
         assert report.metadata["bs_count_method"] == "dense"
+    assert len(computed) == 1
+
+
+def test_flow_trace_computes_one_kernel(monkeypatch):
+    # one free handle serves every t of the trace
+    from gapcount.operators import LinearOperatorHandle
+
+    computed = []
+    compute = LinearOperatorHandle.kernel.func
+    monkeypatch.setattr(LinearOperatorHandle.kernel, "func",
+                        lambda op: computed.append(op) or compute(op))
+    config = ExperimentConfig.from_text(WEYL_TEXT.replace("study = weyl", "study = flow-trace")
+                                        .replace("alpha.values = 2, 4, 8",
+                                                 "flow.t_values = 0, 1, 2, 3, 4, 5"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_study(config)
+    assert {row[0] for row in report.rows} <= {0.0, 1.0, 2.0, 3.0, 4.0, 5.0}
     assert len(computed) == 1
 
 
@@ -453,6 +591,26 @@ def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key,
     _assert_process_keys(meta, threads)
     assert paths["csv"].read_text() == csv
     assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
+
+
+@pytest.mark.parametrize("corner,side,betas,eliminations", [
+    ("0.0", "1.0", "2, 4", 1),  # BOX_TEXT: boxes from the origin, nested
+    ("1.0", "0.5", "2, 3", 2),  # [2, 3)^2 and [3, 4.5)^2 share no node
+], ids=["nested", "disjoint"])
+def test_run_meta_records_box_eliminations(tmp_path, corner, side, betas, eliminations):
+    text = (BOX_TEXT.replace("box.corner_x = 0.0", f"box.corner_x = {corner}")
+            .replace("box.corner_y = 0.0", f"box.corner_y = {corner}")
+            .replace("box.side = 1.0", f"box.side = {side}")
+            .replace("box.betas = 2, 4", f"box.betas = {betas}"))
+    config = ExperimentConfig.from_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_study(config)
+    meta = dict(line.split(" = ", 1)
+                for line in emit_outputs(report, tmp_path, config)["meta"].read_text()
+                .splitlines())
+    assert int(meta["box_eliminations"]) == eliminations
+    assert int(meta["box_factor_dim"]) > 0
 
 
 def test_run_meta_records_flow_factor_dim(tmp_path):
@@ -937,8 +1095,8 @@ def test_cli_degenerate_crossterm_threshold_exit_code(tmp_path, capsys):
     config = ExperimentConfig.from_text(CROSS_TEXT)
     masks = zone_masks(config.grid, LocalizationSpec(config.eps1, config.eps2, 2.0,
                                                      config.potential.exponent))
-    block = restricted_block(birman_schwinger(config.grid, config.model,
-                                              config.potential), masks[0], masks[1])
+    block = restricted_block(birman_schwinger(config.grid, config.model, config.potential),
+                             np.flatnonzero(masks[0]), np.flatnonzero(masks[1]))
     sigma = singular_values(block)[1]
     text = CROSS_TEXT.replace("localization.epsilon = 0.5",
                               f"localization.epsilon = {2.0 * sigma:.17g}")
@@ -1109,7 +1267,8 @@ def _crossterm_bracket(offset):
     masks = zone_masks(config.grid, LocalizationSpec(config.eps1, config.eps2, 2.0,
                                                      config.potential.exponent))
     sigma = singular_values(restricted_block(birman_schwinger(
-        config.grid, config.model, config.potential), masks[0], masks[1]))
+        config.grid, config.model, config.potential), np.flatnonzero(masks[0]),
+        np.flatnonzero(masks[1])))
     config = ExperimentConfig.from_text(CROSS_TEXT.replace(
         "localization.epsilon = 0.5", f"localization.epsilon = {2.0 * (sigma[1] + offset):.17g}"))
     with warnings.catch_warnings():

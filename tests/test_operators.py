@@ -155,7 +155,7 @@ def test_outer_piece_norm_bound():
 def test_zone_blocks_of_birman_schwinger_are_exact_adjoints():
     # the crossterm study counts the (i, j) block once for rows (i, j) and (j, i)
     op = birman_schwinger(GRID, PARAMS, PowerDecay(1.0, 2.0))
-    masks = zone_masks(GRID, _loc())
+    masks = [np.flatnonzero(mask) for mask in zone_masks(GRID, _loc())]
     for i, j in ((1, 2), (1, 3), (2, 3)):
         block = restricted_block(op, masks[i - 1], masks[j - 1])
         assert block.size > 0
@@ -201,7 +201,7 @@ def test_restricted_block_matches_dense_assembly():
     op = box_localized_resolvent(grid, params, box)
     dense = assemble_dense(op)
     full_eigs = np.sort(np.linalg.eigvalsh(dense))
-    mask = box_mask(grid, box)
+    mask = np.flatnonzero(box_mask(grid, box))
     block = restricted_block(resolvent(grid, params), mask, mask)
     block = 0.5 * (block + block.conj().T)
     block_eigs = np.sort(np.linalg.eigvalsh(block))
@@ -307,8 +307,14 @@ def test_dense_block_matches_column_oracle(handle, potential, n):
     assert np.any(row_mask != col_mask)
     rows = np.flatnonzero(np.repeat(row_mask.ravel(), 2))
     cols = np.flatnonzero(np.repeat(col_mask.ravel(), 2))
-    block = restricted_block(op, row_mask, col_mask)
+    block = restricted_block(op, np.flatnonzero(row_mask), np.flatnonzero(col_mask))
     assert np.array_equal(block, dense[np.ix_(rows, cols)])
+    # nodes in any order give the block in that order
+    row_nodes = rng.permutation(np.flatnonzero(row_mask))
+    col_nodes = rng.permutation(np.flatnonzero(col_mask))
+    rows = np.stack([2 * row_nodes, 2 * row_nodes + 1], axis=1).ravel()
+    cols = np.stack([2 * col_nodes, 2 * col_nodes + 1], axis=1).ravel()
+    assert np.array_equal(restricted_block(op, row_nodes, col_nodes), dense[np.ix_(rows, cols)])
 
 
 def _node_major_apply(op, values):
@@ -350,7 +356,7 @@ def test_apply_array_matches_gathered_dense(handle, n):
 @pytest.mark.parametrize("weighted", [False, True], ids=["resolvent", "birman_schwinger"])
 def test_component_blocks_are_slices_of_the_restricted_block(weighted):
     op = birman_schwinger(GRID, PARAMS, GAUSS) if weighted else resolvent(GRID, PARAMS)
-    mask = box_mask(GRID, BoxSpec((-0.4, -0.2), 1.0, 3.0))
+    mask = np.flatnonzero(box_mask(GRID, BoxSpec((-0.4, -0.2), 1.0, 3.0)))
     block = restricted_block(op, mask, mask)
     for a in (0, 1):
         for b in (0, 1):
@@ -366,7 +372,13 @@ def test_restricted_block_rejects_mask_of_wrong_shape():
     op = resolvent(GRID, PARAMS)
     mask = np.ones((12, 12), dtype=bool)
     with pytest.raises(ValueError, match="shape"):
-        restricted_block(op, mask, np.ones((10, 10), dtype=bool))
+        restricted_block(op, np.flatnonzero(mask), np.ones((10, 10), dtype=bool))
+    # a mask of the grid's shape is not a node list either, nor is an index
+    # beyond the grid
+    with pytest.raises(ValueError, match="shape"):
+        restricted_block(op, mask, mask)
+    with pytest.raises(ValueError, match="flat node indices"):
+        restricted_block(op, np.flatnonzero(mask), np.array([0, 144]))
 
 
 def test_assemble_dense_peak_memory_within_one_and_a_half_matrices():
@@ -388,7 +400,7 @@ def test_hermitian_promise_is_checked_on_the_kernel():
     mult = resolvent(GRID, PARAMS).mult.copy()
     mult[0, 1] += 0.1  # breaks mult == mult^H mode by mode
     w = np.linspace(0.5, 1.5, GRID.n_points ** 2).reshape(GRID.n_points, -1)
-    mask = np.ones(w.shape, bool)
+    mask = np.arange(w.size)
     # every kernel is checked, with or without a weight
     with pytest.raises(ValueError, match="non-Hermitian multiplier"):
         assemble_dense(LinearOperatorHandle(GRID, mult))

@@ -24,7 +24,7 @@ from gapcount.operators import (
     potential_on_grid,
     resolvent,
 )
-from gapcount.spectra import DEGENERACY_TOL, _column_cap, eliminate_second_component
+from gapcount.spectra import DEGENERACY_TOL, _column_cap, nested_complements
 from gapcount.symbol import symbol_eigenvalues
 from oracles import count_above, pivot_inertia, singular_values
 
@@ -88,6 +88,39 @@ def test_hermiticity_check_allocates_only_its_strip_buffers(dim):
     finally:
         tracemalloc.stop()
     assert peak <= 1.8e6
+
+
+def test_hermiticity_check_buffers_stay_below_the_mmap_threshold():
+    # two tile buffers, 64 KiB and 32 KiB, whatever the dimension, and the
+    # 64 KiB that numpy's iterator buffers a strided tile in, each below
+    # the 128 KiB mmap threshold
+    a = _random_hermitian(np.random.default_rng(15), 784)
+    tracemalloc.start()
+    try:
+        assert check_hermitian(a) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 192 * 1024
+
+
+@pytest.mark.parametrize("where", [(149, 70), (70, 149)], ids=["last-tile-row",
+                                                              "last-tile-column"])
+@pytest.mark.parametrize("bad", ["defect", np.nan, np.inf], ids=["defect", "nan", "inf"])
+def test_hermiticity_check_reaches_the_last_shorter_tile(where, bad):
+    # dimension 150: tiles of 64, 64 and 22 rows and columns
+    a = _random_hermitian(np.random.default_rng(16), 150)
+    r, c = where
+    if bad == "defect":
+        a[r, c] += 3e-10
+        assert check_hermitian(a) == pytest.approx(3e-10, rel=1e-3)
+        a[r, c] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_hermitian(a)
+    else:
+        a[r, c] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_hermitian(a)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +293,22 @@ def test_a_consumed_matrix_is_rejected_not_miscounted():
         inertia(a, 0.1)
 
 
+@pytest.mark.parametrize("singular", [True, False], ids=["singular-pivot", "factored"])
+def test_inertia_leaves_the_lower_triangle_and_the_diagonal(singular):
+    # the nested box counts read the next complement from these entries
+    if singular:
+        # 0.5 is an eigenvalue: zhetrf meets an exactly zero pivot
+        a, shift = np.diag([1.5, 0.5, 2.5]).astype(complex), 0.5
+    else:
+        a, shift = _random_hermitian(np.random.default_rng(17), 40), 0.1
+    before = a.copy()
+    result = inertia(a, shift)
+    assert np.isnan(result.residual) == singular
+    if singular:
+        assert (result.negative, result.zero, result.positive) == (0, 1, 2)
+    assert np.array_equal(np.tril(a), np.tril(before))
+
+
 @pytest.fixture
 def blas_pools():
     """Thread counts of the bundled OpenBLAS pools before the test."""
@@ -336,7 +385,7 @@ def test_second_component_elimination_keeps_the_inertia(dim):
     ev = np.linalg.eigvalsh(a)
     a01, a11 = a[:dim, dim:], a[dim:, dim:]
     for shift in (0.05, 0.3, 1.0):
-        s = eliminate_second_component(block, shift)
+        s = next(nested_complements(block, [dim], shift))
         expected = a[:dim, :dim] + a01 @ np.linalg.solve(shift * np.eye(dim) - a11, a01.conj().T)
         assert np.abs(s - expected).max() <= 1e-12 * np.abs(expected).max()
         assert check_hermitian(s) == 0.0  # mirrored exactly
@@ -345,12 +394,47 @@ def test_second_component_elimination_keeps_the_inertia(dim):
             int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift)))
 
 
+def test_nested_complements_match_a_direct_elimination_of_each_leading_block():
+    # an empty leading block, a repeated size, a ring of 74 rows (two
+    # panels) and a ring of one row
+    dim, shift = 150, 0.3
+    rng = np.random.default_rng(30)
+    a, block = _two_component(rng, dim)
+    sizes = [0, 10, 10, 75, 149, 150]
+    complements = []
+    for s in nested_complements(block, sizes, shift):
+        complements.append(s.copy())
+        inertia(s, shift)  # overwrites the upper triangle, as in the box study
+    for size, s in zip(sizes, complements[::-1]):
+        assert s.shape == (size, size)
+        if size == 0:
+            continue
+        lead = np.r_[0:size, dim:dim + size]
+        sub = a[np.ix_(lead, lead)]
+        direct = next(nested_complements(
+            lambda i, j: sub[i * size:(i + 1) * size, j * size:(j + 1) * size].copy(),
+            [size], shift))
+        assert np.abs(s - direct).max() <= 1e-13 * np.abs(direct).max()
+        assert check_hermitian(s) == 0.0  # mirrored exactly
+        ev = np.linalg.eigvalsh(sub)
+        result = inertia(s, shift)
+        assert (size + result.negative, result.zero, result.positive) == (
+            int(np.count_nonzero(ev < shift)), 0, int(np.count_nonzero(ev > shift)))
+
+
+def test_nested_complements_reject_sizes_that_do_not_rise_to_the_block():
+    _, block = _two_component(np.random.default_rng(8), 6)
+    for sizes in ([], [3, 5], [4, 3, 6], [-1, 6]):
+        with pytest.raises(ValueError, match="sizes must rise"):
+            next(nested_complements(block, sizes, 0.3))
+
+
 def test_second_component_elimination_rejects_an_indefinite_second_block():
     # A11 has the eigenvalue 0.7 above the shift, so shift - A11 is indefinite
     blocks = {(0, 0): np.eye(2), (0, 1): np.zeros((2, 2)), (1, 0): np.zeros((2, 2)),
               (1, 1): np.diag([-1.0, 0.7])}
     with pytest.raises(ValueError, match="second-component block minus 0.5"):
-        eliminate_second_component(lambda i, j: blocks[i, j].astype(complex), 0.5)
+        next(nested_complements(lambda i, j: blocks[i, j].astype(complex), [2], 0.5))
 
 
 def test_second_component_elimination_runs_on_one_thread(monkeypatch, blas_pools):
@@ -363,7 +447,7 @@ def test_second_component_elimination_runs_on_one_thread(monkeypatch, blas_pools
 
         monkeypatch.setattr(module, name, recording)
     _, block = _two_component(np.random.default_rng(7), 40)
-    eliminate_second_component(block, 0.3)
+    next(nested_complements(block, [40], 0.3))
     assert seen == [{package: 1 for package in blas_pools}] * 3
     assert spectra.blas_threads() == blas_pools
 
