@@ -268,7 +268,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Study-specific invariants, checked once at construction and before
         any heavy work: no operator is built, no block gathered, and V is
-        evaluated on the grid only within the dense cap.  The law's
+        evaluated on the grid only when the study's dense matrices fit the
+        dense cap.  The law's
         quadratures run last, after every cheap check."""
         study = self.study
         if self.dense_cap < 1:
@@ -322,7 +323,14 @@ class ExperimentConfig:
         if study == "oracle":
             self._evaluate_law()
             return
-        what, dim = "grid", self.grid.dimension
+        # the cap bounds the dense matrices a study allocates: grid-sized ones
+        # for crossterm, flow-trace and the flow cross-check; a matrix-free
+        # Birman-Schwinger count meets it only in its dense fallback, which
+        # harness._bs_counts refuses past the cap
+        what, dim = "grid", 0
+        if study in ("crossterm", "flow-trace") or (
+                study in ("weyl", "theorem2") and self.with_flow):
+            dim = self.grid.dimension
         if study == "box":
             if self.betas is None or self.tau is None:
                 raise ConfigError("box study requires box.betas and box.tau")

@@ -54,6 +54,7 @@ raises LatticeCutoffWarning when the cutoff is the lower.
 
 from __future__ import annotations
 
+import os
 import resource
 import time
 import warnings
@@ -625,9 +626,11 @@ def emit_outputs(report: CountingReport, directory, config: ExperimentConfig) ->
     goes to run_meta.txt, which is outside the determinism contract.  Report
     contents that are eigenvalues (the flow-trace CSV and plot) repeat byte
     for byte only under the same BLAS build and thread count.  Next to
-    the report's metadata it records the process's peak RSS so far and the
+    the report's metadata it records the process's peak RSS so far, the
     thread count of each bundled OpenBLAS pool ("unknown" when none is
-    found).
+    found) and the OPENBLAS_THREAD_TIMEOUT of the process environment
+    (blas_thread_timeout; "unset" when it is absent), which the pools read
+    when they load.
     """
     import pathlib
 
@@ -647,6 +650,7 @@ def emit_outputs(report: CountingReport, directory, config: ExperimentConfig) ->
     meta_path = out / "run_meta.txt"
     threads = ", ".join(f"{package}={n}" for package, n in blas_threads().items())
     meta = {**report.metadata, "blas_threads": threads or "unknown",
+            "blas_thread_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT", "unset"),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     meta_lines = [f"{k} = {v}" for k, v in sorted(meta.items())]
     meta_path.write_text("\n".join(meta_lines) + "\n", encoding="utf-8")

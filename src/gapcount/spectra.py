@@ -94,11 +94,14 @@ Small dense factorizations and small Krylov runs use one BLAS thread
 (_single_blas_thread).  numpy and scipy each bundle their own OpenBLAS,
 each with a thread pool as wide as the machine.  On 2 vCPUs a second
 thread saves little wall time at these sizes, and after every threaded
-burst the pool's worker spins for about 0.13 s of CPU time before it
-sleeps.  An inertia count of dimension up to _SINGLE_THREAD_LIMIT = 2048
-runs on one thread: a threaded LDL^H of a few hundred to a couple of
-thousand rows spends more time in the two pools' contention than in
-arithmetic, the first call in a process sometimes close to a second.  A
+burst the pool's worker busy-waits 2^k cycles before it sleeps, k the
+OPENBLAS_THREAD_TIMEOUT that importing gapcount sets to 16 unless the
+environment sets it (OpenBLAS's default k = 28 spun about 0.13 s of CPU
+time; the limits below were measured then).  An inertia count of
+dimension up to _SINGLE_THREAD_LIMIT = 2048 runs on one thread: a
+threaded LDL^H of a few hundred to a couple of thousand rows spends more
+time in the two pools' contention than in arithmetic, the first call in a
+process sometimes close to a second.  A
 Krylov count of dimension up to _KRYLOV_SINGLE_THREAD_LIMIT = 3872
 (n = 44) runs its Lanczos on one thread: its applies are FFTs, one thread
 anyway, and its GEMMs are thin products with the basis, where a second
@@ -235,10 +238,14 @@ def _single_blas_thread(dim: int, limit: int):
     """Run the block on one thread in every OpenBLAS pool when dim <= limit.
 
     Above the limit the pools keep their thread counts.  A threaded call
-    costs CPU time beyond its own: the pool's worker spins for about 0.13 s
-    after every threaded burst (13-14 clock ticks of the worker thread's
-    CPU time in the 0.5 s after a burst of thin complex GEMMs, and none
-    after a one-thread burst).  Two limits are used.
+    costs CPU time beyond its own: after every threaded burst the pool's
+    worker busy-waits 2^k cycles before it sleeps, k the
+    OPENBLAS_THREAD_TIMEOUT read when the library loads.  At OpenBLAS's
+    default k = 28 that was about 0.13 s (11-14 clock ticks of the worker
+    thread's CPU time in the 0.5 s after a burst of thin complex GEMMs, and
+    none after a one-thread burst); at the k = 16 that importing gapcount
+    sets, none.  Both limits, and the crossovers below, were measured at
+    k = 28.  Two limits are used.
 
     _SINGLE_THREAD_LIMIT = 2048 serves the dense factorizations.  It is
     the measured crossover of inertia on random Hermitian matrices, three
@@ -306,7 +313,12 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(a)
     idx = np.unique(np.linspace(0, dim - 1, 5).astype(int))
     resid = float(np.linalg.norm(a @ v[:, idx] - v[:, idx] * w[idx], axis=0).max())
-    norm_est = float(np.linalg.norm(a, ord="fro")) or 1.0
+    # the residual scale is a strided dot product: at dim 784, 0.85 ms on one
+    # thread against 0.92 ms on two at k = 16 and 11.7 ms at k = 28 (see
+    # _single_blas_thread); eigh keeps the default threads, which fix its
+    # rounding
+    with _single_blas_thread(dim, _SINGLE_THREAD_LIMIT):
+        norm_est = float(np.linalg.norm(a, ord="fro")) or 1.0
     if resid > 1e-8 * norm_est:
         raise RuntimeError(
             f"eigenpair residual {resid:.3e} exceeds 1e-8 * ||A|| = "

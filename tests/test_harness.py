@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -561,7 +562,25 @@ def _blas_threads_text() -> str:
 def _assert_process_keys(meta, threads):
     # the pools are back at the thread counts they had before the study
     assert meta["blas_threads"] == threads
+    assert meta["blas_thread_timeout"] == os.environ["OPENBLAS_THREAD_TIMEOUT"]
     assert float(meta["peak_rss_mb"]) > 0.0
+
+
+def test_run_meta_records_the_blas_thread_timeout(tmp_path, monkeypatch):
+    # the value in the process environment, which importing gapcount sets
+    # unless it was set before; "unset" when it is absent
+    config = ExperimentConfig.from_text(BOX_TEXT)
+    report = run_study(config)
+
+    def recorded(name):
+        meta_path = emit_outputs(report, tmp_path / name, config)["meta"]
+        meta = dict(line.split(" = ", 1) for line in meta_path.read_text().splitlines())
+        return meta["blas_thread_timeout"]
+
+    monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "20")
+    assert recorded("set") == "20"
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT")
+    assert recorded("absent") == "unset"
 
 
 # the largest dimension factored: the 12^2 flow Schur complement, and the
@@ -975,16 +994,20 @@ def test_cli_study_mismatch(tmp_path):
 
 
 def test_cli_cap_exceeded_exit_code(tmp_path):
-    text = WEYL_TEXT.replace("grid.n_points = 12", "grid.n_points = 32") + "dense_cap = 500\n"
+    # the flow cross-check factors a grid-sized matrix
+    text = (WEYL_TEXT.replace("grid.n_points = 12", "grid.n_points = 32")
+            + "study.with_flow = true\ndense_cap = 500\n")
     cfg = _write(tmp_path, "big.cfg", text)
     assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
 @pytest.mark.parametrize("text", [WEYL_TEXT, THEOREM2_TEXT], ids=["weyl", "theorem2"])
 def test_grid_over_the_cap_evaluates_no_potential(monkeypatch, text):
-    # n = 72 is dimension 10368, over the default cap: refused before V
-    # is evaluated on the n^2 mesh
+    # n = 72 is dimension 10368, over the default cap, which the flow
+    # cross-check must meet: refused before V is evaluated on the n^2 mesh
     import gapcount.config as config
+
+    text += "study.with_flow = true\n"
 
     evaluated = []
     evaluate = config.potential_on_grid
@@ -1020,22 +1043,34 @@ def test_box_cap_applies_to_the_largest_block():
         ExperimentConfig.from_text(text + "dense_cap = 1567\n")
 
 
+@pytest.mark.parametrize("text", [WEYL_TEXT, THEOREM2_TEXT], ids=["weyl", "theorem2"])
+def test_matrix_free_count_is_not_refused_over_the_cap(tmp_path, text):
+    # without the flow nothing grid-sized is dense: a grid of dimension 288
+    # runs under a cap of 100 and gives the counts it gives under the default
+    study = "weyl" if "study = weyl" in text else "theorem2"
+    cfg = _write(tmp_path, "capped.cfg", text + "dense_cap = 100\n")
+    assert cli_main([study, "--config", cfg, "--out", str(tmp_path / "capped")]) == 0
+    cfg = _write(tmp_path, "default.cfg", text)
+    assert cli_main([study, "--config", cfg, "--out", str(tmp_path / "default")]) == 0
+    capped = (tmp_path / "capped" / "report.csv").read_text()
+    assert capped == (tmp_path / "default" / "report.csv").read_text()
+
+
 def test_cli_uncertified_bs_count_is_a_resource_error(tmp_path, capsys, monkeypatch):
-    # a validated config keeps the dense fallback within the cap, so the
-    # inconclusive Krylov run is simulated
-    import gapcount.harness as harness
-    from gapcount.spectra import CountResult
+    # the matrix-free count is not refused over the cap, but an 8-column
+    # basis certifies nothing, and the dense fallback at dimension 288 is
+    # over the cap of 100
+    import gapcount.spectra as spectra
 
-    def inconclusive(op, s, seed=0, dense_cap=None):
-        return CountResult(None, (0.0,) * len(s), "krylov", 96, 2, 1)
-
-    monkeypatch.setattr(harness, "iterative_count_above", inconclusive)
-    cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
+    monkeypatch.setattr(spectra, "_column_cap", lambda dim: 8)
+    cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT + "dense_cap = 100\n")
     capsys.readouterr()
     assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("resource error:")
-    assert "96 Krylov columns" in err[0] and "dense_cap" in err[0]
+    assert "8 Krylov columns" in err[0]
+    assert "dimension 288 exceeds dense_cap = 100" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_degenerate_threshold_exit_code(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """No package module imports a name it never uses, package code reaches
 every public function, class, method and property the package defines,
-only the theorem-2 law loads QUADPACK, and only the dense spectrum and the
-Krylov steps call a LAPACK spectral driver."""
+only the theorem-2 law loads QUADPACK, only the dense spectrum and the
+Krylov steps call a LAPACK spectral driver, and importing the package sets
+the OpenBLAS thread timeout before numpy loads."""
 
 import ast
 import os
@@ -194,14 +195,24 @@ print("scipy.integrate" in sys.modules)
 """
 
 
+def _fresh(source: str, *args: str, timeout: str | None = None) -> list[str]:
+    """Words a script prints when run with args in a fresh interpreter that
+    finds this package, with OPENBLAS_THREAD_TIMEOUT = timeout in its
+    environment, or no such variable for None."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    done = subprocess.run([sys.executable, "-c", source, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
 def _quadpack_loaded(*texts: str, run: bool = False) -> bool:
     """Whether scipy.integrate is loaded after the probe, in a fresh
     interpreter: this one loaded it already, through tests/oracles.py."""
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _PROBE, "run" if run else "build", *texts],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
-    return done.stdout.strip() == "True"
+    return _fresh(_PROBE, "run" if run else "build", *texts) == ["True"]
 
 
 def test_studies_without_a_quadrature_law_never_load_quadpack():
@@ -216,3 +227,58 @@ def test_studies_without_a_quadrature_law_never_load_quadpack():
 def test_law_studies_load_quadpack_while_their_config_is_built(text):
     # so the import is paid during set-up, not inside the study
     assert _quadpack_loaded(text)
+
+
+# ---------------------------------------------------------------------------
+# import order: the OpenBLAS thread timeout is set before numpy loads
+# ---------------------------------------------------------------------------
+
+# prints the timeout in the environment when numpy is first looked up, then
+# after `import gapcount` finishes
+_TIMEOUT_PROBE = """
+import os
+import sys
+
+class Watch:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Watch())
+import gapcount
+print(Watch.seen[0], os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+# prints the clock ticks each thread but the main one has used, 0.5 s after
+# `import gapcount`; on 2 vCPUs they are the pool workers of numpy's and
+# scipy's OpenBLAS
+_SPIN_PROBE = """
+import os
+import time
+import gapcount
+time.sleep(0.5)
+for tid in os.listdir("/proc/self/task"):
+    if int(tid) != os.getpid():
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        print(int(fields[11]) + int(fields[12]))
+"""
+
+
+def test_import_sets_the_thread_timeout_before_numpy_loads():
+    assert _fresh(_TIMEOUT_PROBE) == [gapcount._BLAS_THREAD_TIMEOUT] * 2
+
+
+def test_import_keeps_a_preset_thread_timeout():
+    assert _fresh(_TIMEOUT_PROBE, timeout="20") == ["20", "20"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_blas_workers_do_not_spin_after_import():
+    # at OpenBLAS's default timeout each worker used about 6 ticks
+    ticks = [int(line) for line in _fresh(_SPIN_PROBE)]
+    assert all(tick <= 1 for tick in ticks), ticks
