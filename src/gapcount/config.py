@@ -257,7 +257,8 @@ class ExperimentConfig:
             betas=_get_float_list(mapping, "box.betas"),
             tau=(_get_float(mapping, "box.tau") if "box.tau" in mapping else None),
             t_values=_get_float_list(mapping, "flow.t_values"),
-            with_flow=_get_bool(mapping, "study.with_flow", False),
+            with_flow=(study in ("weyl", "theorem2")  # the studies with a flow check
+                       and _get_bool(mapping, "study.with_flow", False)),
             dense_cap=_get_int(mapping, "dense_cap", DENSE_CAP),
         )
         unread = sorted(set(mapping) - mapping.read)
@@ -324,9 +325,9 @@ class ExperimentConfig:
             self._evaluate_law()
             return
         # the cap bounds the dense matrices a study allocates: grid-sized ones
-        # for crossterm, flow-trace and the flow cross-check; a matrix-free
-        # Birman-Schwinger count meets it only in its dense fallback, which
-        # harness._bs_counts refuses past the cap
+        # for crossterm, flow-trace and the fallback of the flow cross-check;
+        # a matrix-free Birman-Schwinger count meets it only in its dense
+        # fallback, which harness._bs_counts refuses past the cap
         what, dim = "grid", 0
         if study in ("crossterm", "flow-trace") or (
                 study in ("weyl", "theorem2") and self.with_flow):

@@ -11,7 +11,9 @@ blas_threads.  Every count is certified either by the straddle of
 converged Ritz values or by Sylvester inertia (LDL^H).  The weyl and
 theorem2 Birman-Schwinger counts come from one block Lanczos run for all
 couplings, with bracketed inertia of the dense matrix as the fallback; the
-flow cross-check and the box counts from LDL^H inertia, each of a
+flow cross-check from one Krylov count per coupling of a positive
+semidefinite sandwich (flow.crossing_operator), with bracketed inertia of
+the dense D(alpha) as the fallback; the box counts from LDL^H inertia of a
 complement onto the first spinor component; the crossterm counts from
 bracketed inertia of the Gram matrix of each dense zone block
 (spectra.gram_matrix), one per zone pair.  Every dense block is gathered
@@ -36,20 +38,24 @@ its largest box: the nodes are ordered so that every smaller box is a
 leading set, whose complement is a downdate of the next larger one's
 (spectra.nested_complements).
 run_meta.txt records which method produced each count and its margin; for
-the Birman-Schwinger count also the Krylov columns, the start block and the
-degree of the Chebyshev filter the run applied (krylov_filter_degree, 1 for
-an unfiltered run; see spectra.iterative_count_above).  It records the
-seconds spent in each stage (Birman-Schwinger count and flow cross-check for
-weyl and theorem2; box counts; crossterm counts), the process's peak RSS and
-the thread count of each bundled OpenBLAS pool.  The weyl and theorem2 law
-(and the oracle study's lines) come from the config, which evaluated the
-law once when it was built; their oracle_seconds is the time that took,
-and is spent before run_study starts.  It includes the QUADPACK import only
-for theorem 2, whose J is the one law evaluated by adaptive quadrature; the
-Weyl coefficient is a closed form.  The weyl and theorem2 run_meta.txt also
-records lattice_cutoff, pi n / L, and max_allowed_momentum, ((lambda +
-alpha_max max V)^2 - m^2)_+^(1/4) with max V on the grid, and the study
-raises LatticeCutoffWarning when the cutoff is the lower.
+the Birman-Schwinger count also the Krylov columns, the start block and
+the degree of the Chebyshev filter the run applied (krylov_filter_degree,
+1 for an unfiltered run; see spectra.iterative_count_above).  For the flow
+it records flow_count_method (krylov, or ldl-inertia when a count fell
+back), flow_certificate_min (flow.CrossingResult) and flow_krylov_columns,
+and flow_factor_dim and inertia_residual_max when a fallback factored.  It
+records the seconds spent in each stage (Birman-Schwinger count and flow
+cross-check for weyl and theorem2; box counts; crossterm counts), the
+process's peak RSS and the thread count of each bundled OpenBLAS pool.
+The weyl and theorem2 law (and the oracle study's lines) come from the
+config, which evaluated the law once when it was built; their
+oracle_seconds is the time that took, and is spent before run_study
+starts.  It includes the QUADPACK import only for theorem 2, whose J is
+the one law evaluated by adaptive quadrature; the Weyl coefficient is a
+closed form.  The weyl and theorem2 run_meta.txt also records
+lattice_cutoff, pi n / L, and max_allowed_momentum, ((lambda + alpha_max
+max V)^2 - m^2)_+^(1/4) with max V on the grid, and the study raises
+LatticeCutoffWarning when the cutoff is the lower.
 """
 
 from __future__ import annotations
@@ -208,18 +214,17 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
     flow_meta = {}
     if config.with_flow:
         t_flow = time.perf_counter()
-        residuals = []
-        for k, a in enumerate(alphas):
-            res = crossing_count_detailed(config.grid, config.model, config.potential,
-                                          a, config.dense_cap)
-            n_flow[k] = res.count
-            degenerate = degenerate or res.degenerate
-            residuals.append(res.residual)
+        flows = [crossing_count_detailed(config.grid, config.model, config.potential,
+                                         a, config.dense_cap) for a in alphas]
+        n_flow = [res.count for res in flows]
+        degenerate = degenerate or any(res.degenerate for res in flows)
+        factored = [res.residual for res in flows if res.residual is not None]
         flow_meta = {
-            "flow_count_method": "ldl-inertia",
-            # each count factors the Schur complement onto one spinor component
-            "flow_factor_dim": config.grid.n_points ** 2,
-            "inertia_residual_max": _max_residual(residuals),
+            "flow_count_method": "ldl-inertia" if factored else "krylov",
+            "flow_certificate_min": min(res.certificate for res in flows),
+            "flow_krylov_columns": sum(res.columns for res in flows),
+            **({"flow_factor_dim": config.grid.dimension,
+                "inertia_residual_max": _max_residual(factored)} if factored else {}),
             "flow_seconds": time.perf_counter() - t_flow,
         }
     rows = _law_rows(config.study, alphas, zip(bs.counts, n_flow), prediction_of_alpha)

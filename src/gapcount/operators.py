@@ -3,21 +3,20 @@
 Every operator here is a Hermitian sandwich W F^*[mult]F W: a Fourier
 multiplier (exact on the momentum lattice) between two copies of one real
 pointwise position-space weight (sqrt(V) for Birman-Schwinger), the
-standard pseudospectral discretization.  Handles apply by FFT to
-component-major spinor fields of shape (..., 2, n, n), or to their C-order
-flattenings, so Krylov methods and probes batch over leading axes.
+standard pseudospectral discretization.  The weight is one node field for
+both spinor components, or one per component (the flow's crossing
+operator).  Handles apply by FFT to component-major spinor fields of shape
+(..., 2, n, n), or to their C-order flattenings, so Krylov methods and
+probes batch over leading axes.
 
 Dense blocks need no FFT per column.  On the torus the multiplier is a
 circulant convolution, so entry [(x, a), (y, b)] of F^*[mult]F is
 k_ab(x - y), where k is one inverse FFT of mult (Davis, Circulant
-Matrices, 1979), which each handle computes once (kernel).  A dense block
-between two node sets, on both spinor components or on one against
-another (restricted_block), is a gather from k, scaled by W[x] * W[y].
-The same gather builds the Schur complement of the perturbed operator
-free - alpha*V onto one spinor component (schur_complement): in the
-Fourier basis its node diagonals are circulant, with kernels from one FFT
-of the node fields.  Two-component blocks are node-major: the two
-components of a node are adjacent rows and columns (assemble_dense).
+Matrices, 1979), which each handle computes once (kernel).  Every dense
+block, between two node sets on both spinor components or on one against
+another (restricted_block), is one gather W_a[x] k_ab(x - y) W_b[y] from k
+(_dense_block).  Two-component blocks are node-major: the two components
+of a node are adjacent rows and columns (assemble_dense).
 """
 
 from __future__ import annotations
@@ -49,8 +48,9 @@ class LinearOperatorHandle:
     (2, 2, n, n): mult[a, b] holds entry (a, b) at every mode, in FFT
     order.  It must be Hermitian mode by mode, which kernel checks.
     weight is the real node field W of shape (n, n), acting on both spinor
-    components on both sides, or None for the identity.  The same real
-    weight on both sides makes the operator Hermitian whenever mult is.
+    components on both sides, one such field per component, shape
+    (2, n, n), or None for the identity.  The same real weight on both
+    sides makes the operator Hermitian whenever mult is.
     Fields are component-major, (..., 2, n, n) (see lattice), so the apply
     multiplies whole planes.  kernel is cached at the first dense block, so
     mult and weight must not change after it.
@@ -291,38 +291,35 @@ def _hermitian_part(k: np.ndarray) -> np.ndarray:
     return 0.5 * (k + k[neg][:, neg].conj().swapaxes(-1, -2))
 
 
-def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms) -> np.ndarray:
-    """Dense block sum_t left_t[x] k_t(x - y) right_t[y].
+def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, kernel: np.ndarray,
+                 left: np.ndarray | None, right: np.ndarray | None) -> np.ndarray:
+    """Dense block left_a[x] k_ab(x - y) right_b[y].
 
-    x runs over rows and y over cols, two lists of flat indices into an
-    n x n torus lattice (nodes, or modes in FFT order), in any order; x - y
-    is taken mod n per axis.  Each term is (kernel, left, right): kernel has
-    shape (n*n, c, c), indexed by the flat offset, and left and right are
-    weights over the lattice, both None for ones.  A handle's term has
-    left = right = W; the Schur complement's has the complex pair
-    (b, conj b).  Row c*r + a and column c*s + b hold component [a, b] of
+    x runs over rows and y over cols, two lists of flat node indices into
+    an n x n torus lattice, in any order; x - y is taken mod n per axis.
+    kernel has shape (n*n, c, c), indexed by the flat offset.  left and
+    right are the real weights on rows and on cols, of shape (len, c), or
+    (len, 1) for one weight on every component, or both None for ones
+    (_weights).  Row c*r + a and column c*s + b hold component [a, b] of
     the entry [rows[r], cols[s]].
 
-    Each kernel is first spread over the per-axis differences: entry
+    The kernel is first spread over the per-axis differences: entry
     (2n - 1)(d1 + n - 1) + d2 + n - 1 of the spread kernel is k at the
     offset (d1 mod n, d2 mod n), for -n < d1, d2 < n, so x - y needs no
     reduction mod n.  With the keys (2n - 1) x1 + x2 of x and of y, that
     index is key(x) - key(y) + 2n(n - 1).  The spread kernel holds (2n -
     1)^2 c^2 entries, about four times the kernel.  The block is gathered
-    from the spread kernels straight into the output, in row strips of
-    about 1 MiB and of at most an eighth of the rows, through one reused
-    buffer of integer indices, one per entry of a strip.  For c = 2 a strip
-    of the output is a strided view, which take fills through a buffer of
-    the strip's size, at most an eighth of the block.
+    from it straight into the output, in row strips of about 1 MiB and of
+    at most an eighth of the rows, through one reused buffer of integer
+    indices, one per entry of a strip.  For c = 2 a strip of the output is
+    a strided view, which take fills through a buffer of the strip's size,
+    at most an eighth of the block.
     """
-    c = terms[0][0].shape[-1]
+    c = kernel.shape[-1]
     wrap = np.arange(1 - n, n) % n  # d mod n for d = 1 - n, ..., n - 1
-    spread = (n * wrap[:, None] + wrap).ravel()
+    spread = np.take(kernel, (n * wrap[:, None] + wrap).ravel(), axis=0)
     row_keys = (2 * n - 1) * (rows // n) + rows % n + 2 * n * (n - 1)
     col_keys = (2 * n - 1) * (cols // n) + cols % n
-    kernels = [np.take(kernel, spread, axis=0) for kernel, _, _ in terms]
-    weights = [None if left is None else (np.ravel(left)[rows], np.ravel(right)[cols])
-               for _, left, right in terms]
     out = np.empty((c * len(rows), c * len(cols)), dtype=complex)
     out4 = out.reshape(len(rows), c, len(cols), c)
     strip = max(1, min(_STRIP_BYTES // (16 * c * c * max(len(cols), 1)), len(rows) // 8))
@@ -331,42 +328,22 @@ def _dense_block(n: int, rows: np.ndarray, cols: np.ndarray, terms) -> np.ndarra
         r1 = min(r0 + strip, len(rows))
         index = np.subtract.outer(row_keys[r0:r1], col_keys, out=indices[:r1 - r0])
         part = out4[r0:r1].swapaxes(1, 2)
-        for t, (kernel, w) in enumerate(zip(kernels, weights)):
-            # mode="wrap" lets take fill a contiguous view (c = 1) in place,
-            # where "raise" would copy; the indices are in range anyway
-            gathered = np.take(kernel, index, axis=0, out=part if t == 0 else None,
-                               mode="wrap")
-            if w is not None:
-                gathered *= _outer(w[0][r0:r1], w[1])[:, :, None, None]
-            if t > 0:
-                part += gathered
+        # mode="wrap" lets take fill a contiguous view (c = 1) in place,
+        # where "raise" would copy; the indices are in range anyway
+        np.take(spread, index, axis=0, out=part, mode="wrap")
+        if left is not None:
+            part *= left[r0:r1, None, :, None] * right[None, :, None, :]
     return out
 
 
-def _outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left[x] * right[y], exactly conjugated by swapping x and y if right = conj(left).
-
-    Real weights give a symmetric product anyway.
-    A complex product is formed from its real and imaginary parts by
-    separate real operations: a fused multiply-add would round
-    left[x] * right[y] and left[y] * right[x] differently, and the
-    gathered block would miss exact Hermiticity by an ulp.
-    """
-    if not (np.iscomplexobj(left) or np.iscomplexobj(right)):
-        return np.multiply.outer(left, right)
-    out = np.empty((len(left), len(right)), dtype=complex)
-    np.subtract(np.multiply.outer(left.real, right.real),
-                np.multiply.outer(left.imag, right.imag), out=out.real)
-    np.add(np.multiply.outer(left.real, right.imag),
-           np.multiply.outer(left.imag, right.real), out=out.imag)
-    return out
-
-
-def _check_cap(dim: int, cap: int) -> None:
-    if dim > cap:
-        raise DenseCapExceededError(
-            f"dimension {dim} exceeds the dense-assembly cap {cap}"
-        )
+def _weights(op: LinearOperatorHandle, nodes: np.ndarray,
+             component: int | None = None) -> np.ndarray | None:
+    """The handle's weight on nodes as _dense_block takes it: a column per
+    component it has, or only component's; None for no weight."""
+    if op.weight is None:
+        return None
+    w = np.reshape(op.weight, (-1, op.grid.n_points ** 2))[:, nodes].T
+    return w if component is None or w.shape[1] == 1 else w[:, component:component + 1]
 
 
 def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray:
@@ -382,54 +359,12 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray
     W on both sides, so it is exactly Hermitian.  The dimension cap is
     checked before anything is allocated.
     """
-    _check_cap(op.dimension, cap)
+    if op.dimension > cap:
+        raise DenseCapExceededError(
+            f"dimension {op.dimension} exceeds the dense-assembly cap {cap}")
     nodes = np.arange(op.grid.n_points ** 2)
-    return _dense_block(op.grid.n_points, nodes, nodes, [(op.kernel, op.weight, op.weight)])
-
-
-def schur_complement(grid: GridSpec, params: ModelParams, diagonal: np.ndarray,
-                     shift: float, cap: int = DENSE_CAP) -> np.ndarray:
-    """Schur complement of free + diag(diagonal) - shift onto the first component.
-
-    free is the unperturbed operator F^*[[m, b], [conj b, -m]]F of params
-    (free_operator) and diagonal a real node field acting on both spinor
-    components; the flow passes -alpha*V, so that the operator is
-    D(alpha) = free - alpha*V.  In component-block order the operator
-    minus shift is [[P, B], [B^H, Q]], with P = diag(m + diagonal - shift) and
-    Q = diag(-m + diagonal - shift) diagonal on the nodes and B = F^* b F.
-    Q must be negative definite (ValueError otherwise); then
-    S = P - B Q^-1 B^H is an n^2 x n^2 matrix, and by Haynsworth's inertia
-    additivity the operator minus shift has n^2 + negative(S) negative,
-    zero(S) zero and positive(S) positive eigenvalues.
-
-    S is returned in the unitary Fourier basis, rows and columns indexed by
-    the flat FFT-order mode k = n*k1 + k2:
-    S[k, k'] = d^(k - k') + b(k) w^(k - k') conj(b(k')), where d^ and w^ are
-    fft2 / n^2 of the node fields d = m + diagonal - shift and
-    w = -1 / (-m + diagonal - shift), from one batched FFT.  Both kernels
-    are replaced by their Hermitian parts, as a handle's is, and the
-    second term's weights are the complex pair (b, conj b) (_dense_block),
-    so S is exactly Hermitian.  The cap applies to grid.dimension, as in
-    assemble_dense, and is checked before anything is allocated.
-    """
-    _check_cap(grid.dimension, cap)
-    m = params.mass
-    q_nodes = -m + diagonal - shift
-    if not q_nodes.max() < 0:
-        raise ValueError(
-            f"second-component block minus {shift:g} is not negative definite "
-            f"(largest entry {q_nodes.max():.3e})"
-        )
-    d = m + diagonal - shift
-    b = _multiplier_on_grid(grid, dirac_symbol, params)[0, 1]
-    n = grid.n_points
-    hats = forward_array(np.stack([d, -1.0 / q_nodes])) / n
-    terms = []
-    for i, left, right in ((0, None, None), (1, b, b.conj())):
-        k = _hermitian_part(hats[i, :, :, None, None])
-        terms.append((k.reshape(n * n, 1, 1), left, right))
-    modes = np.arange(n * n)
-    return _dense_block(n, modes, modes, terms)
+    weight = _weights(op, nodes)
+    return _dense_block(op.grid.n_points, nodes, nodes, op.kernel, weight, weight)
 
 
 def restricted_block(op: LinearOperatorHandle, rows: np.ndarray, cols: np.ndarray,
@@ -458,7 +393,8 @@ def restricted_block(op: LinearOperatorHandle, rows: np.ndarray, cols: np.ndarra
                              f"indices in [0, {nodes}), got shape {index.shape} of "
                              f"{index.dtype}")
     kernel = op.kernel
+    a, b = (None, None) if component is None else component
     if component is not None:
-        a, b = component
         kernel = np.ascontiguousarray(kernel[:, a:a + 1, b:b + 1])
-    return _dense_block(op.grid.n_points, rows, cols, [(kernel, op.weight, op.weight)])
+    return _dense_block(op.grid.n_points, rows, cols, kernel, _weights(op, rows, a),
+                        _weights(op, cols, b))

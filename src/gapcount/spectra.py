@@ -19,23 +19,25 @@ counted on the dense matrix by an inertia bracket instead.
 The Lanczos run works on p(A) rather than A, where p is a Chebyshev
 filter p(x) = T_d((x - c) / e) of odd degree d that maps [-b, a] onto
 [-1, 1]: a = s_min / 2 for the smallest threshold s_min, b the norm bound
-max(W)^2 max_xi ||mult(xi)||_2 of the handle (Zhou & Saad 2007; Fang &
-Saad 2012).  The Birman-Schwinger spectrum of a power decay is symmetric,
-and plain Lanczos converges both ends of it, although no threshold asks
-about the negative one; p damps it, and a basis holds fewer columns per
-counted eigenvalue.  The counts stay exact: for every s > a and every real
-x, x > s exactly when p(x) > p(s), because |p| <= 1 < p(s) on [-b, a], p < -1
-below -b (d is odd; an even d would count the eigenvalues there), and p
-increases above a.  So b needs no rigour and only sets how fast the run
-converges, and the run counts p(A) above p(s (1 + 1e-12)).  Certificates
-stay in A-space: a Ritz value theta > 1 of p(A) maps back to
-c + e cosh(arccosh(theta) / d), and one at most 1 to a, the nearest to s
-that its eigenvalue can lie.  The certificates, the floor that sends a
-count to the dense path and the multiplicity clusters all use the mapped
-values; an exact multiplicity stays exact under p, a width in p-space is
-not one in A-space.  ||p(A)|| reaches T_d(3) (1.5e11 at d = 15), so the
-tolerances relative to it are loose near the thresholds; a count settles
-only when every Ritz value clears p(s (1 + 1e-12)) by its residual.
+max(W)^2 max_xi ||mult(xi)||_2 of the handle, or 0 when the multiplier is
+positive semidefinite at every mode, as the flow's crossing operator is
+(Zhou & Saad 2007; Fang & Saad 2012).  The Birman-Schwinger spectrum of a
+power decay is symmetric, and plain Lanczos converges both ends of it,
+although no threshold asks about the negative one; p damps it, and a
+basis holds fewer columns per counted eigenvalue.  The counts stay exact:
+for every s > a and every real x, x > s exactly when p(x) > p(s), because
+|p| <= 1 < p(s) on [-b, a], p < -1 below -b (d is odd; an even d would
+count the eigenvalues there), and p increases above a.  So b needs no
+rigour and only sets how fast the run converges, and the run counts p(A)
+above p(s (1 + 1e-12)).  Certificates stay in A-space: a Ritz value
+theta > 1 of p(A) maps back to c + e cosh(arccosh(theta) / d), and one at
+most 1 to a, the nearest to s that its eigenvalue can lie.  The
+certificates, the floor that sends a count to the dense path and the
+multiplicity clusters all use the mapped values; an exact multiplicity
+stays exact under p, a width in p-space is not one in A-space.  ||p(A)||
+reaches T_d(3) (1.5e11 at d = 15), so the tolerances relative to it are
+loose near the thresholds; a count settles only when every Ritz value
+clears p(s (1 + 1e-12)) by its residual.
 
 The degree is the least odd d >= 3 with p(s_min) >= _FILTER_GAIN = 10,
 and d = 1, no filter (the unfiltered run itself), when that needs more
@@ -74,15 +76,15 @@ Every inertia count that may meet an eigenvalue at its threshold is
 bracketed (inertia_bracket): the matrix is factored just below and just
 above the threshold, DEGENERACY_TOL = 1e-10 away on either side, and a
 difference between the two counts puts an eigenvalue in that window.  The
-Birman-Schwinger dense fallback, the flow's endpoint counts and the
-crossterm counts all go through it.  A crossterm count of singular values
-sigma(P) > t is the count of the Gram matrix G on P's smaller side
-(gram_matrix) above t^2, since the nonzero eigenvalues of P P^H and P^H P
-are the squares of the singular values (Golub & Kahan 1965), and its
-window is [max(t - 1e-10, 0)^2, (t + 1e-10)^2], the sigma-space window
-squared.  Forming G squares the condition number, but a count only asks
-on which side of t^2 an eigenvalue of G lies.  Rounding moves an
-eigenvalue of G by about u ||P||^2, u the unit roundoff (at worst
+Birman-Schwinger dense fallback, the flow's fallback on the dense
+D(alpha) and the crossterm counts all go through it.  A crossterm count
+of singular values sigma(P) > t is the count of the Gram matrix G on P's
+smaller side (gram_matrix) above t^2, since the nonzero eigenvalues of
+P P^H and P^H P are the squares of the singular values (Golub & Kahan
+1965), and its window is [max(t - 1e-10, 0)^2, (t + 1e-10)^2], the
+sigma-space window squared.  Forming G squares the condition number, but
+a count only asks on which side of t^2 an eigenvalue of G lies.  Rounding
+moves an eigenvalue of G by about u ||P||^2, u the unit roundoff (at worst
 k u ||P||^2 for the longer side k of P), so a sigma near t moves by that
 over 2 t.  At n = 48 (power decay p = 1, L = 24, eps1 0.5, eps2 1.5,
 epsilon 0.5, alpha 2-6) every zone block has ||P|| <= 0.54, k <= 4382 and
@@ -655,12 +657,18 @@ class _ChebyshevFilter:
         return cur
 
 
-def _norm_bound(op) -> float:
-    """max(W)^2 max_xi ||mult(xi)||_2, a bound on ||op||; for a
-    Birman-Schwinger handle, max V / (m - |lambda|)."""
+def _mode_spectra(op) -> tuple[np.ndarray, np.ndarray]:
+    """Half trace h and radius r of mult per mode, its eigenvalues h -/+ r."""
     m = op.mult
     half_trace = 0.5 * (m[0, 0].real + m[1, 1].real)
     radius = np.hypot(0.5 * (m[0, 0].real - m[1, 1].real), np.abs(m[0, 1]))
+    return half_trace, radius
+
+
+def _norm_bound(op) -> float:
+    """max(W)^2 max_xi ||mult(xi)||_2, a bound on ||op||; for a
+    Birman-Schwinger handle, max V / (m - |lambda|)."""
+    half_trace, radius = _mode_spectra(op)
     weight = 1.0 if op.weight is None else float(np.abs(op.weight).max())
     return weight ** 2 * float((np.abs(half_trace) + radius).max())
 
@@ -668,12 +676,15 @@ def _norm_bound(op) -> float:
 def _chebyshev_filter(op, thresholds) -> _ChebyshevFilter:
     """The filter of a Krylov count: odd degree, damping [-b, s_min / 2].
 
-    b is _norm_bound(op); it need not bound ||op||, since the counts stay
-    exact for any b.  The degree is the least odd d >= 3 with p(s_min) >=
-    _FILTER_GAIN, or 1 (no filter) when that needs more than
+    b is 0 when mult is positive semidefinite at every mode, to rounding,
+    and _norm_bound(op) otherwise; it need not bound ||op||, since the
+    counts stay exact for any b.  The degree is the least odd d >= 3 with
+    p(s_min) >= _FILTER_GAIN, or 1 (no filter) when that needs more than
     _FILTER_MAX_DEGREE.
     """
-    b = _norm_bound(op)
+    half_trace, radius = _mode_spectra(op)
+    positive = np.all(half_trace - radius >= -1e-12 * (np.abs(half_trace) + radius))
+    b = 0.0 if positive else _norm_bound(op)
     s = min(thresholds)
     a = 0.5 * s
     centre, half_width = 0.5 * (a - b), 0.5 * (a + b)
@@ -860,7 +871,8 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     mapped back by p^-1.  The degree is the least odd d >= 3 with p(s_min)
     >= _FILTER_GAIN = 10, or 1, no filter, when that exceeds
     _FILTER_MAX_DEGREE = 15: power-decay thresholds get d = 7-11, Weyl
-    thresholds near the dense centre of the spectrum none.  filter_degree
+    thresholds near the dense centre of the spectrum none, and the flow's
+    positive crossing operator, damped on [0, 1/2], d = 3.  filter_degree
     records d.
 
     A start block of b vectors sees at most b copies of an eigenvalue, so

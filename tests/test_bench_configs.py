@@ -5,7 +5,7 @@ file is written under bench/; it uses only the standard library.  Every
 workload's config builds for every reference seed, full and tiny, so a
 validation change cannot fail the benchmark unnoticed.  The weyl-flow and
 theorem2-dense shapes are also run, to check the lattice-cutoff warning
-against them.
+against them, and their Krylov counts' Chebyshev filters are checked.
 """
 
 import types
@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapcount import ExperimentConfig
+from gapcount import ExperimentConfig, birman_schwinger, spectra
 from gapcount.cli import main as cli_main
+from gapcount.flow import crossing_operator
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -71,3 +72,22 @@ def test_lattice_cutoff_warning_on_the_bench_shapes(tmp_path, capsys, workload, 
     # the warning leaves the counts and the report bytes as they were
     reference = workloads.reference_path(workload, 0).read_text(encoding="utf-8")
     assert (tmp_path / "out" / "report.csv").read_text(encoding="utf-8") == reference
+
+
+def test_filter_interval_on_the_bench_shapes():
+    # the flow's crossing operator is positive semidefinite, so its filter
+    # damps [0, 1/2], and p(1) = T_3(3) = 99 reaches the gain at degree 3;
+    # the indefinite Birman-Schwinger handles keep [-b, s_min / 2] and their
+    # degrees: none for the Weyl thresholds, 9 for theorem 2
+    degrees = {}
+    for workload in ("weyl-flow", "theorem2-dense"):
+        config = ExperimentConfig.from_text(workloads.make_config(workload, 0))
+        op = birman_schwinger(config.grid, config.model, config.potential)
+        degrees[workload] = spectra._chebyshev_filter(
+            op, [1.0 / a for a in config.alphas]).degree
+        if workload == "weyl-flow":
+            for alpha in config.alphas:
+                flow = crossing_operator(config.grid, config.model, config.potential, alpha)
+                filt = spectra._chebyshev_filter(flow, [1.0])
+                assert (filt.degree, filt.centre, filt.half_width) == (3, 0.25, 0.25)
+    assert degrees == {"weyl-flow": 1, "theorem2-dense": 9}

@@ -13,14 +13,11 @@ from gapcount import (
     crossing_count_detailed,
     hermitian_eigenvalues,
 )
-from gapcount.flow import _free_spectrum
+from gapcount.flow import _free_spectrum, crossing_operator
 from gapcount.operators import (
     DenseCapExceededError,
     assemble_dense,
-    check_hermitian,
     free_operator,
-    potential_on_grid,
-    schur_complement,
 )
 from gapcount.spectra import DEGENERACY_TOL, inertia
 from oracles import count_above, perturbed_dense
@@ -69,7 +66,7 @@ FLOW_POTENTIALS = {
 
 
 @pytest.mark.parametrize("n", [12, 16])
-@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("lam", [-0.9, 0.0, 0.3, 0.9])
 @pytest.mark.parametrize("name", sorted(FLOW_POTENTIALS))
 def test_crossing_count_matches_dense_endpoint_spectra(name, lam, n):
     # reference: below-lambda counts of the full spectra at both endpoints
@@ -80,10 +77,10 @@ def test_crossing_count_matches_dense_endpoint_spectra(name, lam, n):
     for alpha in (1.0, 3.0, 8.0):
         detail = crossing_count_detailed(grid, params, spec, alpha)
         expected = _dense_count_below(grid, params, spec, alpha, lam) - start
-        assert not detail.degenerate
+        assert not detail.degenerate and detail.method == "krylov"
         assert detail.count == expected
         assert detail.bracket == (expected, expected)
-        assert 0.0 <= detail.residual <= 1e-8
+        assert detail.certificate > DEGENERACY_TOL
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, -0.6])
@@ -189,19 +186,44 @@ def test_branch_trace_has_no_gap_rows_at_zero_coupling(monkeypatch, assembly, n,
     assert len(trace.gap_eigenvalues[-1]) > 0
 
 
+def _degenerate_gap_point(alpha):
+    """Model parameters whose gap point lies 3e-11 above an eigenvalue of
+    D(alpha), as in test_degenerate_threshold_flagged_and_bracketed."""
+    eigs = hermitian_eigenvalues(perturbed_dense(GRID, ModelParams(1.0, 0.0), GAUSS, alpha))
+    return ModelParams(1.0, float(eigs[np.abs(eigs) < 1.0][0]) + 3e-11)
+
+
+def test_certified_flow_count_gathers_no_dense_block(monkeypatch):
+    import gapcount.operators as operators
+
+    calls = []
+    gather = operators._dense_block
+    monkeypatch.setattr(operators, "_dense_block",
+                        lambda *args: calls.append(1) or gather(*args))
+    detail = crossing_count_detailed(GRID, ModelParams(1.0, 0.0), GAUSS, 3.0)
+    assert not detail.degenerate and detail.method == "krylov"
+    assert detail.residual is None and detail.columns > 0
+    assert calls == []
+
+
 def test_crossing_count_checks_hermiticity_once_per_matrix(monkeypatch):
+    # only a fallback factors: at a degenerate gap point, D(alpha) at
+    # lambda -/+ 1e-10 and at lambda, each gathered and checked once
     import gapcount.spectra as spectra
 
+    params = _degenerate_gap_point(6.0)
     calls = []
     check = spectra.check_hermitian
     monkeypatch.setattr(spectra, "check_hermitian", lambda m: calls.append(1) or check(m))
-    detail = crossing_count_detailed(GRID, ModelParams(1.0, 0.0), GAUSS, 3.0)
-    assert not detail.degenerate
-    assert len(calls) == 2
+    with pytest.warns(DegenerateThresholdWarning):
+        detail = crossing_count_detailed(GRID, params, GAUSS, 6.0)
+    assert detail.degenerate and detail.method == "ldl-inertia"
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
-# Schur complement onto the first spinor component
+# the Schur complement onto the first spinor component, as the crossing
+# operator holds it
 # ---------------------------------------------------------------------------
 
 def _dense_schur_in_fourier_basis(dense, shift):
@@ -214,63 +236,72 @@ def _dense_schur_in_fourier_basis(dense, shift):
     s_nodes = p - b @ np.linalg.solve(q, b.conj().T)
     f1 = np.fft.fft(np.eye(n), norm="ortho")
     f = np.kron(f1, f1)  # unitary DFT on C-order flat nodes
-    return f @ s_nodes @ f.conj().T
+    return f @ s_nodes @ f.conj().T, f
 
 
 @pytest.mark.parametrize("n", [8, 12])
 @pytest.mark.parametrize("lam", [-0.9, 0.3])
 @pytest.mark.parametrize("name", sorted(FLOW_POTENTIALS))
 def test_schur_complement_matches_dense_schur_complement(name, lam, n):
+    # the crossing handle is W F^* v C^-1 v^H F W with v = (1, conj b): in
+    # the Fourier basis S = C - sum_a diag(conj v_a) F W_a^2 F^* diag(v_a),
+    # read from the handle's mult (v_a = mult[a, 0] / mult[0, 0], C =
+    # 1 / mult[0, 0]) and weight
     grid = build_grid(n, 12.0)
     params = ModelParams(1.0, lam)
     spec = FLOW_POTENTIALS[name]
-    shift = lam + DEGENERACY_TOL
-    schur = schur_complement(grid, params, -3.0 * potential_on_grid(grid, spec), shift)
-    reference = _dense_schur_in_fourier_basis(perturbed_dense(grid, params, spec, 3.0),
-                                              shift)
-    assert schur.shape == (n * n, n * n)
+    op = crossing_operator(grid, params, spec, 3.0)
+    reference, f = _dense_schur_in_fourier_basis(perturbed_dense(grid, params, spec, 3.0),
+                                                 lam)
+    inverse_c = op.mult[0, 0].ravel()
+    schur = np.diag(1.0 / inverse_c).astype(complex)
+    for a in (0, 1):
+        v = op.mult[a, 0].ravel() / inverse_c
+        weighted = f @ np.diag(op.weight[a].ravel() ** 2) @ f.conj().T
+        schur -= v.conj()[:, None] * weighted * v[None, :]
     assert np.abs(schur - reference).max() <= 1e-12 * np.abs(reference).max()
-    assert check_hermitian(schur) == 0.0
 
 
 @pytest.mark.parametrize("n", [12, 16])
 @pytest.mark.parametrize("lam", [-0.9, 0.0, 0.3, 0.9])
 @pytest.mark.parametrize("name", sorted(FLOW_POTENTIALS))
 def test_schur_inertia_matches_full_inertia_and_spectrum(name, lam, n):
-    # at lam = -0.9 the weight 1/(m + s + alpha V) reaches 10 and |S| is largest
+    # Haynsworth: D(alpha) - lambda has n^2 + neg(S) negative eigenvalues;
+    # Sylvester: neg(S) is the count above 1 of the crossing operator; and
+    # the flow's certificate: dist(lambda, spec D(alpha)) >= 1 / (max gamma
+    # / delta + 1/(m + lambda)), delta = dist(1, spec K), max gamma <=
+    # 1/(m - |lambda|).  At lam = -0.9, 1/(m + lam) reaches 10.
     grid = build_grid(n, 12.0)
     params = ModelParams(1.0, lam)
     half = n * n
     for alpha in (1.0, 3.0, 8.0):
-        diagonal = -alpha * potential_on_grid(grid, FLOW_POTENTIALS[name])
         dense = perturbed_dense(grid, params, FLOW_POTENTIALS[name], alpha)
         ev = np.linalg.eigvalsh(dense)
-        for shift in (lam - DEGENERACY_TOL, lam + DEGENERACY_TOL):
-            assert np.abs(ev - shift).min() > 1e-6
-            part = inertia(schur_complement(grid, params, diagonal, shift), 0.0)
-            full = inertia(dense.copy(), shift)
-            counts = (half + part.negative, part.zero, part.positive)
-            assert counts == (full.negative, full.zero, full.positive)
-            assert counts == (int(np.count_nonzero(ev < shift)), 0,
-                              int(np.count_nonzero(ev > shift)))
-            assert 0.0 <= part.residual <= 1e-8
-
-
-def test_schur_complement_rejects_what_it_cannot_reduce():
-    params = ModelParams(1.0, 0.0)
-    diagonal = -2.0 * potential_on_grid(GRID, GAUSS)
-    # at s <= -m the second-component block is no longer negative definite
-    with pytest.raises(ValueError, match="not negative definite"):
-        schur_complement(GRID, params, diagonal, -1.0)
+        assert np.abs(ev - lam).min() > 1e-6
+        schur, _ = _dense_schur_in_fourier_basis(dense, lam)
+        part = inertia(schur, 0.0)
+        full = inertia(dense.copy(), lam)
+        counts = (half + part.negative, part.zero, part.positive)
+        assert counts == (full.negative, full.zero, full.positive)
+        assert counts == (int(np.count_nonzero(ev < lam)), 0,
+                          int(np.count_nonzero(ev > lam)))
+        op = crossing_operator(grid, params, FLOW_POTENTIALS[name], alpha)
+        kappa = np.linalg.eigvalsh(assemble_dense(op))
+        assert count_above(kappa, 1.0) == part.negative
+        gamma = (op.mult[0, 0].real + op.mult[1, 1].real / (1.0 + lam) ** 2).max()
+        assert gamma <= 1.0 / (1.0 - abs(lam)) * (1.0 + 1e-12)
+        bound = 1.0 / (gamma / np.abs(kappa - 1.0).min() + 1.0 / (1.0 + lam))
+        assert np.abs(ev - lam).min() >= bound * (1.0 - 1e-9)
 
 
 def test_crossing_count_checks_the_cap_before_any_dense_work(monkeypatch):
+    # only the fallback of a degenerate gap point gathers a dense block
     import gapcount.operators as operators
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense block gathered above the cap")
 
     monkeypatch.setattr(operators, "_dense_block", refuse)
-    grid = build_grid(12, 12.0)
+    params = _degenerate_gap_point(6.0)
     with pytest.raises(DenseCapExceededError, match="exceeds the dense-assembly cap 100"):
-        crossing_count_detailed(grid, ModelParams(1.0, 0.0), GAUSS, 3.0, cap=100)
+        crossing_count_detailed(GRID, params, GAUSS, 6.0, cap=100)

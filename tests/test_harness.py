@@ -583,15 +583,16 @@ def test_run_meta_records_the_blas_thread_timeout(tmp_path, monkeypatch):
     assert recorded("absent") == "unset"
 
 
-# the largest dimension factored: the 12^2 flow Schur complement, and the
-# beta = 4 box block's complement onto one spinor component, its 16 nodes
-@pytest.mark.parametrize("text,runner,method_key,seconds_key,dim_key,dim,csv,svg_sha", [
-    (WEYL_TEXT + "study.with_flow = true\n", run_study, "flow_count_method",
-     "flow_seconds", "flow_factor_dim", 144, WEYL_FLOW_CSV, WEYL_FLOW_SVG_SHA256),
-    (BOX_TEXT, run_study, "box_count_method", "box_count_seconds",
+# the largest dimension factored: none for the flow, whose every count is a
+# certified Krylov count, and the beta = 4 box block's complement onto one
+# spinor component, its 16 nodes
+@pytest.mark.parametrize("text,runner,method_key,method,seconds_key,dim_key,dim,csv,svg_sha", [
+    (WEYL_TEXT + "study.with_flow = true\n", run_study, "flow_count_method", "krylov",
+     "flow_seconds", "flow_factor_dim", None, WEYL_FLOW_CSV, WEYL_FLOW_SVG_SHA256),
+    (BOX_TEXT, run_study, "box_count_method", "ldl-inertia", "box_count_seconds",
      "box_factor_dim", 16, BOX_CSV, BOX_SVG_SHA256),
 ], ids=["weyl-flow", "box"])
-def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key,
+def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key, method,
                                          seconds_key, dim_key, dim, csv, svg_sha):
     import hashlib
 
@@ -603,10 +604,15 @@ def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key,
     paths = emit_outputs(report, tmp_path, config)
     meta = dict(line.split(" = ", 1)
                 for line in paths["meta"].read_text().splitlines())
-    assert meta[method_key] == "ldl-inertia"
-    assert 0.0 <= float(meta["inertia_residual_max"]) <= 1e-8
+    assert meta[method_key] == method
     assert float(meta[seconds_key]) >= 0.0
-    assert int(meta[dim_key]) == dim
+    if dim is None:
+        assert dim_key not in meta and "inertia_residual_max" not in meta
+        assert float(meta["flow_certificate_min"]) > DEGENERACY_TOL
+        assert int(meta["flow_krylov_columns"]) > 0
+    else:
+        assert 0.0 <= float(meta["inertia_residual_max"]) <= 1e-8
+        assert int(meta[dim_key]) == dim
     _assert_process_keys(meta, threads)
     assert paths["csv"].read_text() == csv
     assert hashlib.sha256(paths["svg"].read_bytes()).hexdigest() == svg_sha
@@ -633,8 +639,17 @@ def test_run_meta_records_box_eliminations(tmp_path, corner, side, betas, elimin
 
 
 def test_run_meta_records_flow_factor_dim(tmp_path):
-    # each flow count factors the n^2 x n^2 Schur complement, not the 2n^2 operator
-    config = ExperimentConfig.from_text(WEYL_TEXT + "study.with_flow = true\n")
+    # a coupling whose 1/alpha is an eigenvalue of the Birman-Schwinger
+    # operator puts an eigenvalue of D(alpha) at the gap point: that flow
+    # count falls back to the inertia of the 2n^2 x 2n^2 operator
+    from gapcount import birman_schwinger, hermitian_eigenvalues
+    from gapcount.operators import assemble_dense
+
+    config = ExperimentConfig.from_text(WEYL_TEXT)
+    dense = assemble_dense(birman_schwinger(config.grid, config.model, config.potential))
+    alpha = 1.0 / hermitian_eigenvalues(dense)[2]
+    text = WEYL_TEXT.replace("alpha.values = 2, 4, 8", f"alpha.values = 2, {alpha:.17g}")
+    config = ExperimentConfig.from_text(text + "study.with_flow = true\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = run_study(config)
@@ -642,13 +657,15 @@ def test_run_meta_records_flow_factor_dim(tmp_path):
     meta = dict(line.split(" = ", 1)
                 for line in paths["meta"].read_text().splitlines())
     assert meta["flow_count_method"] == "ldl-inertia"
-    assert int(meta["flow_factor_dim"]) == config.grid.n_points ** 2 == 144
-    assert paths["csv"].read_text() == WEYL_FLOW_CSV
+    assert int(meta["flow_factor_dim"]) == config.grid.dimension == 288
+    assert 0.0 <= float(meta["inertia_residual_max"]) <= 1e-8
+    assert float(meta["flow_certificate_min"]) == 0.0
+    assert report.degenerate
     # studies without flow record no flow keys
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         plain = run_study(ExperimentConfig.from_text(WEYL_TEXT))
-    assert "flow_factor_dim" not in plain.metadata
+    assert not any(key.startswith("flow_") for key in plain.metadata)
 
 
 THEOREM2_TEXT = """
@@ -867,6 +884,23 @@ def test_cli_unknown_key_is_a_config_error(tmp_path, capsys, extra, unknown):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("study,text", [
+    ("box", BOX_TEXT),
+    ("crossterm", CROSS_TEXT),
+    ("flow-trace", WEYL_TEXT.replace("study = weyl", "study = flow-trace").replace(
+        "alpha.values = 2, 4, 8", "flow.t_values = 0, 1, 2")),
+])
+def test_cli_flow_switch_outside_the_counting_studies_is_a_config_error(tmp_path, capsys,
+                                                                        study, text):
+    # only weyl and theorem2 have a flow cross-check to switch on
+    cfg = _write(tmp_path, "flow.cfg", text + "study.with_flow = true\n")
+    capsys.readouterr()
+    assert cli_main([study, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unknown or unused keys: study.with_flow"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("cap", ["-1", "0"])
 def test_cli_non_positive_dense_cap_is_a_config_error(tmp_path, capsys, cap):
     # a malformed value, not a resource limit (exit 3, "grid dimension 288
@@ -994,7 +1028,7 @@ def test_cli_study_mismatch(tmp_path):
 
 
 def test_cli_cap_exceeded_exit_code(tmp_path):
-    # the flow cross-check factors a grid-sized matrix
+    # the flow cross-check may fall back to a grid-sized matrix
     text = (WEYL_TEXT.replace("grid.n_points = 12", "grid.n_points = 32")
             + "study.with_flow = true\ndense_cap = 500\n")
     cfg = _write(tmp_path, "big.cfg", text)

@@ -17,6 +17,7 @@ from gapcount import (
     restricted_block,
     zone_masks,
 )
+from gapcount.flow import crossing_operator
 from gapcount.operators import (LinearOperatorHandle, box_mask, check_hermitian,
                                 sqrt_potential_on_grid)
 from gapcount.symbol import dirac_symbol, symbol_eigenvalues
@@ -283,6 +284,8 @@ _HANDLES = {
     "birman_schwinger": lambda grid, spec: birman_schwinger(grid, PARAMS, spec),
     "box": lambda grid, spec: box_localized_resolvent(
         grid, PARAMS, BoxSpec(corner=(-0.5, 0.0), side=1.0, scale=2.0)),
+    # one weight per spinor component
+    "crossing": lambda grid, spec: crossing_operator(grid, PARAMS, spec, 3.0),
 }
 _POTENTIALS = {
     "gaussian": GAUSS,
@@ -353,9 +356,9 @@ def test_apply_array_matches_gathered_dense(handle, n):
     assert np.abs(flat - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["resolvent", "birman_schwinger"])
-def test_component_blocks_are_slices_of_the_restricted_block(weighted):
-    op = birman_schwinger(GRID, PARAMS, GAUSS) if weighted else resolvent(GRID, PARAMS)
+@pytest.mark.parametrize("handle", ["resolvent", "birman_schwinger", "crossing"])
+def test_component_blocks_are_slices_of_the_restricted_block(handle):
+    op = _HANDLES[handle](GRID, GAUSS)
     mask = np.flatnonzero(box_mask(GRID, BoxSpec((-0.4, -0.2), 1.0, 3.0)))
     block = restricted_block(op, mask, mask)
     for a in (0, 1):
