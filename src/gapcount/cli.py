@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    gapcount <study> --config <file> --out <dir> [--seed n]
+    gapcount <study> --config <file> --out <dir>
 
 Studies: weyl, theorem2, crossterm, box, flow-trace, oracle.  Exit codes:
 0 success, 2 configuration error, 3 cap/resource error, 4 the run finished
@@ -36,12 +36,11 @@ def build_parser() -> argparse.ArgumentParser:
     # every study runs serially; bench/child.py still passes --workers 1
     parser.add_argument("--workers", type=int, default=1, choices=(1,),
                         help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _run(args) -> int:
-    config = load_config(args.config, seed=args.seed)
+    config = load_config(args.config)
     if config.study != args.study:
         raise ConfigError(f"config declares study {config.study!r}, "
                           f"command requested {args.study!r}")

@@ -13,8 +13,18 @@ ignored.  Lists are comma-separated.  Example::
     potential.width = 1.0
     alpha.values = 5, 10, 20, 40
 
-A key that nothing reads (a misspelt one, or one of another potential
-kind) is a ConfigError, as is a dense_cap below 1.
+Each study reads only its own keys, and a key that nothing reads (a
+misspelt one, one of another potential kind or one of another study) is a
+ConfigError, as is a dense_cap below 1.  Besides study, grid.* and model.*,
+the studies read:
+
+    weyl        potential.*, alpha.values, study.with_flow, dense_cap
+    theorem2    as weyl, and localization.eps2
+    crossterm   potential.*, alpha.values, localization.eps1/eps2/epsilon,
+                dense_cap
+    box         box.corner_x/corner_y/side/betas/tau, dense_cap
+    flow-trace  potential.*, flow.t_values, dense_cap
+    oracle      potential.*, box.tau, box.side
 
 ExperimentConfig validates a config once, when it is built: the cheap
 checks first, so a malformed config fails fast, then, for the weyl,
@@ -105,6 +115,10 @@ def _get_float(mapping, key, default=None):
     return _finite(key, mapping[key])
 
 
+def _get_optional_float(mapping, key):
+    return _get_float(mapping, key) if key in mapping else None
+
+
 def _get_int(mapping, key, default=None):
     if key not in mapping:
         if default is None:
@@ -167,20 +181,9 @@ def _build_potential(mapping) -> PotentialSpec:
 
 def _build_alphas(mapping) -> np.ndarray | None:
     values = _get_float_list(mapping, "alpha.values")
-    if values is not None:
-        alphas = np.asarray(values, dtype=float)
-    elif "alpha.min" in mapping:
-        lo = _get_float(mapping, "alpha.min")
-        hi = _get_float(mapping, "alpha.max")
-        count = _get_int(mapping, "alpha.count")
-        if count < 1 or not 0 < lo <= hi:
-            raise ConfigError("alpha range requires 0 < min <= max and count >= 1")
-        if _get_bool(mapping, "alpha.log", True):
-            alphas = np.geomspace(lo, hi, count)
-        else:
-            alphas = np.linspace(lo, hi, count)
-    else:
+    if values is None:
         return None
+    alphas = np.asarray(values, dtype=float)
     if np.any(alphas <= 0) or np.any(np.diff(alphas) <= 0):
         raise ConfigError("alpha values must be positive and strictly increasing")
     return alphas
@@ -191,20 +194,21 @@ class ExperimentConfig:
     study: str
     grid: GridSpec
     model: ModelParams
-    potential: PotentialSpec | None
-    alphas: np.ndarray | None
-    eps1: float | None
-    eps2: float | None
-    epsilon: float
-    box_corner: tuple[float, float]
-    box_side: float
-    betas: list[float] | None
-    tau: float | None
-    t_values: list[float] | None
-    with_flow: bool
-    dense_cap: int
-    seed: int
     raw_text: str
+    # each read from the study's own keys; a field that the study does not
+    # read, or an absent key, keeps its default
+    potential: PotentialSpec | None = None
+    alphas: np.ndarray | None = None
+    eps1: float | None = None
+    eps2: float | None = None
+    epsilon: float = 0.5
+    box_corner: tuple[float, float] = (0.0, 0.0)
+    box_side: float = 1.0
+    betas: list[float] | None = None
+    tau: float | None = None
+    t_values: list[float] | None = None
+    with_flow: bool = False
+    dense_cap: int = DENSE_CAP
     # the law's oracle predictions by name and the seconds that evaluating
     # them took, the QUADPACK import included for J of a power decay; set by
     # validation for the weyl, theorem2 and oracle studies, empty and 0 for
@@ -217,10 +221,10 @@ class ExperimentConfig:
     potential_max: float = field(init=False, default=0.0, compare=False, repr=False)
 
     @classmethod
-    def from_text(cls, text: str, seed: int = 0) -> "ExperimentConfig":
-        """The config a text declares; ConfigError names every key it sets
-        that nothing reads, such as a misspelt key or one of another
-        potential kind."""
+    def from_text(cls, text: str) -> "ExperimentConfig":
+        """The config a text declares, read with the keys of its study alone;
+        ConfigError names every key it sets that nothing reads, such as a
+        misspelt key or one of another potential kind or study."""
         mapping = _ReadKeys(parse_config_text(text))
         study = mapping.get("study")
         if study not in STUDIES:
@@ -236,35 +240,33 @@ class ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        potential = (_build_potential(mapping)
-                     if "potential.kind" in mapping else None)
-        fields = dict(
-            study=study,
-            grid=grid,
-            model=model,
-            potential=potential,
-            alphas=_build_alphas(mapping),
-            eps1=(_get_float(mapping, "localization.eps1")
-                  if "localization.eps1" in mapping else None),
-            eps2=(_get_float(mapping, "localization.eps2")
-                  if "localization.eps2" in mapping else None),
-            epsilon=_get_float(mapping, "localization.epsilon", 0.5),
-            box_corner=(
-                _get_float(mapping, "box.corner_x", 0.0),
-                _get_float(mapping, "box.corner_y", 0.0),
-            ),
-            box_side=_get_float(mapping, "box.side", 1.0),
-            betas=_get_float_list(mapping, "box.betas"),
-            tau=(_get_float(mapping, "box.tau") if "box.tau" in mapping else None),
-            t_values=_get_float_list(mapping, "flow.t_values"),
-            with_flow=(study in ("weyl", "theorem2")  # the studies with a flow check
-                       and _get_bool(mapping, "study.with_flow", False)),
-            dense_cap=_get_int(mapping, "dense_cap", DENSE_CAP),
-        )
+        fields = {}
+        if study != "box" and "potential.kind" in mapping:
+            fields["potential"] = _build_potential(mapping)
+        if study in ("weyl", "theorem2", "crossterm"):
+            fields["alphas"] = _build_alphas(mapping)
+        if study == "crossterm":
+            fields["eps1"] = _get_optional_float(mapping, "localization.eps1")
+            fields["epsilon"] = _get_float(mapping, "localization.epsilon", cls.epsilon)
+        if study in ("theorem2", "crossterm"):
+            fields["eps2"] = _get_optional_float(mapping, "localization.eps2")
+        if study == "box":
+            fields["box_corner"] = (_get_float(mapping, "box.corner_x", cls.box_corner[0]),
+                                    _get_float(mapping, "box.corner_y", cls.box_corner[1]))
+            fields["betas"] = _get_float_list(mapping, "box.betas")
+        if study in ("box", "oracle"):
+            fields["box_side"] = _get_float(mapping, "box.side", cls.box_side)
+            fields["tau"] = _get_optional_float(mapping, "box.tau")
+        if study == "flow-trace":
+            fields["t_values"] = _get_float_list(mapping, "flow.t_values")
+        if study in ("weyl", "theorem2"):  # the studies with a flow check
+            fields["with_flow"] = _get_bool(mapping, "study.with_flow", cls.with_flow)
+        if study != "oracle":
+            fields["dense_cap"] = _get_int(mapping, "dense_cap", cls.dense_cap)
         unread = sorted(set(mapping) - mapping.read)
         if unread:
             raise ConfigError(f"unknown or unused keys: {', '.join(unread)}")
-        return cls(**fields, seed=seed, raw_text=text)
+        return cls(study, grid, model, text, **fields)
 
     def __post_init__(self) -> None:
         """Study-specific invariants, checked once at construction and before
@@ -275,8 +277,6 @@ class ExperimentConfig:
         study = self.study
         if self.dense_cap < 1:
             raise ConfigError(f"dense_cap must be positive, got {self.dense_cap}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.potential is None and study != "box":
             raise ConfigError(f"study {study!r} requires potential.kind")
         if self.tau is not None and not (self.tau > 0 and self.box_side > 0):
@@ -325,12 +325,11 @@ class ExperimentConfig:
             self._evaluate_law()
             return
         # the cap bounds the dense matrices a study allocates: grid-sized ones
-        # for crossterm, flow-trace and the fallback of the flow cross-check;
-        # a matrix-free Birman-Schwinger count meets it only in its dense
-        # fallback, which harness._bs_counts refuses past the cap
+        # for crossterm and flow-trace; a matrix-free Birman-Schwinger or
+        # flow count meets it only in its dense fallback, which
+        # harness._bs_counts and assemble_dense refuse past the cap
         what, dim = "grid", 0
-        if study in ("crossterm", "flow-trace") or (
-                study in ("weyl", "theorem2") and self.with_flow):
+        if study in ("crossterm", "flow-trace"):
             dim = self.grid.dimension
         if study == "box":
             if self.betas is None or self.tau is None:
@@ -396,6 +395,6 @@ class ExperimentConfig:
         object.__setattr__(self, "law_seconds", time.perf_counter() - t0)
 
 
-def load_config(path: str, seed: int = 0) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_text(fh.read(), seed=seed)
+        return ExperimentConfig.from_text(fh.read())

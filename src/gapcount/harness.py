@@ -3,8 +3,8 @@
 run_study runs the study a config names; the config was validated once,
 when it was built.  Every study counts with a certificate and produces a
 CountingReport whose CSV serialization is byte-deterministic for a fixed
-config and seed (floats use 17 significant digits, LF newlines,
-missing values empty).  A CSV that prints eigenvalues (flow-trace) is
+config (floats use 17 significant digits, LF newlines, missing values
+empty).  A CSV that prints eigenvalues (flow-trace) is
 byte-stable only for a fixed BLAS build and thread count, because threaded
 LAPACK rounds differently; run_meta.txt records that count as
 blas_threads.  Every count is certified either by the straddle of
@@ -140,7 +140,7 @@ def report_csv_text(report: CountingReport) -> str:
 def _bs_counts(config: ExperimentConfig, alphas: list[float]) -> CountResult:
     """n_+(1/alpha, W R W) for every alpha from one Krylov run (dense fallback)."""
     op = birman_schwinger(config.grid, config.model, config.potential)
-    result = iterative_count_above(op, [1.0 / a for a in alphas], seed=config.seed,
+    result = iterative_count_above(op, [1.0 / a for a in alphas],
                                    dense_cap=config.dense_cap)
     if not result.conclusive:
         raise DenseCapExceededError(
@@ -484,7 +484,7 @@ def run_study(config: ExperimentConfig) -> CountingReport:
     """The count table of config's study.
 
     The config was validated when it was built.  Next to the study's own
-    metadata, the report records the grid, the seed and the study's wall
+    metadata, the report records the grid and the study's wall
     time in seconds.
     """
     runner = RUNNERS.get(config.study)
@@ -494,7 +494,6 @@ def run_study(config: ExperimentConfig) -> CountingReport:
     report = runner(config)
     report.metadata.update(
         grid=f"{config.grid.n_points}x{config.grid.n_points}, L={config.grid.box_side:g}",
-        seed=config.seed,
         runtime_seconds=time.perf_counter() - t0,
     )
     return report

@@ -42,7 +42,7 @@ clears p(s (1 + 1e-12)) by its residual.
 The degree is the least odd d >= 3 with p(s_min) >= _FILTER_GAIN = 10,
 and d = 1, no filter (the unfiltered run itself), when that needs more
 than _FILTER_MAX_DEGREE = 15.  Both were measured, one
-iterative_count_above call per fresh process on 2 vCPUs, seed 0.  Gains
+iterative_count_above call per fresh process on 2 vCPUs.  Gains
 3, 10, 30 and 100 give theorem 2 at n = 80, L = 48, alpha 2-12 degrees 7,
 11, 15 and 19, 608, 480, 416 and 384 columns, 7.4, 6.3-7.1, 6.2 and
 6.3 s, 268, 225, 205 and 196 MB (unfiltered: 1056 columns, 21.9 s,
@@ -760,7 +760,7 @@ def _orthogonalize(w, q, coefficients):
     coefficients += c
 
 
-def _block_lanczos(op, filt, thresholds, columns, block, seed):
+def _block_lanczos(op, filt, thresholds, columns, block):
     """Certified counts for every threshold, or None; and the columns built.
 
     The counts come as (counts, certificates, widest), widest being the
@@ -781,7 +781,7 @@ def _block_lanczos(op, filt, thresholds, columns, block, seed):
     invariant subspace (exhaustion), whose Ritz values are eigenvalues.
     """
     dim = op.dimension
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     start = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     basis = np.empty((columns + block, dim), dtype=complex)
     proj = np.zeros((columns + block, columns + block), dtype=complex)
@@ -841,18 +841,18 @@ def _block_lanczos(op, filt, thresholds, columns, block, seed):
     return None, hi
 
 
-def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
+def iterative_count_above(op: LinearOperatorHandle, thresholds,
                           dense_cap: int = DENSE_CAP) -> CountResult:
     """Count eigenvalues of the Hermitian sandwich op above each threshold.
 
     op, Hermitian by construction, is applied by FFT.  thresholds is a
     sequence of positive numbers; one block Lanczos run with full
-    reorthogonalization (Golub & Underwood, 1977), started on a random
-    block of _BLOCK vectors, serves them all, and every count and
-    certificate comes from the same Ritz values.  Each new block takes one
-    Gram-Schmidt pass against the whole basis after the local recurrence,
-    and a second only when the first cancelled more than the DGKS criterion
-    allows (_block_lanczos).  A count is settled when every Ritz value
+    reorthogonalization (Golub & Underwood, 1977), started on a fixed
+    random block of _BLOCK vectors (default_rng(0)), serves them all, and
+    every count and certificate comes from the same Ritz values.  Each new
+    block takes one Gram-Schmidt pass against the whole basis after the
+    local recurrence, and a second only when the first cancelled more than
+    the DGKS criterion allows (_block_lanczos).  A count is settled when every Ritz value
     above its threshold has converged, some converged Ritz value (or
     exhaustion) lies below it, and every Ritz value clears the threshold by
     its residual, so none could still cross.  It is certified when it is
@@ -879,7 +879,7 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     a multiplicity above b would be undercounted.  The counts are kept only
     when no cluster of converged Ritz values above the smallest threshold
     (consecutive values within _CERTIFICATE_FLOOR of each other) has b or
-    more members.  Otherwise the run starts again, from the same seed, on
+    more members.  Otherwise the run starts again, from the same start, on
     twice the block, with the same cap in columns; columns counts the
     vectors of every run.
 
@@ -911,7 +911,7 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds, seed: int = 0,
     built = 0
     with _single_blas_thread(dim, _KRYLOV_SINGLE_THREAD_LIMIT):
         while True:
-            found, columns = _block_lanczos(op, filt, thresholds, cap, block, seed)
+            found, columns = _block_lanczos(op, filt, thresholds, cap, block)
             built += columns
             if found is None:
                 break

@@ -37,8 +37,7 @@ workloads = _read_workloads()
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_every_bench_config_builds(workload, tiny):
     for seed in range(32):
-        config = ExperimentConfig.from_text(workloads.make_config(workload, seed, tiny),
-                                            seed=seed)
+        config = ExperimentConfig.from_text(workloads.make_config(workload, seed, tiny))
         assert config.study == workloads.STUDY[workload]
 
 

@@ -39,9 +39,6 @@ grid.n_points = 16
 grid.box_side = 16.0
 model.mass = 1.0
 model.gap_point = 0.0
-potential.kind = gaussian
-potential.amplitude = 1.0
-potential.width = 1.0
 box.corner_x = 0.0
 box.corner_y = 0.0
 box.side = 1.0
@@ -63,6 +60,14 @@ localization.eps1 = 0.3
 localization.eps2 = 0.8
 localization.epsilon = 0.5
 """
+
+FLOW_TRACE_TEXT = WEYL_TEXT.replace("study = weyl", "study = flow-trace").replace(
+    "alpha.values = 2, 4, 8", "flow.t_values = 0, 1, 2")
+
+# the oracle reads the potential and, for the box coefficient, box.tau and
+# box.side; it has no couplings
+ORACLE_TEXT = WEYL_TEXT.replace("study = weyl", "study = oracle").replace(
+    "alpha.values = 2, 4, 8\n", "")
 
 
 def test_parse_config_text_basics():
@@ -116,15 +121,6 @@ def test_crossterm_zone_fit_validation():
     text = CROSS_TEXT.replace("alpha.values = 2, 4", "alpha.values = 2, 16")
     with pytest.raises(ConfigError, match="fit"):
         ExperimentConfig.from_text(text)
-
-
-def test_alpha_range_construction():
-    text = WEYL_TEXT.replace(
-        "alpha.values = 2, 4, 8",
-        "alpha.min = 2\nalpha.max = 8\nalpha.count = 3\nalpha.log = true",
-    )
-    config = ExperimentConfig.from_text(text)
-    assert config.alphas == pytest.approx([2.0, 4.0, 8.0])
 
 
 def test_weyl_study_columns_and_prediction():
@@ -471,7 +467,7 @@ flow.t_values = 0, 1, 2
 
 
 def test_oracle_lines():
-    config = ExperimentConfig.from_text(WEYL_TEXT.replace("study = weyl", "study = oracle"))
+    config = ExperimentConfig.from_text(ORACLE_TEXT)
     lines = oracle_lines(config)
     assert any("weyl_coefficient" in ln for ln in lines)
     assert any("phase_space_volume" in ln for ln in lines)
@@ -752,9 +748,7 @@ def test_flow_trace_plot_bytes_pinned(tmp_path):
 def test_flow_trace_eigenvalues_match_column_oracle():
     from oracles import perturbed_dense
 
-    text = WEYL_TEXT.replace("study = weyl", "study = flow-trace").replace(
-        "alpha.values = 2, 4, 8", "flow.t_values = 0, 1, 2")
-    config = ExperimentConfig.from_text(text)
+    config = ExperimentConfig.from_text(FLOW_TRACE_TEXT)
     report = run_study(config)
     m = config.model.mass
     tol = 1e-12
@@ -803,7 +797,7 @@ def test_cli_weyl_study(tmp_path, capsys):
 
 
 def test_cli_oracle_prints(tmp_path, capsys):
-    cfg = _write(tmp_path, "o.cfg", WEYL_TEXT.replace("study = weyl", "study = oracle"))
+    cfg = _write(tmp_path, "o.cfg", ORACLE_TEXT)
     code = cli_main(["oracle", "--config", cfg])
     assert code == 0
     out = capsys.readouterr().out
@@ -816,7 +810,7 @@ def test_cli_oracle_computes_its_lines_once(tmp_path, capsys, monkeypatch):
     calls = []
     lines = cli.oracle_lines
     monkeypatch.setattr(cli, "oracle_lines", lambda config: calls.append(1) or lines(config))
-    cfg = _write(tmp_path, "o.cfg", WEYL_TEXT.replace("study = weyl", "study = oracle"))
+    cfg = _write(tmp_path, "o.cfg", ORACLE_TEXT)
     capsys.readouterr()
     assert cli_main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
@@ -837,16 +831,16 @@ _WITHOUT_POTENTIAL = "\n".join(line for line in WEYL_TEXT.splitlines()
 @pytest.mark.parametrize("study,text", [
     ("weyl", _WITHOUT_POTENTIAL),
     ("flow-trace", _WITHOUT_POTENTIAL.replace("study = weyl", "study = flow-trace")
-     + "\nflow.t_values = 0, 1\n"),
-    ("oracle", _WITHOUT_POTENTIAL.replace("study = weyl", "study = oracle")),
-    ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle") + "box.tau = -1\n"),
-    ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle")
-     + "box.tau = 0.5\nbox.side = -1\n"),
+     .replace("alpha.values = 2, 4, 8", "flow.t_values = 0, 1")),
+    ("oracle", _WITHOUT_POTENTIAL.replace("study = weyl", "study = oracle")
+     .replace("alpha.values = 2, 4, 8", "")),
+    ("oracle", ORACLE_TEXT + "box.tau = -1\n"),
+    ("oracle", ORACLE_TEXT + "box.tau = 0.5\nbox.side = -1\n"),
     # the width's square underflows to 0, which made the oracle print nan
-    ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle")
+    ("oracle", ORACLE_TEXT
      .replace("potential.width = 1.0", "potential.width = 1e-300")),
     # a finite potential whose law overflows, which the oracle printed as inf
-    ("oracle", WEYL_TEXT.replace("study = weyl", "study = oracle")
+    ("oracle", ORACLE_TEXT
      .replace("potential.amplitude = 4.0", "potential.amplitude = 1e300")
      .replace("potential.width = 1.0", "potential.width = 1e10")),
 ], ids=["weyl-no-potential", "flow-trace-no-potential", "oracle-no-potential",
@@ -887,8 +881,7 @@ def test_cli_unknown_key_is_a_config_error(tmp_path, capsys, extra, unknown):
 @pytest.mark.parametrize("study,text", [
     ("box", BOX_TEXT),
     ("crossterm", CROSS_TEXT),
-    ("flow-trace", WEYL_TEXT.replace("study = weyl", "study = flow-trace").replace(
-        "alpha.values = 2, 4, 8", "flow.t_values = 0, 1, 2")),
+    ("flow-trace", FLOW_TRACE_TEXT),
 ])
 def test_cli_flow_switch_outside_the_counting_studies_is_a_config_error(tmp_path, capsys,
                                                                         study, text):
@@ -898,6 +891,31 @@ def test_cli_flow_switch_outside_the_counting_studies_is_a_config_error(tmp_path
     assert cli_main([study, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "config error: unknown or unused keys: study.with_flow"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("study,text,extra,unknown", [
+    ("box", BOX_TEXT, "alpha.values = 2, 4\n", "alpha.values"),
+    ("box", BOX_TEXT, "potential.kind = gaussian\npotential.amplitude = 1.0\n"
+     "potential.width = 1.0\n", "potential.amplitude, potential.kind, potential.width"),
+    ("weyl", WEYL_TEXT, "box.tau = 0.5\n", "box.tau"),
+    ("weyl", WEYL_TEXT, "flow.t_values = 0, 1\n", "flow.t_values"),
+    ("theorem2", THEOREM2_TEXT, "localization.eps1 = 0.3\n", "localization.eps1"),
+    ("crossterm", CROSS_TEXT, "box.betas = 2, 4\n", "box.betas"),
+    ("flow-trace", FLOW_TRACE_TEXT, "alpha.values = 2, 4\n", "alpha.values"),
+    ("oracle", ORACLE_TEXT, "alpha.values = 2, 4\n", "alpha.values"),
+    ("oracle", ORACLE_TEXT, "dense_cap = 100\n", "dense_cap"),
+], ids=["box-alpha", "box-potential", "weyl-tau", "weyl-t-values", "theorem2-eps1",
+        "crossterm-betas", "flow-trace-alpha", "oracle-alpha", "oracle-dense-cap"])
+def test_cli_key_of_another_study_is_a_config_error(tmp_path, capsys, study, text, extra,
+                                                    unknown):
+    # each study reads only its own keys: a key of another study is
+    # refused, not silently ignored
+    cfg = _write(tmp_path, "other.cfg", text + extra)
+    capsys.readouterr()
+    assert cli_main([study, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: unknown or unused keys: {unknown}"]
     assert not (tmp_path / "o").exists()
 
 
@@ -959,7 +977,8 @@ def _unit_radial_rule(fn, rmax, panels, order, breakpoints=()):
 
 @pytest.mark.parametrize("study,text,name,oracle,message", [
     ("theorem2", THEOREM2_TEXT, "_radial_integral", _over_budget_ray, "budget"),
-    ("oracle", THEOREM2_TEXT.replace("study = theorem2", "study = oracle"),
+    ("oracle", THEOREM2_TEXT.replace("study = theorem2", "study = oracle")
+     .replace("alpha.values = 2, 4\nlocalization.eps2 = 1.0\n", ""),
      "_radial_integral", _over_budget_ray, "budget"),
     ("weyl", WEYL_TEXT, "_composite_gl_radial", _unit_radial_rule, "disagree"),
 ], ids=["theorem2-over-budget", "oracle-over-budget", "weyl-identity-fails"])
@@ -1006,20 +1025,9 @@ def test_every_counting_study_has_a_runner():
     from gapcount.config import STUDIES
 
     assert set(harness.RUNNERS) == set(STUDIES) - {"oracle"}
-    config = ExperimentConfig.from_text(WEYL_TEXT.replace("study = weyl", "study = oracle"))
+    config = ExperimentConfig.from_text(ORACLE_TEXT)
     with pytest.raises(ConfigError, match="oracle"):
         run_study(config)
-
-
-def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
-    # numpy's generator rejects a negative seed only once the count starts
-    cfg = _write(tmp_path, "weyl.cfg", WEYL_TEXT)
-    capsys.readouterr()
-    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--seed", "-1"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["config error: seed must be nonnegative, got -1"]
-    assert not (tmp_path / "o").exists()
 
 
 def test_cli_study_mismatch(tmp_path):
@@ -1028,20 +1036,29 @@ def test_cli_study_mismatch(tmp_path):
 
 
 def test_cli_cap_exceeded_exit_code(tmp_path):
-    # the flow cross-check may fall back to a grid-sized matrix
+    # the flow trace gathers a grid-sized matrix
+    text = (FLOW_TRACE_TEXT.replace("grid.n_points = 12", "grid.n_points = 32")
+            + "dense_cap = 500\n")
+    cfg = _write(tmp_path, "big.cfg", text)
+    assert cli_main(["flow-trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_flow_count_is_not_refused_over_the_cap(tmp_path):
+    # a certified flow count gathers nothing dense, and its fallback would
+    # meet the cap in assemble_dense: dimension 2048 runs under a cap of 500
     text = (WEYL_TEXT.replace("grid.n_points = 12", "grid.n_points = 32")
             + "study.with_flow = true\ndense_cap = 500\n")
     cfg = _write(tmp_path, "big.cfg", text)
-    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert cli_main(["weyl", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = parse_report_csv((tmp_path / "o" / "report.csv").read_text())[1]
+    assert [(row[1], row[2]) for row in rows] == [(1, 1), (3, 3), (7, 7)]
 
 
-@pytest.mark.parametrize("text", [WEYL_TEXT, THEOREM2_TEXT], ids=["weyl", "theorem2"])
+@pytest.mark.parametrize("text", [FLOW_TRACE_TEXT, CROSS_TEXT], ids=["flow-trace", "crossterm"])
 def test_grid_over_the_cap_evaluates_no_potential(monkeypatch, text):
-    # n = 72 is dimension 10368, over the default cap, which the flow
-    # cross-check must meet: refused before V is evaluated on the n^2 mesh
+    # n = 72 is dimension 10368, over the default cap, which a grid-sized
+    # dense matrix must meet: refused before V is evaluated on the n^2 mesh
     import gapcount.config as config
-
-    text += "study.with_flow = true\n"
 
     evaluated = []
     evaluate = config.potential_on_grid

@@ -613,7 +613,7 @@ def test_iterative_count_matches_dense_on_real_operator():
     for alpha in (2.0, 5.0, 11.0):
         s = 1.0 / alpha
         expected = count_above(spectrum, s)
-        result = iterative_count_above(op, [s], seed=1)
+        result = iterative_count_above(op, [s])
         assert result.conclusive
         assert result.counts == (expected,)
         assert result.certificate > 0
