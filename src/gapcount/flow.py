@@ -24,11 +24,15 @@ G = [sqrt(alpha*V); sqrt(g) B^H] C^-1/2.  G G^H has the nonzero spectrum
 of K, and it is a handle W F^*[mult]F W with mult = [[1, b], [conj b,
 |b|^2]] / C and one weight per component, W = (sqrt(alpha*V), sqrt(g))
 (crossing_operator), and one Krylov count of it above 1 gives N(lambda,
-alpha) (spectra.iterative_count_above), with no dense matrix built.
+alpha) (spectra.iterative_count_above), with no dense matrix built.  Both
+weights vanish where V does, so the count runs on the nodes where one of
+them exceeds tol (spectra.on_support).
 
-The Krylov certificate delta_K, the distance from 1 to the nearest
-converged Ritz value, bounds the distance from lambda to the spectrum of
-D(alpha).  S = C^1/2 (I - K) C^1/2, so ||C^1/2 S^-1 C^1/2|| =
+The Krylov certificate delta_K, the support run's distance from 1 to the
+nearest converged Ritz value less the norm bound eps of what the support
+drops (by Weyl's inequality a distance from 1 to the spectrum of the
+whole-grid G G^H, and so of K), bounds the distance from lambda to the
+spectrum of D(alpha).  S = C^1/2 (I - K) C^1/2, so ||C^1/2 S^-1 C^1/2|| =
 1/delta_K.  The block inverse (D(alpha) - lambda)^-1 = X^H S^-1 X +
 diag(0, Q^-1), X = [I, -B Q^-1], then has norm at most
 ||C^-1/2 X||^2 / delta_K + 1/(m + lambda), and as Q^-2 <= (m + lambda)^-2,
@@ -62,7 +66,7 @@ from .operators import (DENSE_CAP, LinearOperatorHandle, assemble_dense, free_op
                         potential_on_grid)
 from .potential import PotentialSpec
 from .spectra import (DEGENERACY_TOL, hermitian_eigenvalues, inertia, inertia_bracket,
-                      iterative_count_above)
+                      iterative_count_above, on_support)
 from .symbol import ModelParams, symbol_eigenvalues
 
 
@@ -81,7 +85,9 @@ class CrossingResult:
     value.  certificate bounds dist(lambda, spec D(alpha)) from below: the
     Krylov bound of the module docstring, or for an "ldl-inertia" count
     DEGENERACY_TOL, 0 when degenerate.  residual is the largest LDL^H probe
-    residual of that fallback, None for a Krylov count.
+    residual of that fallback, None for a Krylov count.  support_nodes and
+    support_bound are the nodes the Krylov count kept and the norm bound of
+    what it dropped (spectra.on_support).
     """
 
     count: int
@@ -90,6 +96,8 @@ class CrossingResult:
     certificate: float
     method: str  # "krylov" | "ldl-inertia"
     columns: int  # Krylov basis vectors built
+    support_nodes: int
+    support_bound: float
     residual: float | None = None
 
 
@@ -143,9 +151,11 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
                             cap: int = DENSE_CAP) -> CrossingResult:
     """Crossings of the gap point on [0, alpha], with degeneracy brackets.
 
-    A certified Krylov count of crossing_operator above 1, or else the
-    dense fallback of the module docstring, which factors D(alpha) at
-    lambda -/+ 1e-10, and at lambda when the two counts differ.  The dense
+    A certified Krylov count of crossing_operator above 1 on the support of
+    its weights, whose certificate less eps enters the bound of the module
+    docstring, or else the dense fallback of the module docstring, which
+    factors D(alpha) at lambda -/+ 1e-10, and at lambda when the two counts
+    differ.  The dense
     cap applies to grid.dimension in that fallback only, and is checked
     before anything dense is allocated.
     """
@@ -153,8 +163,9 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
         raise ValueError(f"coupling must be nonnegative, got {alpha}")
     m, lam = params.mass, params.gap_point
     ev_start = _free_spectrum(grid, params)
-    op = crossing_operator(grid, params, spec, alpha)
+    op = on_support(crossing_operator(grid, params, spec, alpha))
     krylov = iterative_count_above(op, [1.0], dense_cap=0)
+    support = (op.dimension // 2, op.support_bound)
     start_clear = not np.any(np.abs(ev_start - lam) <= DEGENERACY_TOL)
     if krylov.conclusive and start_clear:
         # max gamma of the module docstring, gamma = 1/C + (|b|^2/C) / (m + lambda)^2
@@ -163,7 +174,7 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
         if bound > DEGENERACY_TOL:
             count = krylov.counts[0]
             return CrossingResult(count, False, (count, count), bound, "krylov",
-                                  krylov.columns)
+                                  krylov.columns, *support)
     free = free_operator(grid, params)
     v = np.repeat(potential_on_grid(grid, spec), 2)
     end = inertia_bracket(lambda shift: inertia(_perturbed_dense(free, v, alpha, cap), shift),
@@ -182,7 +193,7 @@ def crossing_count_detailed(grid: GridSpec, params: ModelParams,
         )
     return CrossingResult(count, degenerate, (lo, hi),
                           0.0 if degenerate else DEGENERACY_TOL, "ldl-inertia",
-                          krylov.columns, end.residual)
+                          krylov.columns, *support, end.residual)
 
 
 def branch_trace(grid: GridSpec, params: ModelParams, spec: PotentialSpec,

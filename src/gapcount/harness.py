@@ -40,7 +40,11 @@ leading set, whose complement is a downdate of the next larger one's
 run_meta.txt records which method produced each count and its margin; for
 the Birman-Schwinger count also the Krylov columns, the start block and
 the degree of the Chebyshev filter the run applied (krylov_filter_degree,
-1 for an unfiltered run; see spectra.iterative_count_above).  For the flow
+1 for an unfiltered run; see spectra.iterative_count_above).  The
+Birman-Schwinger and flow counts run on the support of W (spectra.on_support):
+run_meta.txt records its nodes and the norm bound eps of what it drops,
+bs_support_nodes and bs_support_bound, and for the flow the largest over
+the couplings, flow_support_nodes and flow_support_bound.  For the flow
 it records flow_count_method (krylov, or ldl-inertia when a count fell
 back), flow_certificate_min (flow.CrossingResult) and flow_krylov_columns,
 and flow_factor_dim and inertia_residual_max when a fallback factored.  It
@@ -74,6 +78,7 @@ from .flow import DegenerateThresholdWarning, branch_trace, crossing_count_detai
 from .operators import (
     BoxSpec,
     DenseCapExceededError,
+    LinearOperatorHandle,
     LocalizationSpec,
     assemble_dense,  # noqa: F401 -- unused; bench/selftest.py checks its traced binding
     birman_schwinger,
@@ -92,6 +97,7 @@ from .spectra import (
     inertia_bracket,
     iterative_count_above,
     nested_complements,
+    on_support,
 )
 
 
@@ -137,17 +143,20 @@ def report_csv_text(report: CountingReport) -> str:
 # studies
 # ---------------------------------------------------------------------------
 
-def _bs_counts(config: ExperimentConfig, alphas: list[float]) -> CountResult:
-    """n_+(1/alpha, W R W) for every alpha from one Krylov run (dense fallback)."""
-    op = birman_schwinger(config.grid, config.model, config.potential)
+def _bs_counts(config: ExperimentConfig,
+               alphas: list[float]) -> tuple[CountResult, LinearOperatorHandle]:
+    """n_+(1/alpha, W R W) for every alpha from one Krylov run on the support
+    of W (dense fallback), and the support handle counted."""
+    op = on_support(birman_schwinger(config.grid, config.model, config.potential))
     result = iterative_count_above(op, [1.0 / a for a in alphas],
                                    dense_cap=config.dense_cap)
     if not result.conclusive:
         raise DenseCapExceededError(
             f"Birman-Schwinger counts are not certified after {result.columns} "
-            f"Krylov columns, and the dense fallback at dimension {op.dimension} "
-            f"exceeds dense_cap = {config.dense_cap}")
-    return result
+            f"Krylov columns, and the dense fallback on the support of W "
+            f"({op.dimension // 2} nodes) at dimension {op.dimension} exceeds "
+            f"dense_cap = {config.dense_cap}")
+    return result, op
 
 
 def _max_residual(residuals) -> float:
@@ -196,7 +205,7 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
     """
     alphas = [float(a) for a in config.alphas]
     t_bs = time.perf_counter()
-    bs = _bs_counts(config, alphas)
+    bs, support = _bs_counts(config, alphas)
     bs_seconds = time.perf_counter() - t_bs
     # a dense certificate is 0 exactly when its bracket holds an eigenvalue;
     # a Krylov one is at least its 1e-8 floor
@@ -223,6 +232,8 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
             "flow_count_method": "ldl-inertia" if factored else "krylov",
             "flow_certificate_min": min(res.certificate for res in flows),
             "flow_krylov_columns": sum(res.columns for res in flows),
+            "flow_support_nodes": max(res.support_nodes for res in flows),
+            "flow_support_bound": max(res.support_bound for res in flows),
             **({"flow_factor_dim": config.grid.dimension,
                 "inertia_residual_max": _max_residual(factored)} if factored else {}),
             "flow_seconds": time.perf_counter() - t_flow,
@@ -248,6 +259,8 @@ def _counting_study(config: ExperimentConfig, prediction_of_alpha) -> CountingRe
             "krylov_columns": bs.columns,
             "krylov_block": bs.block,
             "krylov_filter_degree": bs.filter_degree,
+            "bs_support_nodes": support.dimension // 2,
+            "bs_support_bound": support.support_bound,
             **flow_meta,
             "lattice_cutoff": cutoff,
             "max_allowed_momentum": allowed,

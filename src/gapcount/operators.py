@@ -9,6 +9,19 @@ operator).  Handles apply by FFT to component-major spinor fields of shape
 (..., 2, n, n), or to their C-order flattenings, so Krylov methods and
 probes batch over leading axes.
 
+A handle may carry a node set (nodes): it is then the compression P A P
+of the sandwich to those nodes, on both spinor components, of dimension
+2 x the kept nodes.  It applies to component-major vectors (..., 2, K) on
+the K kept nodes, or their flattenings, by scattering them into a zero
+field, applying the sandwich by FFT and gathering the kept nodes back.  Its
+support_bound is eps = max_xi ||mult(xi)|| max W_out (max W + max W_out),
+W_out the weight on the dropped nodes: A - P A P is [[0, W_in K W_out],
+[W_out K W_in, W_out K W_out]] in the split into kept and dropped nodes,
+of norm at most eps with ||K|| <= max_xi ||mult(xi)||, so by Weyl's
+inequality for Hermitian perturbations (Horn & Johnson, Matrix Analysis,
+4.3) every eigenvalue of A lies within eps of one of P A P, whose spectrum
+is that of the compression and 0 (spectra.on_support picks the nodes).
+
 Dense blocks need no FFT per column.  On the torus the multiplier is a
 circulant convolution, so entry [(x, a), (y, b)] of F^*[mult]F is
 k_ab(x - y), where k is one inverse FFT of mult (Davis, Circulant
@@ -16,7 +29,8 @@ Matrices, 1979), which each handle computes once (kernel).  Every dense
 block, between two node sets on both spinor components or on one against
 another (restricted_block), is one gather W_a[x] k_ab(x - y) W_b[y] from k
 (_dense_block).  Two-component blocks are node-major: the two components
-of a node are adjacent rows and columns (assemble_dense).
+of a node are adjacent rows and columns (assemble_dense).  The dense matrix
+of a handle with a node set is the (nodes, nodes) block of the full one.
 """
 
 from __future__ import annotations
@@ -52,35 +66,81 @@ class LinearOperatorHandle:
     (2, n, n), or None for the identity.  The same real weight on both
     sides makes the operator Hermitian whenever mult is.
     Fields are component-major, (..., 2, n, n) (see lattice), so the apply
-    multiplies whole planes.  kernel is cached at the first dense block, so
-    mult and weight must not change after it.
+    multiplies whole planes.  nodes is None for the whole grid, or a 1-D
+    integer array of distinct flat node indices n*x1 + x2, in increasing
+    order, for the compression to those nodes (module docstring), whose
+    vectors are component-major on the kept nodes, (..., 2, len(nodes)).
+    kernel and support_bound are cached at first use, so mult, weight and
+    nodes must not change after it.
     """
 
     grid: GridSpec
     mult: np.ndarray
     weight: np.ndarray | None = None
+    nodes: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
-        return self.grid.dimension
+        return self.grid.dimension if self.nodes is None else 2 * len(self.nodes)
+
+    @cached_property
+    def _node_weight(self) -> np.ndarray | None:
+        """The weight on the kept nodes, shape (1 or 2, len(nodes)), or None."""
+        if self.weight is None:
+            return None
+        return np.reshape(self.weight, (-1, self.grid.n_points ** 2))[:, self.nodes]
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         """The operator on component-major fields, by FFT.
 
         values holds whole fields, of shape (..., 2, n, n) or flattened to
-        (..., dim) in C order; the result has the shape of values.
+        (..., dim) in C order, or with a node set vectors of shape
+        (..., 2, len(nodes)) or flattened to (..., dim); the result has the
+        shape of values.  A node set's vectors are weighted on the kept
+        nodes and scattered into zero fields, and the kept nodes of the
+        weighted result are gathered back, so each entry is the one the
+        whole-grid apply gives on a field that vanishes off the nodes.
         """
         n = self.grid.n_points
-        fields = values.reshape(-1, 2, n, n)
-        ghat = forward_array(fields if self.weight is None else fields * self.weight)
+        if self.nodes is None:
+            fields = values.reshape(-1, 2, n, n)
+            if self.weight is not None:
+                fields = fields * self.weight
+        else:
+            kept = values.reshape(-1, 2, len(self.nodes))
+            if self._node_weight is not None:
+                kept = kept * self._node_weight
+            fields = np.zeros((len(kept), 2, n * n), dtype=kept.dtype)
+            fields[:, :, self.nodes] = kept
+            fields = fields.reshape(-1, 2, n, n)
+        ghat = forward_array(fields)
         m = self.mult
         prod = np.empty_like(ghat)
         for a in (0, 1):
             np.add(m[a, 0] * ghat[:, 0], m[a, 1] * ghat[:, 1], out=prod[:, a])
         out = inverse_array(prod)
-        if self.weight is not None:
-            out *= self.weight
+        if self.nodes is not None:
+            out = out.reshape(-1, 2, n * n)[:, :, self.nodes]
+            weight = self._node_weight
+        else:
+            weight = self.weight
+        if weight is not None:
+            out *= weight
         return out.reshape(values.shape)
+
+    @cached_property
+    def support_bound(self) -> float:
+        """eps = max_xi ||mult(xi)|| max W_out (max W + max W_out), a bound on
+        the norm of the whole-grid sandwich minus this compression (module
+        docstring); W_out is the largest weight off the nodes, over both
+        components, and eps is 0 without a node set."""
+        if self.nodes is None:
+            return 0.0
+        w = _node_weight_max(self)
+        dropped = np.ones(w.size, dtype=bool)
+        dropped[self.nodes] = False
+        out = float(w[dropped].max()) if dropped.any() else 0.0
+        return _multiplier_norm(self.mult) * out * (float(w.max()) + out)
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -149,6 +209,28 @@ class BoxSpec:
             raise ValueError(f"side must be positive, got {self.side}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+
+
+def _mode_spectra(mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half trace h and radius r of a Hermitian 2x2 multiplier per mode, its
+    eigenvalues h -/+ r; its norm at a mode is |h| + r."""
+    half_trace = 0.5 * (mult[0, 0].real + mult[1, 1].real)
+    radius = np.hypot(0.5 * (mult[0, 0].real - mult[1, 1].real), np.abs(mult[0, 1]))
+    return half_trace, radius
+
+
+def _multiplier_norm(mult: np.ndarray) -> float:
+    """max_xi ||mult(xi)||_2, the norm of F^*[mult]F."""
+    half_trace, radius = _mode_spectra(mult)
+    return float((np.abs(half_trace) + radius).max())
+
+
+def _node_weight_max(op: LinearOperatorHandle) -> np.ndarray:
+    """The largest |W| over the spinor components at each flat node of the
+    grid, ones for a handle without weight."""
+    if op.weight is None:
+        return np.ones(op.grid.n_points ** 2)
+    return np.abs(np.reshape(op.weight, (-1, op.grid.n_points ** 2))).max(axis=0)
 
 
 def _multiplier_on_grid(grid: GridSpec, symbol_fn, params: ModelParams) -> np.ndarray:
@@ -357,12 +439,13 @@ def assemble_dense(op: LinearOperatorHandle, cap: int = DENSE_CAP) -> np.ndarray
     the matrix is A[p][:, p] with p = np.arange(dim).reshape(-1, 2).T.ravel().
     It is gathered from the handle's cached Hermitian kernel and scaled by
     W on both sides, so it is exactly Hermitian.  The dimension cap is
-    checked before anything is allocated.
+    checked before anything is allocated.  With a node set the matrix is
+    the (nodes, nodes) block, the same gather on the kept nodes only.
     """
     if op.dimension > cap:
         raise DenseCapExceededError(
             f"dimension {op.dimension} exceeds the dense-assembly cap {cap}")
-    nodes = np.arange(op.grid.n_points ** 2)
+    nodes = np.arange(op.grid.n_points ** 2) if op.nodes is None else op.nodes
     weight = _weights(op, nodes)
     return _dense_block(op.grid.n_points, nodes, nodes, op.kernel, weight, weight)
 
@@ -371,10 +454,11 @@ def restricted_block(op: LinearOperatorHandle, rows: np.ndarray, cols: np.ndarra
                      component: tuple[int, int] | None = None) -> np.ndarray:
     """Dense block of the operator between two node lists, a fresh C-ordered array.
 
-    rows and cols are 1-D arrays of flat node indices n*x1 + x2, in any
-    order, such as np.flatnonzero of a node mask.  The block is the np.ix_
-    sub-matrix of assemble_dense(op) on those nodes, in that order (both
-    components of each), or with component = (a, b) its slice [a::2, b::2],
+    rows and cols are 1-D arrays of flat node indices n*x1 + x2 of the
+    grid, in any order, such as np.flatnonzero of a node mask.  The block is
+    the np.ix_ sub-matrix of the whole-grid assemble_dense(op), whatever
+    op's node set, on those nodes, in that order (both components of
+    each), or with component = (a, b) its slice [a::2, b::2],
     spinor component a against b.  It is gathered from the handle's cached
     kernel without building the full matrix.  Between equal node lists the
     (b, a) block is exactly the conjugate transpose of the (a, b) block.

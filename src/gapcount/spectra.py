@@ -92,6 +92,16 @@ t >= 0.083: the shift is below 1e-14 relative to t, and even the worst
 case is below 1e-12 absolute, far inside the window.  The dense spectrum
 (hermitian_eigenvalues) is left to the flow-trace plot.
 
+A Birman-Schwinger or flow count runs on the support of its weight
+(on_support): the handle is compressed to the nodes where some weight
+component exceeds a tol that keeps the norm of what it drops at most eps
+<= _CERTIFICATE_FLOOR / 10.  By Weyl's inequality the counts of the
+compression at s -/+ eps bracket those of the whole-grid operator at s, so
+iterative_count_above counts those too and keeps a count only when the
+three agree.  The basis, the Gram-Schmidt passes and the dense fallback
+shrink with the kept fraction (24 % of the nodes for the Gaussian at
+n = 96, L = 24); the FFTs do not.
+
 Small dense factorizations and small Krylov runs use one BLAS thread
 (_single_blas_thread).  numpy and scipy each bundle their own OpenBLAS,
 each with a thread pool as wide as the machine.  On 2 vCPUs a second
@@ -116,14 +126,15 @@ from __future__ import annotations
 import ctypes
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import scipy
 import scipy.linalg
 
-from .operators import (_STRIP_BYTES, DENSE_CAP, LinearOperatorHandle, assemble_dense,
+from .operators import (_STRIP_BYTES, DENSE_CAP, LinearOperatorHandle, _mode_spectra,
+                        _multiplier_norm, _node_weight_max, assemble_dense,
                         check_hermitian)
 
 TIE_GUARD = 1e-12
@@ -140,6 +151,7 @@ _KRYLOV_SINGLE_THREAD_LIMIT = 3872  # largest dimension counted by Lanczos on
 _BLOCK = 2  # Krylov start block, doubled while a multiplicity could hide
 _CERTIFICATE_FLOOR = 1e-8  # a converged Ritz value this close to a threshold
                            # sends every count to the dense path
+_SUPPORT_BOUND = 0.1 * _CERTIFICATE_FLOOR  # largest norm on_support drops
 _CHECK_EVERY = 32  # Krylov columns between Ritz checks while the basis is small
 _DGKS = 1.0 / np.sqrt(2.0)  # a vector keeping less of its norm through a
                             # Gram-Schmidt pass is orthogonalized again
@@ -247,7 +259,13 @@ def _single_blas_thread(dim: int, limit: int):
     thread's CPU time in the 0.5 s after a burst of thin complex GEMMs, and
     none after a one-thread burst); at the k = 16 that importing gapcount
     sets, none.  Both limits, and the crossovers below, were measured at
-    k = 28.  Two limits are used.
+    k = 28, and both were checked again at k = 16 on the benchmark, default
+    2 threads against one, 10 alternating pairs of bench/run.py: on
+    box-localized (the elimination) study_s fell from 0.153 to 0.130 s but
+    cpu_s rose from 0.551 to 0.614 s, lower in 0 of 10 pairs; on
+    theorem2-dense (the Lanczos runs) study_s fell from 0.252 to 0.239 s,
+    lower in 8 of 10 pairs, with cpu_s unresolved.  Neither gain is
+    resolved at the CPU cost, so both limits stay.  Two limits are used.
 
     _SINGLE_THREAD_LIMIT = 2048 serves the dense factorizations.  It is
     the measured crossover of inertia on random Hermitian matrices, three
@@ -265,7 +283,10 @@ def _single_blas_thread(dim: int, limit: int):
     1.09 s (10 pairs, --seconds 36).
 
     _KRYLOV_SINGLE_THREAD_LIMIT = 3872 serves the Lanczos runs of
-    iterative_count_above.  It was measured with one call per fresh
+    iterative_count_above.  It is compared with the handle's dimension, on
+    the support of W for a handle with a node set (on_support): that is
+    the length of the basis rows and so the size of the GEMMs, while the
+    FFTs stay on the whole grid.  It was measured with one call per fresh
     process, 10 alternating pairs per cell on 2 vCPUs, Birman-Schwinger
     handles at L = 24: a filtered theorem-2 run (power decay p = 1,
     Psi = 2, alpha 2, 3, 4, 6, degree 9) and an unfiltered Weyl run
@@ -657,20 +678,10 @@ class _ChebyshevFilter:
         return cur
 
 
-def _mode_spectra(op) -> tuple[np.ndarray, np.ndarray]:
-    """Half trace h and radius r of mult per mode, its eigenvalues h -/+ r."""
-    m = op.mult
-    half_trace = 0.5 * (m[0, 0].real + m[1, 1].real)
-    radius = np.hypot(0.5 * (m[0, 0].real - m[1, 1].real), np.abs(m[0, 1]))
-    return half_trace, radius
-
-
 def _norm_bound(op) -> float:
     """max(W)^2 max_xi ||mult(xi)||_2, a bound on ||op||; for a
     Birman-Schwinger handle, max V / (m - |lambda|)."""
-    half_trace, radius = _mode_spectra(op)
-    weight = 1.0 if op.weight is None else float(np.abs(op.weight).max())
-    return weight ** 2 * float((np.abs(half_trace) + radius).max())
+    return float(_node_weight_max(op).max()) ** 2 * _multiplier_norm(op.mult)
 
 
 def _chebyshev_filter(op, thresholds) -> _ChebyshevFilter:
@@ -682,7 +693,7 @@ def _chebyshev_filter(op, thresholds) -> _ChebyshevFilter:
     p(s_min) >= _FILTER_GAIN, or 1 (no filter) when that needs more than
     _FILTER_MAX_DEGREE.
     """
-    half_trace, radius = _mode_spectra(op)
+    half_trace, radius = _mode_spectra(op.mult)
     positive = np.all(half_trace - radius >= -1e-12 * (np.abs(half_trace) + radius))
     b = 0.0 if positive else _norm_bound(op)
     s = min(thresholds)
@@ -841,6 +852,30 @@ def _block_lanczos(op, filt, thresholds, columns, block):
     return None, hi
 
 
+def on_support(op: LinearOperatorHandle) -> LinearOperatorHandle:
+    """op compressed to the nodes where some weight component exceeds tol.
+
+    tol is the root of max_xi ||mult(xi)|| tol (max W + tol) =
+    _SUPPORT_BOUND = _CERTIFICATE_FLOOR / 10, so the dropped-norm bound
+    op.support_bound of the result is at most 1e-9 (operators module
+    docstring).  A weight that vanishes off a disk (DiskBump) gives a bound
+    of exactly 0, a potential at or below tol everywhere an empty node set.
+    op itself is returned when it keeps every node (a power decay, say).
+    """
+    w = _node_weight_max(op)
+    norm = _multiplier_norm(op.mult)
+    scale = norm * float(w.max())
+    # the stable root of norm t^2 + scale t = bound, lowered by 1e-12 so
+    # that rounding keeps the bound of the kept set at most _SUPPORT_BOUND
+    bound = _SUPPORT_BOUND * (1.0 - 1e-12)
+    root = np.sqrt(scale * scale + 4.0 * norm * bound)
+    tol = 2.0 * bound / (scale + root)
+    keep = w > tol
+    if keep.all():
+        return op
+    return replace(op, nodes=np.flatnonzero(keep))
+
+
 def iterative_count_above(op: LinearOperatorHandle, thresholds,
                           dense_cap: int = DENSE_CAP) -> CountResult:
     """Count eigenvalues of the Hermitian sandwich op above each threshold.
@@ -895,42 +930,79 @@ def iterative_count_above(op: LinearOperatorHandle, thresholds,
     (assemble_dense) and consumes it, so the fallback holds one dense
     matrix at a time; every gather reads the kernel op cached at the first.
 
+    A handle with a node set (on_support) is counted on its support, of
+    dimension 2 x the kept nodes, and stands for the whole-grid operator,
+    within eps = op.support_bound of it in norm.  When some threshold is at
+    most eps + DEGENERACY_TOL, the whole grid is counted instead, since the
+    compression's eigenvalue 0 on the dropped nodes would lie within the
+    window of that threshold.  The same Krylov run also
+    counts at s - eps and s + eps, and its counts are kept only when the
+    three agree for every threshold: the support then has no eigenvalue in
+    the window, so by Weyl's inequality every eigenvalue of the whole-grid
+    operator stays on its side of s, and each certificate is reduced by
+    eps.  Otherwise every count takes the dense path on the support, each
+    bracket widened by eps to s -/+ (DEGENERACY_TOL + eps); a threshold
+    whose widened bracket holds a support eigenvalue is counted again on
+    the whole-grid dense matrix with the plain bracket s -/+
+    DEGENERACY_TOL, when the grid dimension is within dense_cap, and is
+    reported degenerate (certificate 0) when it is not.  For eps = 0 (a
+    DiskBump) the window is empty and every count is the plain one.  An
+    empty support counts 0 above every threshold s, with certificate
+    s - eps, and builds no basis.
+
     Up to dimension _KRYLOV_SINGLE_THREAD_LIMIT the Lanczos runs use one
-    thread in each OpenBLAS pool (_single_blas_thread); the dense fallback
-    follows inertia's own limit.
+    thread in each OpenBLAS pool (_single_blas_thread), the dimension being
+    the support's, which sets the size of the basis GEMMs; the dense
+    fallback follows inertia's own limit.
     """
     values = np.asarray(thresholds, dtype=float)
     if values.ndim != 1 or len(values) == 0 or not np.all(values > 0):
         raise ValueError(f"thresholds must be a sequence of positive numbers, "
                          f"got {thresholds}")
     thresholds = tuple(float(x) for x in values)
+    if op.nodes is not None and not values.min() > op.support_bound + DEGENERACY_TOL:
+        # the zero eigenvalues of the dropped nodes would enter a window
+        op = replace(op, nodes=None)
+    eps = op.support_bound
     dim = op.dimension
+    if dim == 0:
+        return CountResult((0,) * len(thresholds), tuple(s - eps for s in thresholds),
+                           "krylov", 0, 0, 1)
+    k = len(thresholds)
+    probes = thresholds if eps == 0 else (
+        thresholds + tuple(s - eps for s in thresholds) + tuple(s + eps for s in thresholds))
     block = min(_BLOCK, dim)
     cap = _column_cap(dim)
-    filt = _chebyshev_filter(op, thresholds)
+    filt = _chebyshev_filter(op, probes)
     built = 0
     with _single_blas_thread(dim, _KRYLOV_SINGLE_THREAD_LIMIT):
         while True:
-            found, columns = _block_lanczos(op, filt, thresholds, cap, block)
+            found, columns = _block_lanczos(op, filt, probes, cap, block)
             built += columns
             if found is None:
                 break
             counts, certificates, widest = found
+            if any(c != counts[i % k] for i, c in enumerate(counts)):
+                break  # a support eigenvalue lies within eps of a threshold
             if widest < block:
-                return CountResult(counts, certificates, "krylov", built, block,
-                                   filt.degree)
+                return CountResult(counts[:k], tuple(c - eps for c in certificates[:k]),
+                                   "krylov", built, block, filt.degree)
             if 2 * block >= cap:
                 break  # a multiplicity could hide, and no wider block fits
             block *= 2
     if dim > dense_cap:
-        return CountResult(None, (0.0,) * len(thresholds), "krylov", built, block,
-                           filt.degree)
+        return CountResult(None, (0.0,) * k, "krylov", built, block, filt.degree)
 
-    def factor(shift):
-        return inertia(assemble_dense(op, cap=dense_cap), shift)
+    def bracket(handle, x, window):
+        return inertia_bracket(lambda shift: inertia(assemble_dense(handle, cap=dense_cap),
+                                                     shift),
+                               x - window, x + window, x * (1.0 + TIE_GUARD))
 
-    brackets = [inertia_bracket(factor, x - DEGENERACY_TOL, x + DEGENERACY_TOL,
-                                x * (1.0 + TIE_GUARD)) for x in thresholds]
+    brackets = [bracket(op, x, DEGENERACY_TOL + eps) for x in thresholds]
+    if eps > 0 and op.grid.dimension <= dense_cap:
+        full = replace(op, nodes=None)
+        brackets = [bracket(full, x, DEGENERACY_TOL) if b.degenerate else b
+                    for x, b in zip(thresholds, brackets)]
     counts = tuple(b.strict.positive for b in brackets)
     certificates = tuple(0.0 if b.degenerate else DEGENERACY_TOL for b in brackets)
     return CountResult(counts, certificates, "dense", built, block, filt.degree)

@@ -606,6 +606,10 @@ def test_run_meta_records_inertia_counts(tmp_path, text, runner, method_key, met
         assert dim_key not in meta and "inertia_residual_max" not in meta
         assert float(meta["flow_certificate_min"]) > DEGENERACY_TOL
         assert int(meta["flow_krylov_columns"]) > 0
+        nodes = config.grid.n_points ** 2
+        for count in ("bs", "flow"):
+            assert 0 < int(meta[f"{count}_support_nodes"]) <= nodes
+            assert 0.0 <= float(meta[f"{count}_support_bound"]) <= 1e-9
     else:
         assert 0.0 <= float(meta["inertia_residual_max"]) <= 1e-8
         assert int(meta[dim_key]) == dim
@@ -1109,8 +1113,8 @@ def test_matrix_free_count_is_not_refused_over_the_cap(tmp_path, text):
 
 def test_cli_uncertified_bs_count_is_a_resource_error(tmp_path, capsys, monkeypatch):
     # the matrix-free count is not refused over the cap, but an 8-column
-    # basis certifies nothing, and the dense fallback at dimension 288 is
-    # over the cap of 100
+    # basis certifies nothing, and the dense fallback on the support of W,
+    # 127 of the 144 nodes (dimension 254), is over the cap of 100
     import gapcount.spectra as spectra
 
     monkeypatch.setattr(spectra, "_column_cap", lambda dim: 8)
@@ -1120,7 +1124,7 @@ def test_cli_uncertified_bs_count_is_a_resource_error(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("resource error:")
     assert "8 Krylov columns" in err[0]
-    assert "dimension 288 exceeds dense_cap = 100" in err[0]
+    assert "support of W (127 nodes) at dimension 254 exceeds dense_cap = 100" in err[0]
     assert not (tmp_path / "o").exists()
 
 

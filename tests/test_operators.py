@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -369,6 +371,39 @@ def test_component_blocks_are_slices_of_the_restricted_block(handle):
         assert check_hermitian(restricted_block(op, mask, mask, (a, a))) == 0.0
     assert np.array_equal(restricted_block(op, mask, mask, (1, 0)),
                           restricted_block(op, mask, mask, (0, 1)).conj().T)
+
+
+def _on_random_nodes(handle, seed):
+    """A handle of _HANDLES on GRID and GAUSS, with a random half of the nodes."""
+    full = _HANDLES[handle](GRID, GAUSS)
+    rng = np.random.default_rng(seed)
+    return full, dataclasses.replace(
+        full, nodes=np.flatnonzero(rng.random(GRID.n_points ** 2) < 0.5))
+
+
+@pytest.mark.parametrize("handle", ["resolvent", "birman_schwinger", "crossing"])
+def test_support_apply_is_the_full_apply_restricted_to_the_nodes(handle):
+    full, op = _on_random_nodes(handle, 7)
+    n, kept = GRID.n_points, len(op.nodes)
+    assert op.dimension == 2 * kept < full.dimension
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal((3, 2, kept)) + 1j * rng.standard_normal((3, 2, kept))
+    field = np.zeros((3, 2, n * n), dtype=complex)
+    field[:, :, op.nodes] = v
+    expected = full.apply_array(field.reshape(3, 2, n, n)).reshape(3, 2, n * n)
+    got = op.apply_array(v)
+    assert got.shape == v.shape
+    assert np.array_equal(got, expected[:, :, op.nodes])
+    assert np.array_equal(op.apply_array(v.reshape(3, -1)), got.reshape(3, -1))
+
+
+@pytest.mark.parametrize("handle", ["resolvent", "birman_schwinger", "crossing"])
+def test_support_dense_matrix_is_the_nodes_block_of_the_full_one(handle):
+    full, op = _on_random_nodes(handle, 9)
+    rows = np.stack([2 * op.nodes, 2 * op.nodes + 1], axis=1).ravel()
+    dense = assemble_dense(op)
+    assert dense.shape == (op.dimension, op.dimension)
+    assert np.array_equal(dense, assemble_dense(full)[np.ix_(rows, rows)])
 
 
 def test_restricted_block_rejects_mask_of_wrong_shape():

@@ -16,6 +16,7 @@ from gapcount import (
     iterative_count_above,
 )
 from gapcount import spectra
+from gapcount.flow import crossing_count_detailed, crossing_operator
 from gapcount.operators import (
     LinearOperatorHandle,
     assemble_dense,
@@ -685,6 +686,109 @@ def test_krylov_counts_match_dense_for_every_coupling(monkeypatch, name, n):
     for s, cert in zip(thresholds, result.certificates):
         # the certificate is the distance to an eigenvalue resolved by a Ritz value
         assert cert >= np.abs(ev - s).min() - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# counts on the support of W stand for the whole-grid operator
+# ---------------------------------------------------------------------------
+
+_SUPPORT_GATE = {
+    "gaussian": Gaussian(4.0, 1.0),
+    "gaussian-off-center": Gaussian(4.0, 1.0, (1.5, 0.5)),
+    "disk-margin": DiskBump(3.0, 1.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("gap_point", [0.0, 0.3])
+@pytest.mark.parametrize("n", [12, 24])
+@pytest.mark.parametrize("name", sorted(_SUPPORT_GATE))
+def test_support_counts_equal_dense_counts_of_the_full_operator(name, n, gap_point):
+    spec = _SUPPORT_GATE[name]
+    grid, params = build_grid(n, 12.0), ModelParams(1.0, gap_point)
+    full = birman_schwinger(grid, params, spec)
+    op = spectra.on_support(full)
+    assert 0 < len(op.nodes) < n * n
+    assert op.support_bound <= 1e-9
+    thresholds = [1.0 / a for a in (2.0, 5.0, 10.0, 20.0)]
+    result = iterative_count_above(op, thresholds)
+    assert result.method == "krylov"
+    ev = np.linalg.eigvalsh(assemble_dense(full))
+    assert list(result.counts) == [count_above(ev, s) for s in thresholds]
+    for alpha in (5.0, 20.0):
+        flow = crossing_count_detailed(grid, params, spec, alpha)
+        assert flow.method == "krylov" and not flow.degenerate
+        assert 0 < flow.support_nodes < n * n and flow.support_bound <= 1e-9
+        ev = np.linalg.eigvalsh(assemble_dense(crossing_operator(grid, params, spec, alpha)))
+        assert flow.count == count_above(ev, 1.0)
+
+
+@pytest.mark.parametrize("cap", ["grid", "support"])
+def test_threshold_near_a_support_eigenvalue_is_never_miscounted(cap):
+    # within eps of a support eigenvalue the support cannot decide the count
+    # of the full operator: the Krylov run gives way to the dense path, whose
+    # bracket, widened by eps, either recounts on the whole grid or, over
+    # the cap, reports the count degenerate
+    grid = build_grid(12, 12.0)
+    full = birman_schwinger(grid, ModelParams(1.0, 0.0), Gaussian(4.0, 1.0))
+    op = spectra.on_support(full)
+    eps = op.support_bound
+    assert eps > 0
+    eigenvalue = np.linalg.eigvalsh(assemble_dense(op))[-3]
+    ev = np.linalg.eigvalsh(assemble_dense(full))
+    dense_cap = grid.dimension if cap == "grid" else op.dimension
+    window = DEGENERACY_TOL if cap == "grid" else DEGENERACY_TOL + eps
+    for offset in (-2.0 * eps, -eps, -0.5 * eps, 0.0, 0.5 * eps, eps, 2.0 * eps):
+        s = eigenvalue + offset
+        result = iterative_count_above(op, [s], dense_cap=dense_cap)
+        assert result.method == "dense"
+        assert (result.certificate == 0.0) == (abs(offset) <= window)
+        if result.certificate > 0.0:
+            assert result.counts == (count_above(ev, s),)
+
+
+def test_threshold_within_the_support_bound_counts_the_whole_grid():
+    # the dropped nodes carry eigenvalue 0 of the compression, which a
+    # window around a threshold of at most eps + 1e-10 would reach
+    grid = build_grid(12, 12.0)
+    full = birman_schwinger(grid, ModelParams(1.0, 0.0), Gaussian(4.0, 1.0))
+    op = spectra.on_support(full)
+    s = 0.5 * op.support_bound
+    assert op.nodes is not None and s > 0.0
+    assert iterative_count_above(op, [s, 0.25]) == iterative_count_above(full, [s, 0.25])
+
+
+def test_disk_bump_support_drops_nothing():
+    grid, params = build_grid(24, 12.0), ModelParams(1.0, 0.3)
+    disk = DiskBump(3.0, 1.5, 0.5)
+    for full in (birman_schwinger(grid, params, disk),
+                 crossing_operator(grid, params, disk, 10.0)):
+        op = spectra.on_support(full)
+        assert 0 < len(op.nodes) < grid.n_points ** 2
+        assert op.support_bound == 0.0
+
+
+def test_power_decay_keeps_every_node():
+    grid, params = build_grid(24, 12.0), ModelParams(1.0, 0.3)
+    decay = PowerDecay(1.0, 2.0)
+    for full in (birman_schwinger(grid, params, decay),
+                 crossing_operator(grid, params, decay, 4.0)):
+        assert spectra.on_support(full) is full
+        assert full.nodes is None and full.support_bound == 0.0
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1e-30])
+def test_empty_support_counts_nothing_and_builds_no_basis(monkeypatch, amplitude):
+    op = spectra.on_support(birman_schwinger(build_grid(12, 12.0), ModelParams(1.0, 0.0),
+                                             Gaussian(amplitude, 1.0)))
+    assert op.dimension == 0 and (op.support_bound > 0.0) == (amplitude > 0.0)
+
+    def refuse(*args):
+        raise AssertionError("a Krylov basis for an empty support")
+
+    monkeypatch.setattr(spectra, "_block_lanczos", refuse)
+    result = iterative_count_above(op, [0.5, 0.25])
+    assert result.conclusive and result.counts == (0, 0) and result.columns == 0
+    assert result.certificates == (0.5 - op.support_bound, 0.25 - op.support_bound)
 
 
 def test_second_gram_schmidt_pass_when_the_first_cancels(monkeypatch):
